@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import edl, events, scenarios
-from .circuit import Circuit, joint_distribution
+from .circuit import Circuit, joint_distribution, validate_settings
 from .measure import ConditioningError, conditional
 from .qstate import CompositionError, ValidationError
 from .screen import DEFAULT_GEOMETRY, fringe_visibility, pattern_from_bin_probs
@@ -36,11 +37,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``QESIM_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("QESIM_SEED", "0")
     try:
-        return int(os.environ.get("QESIM_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise CliError(f"QESIM_SEED must be an integer, not {text!r}", USAGE_ERROR) from None
 
 
 def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
@@ -53,13 +58,27 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
     return out
 
 
-def _parse_delays(pairs: list[str]) -> dict[str, float]:
+def _check_detectors(names, flag: str, active: list[str]) -> None:
+    for name in names:
+        if name not in active:
+            raise CliError(
+                f"unknown detector {name!r} in {flag}; active detectors: {', '.join(active)}",
+                USAGE_ERROR,
+            )
+
+
+def _parse_delays(pairs: list[str], flag: str, active: list[str]) -> dict[str, float]:
+    """``DET=NS`` items of ``flag``: finite nanoseconds for active detectors."""
     out: dict[str, float] = {}
-    for k, v in _parse_kv(pairs, "--delay").items():
+    for k, v in _parse_kv(pairs, flag).items():
         try:
-            out[k] = float(v)
+            value = float(v)
         except ValueError:
-            raise CliError(f"bad delay value {v!r} for {k!r}", USAGE_ERROR) from None
+            value = math.nan  # rejected below, with inf and nan
+        if not math.isfinite(value):
+            raise CliError(f"bad {flag} value {v!r} for {k!r}", USAGE_ERROR)
+        out[k] = value
+    _check_detectors(out, flag, active)
     return out
 
 
@@ -188,10 +207,24 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     name, circuit, default_delays = _load_target(args.target)
     settings = _parse_kv(args.setting, "--setting")
-    delays = {**default_delays, **_parse_delays(args.delay)}
+    seed = _seed(args)
+    try:
+        validate_settings(circuit, settings)
+    except ValidationError as e:
+        raise CliError(str(e)) from None
+    active = [s.name for s in circuit.detectors(settings)]
+    delays = {**default_delays, **_parse_delays(args.delay, "--delay", active)}
+    offsets = _parse_delays(args.offset, "--offset", active)
+    if not args.window >= 0:
+        raise CliError("--window must be >= 0", USAGE_ERROR)
+    if args.pairs is not None:
+        if "," not in args.pairs:
+            raise CliError("--pairs needs two detector names: A,B", USAGE_ERROR)
+        det_a, det_b = (s.strip() for s in args.pairs.split(",", 1))
+        _check_detectors((det_a, det_b), "--pairs", active)
     try:
         log = events.generate_events(
-            circuit, settings, shots=args.shots, seed=args.seed, delays=delays
+            circuit, settings, shots=args.shots, seed=seed, delays=delays
         )
     except (ValidationError, CompositionError) as e:
         raise CliError(str(e)) from None
@@ -201,10 +234,6 @@ def cmd_sample(args) -> int:
         _emit(text, args.out)
         return 0
 
-    if "," not in args.pairs:
-        raise CliError("--pairs needs two detector names: A,B", USAGE_ERROR)
-    det_a, det_b = (s.strip() for s in args.pairs.split(",", 1))
-    offsets = _parse_delays(args.offset)
     pairs = events.coincidences(log, det_a, det_b, window=args.window, offsets=offsets)
     if args.given is not None:
         try:
@@ -216,13 +245,7 @@ def cmd_sample(args) -> int:
             f"{len(pairs)} pairs, fitted visibility {fringe_visibility(pat):.4f}\n"
         )
     else:
-        lines = ["shot_a,t_a,outcome_a,shot_b,t_b,outcome_b"]
-        for p in pairs:
-            lines.append(
-                f"{p.a.shot},{p.a.time:.12g},{'|'.join(p.a.outcome)},"
-                f"{p.b.shot},{p.b.time:.12g},{'|'.join(p.b.outcome)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(pairs.to_csv(), args.out)
     return 0
 
 
@@ -237,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--setting", action="append", default=[], metavar="NAME=ALT")
         sp.add_argument("--out", default=None, metavar="PATH")
         if seed:
-            sp.add_argument("--seed", type=int, default=_default_seed())
+            sp.add_argument("--seed", type=int, default=None)
         if shots:
             sp.add_argument("-n", "--shots", type=int, default=10000)
 

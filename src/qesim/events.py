@@ -10,12 +10,17 @@ is byte-identical whatever delays are applied to the others.  Coincidence
 search pairs two detectors' events greedily in time order inside a window,
 optionally after subtracting per-detector compensation offsets — which is how
 a delayed eraser's pairs are recovered.
+
+An ``EventLog`` keeps its events as parallel numpy columns, not one object
+per event; ``DetectionEvent`` and ``CoincidencePair`` objects are built only
+when a caller asks for them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +33,6 @@ from .screen import DEFAULT_GEOMETRY, Pattern, SlitGeometry, pattern_from_bin_pr
 DEFAULT_PERIOD_NS = 1e6
 DEFAULT_WINDOW_NS = 1e3
 
-#: placeholder outcome label for shots where filters absorbed the particle
-NO_DETECTION = "none"
-
 
 @dataclass(frozen=True)
 class DetectionEvent:
@@ -39,49 +41,73 @@ class DetectionEvent:
     detector: str
     outcome: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "shot": self.shot,
-            "t": self.time,
-            "det": self.detector,
-            "outcome": list(self.outcome),
-        }
 
-
-@dataclass(frozen=True)
 class EventLog:
-    seed: int
-    shots: int
-    events: tuple[DetectionEvent, ...]
+    """Detection events as three parallel columns.
 
-    def for_detector(self, name: str) -> tuple[DetectionEvent, ...]:
-        return tuple(e for e in self.events if e.detector == name)
+    Row ``i`` is shot ``shot[i]`` registered at ``time[i]`` (ns) with
+    ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
+    each pair once.  ``generate_events`` stores rows in (time, detector name,
+    shot) order; ``from_jsonl`` keeps the order of the file.
+    """
 
-    def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_json_dict(), separators=(",", ":")) + "\n"
-            for e in self.events
+    def __init__(self, seed: int, shots: int, shot, time, label, labels):
+        self.seed = seed
+        self.shots = shots
+        self.shot = np.asarray(shot, dtype=np.int64)
+        self.time = np.asarray(time, dtype=np.float64)
+        self.label = np.asarray(label, dtype=np.int32)
+        self.labels: tuple[tuple[str, tuple[str, ...]], ...] = tuple(labels)
+        if not np.isfinite(self.time).all():
+            raise ValidationError("event times must be finite")
+
+    @cached_property
+    def events(self) -> tuple[DetectionEvent, ...]:
+        labels = self.labels
+        return tuple(
+            DetectionEvent(s, t, *labels[k])
+            for s, t, k in zip(self.shot.tolist(), self.time.tolist(), self.label.tolist())
         )
 
+    def _rows(self, detector: str) -> np.ndarray:
+        """Row indices of one detector's events, in stored order."""
+        mine = [k for k, (det, _) in enumerate(self.labels) if det == detector]
+        return np.flatnonzero(np.isin(self.label, mine))
+
+    def for_detector(self, name: str) -> tuple[DetectionEvent, ...]:
+        events = self.events
+        return tuple(events[i] for i in self._rows(name).tolist())
+
+    def _columns(self, rows=slice(None)):
+        return zip(self.shot[rows].tolist(), self.time[rows].tolist(), self.label[rows].tolist())
+
+    def to_jsonl(self) -> str:
+        tail = [
+            f',"det":{json.dumps(det)},"outcome":'
+            f'{json.dumps(list(outcome), separators=(",", ":"))}}}\n'
+            for det, outcome in self.labels
+        ]
+        # repr(float) is how json.dumps writes a finite float
+        return "".join([f'{{"shot":{s},"t":{t!r}{tail[k]}' for s, t, k in self._columns()])
+
     def to_csv(self) -> str:
-        lines = ["shot,t,det,outcome"]
-        for e in self.events:
-            lines.append(
-                f"{e.shot},{e.time:.12g},{e.detector},{'|'.join(e.outcome)}"
-            )
-        return "\n".join(lines) + "\n"
+        tail = [f",{det},{'|'.join(outcome)}\n" for det, outcome in self.labels]
+        return "shot,t,det,outcome\n" + "".join(
+            [f"{s},{t:.12g}{tail[k]}" for s, t, k in self._columns()]
+        )
 
     @staticmethod
     def from_jsonl(text: str, seed: int = 0, shots: int = 0) -> "EventLog":
-        events = []
+        index: dict[tuple[str, tuple[str, ...]], int] = {}
+        shot, time, label = [], [], []
         for line in text.splitlines():
             if not line.strip():
                 continue
             d = json.loads(line)
-            events.append(
-                DetectionEvent(d["shot"], d["t"], d["det"], tuple(d["outcome"]))
-            )
-        return EventLog(seed=seed, shots=shots, events=tuple(events))
+            shot.append(d["shot"])
+            time.append(d["t"])
+            label.append(index.setdefault((d["det"], tuple(d["outcome"])), len(index)))
+        return EventLog(seed, shots, shot, time, label, index)
 
 
 def generate_events(
@@ -105,38 +131,52 @@ def generate_events(
     dist = joint_distribution(c, settings)
     specs = c.detectors(settings)
 
-    # split the joint axes among detectors, in declaration order
-    spans: list[tuple[str, float, slice]] = []
-    pos = 0
-    for spec in specs:
-        n = len(spec.axis_names())
-        offset = spec.time_offset + delays.get(spec.name, 0.0)
-        spans.append((spec.name, offset, slice(pos, pos + n)))
-        pos += n
-
     keys = list(dist.outcomes.keys())
     probs = [dist.outcomes[k] for k in keys]
     survive = sum(probs)
     if survive < dist.total_mass - 1e-9 or dist.total_mass > 1 + 1e-9:
         raise ValidationError("inconsistent distribution mass")
-    # residual outcome: the particle never reached the detectors
+    # residual outcome (pick == len(keys)): the particle never reached the detectors
     if survive < 1.0 - 1e-12:
-        keys.append(None)
         probs.append(1.0 - survive)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     picks = np.searchsorted(cdf, rng_for(seed).random(shots), side="right")
+    survivors = np.flatnonzero(picks < len(keys))
+    picks = picks[survivors]
 
-    events: list[DetectionEvent] = []
-    for shot, pick in enumerate(picks):
-        outcome = keys[int(pick)]
-        if outcome is None:
-            continue
-        base = shot * period
-        for det, offset, span in spans:
-            events.append(DetectionEvent(shot, base + offset, det, outcome[span]))
-    events.sort(key=lambda e: (e.time, e.detector, e.shot))
-    return EventLog(seed=seed, shots=shots, events=tuple(events))
+    # one block of rows per detector, in declaration order; the joint axes
+    # are split among detectors in that order too
+    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    shot_parts, time_parts, label_parts = [], [], []
+    pos = 0
+    for spec in specs:
+        span = slice(pos, pos + len(spec.axis_names()))
+        pos = span.stop
+        offset = spec.time_offset + delays.get(spec.name, 0.0)
+        label_of_key = np.array(
+            [index.setdefault((spec.name, k[span]), len(index)) for k in keys],
+            dtype=np.int32,
+        )
+        shot_parts.append(survivors)
+        time_parts.append(survivors * period + offset)
+        label_parts.append(label_of_key[picks])
+    del survivors, picks
+    shot = np.concatenate(shot_parts)
+    time = np.concatenate(time_parts)
+    label = np.concatenate(label_parts)
+    del shot_parts, time_parts, label_parts
+
+    # lexsort is stable, so rows equal in (time, name, shot) -- two detectors
+    # sharing a name -- stay in declaration order
+    names = sorted({det for det, _ in index})
+    name_rank = np.array([names.index(det) for det, _ in index], dtype=np.int32)
+    order = np.lexsort((shot, name_rank[label], time))
+    # reorder one column at a time, so that only one old column is alive
+    shot = shot[order]
+    time = time[order]
+    label = label[order]
+    return EventLog(seed, shots, shot, time, label, index)
 
 
 @dataclass(frozen=True)
@@ -145,42 +185,92 @@ class CoincidencePair:
     b: DetectionEvent
 
 
+class Coincidences:
+    """Pairs found by ``coincidences``: pair ``i`` joins rows ``a[i]`` and
+    ``b[i]`` of ``log``.  Iterating yields ``CoincidencePair`` views."""
+
+    def __init__(self, log: EventLog, a: np.ndarray, b: np.ndarray):
+        self.log, self.a, self.b = log, a, b
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        events = self.log.events
+        return (
+            CoincidencePair(events[i], events[j])
+            for i, j in zip(self.a.tolist(), self.b.tolist())
+        )
+
+    def to_csv(self) -> str:
+        log = self.log
+        outcome = ["|".join(o) for _, o in log.labels]
+        rows = [
+            f"{sa},{ta:.12g},{outcome[ka]},{sb},{tb:.12g},{outcome[kb]}\n"
+            for (sa, ta, ka), (sb, tb, kb) in zip(log._columns(self.a), log._columns(self.b))
+        ]
+        return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + "".join(rows)
+
+
+def _shifted(log: EventLog, detector: str, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """One detector's rows and compensated times, sorted by that time."""
+    rows = log._rows(detector)
+    t = log.time[rows] - offset
+    order = np.argsort(t, kind="stable")
+    return rows[order], t[order]
+
+
+def _greedy(ta: list[float], tb: list[float], window: float) -> tuple[list[int], list[int]]:
+    """Earliest-first scan: each A event, in time order, takes the first
+    unused B event not earlier than ``window`` before it, if that one lies
+    within ``window``."""
+    pa, pb = [], []
+    j, nb = 0, len(tb)
+    for i, t in enumerate(ta):
+        while j < nb and tb[j] < t - window:
+            j += 1
+        if j < nb and abs(tb[j] - t) <= window:
+            pa.append(i)
+            pb.append(j)
+            j += 1
+    return pa, pb
+
+
 def coincidences(
     log: EventLog,
     det_a: str,
     det_b: str,
     window: float = DEFAULT_WINDOW_NS,
     offsets: dict[str, float] | None = None,
-) -> tuple[CoincidencePair, ...]:
+) -> Coincidences:
     """Greedy earliest-first pairing of two detectors' events.
 
     Each event is used at most once.  ``offsets`` (ns, subtracted per
     detector before comparison) compensate known delays, e.g. a delayed
     eraser arm.
     """
-    if window < 0:
+    if not window >= 0:
         raise ValidationError("window must be >= 0")
     offsets = offsets or {}
-
-    def shifted(e: DetectionEvent) -> float:
-        return e.time - offsets.get(e.detector, 0.0)
-
-    a_events = sorted(log.for_detector(det_a), key=shifted)
-    b_events = sorted(log.for_detector(det_b), key=shifted)
-    pairs: list[CoincidencePair] = []
-    j = 0
-    for ea in a_events:
-        ta = shifted(ea)
-        while j < len(b_events) and shifted(b_events[j]) < ta - window:
-            j += 1
-        if j < len(b_events) and abs(shifted(b_events[j]) - ta) <= window:
-            pairs.append(CoincidencePair(ea, b_events[j]))
-            j += 1
-    return tuple(pairs)
+    if not all(np.isfinite(v) for v in offsets.values()):
+        raise ValidationError("offsets must be finite")
+    rows_a, ta = _shifted(log, det_a, offsets.get(det_a, 0.0))
+    rows_b, tb = _shifted(log, det_b, offsets.get(det_b, 0.0))
+    # each A event's first candidate: the earliest B event not before t - window
+    first = np.searchsorted(tb, ta - window, side="left")
+    hit = first < len(tb)
+    hit[hit] = np.abs(tb[first[hit]] - ta[hit]) <= window
+    if (hit[:-1] & (first[1:] == first[:-1])).any():
+        # an A event took the candidate of the next one, which must then look
+        # further on; only a window of half the event spacing or more does this
+        pa, pb = _greedy(ta.tolist(), tb.tolist(), window)
+    else:
+        pa, pb = np.flatnonzero(hit), first[hit]
+    return Coincidences(log, rows_a[pa], rows_b[pb])
 
 
 def conditioned_histogram(
-    pairs,
+    pairs: Coincidences,
     partner_outcome: tuple[str, ...] | str | None = None,
     geometry: SlitGeometry = DEFAULT_GEOMETRY,
 ) -> Pattern:
@@ -189,14 +279,15 @@ def conditioned_histogram(
     screen-bin outcomes."""
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
-    counts: dict[str, float] = {}
-    for p in pairs:
-        if partner_outcome is not None and p.b.outcome != partner_outcome:
-            continue
-        if len(p.a.outcome) != 1:
-            raise ValidationError("screen events must carry a single bin label")
-        key = p.a.outcome[0]
-        counts[key] = counts.get(key, 0.0) + 1.0
-    if not counts:
+    labels = pairs.log.labels
+    a = pairs.log.label[pairs.a]
+    if partner_outcome is not None:
+        wanted = [k for k, (_, outcome) in enumerate(labels) if outcome == partner_outcome]
+        a = a[np.isin(pairs.log.label[pairs.b], wanted)]
+    counts = np.bincount(a, minlength=len(labels))
+    used = np.flatnonzero(counts).tolist()
+    if any(len(labels[k][1]) != 1 for k in used):
+        raise ValidationError("screen events must carry a single bin label")
+    if not used:
         raise ValidationError("no pairs satisfy the condition")
-    return pattern_from_bin_probs(counts, geometry)
+    return pattern_from_bin_probs({labels[k][1][0]: float(counts[k]) for k in used}, geometry)

@@ -120,3 +120,29 @@ class TestSample:
                 "--setting", "p_pol=absent", "--out", str(p),
             )
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pairs", "D_s,D_x"], "unknown detector 'D_x' in --pairs"),
+        (["--delay", "D_x=5"], "unknown detector 'D_x' in --delay"),
+        (["--pairs", "D_s,D_p", "--offset", "D_x=5"], "unknown detector 'D_x' in --offset"),
+        (["--delay", "D_p=nan"], "bad --delay value 'nan'"),
+        (["--pairs", "D_s,D_p", "--window", "-1"], "--window must be >= 0"),
+    ])
+    def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "sample", "walborn", "-n", "10", "--setting", "p_pol=absent", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        if "unknown detector" in message:
+            assert "active detectors: D_s, D_p" in err
+
+    def test_bad_seed_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("QESIM_SEED", "abc")
+        code, out, err = run_cli(capsys, "sample", "mz_one_bs", "-n", "5")
+        assert code == 2 and out == ""
+        assert "QESIM_SEED" in err
+        # only a sample that needs the variable reads it
+        assert run_cli(capsys, "sample", "mz_one_bs", "-n", "5", "--seed", "1")[0] == 0
+        assert run_cli(capsys, "verify", "mz_one_bs")[0] == 0

@@ -64,13 +64,13 @@ class TestCoincidences:
     def test_each_event_used_once(self):
         log = walborn_log(shots=300)
         pairs = coincidences(log, "D_s", "D_p")
-        assert len({id(p.b) for p in pairs}) == len(pairs)
+        assert len({(p.b.shot, p.b.detector) for p in pairs}) == len(pairs)
 
     def test_delay_defeats_naive_window(self):
         # a delay much larger than the window and incommensurate with the
         # shot period leaves nothing to pair
         log = walborn_log(shots=200, delays={"D_p": 5e8 + 12345})
-        assert coincidences(log, "D_s", "D_p") == ()
+        assert len(coincidences(log, "D_s", "D_p")) == 0
 
     def test_offset_compensation_restores_pairs(self):
         delay = 5e8 + 12345
