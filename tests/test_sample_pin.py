@@ -1,9 +1,14 @@
-"""Byte pins of ``qesim sample`` output.
+"""Byte pins of ``qesim`` CLI output.
 
-Each case runs the CLI in-process with a fixed seed and compares SHA-256
-hashes of stdout and stderr with values recorded from the object-per-event
-implementation of ``qesim.events``.  Any change to sampling, event order,
-pairing, histogramming or number formatting shows up here.
+Each case runs the CLI in-process and compares SHA-256 hashes of stdout and
+stderr with recorded values.  The ``sample`` cases, run with a fixed seed,
+were recorded from the object-per-event implementation of ``qesim.events``:
+any change to sampling, event order, pairing, histogramming or number
+formatting shows up there.  The ``run`` cases (every catalog scenario under
+every choice alternative), ``verify`` and the ``sweep`` cases were recorded
+from the catalog as built by Python circuit constructors, before it was
+compiled from the golden EDL files: any change to a circuit, to the order of
+outcomes or to number formatting shows up there.
 """
 
 import hashlib
@@ -61,6 +66,141 @@ CASES = {
         "sample walborn --setting p_pol=plus45 -n 3000 --seed 16"
         " --delay D_p=1.5e6 --window 1e6 --pairs D_s,D_p",
         "594ccd2ee472df72faf5c80663c8b3c184e011623a4900ae38a27f2cbf3f982f",
+        EMPTY,
+    ),
+    "run_two_slit": (
+        "run two_slit",
+        "2648e6ccdb033a6f02b6eece682cd7fcb0e457ae8b49a6259c4e501b4b1d37f0",
+        EMPTY,
+    ),
+    "run_wheeler_in": (
+        "run wheeler --setting screen=in",
+        "3c18652ecada195288881473c3b0e85ce41fe6b095859d8a617a4c54caeec7c7",
+        EMPTY,
+    ),
+    "run_wheeler_out": (
+        "run wheeler --setting screen=out",
+        "c29a5f492479ed9882e5c25f16dce6c1ba8974115b6e7ea6f7e362b93f8c504d",
+        EMPTY,
+    ),
+    "run_mz_one_bs": (
+        "run mz_one_bs",
+        "1cfc18f6e3df11bb56c1e91b54ffa5ef9d0d2c17884d04086d122b9aecfbb934",
+        EMPTY,
+    ),
+    "run_mz_two_bs": (
+        "run mz_two_bs",
+        "67732625ce0fd7094bc1ef6a429fc78ef4e2a503631bde2bd71ac9030f9c63f8",
+        EMPTY,
+    ),
+    "run_mz_recombine_single_detector": (
+        "run mz_recombine_single_detector",
+        "06eda931e538ac34d30eb00432006b6059e3f849a3e032ed7a67f121e89c9e80",
+        EMPTY,
+    ),
+    "run_analyzer_loop_open": (
+        "run analyzer_loop --setting mask=open",
+        "437f45e227a793295bcd227f28e7adacd9b659d3283608cd58f55e3ffda9d58e",
+        EMPTY,
+    ),
+    "run_analyzer_loop_block_L": (
+        "run analyzer_loop --setting mask=block_L",
+        "768f65fe6d8ac0cc408a35c801f2a27a38081ad234c62bf6b9e94cd7a54dc924",
+        EMPTY,
+    ),
+    "run_analyzer_loop_block_U": (
+        "run analyzer_loop --setting mask=block_U",
+        "0159e11f70fd1289fb9ad7c2f41a1fdcc44627787335c0c7777868a72faf9e36",
+        EMPTY,
+    ),
+    "run_sg_loop_open": (
+        "run sg_loop --setting mask=open",
+        "5e76238b1afdaeb614e663045b0661ea2a2f972c9af3a709d221c5db61c684d0",
+        EMPTY,
+    ),
+    "run_sg_loop_keep_top": (
+        "run sg_loop --setting mask=keep_top",
+        "19067d380648d743129d4a932db2cfdc527927a7712522cd4dba09370fa12dfb",
+        EMPTY,
+    ),
+    "run_sg_loop_keep_mid": (
+        "run sg_loop --setting mask=keep_mid",
+        "367010f4bf4ceb5466e5a29cdbe359fb9a4849431d91c918c2c557f40de244bb",
+        EMPTY,
+    ),
+    "run_sg_loop_keep_bot": (
+        "run sg_loop --setting mask=keep_bot",
+        "4a3125fe6c19918c1a1375fa41cbc0842bc2506e2da0418bd8561bd912e10e62",
+        EMPTY,
+    ),
+    "run_one_photon_eraser_plus45": (
+        "run one_photon_eraser --setting eraser=plus45",
+        "a8c53c572e2d254fbc7e74c93b46199c80be4ae6e1bc1d903705acfe12dc344e",
+        EMPTY,
+    ),
+    "run_one_photon_eraser_minus45": (
+        "run one_photon_eraser --setting eraser=minus45",
+        "ccc36f778219969d74a7daa0756c41df4442e38c368eafebe6c9f0070b48ec89",
+        EMPTY,
+    ),
+    "run_one_photon_eraser_absent": (
+        "run one_photon_eraser --setting eraser=absent",
+        "28075e8055a3f28471e63d22190c39faa4992018de7ed5ebe433af6ffd46f57d",
+        EMPTY,
+    ),
+    "run_walborn_plus45": (
+        "run walborn --setting p_pol=plus45",
+        "0e3d4c475036b0b21ee6eb79703db4f5c8ce77ecff9b98e1cd6166c5463d4ed3",
+        EMPTY,
+    ),
+    "run_walborn_minus45": (
+        "run walborn --setting p_pol=minus45",
+        "224275712acac495377740224af948fac9eba4bce0619d63e57c112506c958c6",
+        EMPTY,
+    ),
+    "run_walborn_absent": (
+        "run walborn --setting p_pol=absent",
+        "b26698435ba6247e0804236a528bb436324a3b1f8aeed28aa58334adadc92ab2",
+        EMPTY,
+    ),
+    "run_walborn_delayed_plus45": (
+        "run walborn_delayed --setting p_pol=plus45",
+        "5404a5e7cb6656ce59501ff29c7519fa47fec7e7945411bff609bab02b5c83cb",
+        EMPTY,
+    ),
+    "run_walborn_delayed_minus45": (
+        "run walborn_delayed --setting p_pol=minus45",
+        "c10be432df8e98bbe15d71b63b5f6984bbfefa9866a5864cb1b19e2a899d5de0",
+        EMPTY,
+    ),
+    "run_walborn_delayed_absent": (
+        "run walborn_delayed --setting p_pol=absent",
+        "b8ebff7a23274bb9d68af3bf3be9f5cc4efca413460ea51ffec37d5eee69ee0d",
+        EMPTY,
+    ),
+    "verify": (
+        "verify",
+        "18576d175c446d16522168fd1ad5d32ed7115ff56331c74ac0d8dc1d52ae6cd6",
+        EMPTY,
+    ),
+    "sweep_mz_two_bs": (
+        "sweep mz_two_bs",
+        "15ea83212d3d875bcd093f06da4366b14f4de8ba6f4a12def2bb0451697c1c59",
+        EMPTY,
+    ),
+    "sweep_mz_two_bs_1024": (
+        "sweep mz_two_bs --steps 1024 --start 1.2345 --stop 7.517685307179586",
+        "cac42b5e634928911ba5eb1282fffc15c64a3add9f5aafdc71b22b42efe70713",
+        EMPTY,
+    ),
+    "sweep_mz_one_bs": (
+        "sweep mz_one_bs",
+        "7d6eab743cd8fa4adae4868b0c4ade586e33c89361383bd3e851ec403b921178",
+        EMPTY,
+    ),
+    "sweep_mz_recombine": (
+        "sweep mz_recombine_single_detector",
+        "4f0ec33e71db3ab0b4b727aa84722ddac77a08cbfc4b733928eb04f1d3abe48f",
         EMPTY,
     ),
 }
