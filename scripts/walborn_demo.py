@@ -10,11 +10,9 @@ from qesim.screen import fringe_visibility
 def main() -> int:
     shots = int(sys.argv[1]) if len(sys.argv) > 1 else 40000
     sc = scenarios.build("walborn_delayed")
-    log = events.generate_events(
-        sc.circuit, {"p_pol": "absent"}, shots=shots, seed=1,
-        delays=dict(sc.default_delays),
-    )
-    pairs = events.coincidences(log, "D_s", "D_p", offsets=dict(sc.default_delays))
+    delays = {s.name: s.time_offset for s in sc.circuit.detectors()}
+    log = events.generate_events(sc.circuit, {"p_pol": "absent"}, shots=shots, seed=1)
+    pairs = events.coincidences(log, "D_s", "D_p", offsets=delays)
     print(f"{shots} shots, {len(pairs)} compensated coincidence pairs")
     for outcome in ("+", "-"):
         pat = events.conditioned_histogram(pairs, (outcome,))

@@ -31,7 +31,8 @@ class DetectorSpec:
 
     Either ``measured`` (dof name, basis name) pairs, or ``screen_of`` naming
     a two-label path dof whose far-field pattern the detector bins.
-    ``time_offset`` (ns) shifts this detector's event timestamps.
+    ``time_offset`` (ns) shifts this detector's event timestamps unless the
+    sampler is given an explicit delay for it, which replaces it.
     """
 
     name: str
@@ -96,6 +97,26 @@ class AllBlocked:
     weight: float = 0.0
 
 
+def _detector_names(stages) -> set[str]:
+    """Names of the detectors some setting activates; raises ValidationError
+    if one setting can activate two detectors of the same name.  Choices are
+    set independently, so any alternative of one may meet any of another."""
+    seen: set[str] = set()
+    for s in stages:
+        if isinstance(s, Detect):
+            names = {s.spec.name}
+        elif isinstance(s, Choice):
+            names = set().union(*map(_detector_names, s.alternatives.values()))
+        else:
+            continue
+        if seen & names:
+            raise ValidationError(
+                f"detector name {min(seen & names)!r} is used twice under one setting"
+            )
+        seen |= names
+    return seen
+
+
 @dataclass(frozen=True)
 class Circuit:
     dofs: tuple[Dof, ...]
@@ -114,6 +135,7 @@ class Circuit:
                     raise ValidationError(
                         f"detector {spec.name!r} references unknown dof {dn!r}"
                     )
+        _detector_names(self.stages)
 
     def choice_names(self) -> list[str]:
         names: list[str] = []

@@ -4,11 +4,13 @@ Subcommands::
 
     qesim run TARGET      evaluate detector probabilities for one setting
     qesim verify [NAME]   run every scenario's expected-property checks
-    qesim sweep NAME      sweep a numeric parameter, CSV to stdout
+    qesim sweep TARGET    sweep a declared PARAM (radians), CSV to stdout
     qesim sample TARGET   sample timestamped events; optional coincidences
 
-TARGET is either a catalog scenario name or a path to an ``.edl`` file.
-Exit codes: 0 success, 1 failed checks or domain errors, 2 usage errors.
+TARGET is either a catalog scenario name, which stands for its golden
+``.edl`` file, or a path to an ``.edl`` file.
+Exit codes: 0 success, 1 failed checks or domain errors (an invalid circuit,
+settings or file), 2 usage errors.
 The seed defaults to the ``QESIM_SEED`` environment variable, then 0.
 All file outputs are byte-deterministic for fixed inputs and seed.
 """
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable
 
 from . import edl, events, scenarios
 from .circuit import Circuit, joint_distribution, validate_settings
@@ -82,22 +85,22 @@ def _parse_delays(pairs: list[str], flag: str, active: list[str]) -> dict[str, f
     return out
 
 
-def _load_target(target: str) -> tuple[str, Circuit, dict]:
-    """Resolve a scenario name or .edl path to (name, circuit, default delays)."""
+def _load_target(target: str) -> tuple[edl.Document, Callable[..., Circuit]]:
+    """Resolve a scenario name or .edl path to its parsed document and a
+    function compiling that document with PARAM values (radians) bound by
+    keyword.  A scenario name stands for its golden file, parsed once per
+    process by ``scenarios.document`` and compiled by ``scenarios.build``."""
     if target in scenarios.list_names():
-        sc = scenarios.build(target)
-        return sc.name, sc.circuit, dict(sc.default_delays)
-    if target.endswith(".edl") or os.path.sep in target:
-        if not os.path.exists(target):
-            raise CliError(f"no such file: {target}", USAGE_ERROR)
-        try:
-            return os.path.basename(target)[:-4], edl.load_circuit(target), {}
-        except ValidationError as e:
-            raise CliError(str(e)) from None
-    raise CliError(
-        f"unknown target {target!r}; scenario names: {', '.join(scenarios.list_names())}",
-        USAGE_ERROR,
-    )
+        return scenarios.document(target), lambda **p: scenarios.build(target, **p).circuit
+    if not (target.endswith(".edl") or os.path.sep in target):
+        raise CliError(
+            f"unknown target {target!r}; scenario names: {', '.join(scenarios.list_names())}",
+            USAGE_ERROR,
+        )
+    if not os.path.exists(target):
+        raise CliError(f"no such file: {target}", USAGE_ERROR)
+    doc = edl.load_document(target)
+    return doc, lambda **p: edl.build_circuit(doc, p)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -121,12 +124,9 @@ def _ascii_pattern(values, width: int = 60) -> str:
 
 
 def cmd_run(args) -> int:
-    _, circuit, _ = _load_target(args.target)
+    circuit = _load_target(args.target)[1]()
     settings = _parse_kv(args.setting, "--setting")
-    try:
-        dist = joint_distribution(circuit, settings)
-    except (ValidationError, CompositionError) as e:
-        raise CliError(str(e)) from None
+    dist = joint_distribution(circuit, settings)
     if args.format == "json":
         doc = {
             "target": args.target,
@@ -177,8 +177,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.target not in scenarios.list_names():
-        raise CliError(f"sweep needs a catalog scenario, not {args.target!r}", USAGE_ERROR)
+    doc, compile_ = _load_target(args.target)
+    declared = [name for name, _ in doc.params]
+    if args.param not in declared:
+        raise CliError(
+            f"experiment {doc.name!r} declares no PARAM {args.param!r}"
+            f" (declared: {', '.join(declared) or 'none'})",
+            USAGE_ERROR,
+        )
     if args.steps < 1:
         raise CliError("--steps must be >= 1", USAGE_ERROR)
     settings = _parse_kv(args.setting, "--setting")
@@ -187,8 +193,7 @@ def cmd_sweep(args) -> int:
     keys: list[tuple[str, ...]] = []
     for i in range(args.steps):
         value = args.start + (args.stop - args.start) * i / max(args.steps - 1, 1)
-        sc = scenarios.build(args.target, **{args.param: value})
-        dist = joint_distribution(sc.circuit, settings)
+        dist = joint_distribution(compile_(**{args.param: value}), settings)
         if axes is None:
             axes = dist.axes
             keys = sorted(dist.outcomes.keys())
@@ -205,41 +210,38 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    name, circuit, default_delays = _load_target(args.target)
+    circuit = _load_target(args.target)[1]()
     settings = _parse_kv(args.setting, "--setting")
     seed = _seed(args)
-    try:
-        validate_settings(circuit, settings)
-    except ValidationError as e:
-        raise CliError(str(e)) from None
+    validate_settings(circuit, settings)
     active = [s.name for s in circuit.detectors(settings)]
-    delays = {**default_delays, **_parse_delays(args.delay, "--delay", active)}
+    delays = _parse_delays(args.delay, "--delay", active)
     offsets = _parse_delays(args.offset, "--offset", active)
-    if not args.window >= 0:
+    if args.pairs is None:
+        for flag, used in (("--given", args.given is not None), ("--offset", bool(args.offset)),
+                           ("--window", args.window is not None)):
+            if used:
+                raise CliError(f"{flag} needs --pairs", USAGE_ERROR)
+    window = events.DEFAULT_WINDOW_NS if args.window is None else args.window
+    if not window >= 0:
         raise CliError("--window must be >= 0", USAGE_ERROR)
     if args.pairs is not None:
         if "," not in args.pairs:
             raise CliError("--pairs needs two detector names: A,B", USAGE_ERROR)
         det_a, det_b = (s.strip() for s in args.pairs.split(",", 1))
         _check_detectors((det_a, det_b), "--pairs", active)
-    try:
-        log = events.generate_events(
-            circuit, settings, shots=args.shots, seed=seed, delays=delays
-        )
-    except (ValidationError, CompositionError) as e:
-        raise CliError(str(e)) from None
+    log = events.generate_events(
+        circuit, settings, shots=args.shots, seed=seed, delays=delays
+    )
 
     if args.pairs is None:
         text = log.to_csv() if args.format == "csv" else log.to_jsonl()
         _emit(text, args.out)
         return 0
 
-    pairs = events.coincidences(log, det_a, det_b, window=args.window, offsets=offsets)
+    pairs = events.coincidences(log, det_a, det_b, window=window, offsets=offsets)
     if args.given is not None:
-        try:
-            pat = events.conditioned_histogram(pairs, tuple(args.given.split("|")))
-        except ValidationError as e:
-            raise CliError(str(e)) from None
+        pat = events.conditioned_histogram(pairs, tuple(args.given.split("|")))
         _emit(pat.to_csv(), args.out)
         sys.stderr.write(
             f"{len(pairs)} pairs, fitted visibility {fringe_visibility(pat):.4f}\n"
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("names", nargs="*")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("sweep", help="sweep a scenario parameter, CSV output")
+    sp = sub.add_parser("sweep", help="sweep a declared PARAM (radians), CSV output")
     sp.add_argument("target")
     sp.add_argument("--param", default="phi")
     sp.add_argument("--start", type=float, default=0.0)
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target")
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.add_argument("--delay", action="append", default=[], metavar="DET=NS")
-    sp.add_argument("--window", type=float, default=events.DEFAULT_WINDOW_NS)
+    sp.add_argument("--window", type=float, default=None, metavar="NS",
+                    help=f"with --pairs (default {events.DEFAULT_WINDOW_NS:g})")
     sp.add_argument("--pairs", default=None, metavar="DET_A,DET_B")
     sp.add_argument("--offset", action="append", default=[], metavar="DET=NS")
     sp.add_argument("--given", default=None, metavar="OUTCOME",
@@ -305,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"qesim: {e}", file=sys.stderr)
         return e.code
-    except ConditioningError as e:
+    except (ValidationError, CompositionError, ConditioningError) as e:
         print(f"qesim: {e}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -11,6 +11,7 @@ Grammar (case-sensitive keywords, ``#`` starts a comment)::
 
     EXPERIMENT name
     DOF name : label label ...
+    PARAM name = number
     SOURCE amp |dof=label, ...> ; amp |...> ; ...
     STAGE id : keyword args...          [when dof=label]
     CHOICE id : alt {
@@ -18,17 +19,23 @@ Grammar (case-sensitive keywords, ``#`` starts a comment)::
     } | alt {
         <stages>
     }
-    DETECT name : screen dof
-    DETECT name : dof basis=name, dof basis=name, ...
+    DETECT name : screen dof                               [delay=NS]
+    DETECT name : dof basis=name, dof basis=name, ...      [delay=NS]
 
 Amplitudes are complex literals of the form ``a+bi``; the source is
-normalized by the compiler.  Angles are in degrees.  Element keywords:
-``split``, ``bs``, ``phase``, ``analyzer``, ``analyzer_inv``, ``sg``,
-``sg_inv``, ``qwp``, ``pol``, ``block``, ``recombine``.
+normalized by the compiler.  Angle arguments are numbers in degrees or the
+name of a ``PARAM``.  A ``PARAM`` declares a parameter with its default
+value in radians; ``compile_document`` binds other values, also in radians
+(``qesim sweep FILE --param NAME`` binds one per step), and an angle naming
+the parameter receives the bound value as it is, with no conversion.  ``delay=NS`` sets the detector's ``time_offset``: its events
+are logged NS nanoseconds after the shot.  Element keywords: ``split``,
+``bs``, ``phase``, ``analyzer``, ``analyzer_inv``, ``sg``, ``sg_inv``,
+``qwp``, ``pol``, ``block``, ``recombine``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -83,6 +90,7 @@ class DetectNode:
     name: str
     screen_of: str | None
     measured: tuple[tuple[str, str], ...]  # (dof, basis) pairs
+    delay: float = 0.0  # ns
     line: int = 0
 
 
@@ -92,6 +100,7 @@ class Document:
     dofs: tuple[tuple[str, tuple[str, ...]], ...]
     source: tuple[SourceTerm, ...]
     stages: tuple  # ElementStage | ChoiceNode | DetectNode
+    params: tuple[tuple[str, float], ...] = ()  # (name, default in radians)
 
 
 @dataclass
@@ -126,15 +135,16 @@ _COMPLEX_RE = re.compile(rf"^({_NUM})(?:([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?
 
 
 def parse_complex(text: str) -> complex | None:
-    """Parse an ``a+bi`` literal; None if malformed."""
+    """Parse an ``a+bi`` literal; None if malformed or not finite."""
     m = _COMPLEX_RE.match(text.strip())
     if not m:
         return None
     if m.group(3) is not None:
-        return complex(0.0, float(m.group(3)))
-    re_part = float(m.group(1))
-    im_part = float(m.group(2)) if m.group(2) is not None else 0.0
-    return complex(re_part, im_part)
+        z = complex(0.0, float(m.group(3)))
+    else:
+        im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+        z = complex(float(m.group(1)), im_part)
+    return z if cmath.isfinite(z) else None
 
 
 def format_complex(z: complex) -> str:
@@ -145,7 +155,8 @@ def format_complex(z: complex) -> str:
 
 
 def _number(text: str) -> float | None:
-    if re.fullmatch(_NUM, text.strip()):
+    """A finite decimal literal; None otherwise."""
+    if re.fullmatch(_NUM, text.strip()) and math.isfinite(float(text)):
         return float(text)
     return None
 
@@ -185,6 +196,7 @@ class _Parser:
         self.diags: list[ParseDiagnostic] = []
         self.experiment: str | None = None
         self.dofs: list[tuple[str, tuple[str, ...]]] = []
+        self.params: list[tuple[str, float]] = []
         self.source: list[SourceTerm] = []
         self.top: list = []
         # stack of (choice name, alts list, current stage list, line)
@@ -216,6 +228,7 @@ class _Parser:
             dofs=tuple(self.dofs),
             source=tuple(self.source),
             stages=tuple(self.top),
+            params=tuple(self.params),
         )
         return ParseResult(doc, self.diags)
 
@@ -224,6 +237,8 @@ class _Parser:
             self.parse_experiment(n, line)
         elif line.startswith("DOF"):
             self.parse_dof(n, line)
+        elif line.startswith("PARAM"):
+            self.parse_param(n, line)
         elif line.startswith("SOURCE"):
             self.parse_source(n, line)
         elif line.startswith("STAGE"):
@@ -273,6 +288,20 @@ class _Parser:
             self.error(n, 1, f"dof {name!r} declared twice")
             return
         self.dofs.append((name, tuple(labels)))
+
+    def parse_param(self, n: int, line: str) -> None:
+        m = re.match(r"^PARAM\s+(\S+)\s*=\s*(\S+)$", line)
+        if not m or not _NAME_RE.match(m.group(1)):
+            self.error(n, 1, "expected: PARAM name = number")
+            return
+        name, value = m.group(1), _number(m.group(2))
+        if value is None:
+            self.error(n, 1, f"bad value {m.group(2)!r} for PARAM {name!r}")
+            return
+        if any(name == p for p, _ in self.params):
+            self.error(n, 1, f"PARAM {name!r} declared twice")
+            return
+        self.params.append((name, value))
 
     def parse_ket(self, n: int, text: str) -> tuple[tuple[str, str], ...] | None:
         m = re.match(r"^\|(.*)>$", text.strip())
@@ -362,12 +391,20 @@ class _Parser:
         if not _NAME_RE.match(name):
             self.error(n, 1, f"bad detector name {name!r}")
             return
+        delay = 0.0
+        dm = re.search(r"(?:^|\s)delay=(\S*)$", rest)
+        if dm:
+            delay = _number(dm.group(1))
+            if delay is None:
+                self.error(n, 1, f"bad delay {dm.group(1)!r} (expected delay=NS)")
+                return
+            rest = rest[: dm.start()].rstrip()
         parts = rest.split()
         if parts and parts[0] == "screen":
             if len(parts) != 2:
                 self.error(n, 1, "expected: DETECT name : screen dof")
                 return
-            self.sink().append(DetectNode(name, parts[1], (), line=n))
+            self.sink().append(DetectNode(name, parts[1], (), delay, line=n))
             return
         measured = []
         for item in rest.split(","):
@@ -376,7 +413,7 @@ class _Parser:
                 self.error(n, 1, f"bad measurement {item.strip()!r} (expected dof basis=name)")
                 return
             measured.append((mm.group(1), mm.group(2)))
-        self.sink().append(DetectNode(name, None, tuple(measured), line=n))
+        self.sink().append(DetectNode(name, None, tuple(measured), delay, line=n))
 
     def parse_choice_open(self, n: int, line: str) -> None:
         m = re.match(r"^CHOICE\s+(\S+)\s*:\s*(\S+)\s*\{$", line)
@@ -425,10 +462,16 @@ def parse(text: str) -> ParseResult:
 
 
 class _Compiler:
-    def __init__(self, doc: Document):
+    def __init__(self, doc: Document, params: dict[str, float] | None):
         self.doc = doc
         self.diags: list[ParseDiagnostic] = []
         self.dofs: dict[str, Dof] = {}
+        self.params = dict(doc.params)
+        for name, value in (params or {}).items():
+            if name not in self.params:
+                declared = ", ".join(self.params) or "none"
+                self.error(1, f"undeclared PARAM {name!r} (declared: {declared})")
+            self.params[name] = float(value)
 
     def error(self, line: int, msg: str) -> None:
         self.diags.append(ParseDiagnostic(line, 1, msg, ERROR))
@@ -532,7 +575,7 @@ class _Compiler:
             if d.dim != 2:
                 self.error(node.line, f"screen dof {d.name!r} must have 2 labels")
                 return None
-            return DetectorSpec(node.name, screen_of=node.screen_of)
+            return DetectorSpec(node.name, screen_of=node.screen_of, time_offset=node.delay)
         measured = []
         for dn, basis in node.measured:
             d = self.dof(dn, node.line)
@@ -542,7 +585,7 @@ class _Compiler:
                 self.error(node.line, f"unknown basis {basis!r}")
                 return None
             measured.append((dn, basis))
-        return DetectorSpec(node.name, measured=tuple(measured))
+        return DetectorSpec(node.name, measured=tuple(measured), time_offset=node.delay)
 
     def build_element(self, node: ElementStage) -> el.ElementOp | None:
         line, kw, args = node.line, node.keyword, node.args
@@ -557,10 +600,14 @@ class _Compiler:
             condition = node.when
 
         def angle(text: str) -> float | None:
+            """Radians: a PARAM's value as bound, or a literal in degrees."""
+            if text in self.params:
+                return self.params[text]
             v = _number(text)
             if v is None:
-                self.error(line, f"bad angle {text!r}")
-            return v
+                self.error(line, f"bad angle {text!r} (degrees or a declared PARAM)")
+                return None
+            return math.radians(v)
 
         try:
             if kw == "split":
@@ -570,10 +617,10 @@ class _Compiler:
                 d = self.dof(args[0], line)
                 return None if d is None else el.beam_splitter(d, args[1], args[2])
             if kw == "phase":
-                d, deg = self.dof(args[0], line), angle(args[2])
-                if d is None or deg is None:
+                d, rad = self.dof(args[0], line), angle(args[2])
+                if d is None or rad is None:
                     return None
-                return el.phase_shifter(d, args[1], math.radians(deg))
+                return el.phase_shifter(d, args[1], rad)
             if kw in ("analyzer", "analyzer_inv", "sg", "sg_inv"):
                 a, b = self.dof(args[0], line), self.dof(args[1], line)
                 if a is None or b is None:
@@ -586,15 +633,15 @@ class _Compiler:
                 }[kw]
                 return maker(a, b)
             if kw == "qwp":
-                d, deg = self.dof(args[0], line), angle(args[1])
-                if d is None or deg is None:
+                d, rad = self.dof(args[0], line), angle(args[1])
+                if d is None or rad is None:
                     return None
-                return el.quarter_wave_plate(d, math.radians(deg), condition=condition)
+                return el.quarter_wave_plate(d, rad, condition=condition)
             if kw == "pol":
-                d, deg = self.dof(args[0], line), angle(args[1])
-                if d is None or deg is None:
+                d, rad = self.dof(args[0], line), angle(args[1])
+                if d is None or rad is None:
                     return None
-                return el.linear_polarizer(d, math.radians(deg), condition=condition)
+                return el.linear_polarizer(d, rad, condition=condition)
             if kw == "block":
                 d = self.dof(args[0], line)
                 return None if d is None else el.blocker(d, args[1])
@@ -607,8 +654,10 @@ class _Compiler:
         raise AssertionError(f"unhandled keyword {kw!r}")
 
 
-def compile_document(doc: Document) -> CompileResult:
-    return _Compiler(doc).run()
+def compile_document(doc: Document, params: dict[str, float] | None = None) -> CompileResult:
+    """Compile ``doc`` with ``params`` (radians) bound to its declared PARAMs;
+    an undeclared name is an error."""
+    return _Compiler(doc, params).run()
 
 
 def compile_text(text: str) -> CompileResult:
@@ -621,14 +670,31 @@ def compile_text(text: str) -> CompileResult:
     return result
 
 
+def _failure(what: str, diagnostics: list[ParseDiagnostic]) -> ValidationError:
+    msgs = "\n".join(str(d) for d in diagnostics)
+    return ValidationError(f"cannot compile {what}:\n{msgs}")
+
+
+def load_document(path: str) -> Document:
+    """Parse a file, raising ValidationError with all diagnostics on failure."""
+    with open(path, "r", encoding="utf-8") as f:
+        parsed = parse(f.read())
+    if not parsed.ok:
+        raise _failure(path, parsed.diagnostics)
+    return parsed.document
+
+
+def build_circuit(doc: Document, params: dict[str, float] | None = None) -> Circuit:
+    """``compile_document``, raising ValidationError with all diagnostics on failure."""
+    result = compile_document(doc, params)
+    if not result.ok:
+        raise _failure(f"experiment {doc.name!r}", result.diagnostics)
+    return result.circuit
+
+
 def load_circuit(path: str) -> Circuit:
     """Compile a file, raising ValidationError with all diagnostics on failure."""
-    with open(path, "r", encoding="utf-8") as f:
-        result = compile_text(f.read())
-    if result.circuit is None or not result.ok:
-        msgs = "\n".join(str(d) for d in result.diagnostics)
-        raise ValidationError(f"cannot compile {path}:\n{msgs}")
-    return result.circuit
+    return build_circuit(load_document(path))
 
 
 # -- formatter ------------------------------------------------------------------
@@ -662,12 +728,16 @@ def _format_stage(node, indent: str, lines: list[str]) -> None:
         else:
             body = ", ".join(f"{d} basis={b}" for d, b in node.measured)
             lines.append(f"{indent}DETECT {node.name} : {body}")
+        if node.delay:
+            lines[-1] += f" delay={format_number(node.delay)}"
 
 
 def format_document(doc: Document) -> str:
     lines = [f"EXPERIMENT {doc.name}", ""]
     for name, labels in doc.dofs:
         lines.append(f"DOF {name} : {' '.join(labels)}")
+    for name, value in doc.params:
+        lines.append(f"PARAM {name} = {format_number(value)}")
     lines.append("")
     terms = " ; ".join(
         f"{format_complex(t.amplitude)} "

@@ -3,10 +3,13 @@
 Each shot samples one joint outcome from the active detectors' Born
 distribution; every detector then logs an event at
 
-    t = shot * period + detector time_offset + extra delay (all in ns).
+    t = shot * period + delay (all in ns),
 
-Delays shift timestamps only: the sampled outcome sequence of each detector
-is byte-identical whatever delays are applied to the others.  Coincidence
+where the delay is the one the caller gives for that detector, else the
+detector's declared ``time_offset``: an explicit delay replaces the declared
+one, it does not add to it.  Delays shift timestamps only: the sampled
+outcome sequence of each detector is byte-identical whatever delays are
+applied to the others.  Coincidence
 search pairs two detectors' events greedily in time order inside a window,
 optionally after subtracting per-detector compensation offsets — which is how
 a delayed eraser's pairs are recovered.
@@ -122,7 +125,8 @@ def generate_events(
 
     Shots whose particle was absorbed by a filter produce no events.  The
     outcome sequence depends only on (circuit, settings, shots, seed); delays
-    and period affect timestamps alone.
+    and period affect timestamps alone.  ``delays`` (ns) maps detector names
+    to delays that replace their declared ``time_offset``.
     """
     if shots < 0:
         raise ValidationError("shots must be >= 0")
@@ -153,7 +157,7 @@ def generate_events(
     for spec in specs:
         span = slice(pos, pos + len(spec.axis_names()))
         pos = span.stop
-        offset = spec.time_offset + delays.get(spec.name, 0.0)
+        offset = delays.get(spec.name, spec.time_offset)
         label_of_key = np.array(
             [index.setdefault((spec.name, k[span]), len(index)) for k in keys],
             dtype=np.int32,

@@ -1,5 +1,8 @@
-"""Prebuilt circuits for every experiment, each with machine-checkable
+"""The catalog: every experiment of the paper, each with machine-checkable
 expected properties.
+
+Each circuit is defined once, by ``golden/<name>.edl``; this module adds only
+the checks, the paper figure and a short description.
 
 Detector naming for the interferometers: D1 is the port in line with the
 transmitted arm, D2 the port in line with the reflected arm; with the
@@ -9,23 +12,17 @@ probability to D2 at zero phase, so P(D2) = cos^2(phi/2).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from . import edl
 from . import elements as el
-from .circuit import (
-    Apply,
-    Choice,
-    Circuit,
-    Detect,
-    DetectorSpec,
-    compare_marginals,
-    evolve,
-    joint_distribution,
-)
+from .circuit import Circuit, compare_marginals, evolve, joint_distribution
 from .measure import conditional, marginal, rng_for
 from .qstate import (
     BasisChange,
@@ -43,6 +40,8 @@ from .screen import (
     pattern_from_state,
     sum_patterns,
 )
+
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class CatalogError(KeyError):
@@ -73,13 +72,7 @@ class Check:
 class Scenario:
     name: str
     circuit: Circuit
-    settings: tuple[dict, ...]
     expectations: tuple[Check, ...]
-    paper_figure: str
-    description: str
-    params: dict = field(default_factory=dict)
-    detector_outcomes: dict = field(default_factory=dict)
-    default_delays: dict = field(default_factory=dict)
 
 
 # -- shared pieces --------------------------------------------------------------
@@ -105,21 +98,19 @@ def _expect_state(st) -> StateVector:
     return st
 
 
+def _with_source(circ: Circuit, top_label: str, amps) -> Circuit:
+    """``circ`` fed with ``amps`` over its first dof, all in ``top_label`` of
+    the second."""
+    source = StateVector.from_amplitudes(
+        circ.dofs, {(l, top_label): a for l, a in zip(circ.dofs[0].labels, amps)}
+    )
+    return replace(circ, source=source)
+
+
 # -- two_slit -------------------------------------------------------------------
 
 
-def _build_two_slit(params) -> Scenario:
-    slit = Dof("slit", ("s1", "s2"))
-    source = StateVector.basis_state((slit,), ("s1",))
-    circ = Circuit(
-        (slit,),
-        source,
-        (
-            Apply(el.splitter(slit)),
-            Detect(DetectorSpec("D_s", screen_of="slit")),
-        ),
-    )
-
+def _two_slit_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def fringe_vis_dev():
         pat = pattern_from_state(_expect_state(evolve(circ)), "slit")
         return abs(1.0 - fringe_visibility(pat))
@@ -130,40 +121,16 @@ def _build_two_slit(params) -> Scenario:
         expect = 1 + np.cos(geo.delta(geo.bin_centers()))
         return float(np.max(np.abs(np.array(pat.intensities) - expect)))
 
-    return Scenario(
-        name="two_slit",
-        circuit=circ,
-        settings=({},),
-        expectations=(
-            Check("two_slit.fringe_visibility_1", 1e-9, fringe_vis_dev),
-            Check("two_slit.pattern_is_1_plus_cos", 1e-10, fringe_shape_dev),
-        ),
-        paper_figure="Figure 1a",
-        description="plain double slit: slit superposition shows fringes on the wall",
+    return (
+        Check("two_slit.fringe_visibility_1", 1e-9, fringe_vis_dev),
+        Check("two_slit.pattern_is_1_plus_cos", 1e-10, fringe_shape_dev),
     )
 
 
 # -- wheeler --------------------------------------------------------------------
 
 
-def _build_wheeler(params) -> Scenario:
-    slit = Dof("slit", ("s1", "s2"))
-    source = StateVector.basis_state((slit,), ("s1",))
-    circ = Circuit(
-        (slit,),
-        source,
-        (
-            Apply(el.splitter(slit)),
-            Choice(
-                "screen",
-                {
-                    "in": (Detect(DetectorSpec("wall", screen_of="slit")),),
-                    "out": (Detect(DetectorSpec("counters", measured=(("slit", "path"),))),),
-                },
-            ),
-        ),
-    )
-
+def _wheeler_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def screen_in_vis_dev():
         pat = pattern_from_state(_expect_state(evolve(circ, {"screen": "in"})), "slit")
         return abs(1.0 - fringe_visibility(pat))
@@ -175,98 +142,45 @@ def _build_wheeler(params) -> Scenario:
     def marginal_invariance():
         return compare_marginals(circ, ["slit"], "screen")
 
-    return Scenario(
-        name="wheeler",
-        circuit=circ,
-        settings=({"screen": "in"}, {"screen": "out"}),
-        expectations=(
-            Check("wheeler.screen_in_interference", 1e-9, screen_in_vis_dev),
-            Check("wheeler.screen_out_50_50", 1e-12, screen_out_5050_dev),
-            Check("wheeler.marginal_invariance", 1e-10, marginal_invariance),
-        ),
-        paper_figure="Figure 1b",
-        description="delayed choice: removable screen vs path counters behind it",
+    return (
+        Check("wheeler.screen_in_interference", 1e-9, screen_in_vis_dev),
+        Check("wheeler.screen_out_50_50", 1e-12, screen_out_5050_dev),
+        Check("wheeler.marginal_invariance", 1e-10, marginal_invariance),
     )
 
 
 # -- Mach-Zehnder family --------------------------------------------------------
 
 
-def _mz_dof() -> Dof:
-    return Dof("arm", ("t", "r"))
-
-
-def _build_mz_one_bs(params) -> Scenario:
-    phi = float(params.get("phi", 0.0))
-    arm = _mz_dof()
-    source = StateVector.basis_state((arm,), ("t",))
-    circ = Circuit(
-        (arm,),
-        source,
-        (
-            Apply(el.beam_splitter(arm, "t", "r")),
-            Apply(el.phase_shifter(arm, "t", phi)),
-            Detect(DetectorSpec("arms", measured=(("arm", "path"),))),
-        ),
-    )
-
+def _mz_one_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def half_half_dev():
         worst = 0.0
         for ph in PHI_GRID:
-            d = joint_distribution(_build_mz_one_bs({"phi": ph}).circuit)
+            d = joint_distribution(_circuit(name, phi=ph))
             worst = max(
                 worst, abs(d.prob(("t",)) - 0.5), abs(d.prob(("r",)) - 0.5)
             )
         return worst
 
-    return Scenario(
-        name="mz_one_bs",
-        circuit=circ,
-        settings=({},),
-        expectations=(
-            Check("mz_one_bs.half_half_all_phi", 1e-12, half_half_dev),
-        ),
-        paper_figure="Figure 2",
-        description="one beam splitter: 50/50 at the counters, independent of phase",
-        params={"phi": phi},
-        detector_outcomes={"D1": ("arm", "t"), "D2": ("arm", "r")},
-    )
+    return (Check("mz_one_bs.half_half_all_phi", 1e-12, half_half_dev),)
 
 
-def _mz_two_bs_circuit(phi: float) -> Circuit:
-    arm = _mz_dof()
-    source = StateVector.basis_state((arm,), ("t",))
-    return Circuit(
-        (arm,),
-        source,
-        (
-            Apply(el.beam_splitter(arm, "t", "r")),
-            Apply(el.phase_shifter(arm, "t", phi)),
-            Apply(el.beam_splitter(arm, "t", "r")),
-            Detect(DetectorSpec("arms", measured=(("arm", "path"),))),
-        ),
-    )
-
-
-def _build_mz_two_bs(params) -> Scenario:
-    phi = float(params.get("phi", 0.0))
-    circ = _mz_two_bs_circuit(phi)
-
+def _mz_two_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def cos2_dev():
         worst = 0.0
         for ph in PHI_GRID:
-            d = joint_distribution(_mz_two_bs_circuit(ph))
+            d = joint_distribution(_circuit(name, phi=ph))
             worst = max(worst, abs(d.prob(("r",)) - math.cos(ph / 2) ** 2))
         return worst
 
     def all_on_one_port_dev():
-        return abs(joint_distribution(_mz_two_bs_circuit(0.0)).prob(("r",)) - 1.0)
+        return abs(joint_distribution(_circuit(name, phi=0.0)).prob(("r",)) - 1.0)
 
     def regroup_dev():
         t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
         worst = 0.0
         for ph in PHI_GRID:
-            st = _expect_state(evolve(_mz_two_bs_circuit(ph)))
+            st = _expect_state(evolve(_circuit(name, phi=ph)))
             e = np.exp(1j * ph)
             port_t = t_amp * e * t_amp + r_amp * r_amp  # histories T1T2 + R1R2
             port_r = t_amp * e * r_amp + r_amp * t_amp  # histories T1R2 + R1T2
@@ -277,89 +191,25 @@ def _build_mz_two_bs(params) -> Scenario:
             )
         return worst
 
-    return Scenario(
-        name="mz_two_bs",
-        circuit=circ,
-        settings=({},),
-        expectations=(
-            Check("mz_two_bs.p_d2_cos2_half_phi", 1e-10, cos2_dev),
-            Check("mz_two_bs.phi0_single_port", 1e-12, all_on_one_port_dev),
-            Check("mz_two_bs.regrouped_amplitudes", 1e-12, regroup_dev),
-        ),
-        paper_figure="Figure 3",
-        description="two beam splitters with a phase shifter: interference at the counters",
-        params={"phi": phi},
-        detector_outcomes={"D1": ("arm", "t"), "D2": ("arm", "r")},
+    return (
+        Check("mz_two_bs.p_d2_cos2_half_phi", 1e-10, cos2_dev),
+        Check("mz_two_bs.phi0_single_port", 1e-12, all_on_one_port_dev),
+        Check("mz_two_bs.regrouped_amplitudes", 1e-12, regroup_dev),
     )
 
 
-def _build_mz_recombine(params) -> Scenario:
-    phi = float(params.get("phi", 0.0))
-    arm = _mz_dof()
-    source = StateVector.basis_state((arm,), ("t",))
-    # the fixed -pi/2 on the reflected arm is the mirror/lens path phase that
-    # parks the single detector on the bright port at phi = 0
-    circ = Circuit(
-        (arm,),
-        source,
-        (
-            Apply(el.beam_splitter(arm, "t", "r")),
-            Apply(el.phase_shifter(arm, "t", phi)),
-            Apply(el.phase_shifter(arm, "r", -math.pi / 2)),
-            Apply(el.recombiner(arm, "t")),
-            Detect(DetectorSpec("D", measured=(("arm", "path"),))),
-        ),
-    )
-
+def _mz_recombine_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def phi0_prob1_dev():
-        d = joint_distribution(_build_mz_recombine({"phi": 0.0}).circuit)
+        d = joint_distribution(_circuit(name, phi=0.0))
         return abs(d.prob(("t",)) - 1.0)
 
-    return Scenario(
-        name="mz_recombine_single_detector",
-        circuit=circ,
-        settings=({},),
-        expectations=(
-            Check("mz_recombine.phi0_detector_prob_1", 1e-12, phi0_prob1_dev),
-        ),
-        paper_figure="Figure 4",
-        description="mirrors, a lens, and a single detector registering both arms",
-        params={"phi": phi},
-        detector_outcomes={"D": ("arm", "t")},
-    )
+    return (Check("mz_recombine.phi0_detector_prob_1", 1e-12, phi0_prob1_dev),)
 
 
 # -- analyzer loop --------------------------------------------------------------
 
 
-def _analyzer_loop_circuit(pol_amps: np.ndarray) -> Circuit:
-    pol = Dof("pol", ("v", "h"))
-    chan = Dof("chan", ("U", "L"))
-    source = StateVector.from_amplitudes(
-        (pol, chan), {("v", "U"): pol_amps[0], ("h", "U"): pol_amps[1]}
-    )
-    return Circuit(
-        (pol, chan),
-        source,
-        (
-            Apply(el.analyzer(pol, chan)),
-            Choice(
-                "mask",
-                {
-                    "open": (),
-                    "block_L": (Apply(el.blocker(chan, "L")),),
-                    "block_U": (Apply(el.blocker(chan, "U")),),
-                },
-            ),
-            Apply(el.inverse_analyzer(pol, chan)),
-            Detect(DetectorSpec("D", measured=(("pol", "pm45"),))),
-        ),
-    )
-
-
-def _build_analyzer_loop(params) -> Scenario:
-    amps45 = np.array([1, 1]) / math.sqrt(2)
-    circ = _analyzer_loop_circuit(amps45)
+def _analyzer_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     src45 = circ.source
 
     def loop_identity_45_dev():
@@ -371,8 +221,7 @@ def _build_analyzer_loop(params) -> Scenario:
         rng = rng_for(20260824)
         worst = 0.0
         for _ in range(100):
-            amps = _random_pol(rng)
-            c = _analyzer_loop_circuit(amps)
+            c = _with_source(circ, "U", _random_pol(rng))
             out = _expect_state(evolve(c, {"mask": "open"}))
             worst = max(worst, global_phase_deviation(out, c.source))
         return worst
@@ -384,70 +233,24 @@ def _build_analyzer_loop(params) -> Scenario:
         want = StateVector.basis_state((pol, chan), ("v", "U"))
         return max(global_phase_deviation(out, want), abs(out.weight - 0.5))
 
-    return Scenario(
-        name="analyzer_loop",
-        circuit=circ,
-        settings=({"mask": "open"}, {"mask": "block_L"}, {"mask": "block_U"}),
-        expectations=(
-            Check("analyzer_loop.identity_on_45", 1e-10, loop_identity_45_dev),
-            Check("analyzer_loop.identity_on_random", 1e-10, loop_identity_random_dev),
-            Check("analyzer_loop.blocked_lower_gives_v", 1e-10, blocked_lower_dev),
-        ),
-        paper_figure="Figures 5-6",
-        description="vh analyzer followed by its inverse restores the input polarization",
+    return (
+        Check("analyzer_loop.identity_on_45", 1e-10, loop_identity_45_dev),
+        Check("analyzer_loop.identity_on_random", 1e-10, loop_identity_random_dev),
+        Check("analyzer_loop.blocked_lower_gives_v", 1e-10, blocked_lower_dev),
     )
 
 
 # -- Stern-Gerlach loop ---------------------------------------------------------
 
 
-def _sg_loop_circuit(spin_amps: np.ndarray) -> Circuit:
-    spin = Dof("spin", ("plus", "zero", "minus"))
-    path = Dof("path", ("top", "mid", "bot"))
-    source = StateVector.from_amplitudes(
-        (spin, path),
-        {(l, "top"): a for l, a in zip(spin.labels, spin_amps)},
-    )
-    return Circuit(
-        (spin, path),
-        source,
-        (
-            Apply(el.stern_gerlach(spin, path)),
-            Choice(
-                "mask",
-                {
-                    "open": (),
-                    "keep_top": (
-                        Apply(el.blocker(path, "mid")),
-                        Apply(el.blocker(path, "bot")),
-                    ),
-                    "keep_mid": (
-                        Apply(el.blocker(path, "top")),
-                        Apply(el.blocker(path, "bot")),
-                    ),
-                    "keep_bot": (
-                        Apply(el.blocker(path, "top")),
-                        Apply(el.blocker(path, "mid")),
-                    ),
-                },
-            ),
-            Apply(el.inverse_stern_gerlach(spin, path)),
-            Detect(DetectorSpec("D", measured=(("spin", "path"),))),
-        ),
-    )
-
-
-def _build_sg_loop(params) -> Scenario:
-    amps = np.array([1, 1, 1]) / math.sqrt(3)
-    circ = _sg_loop_circuit(amps)
-
+def _sg_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def loop_fidelity_dev():
         rng = rng_for(20260825)
         worst = 0.0
         for _ in range(100):
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             v = v / np.linalg.norm(v)
-            c = _sg_loop_circuit(v)
+            c = _with_source(circ, "top", v)
             out = _expect_state(evolve(c, {"mask": "open"}))
             worst = max(worst, abs(1.0 - abs(inner(c.source, out)) ** 2))
         return worst
@@ -459,7 +262,7 @@ def _build_sg_loop(params) -> Scenario:
         for _ in range(20):
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             v = v / np.linalg.norm(v)
-            c = _sg_loop_circuit(v)
+            c = _with_source(circ, "top", v)
             for i, (setting, (spin_label, _)) in enumerate(keep.items()):
                 out = _expect_state(evolve(c, {"mask": setting}))
                 want = StateVector.basis_state(c.dofs, (spin_label, "top"))
@@ -470,47 +273,16 @@ def _build_sg_loop(params) -> Scenario:
                 )
         return worst
 
-    return Scenario(
-        name="sg_loop",
-        circuit=circ,
-        settings=({"mask": "open"}, {"mask": "keep_top"}),
-        expectations=(
-            Check("sg_loop.identity_on_random_spins", 1e-10, loop_fidelity_dev),
-            Check("sg_loop.masked_gives_eigenstate", 1e-12, masked_dev),
-        ),
-        paper_figure="Figures 7-8",
-        description="modified Stern-Gerlach loop: separation into three beams is reversible",
+    return (
+        Check("sg_loop.identity_on_random_spins", 1e-10, loop_fidelity_dev),
+        Check("sg_loop.masked_gives_eigenstate", 1e-12, masked_dev),
     )
 
 
 # -- one-photon eraser ----------------------------------------------------------
 
 
-def _build_one_photon_eraser(params) -> Scenario:
-    slit = Dof("slit", ("s1", "s2"))
-    pol = Dof("pol", ("v", "h"))
-    source = StateVector.from_amplitudes(
-        (slit, pol), {("s1", "v"): 1, ("s1", "h"): 1}
-    )
-    circ = Circuit(
-        (slit, pol),
-        source,
-        (
-            Apply(el.splitter(slit)),
-            Apply(el.linear_polarizer(pol, math.pi / 2, condition=("slit", "s1"))),
-            Apply(el.linear_polarizer(pol, 0.0, condition=("slit", "s2"))),
-            Choice(
-                "eraser",
-                {
-                    "plus45": (Apply(el.linear_polarizer(pol, math.pi / 4)),),
-                    "minus45": (Apply(el.linear_polarizer(pol, 3 * math.pi / 4)),),
-                    "absent": (),
-                },
-            ),
-            Detect(DetectorSpec("wall", screen_of="slit")),
-        ),
-    )
-
+def _one_photon_eraser_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     def marked_flat_dev():
         st = _expect_state(evolve(circ, {"eraser": "absent"}))
         return fringe_visibility(pattern_from_state(st, "slit"))
@@ -541,55 +313,20 @@ def _build_one_photon_eraser(params) -> Scenario:
     def marked_weight_dev():
         return abs(_expect_state(evolve(circ, {"eraser": "absent"})).weight - 0.5)
 
-    return Scenario(
-        name="one_photon_eraser",
-        circuit=circ,
-        settings=({"eraser": "plus45"}, {"eraser": "minus45"}, {"eraser": "absent"}),
-        expectations=(
-            Check("one_photon_eraser.marked_pattern_flat", 1e-9, marked_flat_dev),
-            Check("one_photon_eraser.erased_visibility_1", 1e-9, erased_vis_dev),
-            Check("one_photon_eraser.fringe_plus_antifringe_flat", 1e-10, fringe_sum_dev),
-            Check("one_photon_eraser.marked_weight_half", 1e-12, marked_weight_dev),
-        ),
-        paper_figure="Figures 9-11",
-        description="h/v marking kills fringes; a 45-degree polarizer selects fringe or antifringe",
+    return (
+        Check("one_photon_eraser.marked_pattern_flat", 1e-9, marked_flat_dev),
+        Check("one_photon_eraser.erased_visibility_1", 1e-9, erased_vis_dev),
+        Check("one_photon_eraser.fringe_plus_antifringe_flat", 1e-10, fringe_sum_dev),
+        Check("one_photon_eraser.marked_weight_half", 1e-12, marked_weight_dev),
     )
 
 
 # -- Walborn two-photon eraser --------------------------------------------------
 
 
-def _walborn_circuit() -> Circuit:
-    slit = Dof("slit", ("s1", "s2"))
-    spol = Dof("spol", ("x", "y"))
-    ppol = Dof("ppol", ("x", "y"))
-    source = StateVector.from_amplitudes(
-        (slit, spol, ppol), {("s1", "x", "y"): 1, ("s1", "y", "x"): 1}
-    )
-    return Circuit(
-        (slit, spol, ppol),
-        source,
-        (
-            Apply(el.splitter(slit)),
-            Apply(el.quarter_wave_plate(spol, math.pi / 4, condition=("slit", "s1"))),
-            Apply(el.quarter_wave_plate(spol, -math.pi / 4, condition=("slit", "s2"))),
-            Choice(
-                "p_pol",
-                {
-                    "plus45": (Apply(el.linear_polarizer(ppol, math.pi / 4)),),
-                    "minus45": (Apply(el.linear_polarizer(ppol, 3 * math.pi / 4)),),
-                    "absent": (),
-                },
-            ),
-            Detect(DetectorSpec("D_s", screen_of="slit")),
-            Detect(DetectorSpec("D_p", measured=(("ppol", "pm45"),))),
-        ),
-    )
-
-
 def _walborn_post_slit_lr(circ: Circuit) -> StateVector:
     """Evolved pre-choice state with the s polarization in circular labels."""
-    pre = Circuit(circ.dofs, circ.source, circ.stages[:3])
+    pre = replace(circ, stages=circ.stages[:3])
     st = _expect_state(evolve(pre))
     return rebase(st, el.basis_change("circular", st.dof("spol")))
 
@@ -706,52 +443,27 @@ def _walborn_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     )
 
 
-def _build_walborn(params) -> Scenario:
-    circ = _walborn_circuit()
-    return Scenario(
-        name="walborn",
-        circuit=circ,
-        settings=({"p_pol": "absent"}, {"p_pol": "plus45"}, {"p_pol": "minus45"}),
-        expectations=_walborn_checks(circ, "walborn"),
-        paper_figure="Figures 12-14",
-        description="two-photon eraser: quarter-wave plates over the slits, polarizer at D_p",
-    )
-
-
-def _build_walborn_delayed(params) -> Scenario:
-    circ = _walborn_circuit()
-    return Scenario(
-        name="walborn_delayed",
-        circuit=circ,
-        settings=({"p_pol": "absent"}, {"p_pol": "plus45"}, {"p_pol": "minus45"}),
-        expectations=_walborn_checks(circ, "walborn_delayed"),
-        paper_figure="Figure 15",
-        description="delayed erasure: D_p fires long after D_s; coincidences pick the fringes",
-        default_delays={"D_p": 1e9},
-    )
-
-
 # -- catalog --------------------------------------------------------------------
 
-_CATALOG: dict[str, tuple[Callable[[dict], Scenario], str, str]] = {
-    "two_slit": (_build_two_slit, "Figure 1a", "plain double slit"),
-    "wheeler": (_build_wheeler, "Figure 1b", "delayed-choice removable screen"),
-    "mz_one_bs": (_build_mz_one_bs, "Figure 2", "one-beam-splitter interferometer"),
-    "mz_two_bs": (_build_mz_two_bs, "Figure 3", "two-beam-splitter interferometer"),
+_CATALOG: dict[str, tuple[Callable[[Circuit, str], tuple[Check, ...]], str, str]] = {
+    "two_slit": (_two_slit_checks, "Figure 1a", "plain double slit"),
+    "wheeler": (_wheeler_checks, "Figure 1b", "delayed-choice removable screen"),
+    "mz_one_bs": (_mz_one_bs_checks, "Figure 2", "one-beam-splitter interferometer"),
+    "mz_two_bs": (_mz_two_bs_checks, "Figure 3", "two-beam-splitter interferometer"),
     "mz_recombine_single_detector": (
-        _build_mz_recombine,
+        _mz_recombine_checks,
         "Figure 4",
         "single detector registering both arms",
     ),
-    "analyzer_loop": (_build_analyzer_loop, "Figures 5-6", "vh analyzer loop"),
-    "sg_loop": (_build_sg_loop, "Figures 7-8", "Stern-Gerlach loop"),
+    "analyzer_loop": (_analyzer_loop_checks, "Figures 5-6", "vh analyzer loop"),
+    "sg_loop": (_sg_loop_checks, "Figures 7-8", "Stern-Gerlach loop"),
     "one_photon_eraser": (
-        _build_one_photon_eraser,
+        _one_photon_eraser_checks,
         "Figures 9-11",
         "single-beam eraser with marking polarizers",
     ),
-    "walborn": (_build_walborn, "Figures 12-14", "two-photon eraser"),
-    "walborn_delayed": (_build_walborn_delayed, "Figure 15", "delayed erasure"),
+    "walborn": (_walborn_checks, "Figures 12-14", "two-photon eraser"),
+    "walborn_delayed": (_walborn_checks, "Figure 15", "delayed erasure"),
 }
 
 
@@ -759,12 +471,23 @@ def list_names() -> list[str]:
     return list(_CATALOG.keys())
 
 
+@functools.cache
+def document(name: str) -> edl.Document:
+    """The parsed ``golden/<name>.edl``, read once per name."""
+    if name not in _CATALOG:
+        raise CatalogError(name)
+    return edl.load_document(os.path.join(_GOLDEN_DIR, f"{name}.edl"))
+
+
+def _circuit(name: str, **params) -> Circuit:
+    return edl.build_circuit(document(name), params)
+
+
 def build(name: str, **params) -> Scenario:
-    try:
-        builder = _CATALOG[name][0]
-    except KeyError:
-        raise CatalogError(name) from None
-    return builder(params)
+    """Compile the scenario's golden file with ``params`` (radians) bound to
+    its declared PARAMs; an undeclared one raises ValidationError."""
+    circ = _circuit(name, **params)
+    return Scenario(name, circ, _CATALOG[name][0](circ, name))
 
 
 def list_scenarios() -> list[tuple[str, str, str]]:

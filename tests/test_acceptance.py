@@ -120,11 +120,11 @@ def test_criterion_8_delayed_erasure_sampling(capsys):
     t0 = time.perf_counter()
     shots = 100_000
     sc = scenarios.build("walborn_delayed")
+    delays = {s.name: s.time_offset for s in sc.circuit.detectors()}
     log = events.generate_events(
         sc.circuit, {"p_pol": "absent"}, shots=shots, seed=20260824,
-        delays=dict(sc.default_delays),
     )
-    pairs = events.coincidences(log, "D_s", "D_p", offsets=dict(sc.default_delays))
+    pairs = events.coincidences(log, "D_s", "D_p", offsets=delays)
     vis = {
         out: fringe_visibility(events.conditioned_histogram(pairs, (out,)))
         for out in ("+", "-")

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from qesim import scenarios
 from qesim.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qesim", "golden")
@@ -78,10 +79,29 @@ class TestSweep:
         assert lines[0] == "phi,P(r),P(t)"
         assert len(lines) == 4
 
-    def test_sweep_rejects_edl_target(self, capsys):
-        path = os.path.join(GOLDEN_DIR, "mz_two_bs.edl")
-        code, _, _ = run_cli(capsys, "sweep", path)
-        assert code == 2
+    def test_sweep_of_edl_file(self, capsys, tmp_path):
+        # any file, any declared PARAM: mz_two_bs with its phase renamed
+        text = open(os.path.join(GOLDEN_DIR, "mz_two_bs.edl")).read()
+        path = tmp_path / "mz.edl"
+        path.write_text(text.replace("phi", "theta"))
+        code, out, _ = run_cli(
+            capsys, "sweep", str(path), "--param", "theta",
+            "--steps", "3", "--stop", "3.141592653589793",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "theta,P(r),P(t)"
+        assert [float(x) for x in lines[3].split(",")[1:]] == pytest.approx([0, 1], abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("two_slit",),
+        ("mz_two_bs", "--param", "theta"),
+        (os.path.join(GOLDEN_DIR, "mz_two_bs.edl"), "--param", "theta"),
+    ])
+    def test_undeclared_param_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert "declares no PARAM" in err
 
 
 class TestSample:
@@ -127,6 +147,9 @@ class TestSample:
         (["--pairs", "D_s,D_p", "--offset", "D_x=5"], "unknown detector 'D_x' in --offset"),
         (["--delay", "D_p=nan"], "bad --delay value 'nan'"),
         (["--pairs", "D_s,D_p", "--window", "-1"], "--window must be >= 0"),
+        (["--given", "+"], "--given needs --pairs"),
+        (["--offset", "D_p=5"], "--offset needs --pairs"),
+        (["--window", "2000"], "--window needs --pairs"),
     ])
     def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -138,6 +161,18 @@ class TestSample:
         if "unknown detector" in message:
             assert "active detectors: D_s, D_p" in err
 
+    def test_duplicate_detector_name_fails(self, capsys, tmp_path):
+        # two detectors named D_s under one setting would log indistinguishable events
+        text = open(os.path.join(GOLDEN_DIR, "walborn.edl")).read()
+        path = tmp_path / "twin.edl"
+        path.write_text(text.replace("DETECT D_p", "DETECT D_s"))
+        code, out, err = run_cli(
+            capsys, "sample", str(path), "-n", "2", "--setting", "p_pol=absent"
+        )
+        assert code == 1 and out == ""
+        assert "circuit assembly failed" in err
+        assert "detector name 'D_s' is used twice" in err
+
     def test_bad_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("QESIM_SEED", "abc")
         code, out, err = run_cli(capsys, "sample", "mz_one_bs", "-n", "5")
@@ -146,3 +181,45 @@ class TestSample:
         # only a sample that needs the variable reads it
         assert run_cli(capsys, "sample", "mz_one_bs", "-n", "5", "--seed", "1")[0] == 0
         assert run_cli(capsys, "verify", "mz_one_bs")[0] == 0
+
+
+def _all_settings(name):
+    """Every combination of choice alternatives of a catalog circuit, as flags."""
+    circuit = scenarios.build(name).circuit
+    combos = [[]]
+    for choice in circuit.choice_names():
+        alts = circuit.find_choice(choice).alternatives
+        combos = [c + ["--setting", f"{choice}={alt}"] for c in combos for alt in alts]
+    return combos
+
+
+@pytest.mark.parametrize("name", scenarios.list_names())
+class TestCatalogMatchesGoldenFile:
+    """A catalog name and its golden file are the same experiment: every
+    command prints the same bytes for both (``run`` differs only in the
+    ``target`` it echoes)."""
+
+    def path(self, name):
+        return os.path.join(GOLDEN_DIR, f"{name}.edl")
+
+    def test_run(self, capsys, name):
+        for flags in _all_settings(name):
+            by_name = run_cli(capsys, "run", name, *flags)
+            by_file = run_cli(capsys, "run", self.path(name), *flags)
+            assert by_name[0] == by_file[0] == 0
+            docs = [json.loads(out) for _, out, _ in (by_name, by_file)]
+            for doc in docs:
+                del doc["target"]
+            assert json.dumps(docs[0]) == json.dumps(docs[1]), flags
+
+    def test_sample(self, capsys, name):
+        for flags in _all_settings(name):
+            argv = ("-n", "300", "--seed", "4", *flags)
+            by_name = run_cli(capsys, "sample", name, *argv)
+            assert by_name[0] == 0
+            assert run_cli(capsys, "sample", self.path(name), *argv) == by_name, flags
+
+    def test_sweep(self, capsys, name):
+        argv = ("--steps", "9", "--start", "0.3")
+        by_name = run_cli(capsys, "sweep", name, *argv)
+        assert run_cli(capsys, "sweep", self.path(name), *argv) == by_name

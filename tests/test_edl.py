@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim import edl
+from qesim import edl, elements as el
 from qesim.circuit import evolve
 from qesim.qstate import StateVector, ValidationError, global_phase_deviation
 
@@ -137,6 +137,59 @@ class TestCompiler:
         with pytest.raises(ValidationError) as exc:
             edl.load_circuit(str(p))
         assert "2:1" in str(exc.value)
+
+
+
+def golden_text(name):
+    return open(os.path.join(os.path.dirname(edl.__file__), "golden", f"{name}.edl")).read()
+
+
+class TestParamsAndDelays:
+    def test_param_value_reaches_element_in_radians(self):
+        doc = edl.parse(golden_text("mz_two_bs")).document
+        assert doc.params == (("phi", 0.0),)
+        circuit = edl.build_circuit(doc, {"phi": 1.2345})
+        arm = circuit.dofs[0]
+        want = el.phase_shifter(arm, "t", 1.2345).matrix
+        assert (circuit.stages[1].op.matrix == want).all()
+        default = edl.build_circuit(doc).stages[1].op.matrix
+        assert (default == el.phase_shifter(arm, "t", 0.0).matrix).all()
+
+    def test_undeclared_param_rejected(self):
+        doc = edl.parse(golden_text("mz_two_bs")).document
+        res = edl.compile_document(doc, {"theta": 1.0})
+        assert not res.ok
+        assert any("undeclared PARAM 'theta'" in d.message for d in res.diagnostics)
+        with pytest.raises(ValidationError):
+            edl.build_circuit(edl.parse(MINIMAL).document, {"phi": 1.0})
+
+    @pytest.mark.parametrize("line", [
+        "PARAM phi", "PARAM 1x = 0", "PARAM phi = abc", "PARAM phi = 1e999",
+        "PARAM phi = 0\nPARAM phi = 1",
+    ])
+    def test_bad_param_lines(self, line):
+        assert not edl.parse(MINIMAL + line + "\n").ok
+
+    def test_undeclared_angle_name_rejected(self):
+        res = edl.compile_text(MINIMAL.replace("bs arm t r", "phase arm t phi"))
+        assert not res.ok
+        assert any("bad angle 'phi'" in d.message for d in res.diagnostics)
+
+    def test_delay_sets_time_offset(self):
+        circuit = edl.compile_text(golden_text("walborn_delayed")).circuit
+        assert {s.name: s.time_offset for s in circuit.detectors()} == {"D_s": 0.0, "D_p": 1e9}
+        text = MINIMAL.replace("DETECT D : arm basis=path", "DETECT D : screen arm delay=-2.5")
+        spec = edl.compile_text(text).circuit.detectors()[0]
+        assert spec.screen_of == "arm" and spec.time_offset == -2.5
+        assert "DETECT D : screen arm delay=-2.5\n" in edl.format_text(text)
+
+    @pytest.mark.parametrize("delay", ["delay=", "delay=x", "delay=1e999", "delay=nan"])
+    def test_bad_delay_rejected(self, delay):
+        assert not edl.parse(MINIMAL.replace("basis=path", f"basis=path {delay}")).ok
+
+    def test_detector_name_may_repeat_across_alternatives(self):
+        text = golden_text("wheeler").replace("DETECT counters", "DETECT wall")
+        assert edl.compile_text(text).ok
 
 
 class TestFormatter:

@@ -7,7 +7,7 @@ from qesim.screen import fringe_visibility
 
 
 def walborn_log(shots=2000, seed=5, delays=None):
-    sc = scenarios.build("walborn_delayed")
+    sc = scenarios.build("walborn")
     return generate_events(
         sc.circuit, {"p_pol": "absent"}, shots=shots, seed=seed, delays=delays or {}
     )

@@ -35,14 +35,20 @@ class TestCatalog:
 
     def test_every_declared_setting_runs(self):
         for name in EXPECTED_NAMES:
-            sc = scenarios.build(name)
-            for settings in sc.settings:
-                joint_distribution(sc.circuit, dict(settings))
+            circuit = scenarios.build(name).circuit
+            combos = [{}]
+            for choice in circuit.choice_names():
+                alts = circuit.find_choice(choice).alternatives
+                combos = [{**c, choice: alt} for c in combos for alt in alts]
+            for settings in combos:
+                joint_distribution(circuit, settings)
 
     def test_delayed_variant_declares_delay(self):
-        sc = scenarios.build("walborn_delayed")
-        assert sc.default_delays == {"D_p": 1e9}
-        assert scenarios.build("walborn").default_delays == {}
+        def offsets(name):
+            return {s.name: s.time_offset for s in scenarios.build(name).circuit.detectors()}
+
+        assert offsets("walborn_delayed") == {"D_s": 0.0, "D_p": 1e9}
+        assert offsets("walborn") == {"D_s": 0.0, "D_p": 0.0}
 
     def test_mz_accepts_phi_parameter(self):
         sc = scenarios.build("mz_two_bs", phi=math.pi)
