@@ -8,7 +8,12 @@ formatting shows up there.  The ``run`` cases (every catalog scenario under
 every choice alternative), ``verify`` and the ``sweep`` cases were recorded
 from the catalog as built by Python circuit constructors, before it was
 compiled from the golden EDL files: any change to a circuit, to the order of
-outcomes or to number formatting shows up there.
+outcomes or to number formatting shows up there.  The ``run`` cases of the
+files in ``FILES`` (a 12-dof chain with 4096 outcomes and an experiment whose
+blocker absorbs everything), of ``walborn`` as CSV and of its ``--ascii``
+screen on stderr were recorded from the dict-per-outcome Born path, before
+``OutcomeDistribution`` held a dense array.  Every case runs in a temporary
+directory holding ``FILES``, so that a relative target path prints the same.
 """
 
 import hashlib
@@ -16,6 +21,31 @@ import hashlib
 import pytest
 
 from qesim.cli import main
+
+
+def chain_edl(n: int) -> str:
+    """n two-level dofs, a beam splitter on each, a QWP at a fixed angle on
+    each dof after the first (conditioned on its predecessor), pm45 detection."""
+    lines = ["EXPERIMENT chain", ""]
+    lines += [f"DOF q{i} : a b" for i in range(n)]
+    lines += ["", "SOURCE 1+0i |" + ", ".join(f"q{i}=a" for i in range(n)) + ">", ""]
+    lines += [f"STAGE bs{i} : bs q{i} a b" for i in range(n)]
+    lines += [f"STAGE qwp{i} : qwp q{i} {(37.25 * i) % 180:g} when q{i - 1}=a" for i in range(1, n)]
+    lines.append("DETECT D : " + ", ".join(f"q{i} basis=pm45" for i in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+FILES = {
+    "chain12.edl": chain_edl(12),
+    "blocked.edl": """EXPERIMENT blocked
+DOF slit : s1 s2
+DOF chan : U L
+SOURCE 1+0i |slit=s1, chan=U> ; 1+0i |slit=s2, chan=U>
+STAGE stop : block chan U
+DETECT D_s : screen slit
+DETECT D_c : chan basis=path
+""",
+}
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -203,6 +233,38 @@ CASES = {
         "4f0ec33e71db3ab0b4b727aa84722ddac77a08cbfc4b733928eb04f1d3abe48f",
         EMPTY,
     ),
+    "run_chain12_csv": (
+        "run chain12.edl --format csv",
+        "4feb461557ca5467063e0fdfca7e880db7404df42f93990a2d9e6229e4664814",
+        EMPTY,
+    ),
+    "run_chain12_json": (
+        "run chain12.edl --format json",
+        "ff61dd95a8653902c13fe65a2edd2593c8dac3d7551460f49d60edf560c8f28b",
+        EMPTY,
+    ),
+    "run_walborn_absent_csv": (
+        "run walborn --setting p_pol=absent --format csv",
+        "6d11e97a400cd530479dae1baa29f70703c2a154c30c17e59e6081046a2c637c",
+        EMPTY,
+    ),
+    # stdout is the run_walborn_absent pin; stderr is the screen drawing
+    "run_walborn_absent_ascii": (
+        "run walborn --setting p_pol=absent --ascii",
+        "b26698435ba6247e0804236a528bb436324a3b1f8aeed28aa58334adadc92ab2",
+        "d11d05a1ff65aa6d209e29a9699dcb99024e6100c93203ffd4fa49d0efaa92ff",
+    ),
+    # every branch absorbed: no outcomes and totalMass 0
+    "run_all_blocked": (
+        "run blocked.edl",
+        "f41b5d359660414b092e968aaea6e19cb6bfaa0d4d0a84b0dc5b0031e7b8f4d5",
+        EMPTY,
+    ),
+    "run_all_blocked_csv": (
+        "run blocked.edl --format csv",
+        "f60f1659046fd5d0d3e28334090491b23d33a3572014851952d6f78a9fdc4341",
+        EMPTY,
+    ),
 }
 
 
@@ -211,7 +273,10 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sample_output_pinned(case, capsys):
+def test_sample_output_pinned(case, capsys, tmp_path, monkeypatch):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     argv, out_sha, err_sha = CASES[case]
     code = main(argv.split())
     captured = capsys.readouterr()
