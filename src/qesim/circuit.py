@@ -11,14 +11,14 @@ delayed-choice settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import elements as el
 from .measure import OutcomeDistribution
-from .qstate import CompositionError, Dof, StateVector, ValidationError, rebase
-from .screen import DEFAULT_GEOMETRY, SlitGeometry
+from .qstate import Dof, StateVector, ValidationError, rebase
+from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
 
 
 class ContractError(ValueError):
@@ -259,11 +259,6 @@ def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
     return branches
 
 
-def _screen_matrix(geometry: SlitGeometry) -> np.ndarray:
-    delta = geometry.delta(geometry.bin_centers())
-    return np.stack([np.exp(1j * delta / 2), np.exp(-1j * delta / 2)], axis=1)
-
-
 def distribution_from_state(
     state: StateVector, detectors: list[DetectorSpec]
 ) -> OutcomeDistribution:
@@ -323,12 +318,13 @@ def distribution_from_state(
     total = float(p.sum())
     if total > 0:
         p = p * (state.weight / total)
-    out: dict[tuple[str, ...], float] = {}
-    label_sets = [labels for _, labels, _ in axis_info]
-    for idx in np.ndindex(*p.shape):
-        out[tuple(label_sets[i][j] for i, j in enumerate(idx))] = float(p[idx])
     mass = state.weight if total > 0 else 0.0
-    return OutcomeDistribution(tuple(name for name, _, _ in axis_info), out, mass)
+    return OutcomeDistribution(
+        tuple(name for name, _, _ in axis_info),
+        tuple(labels for _, labels, _ in axis_info),
+        p,
+        mass,
+    )
 
 
 def joint_distribution(
@@ -344,7 +340,9 @@ def joint_distribution(
         axes: list[str] = []
         for spec in specs:
             axes.extend(spec.axis_names())
-        return OutcomeDistribution(tuple(axes), {}, 0.0)
+        return OutcomeDistribution(
+            tuple(axes), ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0
+        )
     return distribution_from_state(state, specs)
 
 
@@ -407,18 +405,14 @@ def compare_marginals(
     mixtures: list[OutcomeDistribution] = []
     for alt in choice.alternatives:
         settings = {**base, choice_name: alt}
-        acc: dict[tuple[str, ...], float] = {}
-        axes = None
-        mass = 0.0
+        dist, acc, mass = None, 0.0, 0.0
         for branch in _branched_evolve(c, settings):
             dist = distribution_from_state(branch, probes)
-            axes = dist.axes
+            acc = acc + dist.probs
             mass += dist.total_mass
-            for k, p in dist.outcomes.items():
-                acc[k] = acc.get(k, 0.0) + p
-        if axes is None:
+        if dist is None:
             raise ContractError("all branches blocked; marginal undefined")
-        mixtures.append(OutcomeDistribution(axes, acc, mass))
+        mixtures.append(OutcomeDistribution(dist.axes, dist.labels, acc, mass))
 
     worst = 0.0
     from .measure import total_variation

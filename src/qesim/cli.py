@@ -26,9 +26,9 @@ from typing import Callable
 
 from . import edl, events, scenarios
 from .circuit import Circuit, joint_distribution, validate_settings
-from .measure import ConditioningError, conditional
+from .measure import ConditioningError, marginal
 from .qstate import CompositionError, ValidationError
-from .screen import DEFAULT_GEOMETRY, fringe_visibility, pattern_from_bin_probs
+from .screen import fringe_visibility
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -136,20 +136,21 @@ def cmd_run(args) -> int:
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        lines = [",".join(dist.axes) + ",p"]
-        for k, p in dist.outcomes.items():
-            lines.append(",".join(k) + f",{p:.12g}")
-        _emit("\n".join(lines) + "\n", args.out)
+        # the label columns of every row, in the C order of dist.probs
+        rows = [""]
+        for labels in dist.labels:
+            rows = [f"{row}{label}," for row in rows for label in labels]
+        body = [f"{row}{p:.12g}\n" for row, p in zip(rows, dist.probs.ravel().tolist())]
+        _emit(",".join(dist.axes) + ",p\n" + "".join(body), args.out)
     if args.ascii:
-        screen_axes = [
-            s.name for s in circuit.detectors(settings) if s.screen_of is not None
-        ]
-        for ax in screen_axes:
-            from .measure import marginal
-
-            m = marginal(dist, [ax])
-            vals = [m.prob((DEFAULT_GEOMETRY.bin_label(i),)) for i in range(DEFAULT_GEOMETRY.bins)]
-            sys.stderr.write(f"-- {ax} --\n" + _ascii_pattern(vals))
+        for spec in circuit.detectors(settings):
+            if spec.screen_of is not None:
+                vals = (
+                    marginal(dist, [spec.name]).probs.tolist()
+                    if dist.probs.size
+                    else [0.0] * spec.geometry.bins
+                )
+                sys.stderr.write(f"-- {spec.name} --\n" + _ascii_pattern(vals))
     return 0
 
 

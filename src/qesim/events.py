@@ -135,15 +135,16 @@ def generate_events(
     dist = joint_distribution(c, settings)
     specs = c.detectors(settings)
 
-    keys = list(dist.outcomes.keys())
-    probs = [dist.outcomes[k] for k in keys]
-    survive = sum(probs)
+    keys = list(dist.outcomes)
+    # survive is a left-to-right sum, the last entry of the running sum:
+    # np.sum adds in another order and can move the residual threshold
+    cdf = np.cumsum(dist.probs.ravel())
+    survive = cdf[-1] if len(keys) else 0.0
     if survive < dist.total_mass - 1e-9 or dist.total_mass > 1 + 1e-9:
         raise ValidationError("inconsistent distribution mass")
     # residual outcome (pick == len(keys)): the particle never reached the detectors
     if survive < 1.0 - 1e-12:
-        probs.append(1.0 - survive)
-    cdf = np.cumsum(probs)
+        cdf = np.append(cdf, 1.0)
     cdf[-1] = 1.0
     picks = np.searchsorted(cdf, rng_for(seed).random(shots), side="right")
     survivors = np.flatnonzero(picks < len(keys))

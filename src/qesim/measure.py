@@ -1,17 +1,20 @@
-"""Born-rule distributions, marginals, conditionals, and seeded sampling.
+"""Born-rule outcome distributions: marginals, conditionals, distances, and
+the package's seeded random generator.
 
-Sampling uses numpy's PCG64 generator with explicit seed threading and
-inverse-CDF selection over canonically ordered outcomes; the generator
-identity is part of the external contract so event logs are portable.
+The generator is numpy's PCG64 with explicit seed threading; its identity is
+part of the external contract so event logs are portable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
-from .qstate import BasisChange, CompositionError, StateVector, ValidationError, rebase
+from .qstate import ValidationError
 
 #: probabilities below this are treated as exactly zero when conditioning
 NULL_EPS = 1e-15
@@ -23,37 +26,52 @@ class ConditioningError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Probabilities over joint outcome-label tuples.
+    """Probabilities over joint outcomes, held as a dense array.
 
-    ``axes`` names each tuple position (a dof name or a detector name for
-    binned screen outcomes).  ``total_mass`` is the summed probability, which
-    is below 1 when filters removed part of the ensemble.
+    ``probs`` has one array axis per entry of ``axes`` (a dof name, or a
+    detector name for binned screen outcomes); index ``j`` along axis ``i`` is
+    the outcome labelled ``labels[i][j]``.  ``total_mass`` is the summed
+    probability, which is below 1 when filters removed part of the ensemble.
+    When every branch was absorbed there are no outcomes: each label tuple is
+    empty and ``total_mass`` is 0.
     """
 
     axes: tuple[str, ...]
-    outcomes: dict[tuple[str, ...], float]
+    labels: tuple[tuple[str, ...], ...]
+    probs: np.ndarray
     total_mass: float
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        clean = {}
-        for k, p in self.outcomes.items():
-            k = (k,) if isinstance(k, str) else tuple(k)
-            if len(k) != len(self.axes):
-                raise ValidationError(f"outcome {k} has wrong arity")
-            if p < -1e-12:
-                raise ValidationError(f"negative probability {p} for {k}")
-            clean[k] = max(float(p), 0.0)
-        object.__setattr__(self, "outcomes", clean)
-        s = sum(clean.values())
-        if abs(s - self.total_mass) > 1e-9:
+        axes, labels = tuple(self.axes), tuple(map(tuple, self.labels))
+        p = np.asarray(self.probs, dtype=np.float64)
+        if len(labels) != len(axes) or p.shape != tuple(map(len, labels)):
+            raise ValidationError(
+                f"probabilities of shape {p.shape} do not match axes {axes}"
+                f" with {tuple(map(len, labels))} labels"
+            )
+        low = p < -1e-12
+        if low.any():
+            idx = np.unravel_index(low.argmax(), p.shape)
+            key = tuple(names[j] for names, j in zip(labels, idx))
+            raise ValidationError(f"negative probability {p[idx]} for {key}")
+        p = np.where(p < 0.0, 0.0, p)
+        p.setflags(write=False)
+        for name, value in (("axes", axes), ("labels", labels), ("probs", p)):
+            object.__setattr__(self, name, value)
+        s = float(p.sum())
+        if not abs(s - self.total_mass) <= 1e-9:
             raise ValidationError(
                 f"probabilities sum to {s}, declared total_mass {self.total_mass}"
             )
         if self.total_mass > 1 + 1e-9:
             raise ValidationError(f"total_mass {self.total_mass} > 1")
+
+    @cached_property
+    def outcomes(self) -> dict[tuple[str, ...], float]:
+        """Label tuple -> probability for every entry of ``probs``, in C order."""
+        return dict(zip(product(*self.labels), self.probs.ravel().tolist()))
 
     def prob(self, labels) -> float:
         labels = (labels,) if isinstance(labels, str) else tuple(labels)
@@ -69,9 +87,7 @@ class OutcomeDistribution:
         if self.total_mass < NULL_EPS:
             raise ConditioningError("cannot renormalize an empty distribution")
         f = 1.0 / self.total_mass
-        return OutcomeDistribution(
-            self.axes, {k: p * f for k, p in self.outcomes.items()}, 1.0
-        )
+        return OutcomeDistribution(self.axes, self.labels, self.probs * f, 1.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,112 +98,49 @@ class OutcomeDistribution:
         }
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Multinomial counts drawn from a distribution with a fixed seed."""
-
-    seed: int
-    shots: int
-    counts: dict[tuple[str, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValidationError("counts must sum to shots")
-
-
-def born_distribution(
-    s: StateVector, specs: list[tuple[str, BasisChange | None]]
-) -> OutcomeDistribution:
-    """Measure the listed dofs (each optionally rebased first); sum out the rest.
-
-    Probabilities are |amplitude|^2 times the state weight.
-    """
-    for dof_name, change in specs:
-        if change is not None:
-            if change.dof != dof_name:
-                raise ValidationError("basis change targets a different dof")
-            s = rebase(s, change)
-    axes = []
-    for dof_name, _ in specs:
-        axes.append(s.axis(dof_name))
-    if len(set(axes)) != len(axes):
-        raise ValidationError("duplicate dof in measurement specs")
-    probs = np.abs(s.tensor_view()) ** 2
-    keep = axes
-    drop = tuple(i for i in range(len(s.dims)) if i not in keep)
-    p = probs.sum(axis=drop) if drop else probs
-    p = np.transpose(p, np.argsort(np.argsort(keep)))  # reorder to spec order
-    # iterate in spec order
-    dofs = [s.dofs[a] for a in keep]
-    out = {}
-    it = np.ndindex(*p.shape)
-    for idx in it:
-        labels = tuple(dofs[i].labels[j] for i, j in enumerate(idx))
-        out[labels] = float(p[idx]) * s.weight
-    return OutcomeDistribution(
-        tuple(d.name for d in dofs), out, s.weight
-    )
-
-
 def marginal(d: OutcomeDistribution, axis_subset) -> OutcomeDistribution:
     """Sum out every axis not in ``axis_subset`` (order follows the subset)."""
     axis_subset = [axis_subset] if isinstance(axis_subset, str) else list(axis_subset)
-    idxs = [d.axis(a) for a in axis_subset]
-    out: dict[tuple[str, ...], float] = {}
-    for k, p in d.outcomes.items():
-        key = tuple(k[i] for i in idxs)
-        out[key] = out.get(key, 0.0) + p
-    return OutcomeDistribution(tuple(axis_subset), out, d.total_mass)
+    keep = [d.axis(a) for a in axis_subset]
+    drop = [i for i in range(len(d.axes)) if i not in keep]
+    shape = [d.probs.shape[i] for i in keep]
+    n = math.prod(d.probs.shape[i] for i in drop)
+    p = d.probs.transpose(drop + keep).reshape([n] + shape)
+    # a running sum adds the summed-out outcomes one by one in C order, so
+    # the last bits do not depend on numpy's choice of summation
+    p = np.cumsum(p, axis=0)[-1] if n else np.zeros(shape)
+    return OutcomeDistribution(
+        tuple(axis_subset), tuple(d.labels[i] for i in keep), p, d.total_mass
+    )
 
 
 def conditional(d: OutcomeDistribution, given: tuple[str, str]) -> OutcomeDistribution:
-    """Condition on one axis carrying one label; renormalize to mass 1."""
+    """Condition on one axis carrying one label; renormalize to mass 1.
+    Outcomes below ``NULL_EPS`` become exactly 0."""
     axis_name, label = given
     i = d.axis(axis_name)
-    mass = sum(p for k, p in d.outcomes.items() if k[i] == label)
+    labels = d.labels[i]
+    sub = np.take(d.probs, labels.index(label), axis=i) if label in labels else np.zeros(0)
+    # left to right in C order, as a loop over the outcomes adds them
+    mass = float(np.cumsum(sub)[-1]) if sub.size else 0.0
     if mass < NULL_EPS:
         raise ConditioningError(f"P({axis_name}={label}) = 0")
-    rest_axes = tuple(a for j, a in enumerate(d.axes) if j != i)
-    out: dict[tuple[str, ...], float] = {}
-    for k, p in d.outcomes.items():
-        if k[i] != label or p < NULL_EPS:
-            continue
-        key = tuple(l for j, l in enumerate(k) if j != i)
-        out[key] = out.get(key, 0.0) + p / mass
-    return OutcomeDistribution(rest_axes, out, 1.0)
+    return OutcomeDistribution(
+        d.axes[:i] + d.axes[i + 1 :],
+        d.labels[:i] + d.labels[i + 1 :],
+        np.where(sub < NULL_EPS, 0.0, sub / mass),
+        1.0,
+    )
 
 
 def total_variation(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
     """(1/2) sum |p_a - p_b| after renormalizing both to mass 1."""
-    if a.axes != b.axes:
-        raise ValidationError(f"axis mismatch: {a.axes} vs {b.axes}")
+    if a.axes != b.axes or a.labels != b.labels:
+        raise ValidationError(f"axis or label mismatch: {a.axes} vs {b.axes}")
     a, b = a.renormalized(), b.renormalized()
-    keys = set(a.outcomes) | set(b.outcomes)
-    return 0.5 * sum(abs(a.prob(k) - b.prob(k)) for k in keys)
+    return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     """The package-wide generator: PCG64 seeded via SeedSequence(seed, stream)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
-
-
-def sample(d: OutcomeDistribution, shots: int, seed: int) -> SampleBatch:
-    """Deterministic multinomial sampling by inverse CDF in canonical order."""
-    if shots < 0:
-        raise ValidationError("shots must be >= 0")
-    d = d.renormalized()
-    keys = list(d.outcomes.keys())
-    if not keys:
-        raise ValidationError("cannot sample an empty distribution")
-    if shots == 0:
-        return SampleBatch(seed=seed, shots=0, counts={})
-    cdf = np.cumsum([d.outcomes[k] for k in keys])
-    cdf[-1] = 1.0
-    u = rng_for(seed).random(shots)
-    picks = np.searchsorted(cdf, u, side="right")
-    counts: dict[tuple[str, ...], int] = {}
-    binned = np.bincount(picks, minlength=len(keys))
-    for k, n in zip(keys, binned):
-        if n:
-            counts[k] = int(n)
-    return SampleBatch(seed=seed, shots=shots, counts=counts)

@@ -76,26 +76,24 @@ class Pattern:
         return "\n".join(lines) + "\n"
 
 
-def branch_amplitudes(s: StateVector, path_dof: str) -> list[tuple[complex, complex]]:
-    """Per residual-basis-state slit amplitude pairs (a1, a2)."""
-    ax = s.axis(path_dof)
-    if s.dofs[ax].dim != 2:
-        raise ValidationError("screen path dof must have exactly 2 labels")
-    t = np.moveaxis(s.tensor_view(), ax, 0).reshape(2, -1)
-    return [(complex(t[0, i]), complex(t[1, i])) for i in range(t.shape[1])]
+def _screen_matrix(geometry: SlitGeometry) -> np.ndarray:
+    """Bin amplitudes per slit: row ``b`` maps slit amplitudes (a1, a2) to
+    a1 exp(i delta_b / 2) + a2 exp(-i delta_b / 2) at bin center ``b``."""
+    delta = geometry.delta(geometry.bin_centers())
+    return np.stack([np.exp(1j * delta / 2), np.exp(-1j * delta / 2)], axis=1)
 
 
 def intensity_profile(
     s: StateVector, path_dof: str, geometry: SlitGeometry
 ) -> np.ndarray:
     """Unnormalized I(x) over bin centers, other dofs Born-marginalized."""
-    delta = geometry.delta(geometry.bin_centers())
-    e1 = np.exp(1j * delta / 2)
-    e2 = np.exp(-1j * delta / 2)
-    total = np.zeros(geometry.bins)
-    for a1, a2 in branch_amplitudes(s, path_dof):
-        total += np.abs(a1 * e1 + a2 * e2) ** 2
-    return total
+    ax = s.axis(path_dof)
+    if s.dofs[ax].dim != 2:
+        raise ValidationError("screen path dof must have exactly 2 labels")
+    a1, a2 = np.moveaxis(s.tensor_view(), ax, 0).reshape(2, -1, 1)
+    e1, e2 = _screen_matrix(geometry).T
+    # one row per residual basis state, summed in that order
+    return (np.abs(a1 * e1 + a2 * e2) ** 2).sum(axis=0)
 
 
 def pattern_from_state(

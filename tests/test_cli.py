@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from qesim import scenarios
+from qesim import cli, scenarios
+from qesim.circuit import Detect
 from qesim.cli import main
+from qesim.screen import SlitGeometry
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qesim", "golden")
 
@@ -55,6 +58,33 @@ class TestRun:
         run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--out", str(p1))
         run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_ascii_bins_follow_the_detector_geometry(self, capsys, monkeypatch):
+        # EDL cannot declare a geometry, so a circuit whose screen has 32 bins
+        # is put in place of the compiled file
+        circuit = scenarios.build("walborn").circuit
+        stages = tuple(
+            Detect(replace(s.spec, geometry=SlitGeometry(bins=32)))
+            if isinstance(s, Detect) and s.spec.screen_of else s
+            for s in circuit.stages
+        )
+        circuit = replace(circuit, stages=stages)
+        monkeypatch.setattr(cli, "_load_target", lambda target: (None, lambda **p: circuit))
+        code, _, err = run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--ascii")
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0] == "-- D_s --" and len(lines) == 1 + 32
+        assert max(map(len, lines[1:])) == 60
+
+    def test_ascii_of_all_blocked_screen_is_empty(self, capsys, tmp_path):
+        path = tmp_path / "blocked.edl"
+        path.write_text(
+            "EXPERIMENT blocked\nDOF slit : s1 s2\nSOURCE 1+0i |slit=s1>\n"
+            "STAGE stop : block slit s1\nDETECT D_s : screen slit\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(path), "--ascii")
+        assert code == 0 and json.loads(out)["outcomes"] == []
+        assert err == "-- D_s --\n" + "\n" * 256
 
 
 class TestVerify:

@@ -1,18 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim import elements as el
+from qesim.circuit import Circuit, Detect, DetectorSpec, distribution_from_state
+from qesim.events import generate_events
 from qesim.measure import (
     ConditioningError,
     OutcomeDistribution,
     ValidationError,
-    born_distribution,
     conditional,
     marginal,
     rng_for,
-    sample,
     total_variation,
 )
 from qesim.qstate import Dof, StateVector
@@ -27,17 +28,40 @@ def random_state(seed, weight=1.0):
     return StateVector((A, B), v / np.linalg.norm(v), weight)
 
 
+def born(s, measured):
+    """The Born distribution of ``s`` over ``measured`` (dof, basis) pairs,
+    one detector per dof; unmeasured dofs are summed out."""
+    return distribution_from_state(
+        s, [DetectorSpec(f"D_{dof}", measured=((dof, basis),)) for dof, basis in measured]
+    )
+
+
+def sampled_counts(s, measured, shots, seed):
+    """Outcome counts of ``shots`` sampled events of one detector measuring
+    ``measured`` on a circuit whose source is ``s``."""
+    c = Circuit(s.dofs, s, (Detect(DetectorSpec("D", measured=tuple(measured))),))
+    log = generate_events(c, shots=shots, seed=seed)
+    return {log.labels[k][1]: n for k, n in Counter(log.label.tolist()).items()}
+
+
+ALL = [("a", "path"), ("b", "path")]
+
+
 class TestOutcomeDistribution:
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            OutcomeDistribution(("a",), {("a0",): 0.5}, 0.9)
+            OutcomeDistribution(("a",), (("a0",),), [0.5], 0.9)
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValidationError):
-            OutcomeDistribution(("a",), {("a0",): -0.1, ("a1",): 1.1}, 1.0)
+            OutcomeDistribution(("a",), (("a0", "a1"),), [-0.1, 1.1], 1.0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            OutcomeDistribution(("a",), (("a0", "a1"),), [[0.5, 0.5]], 1.0)
 
     def test_renormalized(self):
-        d = OutcomeDistribution(("a",), {("a0",): 0.25}, 0.25)
+        d = OutcomeDistribution(("a",), (("a0",),), [0.25], 0.25)
         assert abs(d.renormalized().prob(("a0",)) - 1.0) < 1e-15
 
 
@@ -46,28 +70,28 @@ class TestBorn:
     @settings(max_examples=50, deadline=None)
     def test_probabilities_sum_to_weight(self, seed):
         s = random_state(seed, weight=0.5)
-        d = born_distribution(s, [("a", None), ("b", None)])
+        d = born(s, ALL)
         assert abs(sum(d.outcomes.values()) - 0.5) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_axis_order_invariance(self, seed):
         s = random_state(seed)
-        ab = born_distribution(s, [("a", None), ("b", None)])
-        ba = born_distribution(s, [("b", None), ("a", None)])
+        ab = born(s, ALL)
+        ba = born(s, ALL[::-1])
         for (x, y), p in ab.outcomes.items():
             assert abs(ba.prob((y, x)) - p) < 1e-12
 
     def test_rebased_measurement(self):
         s = StateVector.from_amplitudes((A,), {("a0",): 1, ("a1",): 1})
-        d = born_distribution(s, [("a", el.basis_change("pm45", A))])
+        d = born(s, [("a", "pm45")])
         assert abs(d.prob(("+",)) - 1.0) < 1e-12
         assert d.prob(("-",)) < 1e-15
 
     def test_marginal_consistency(self):
         s = random_state(7)
-        joint = born_distribution(s, [("a", None), ("b", None)])
-        only_a = born_distribution(s, [("a", None)])
+        joint = born(s, ALL)
+        only_a = born(s, [("a", "path")])
         m = marginal(joint, ["a"])
         for k in only_a.outcomes:
             assert abs(m.prob(k) - only_a.prob(k)) < 1e-12
@@ -75,57 +99,56 @@ class TestBorn:
 
 class TestConditional:
     def test_conditional_renormalizes(self):
-        joint = born_distribution(random_state(3), [("a", None), ("b", None)])
+        joint = born(random_state(3), ALL)
         c = conditional(joint, ("a", "a0"))
         assert abs(sum(c.outcomes.values()) - 1.0) < 1e-12
         assert c.axes == ("b",)
 
     def test_conditioning_on_null_outcome_raises(self):
         s = StateVector.basis_state((A,), ("a0",))
-        d = born_distribution(s, [("a", None)])
+        d = born(s, [("a", "path")])
         with pytest.raises(ConditioningError):
             conditional(d, ("a", "a1"))
 
 
 class TestTotalVariation:
     def test_identical_distributions(self):
-        d = born_distribution(random_state(5), [("a", None)])
+        d = born(random_state(5), [("a", "path")])
         assert total_variation(d, d) < 1e-15
 
     def test_disjoint_distributions(self):
-        a = OutcomeDistribution(("x",), {("0",): 1.0}, 1.0)
-        b = OutcomeDistribution(("x",), {("1",): 1.0}, 1.0)
+        a = OutcomeDistribution(("x",), (("0", "1"),), [1.0, 0.0], 1.0)
+        b = OutcomeDistribution(("x",), (("0", "1"),), [0.0, 1.0], 1.0)
         assert abs(total_variation(a, b) - 1.0) < 1e-15
 
     def test_mass_is_renormalized_away(self):
-        a = OutcomeDistribution(("x",), {("0",): 0.3, ("1",): 0.3}, 0.6)
-        b = OutcomeDistribution(("x",), {("0",): 0.5, ("1",): 0.5}, 1.0)
+        a = OutcomeDistribution(("x",), (("0", "1"),), [0.3, 0.3], 0.6)
+        b = OutcomeDistribution(("x",), (("0", "1"),), [0.5, 0.5], 1.0)
         assert total_variation(a, b) < 1e-15
 
 
 class TestSampling:
     def test_identical_seed_identical_counts(self):
-        d = born_distribution(random_state(11), [("a", None), ("b", None)])
-        s1 = sample(d, 5000, seed=42)
-        s2 = sample(d, 5000, seed=42)
-        assert s1.counts == s2.counts
+        s = random_state(11)
+        assert sampled_counts(s, ALL, 5000, seed=42) == sampled_counts(s, ALL, 5000, seed=42)
 
     def test_different_seeds_differ(self):
-        d = born_distribution(random_state(11), [("a", None)])
-        assert sample(d, 5000, seed=1).counts != sample(d, 5000, seed=2).counts
+        s = random_state(11)
+        measured = [("a", "path")]
+        assert sampled_counts(s, measured, 5000, seed=1) != sampled_counts(s, measured, 5000, seed=2)
 
     def test_counts_sum_to_shots(self):
-        d = born_distribution(random_state(13), [("b", None)])
-        batch = sample(d, 1234, seed=0)
-        assert sum(batch.counts.values()) == 1234
+        counts = sampled_counts(random_state(13), [("b", "path")], 1234, seed=0)
+        assert sum(counts.values()) == 1234
 
     def test_frequencies_within_5_sigma(self):
-        d = born_distribution(random_state(17), [("a", None), ("b", None)])
+        s = random_state(17)
+        d = born(s, ALL)
         shots = 100_000
-        batch = sample(d, shots, seed=99)
+        counts = sampled_counts(s, ALL, shots, seed=99)
         for k, p in d.outcomes.items():
             sigma = max(np.sqrt(shots * p * (1 - p)), 1.0)
-            assert abs(batch.counts.get(k, 0) - shots * p) < 5 * sigma
+            assert abs(counts.get(k, 0) - shots * p) < 5 * sigma
 
     def test_rng_streams_are_independent_named_algorithm(self):
         a = rng_for(7, 0).random(4)
