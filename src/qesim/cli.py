@@ -140,8 +140,11 @@ def cmd_run(args) -> int:
         rows = [""]
         for labels in dist.labels:
             rows = [f"{row}{label}," for row in rows for label in labels]
-        body = [f"{row}{p:.12g}\n" for row, p in zip(rows, dist.probs.ravel().tolist())]
-        _emit(",".join(dist.axes) + ",p\n" + "".join(body), args.out)
+        # one % operation formats all rows, faster than an f-string per row
+        cells = [None] * (2 * len(rows))
+        cells[::2], cells[1::2] = rows, dist.probs.ravel().tolist()
+        body = ("%s%.12g\n" * len(rows)) % tuple(cells)
+        _emit(",".join(dist.axes) + ",p\n" + body, args.out)
     if args.ascii:
         for spec in circuit.detectors(settings):
             if spec.screen_of is not None:

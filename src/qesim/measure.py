@@ -58,8 +58,9 @@ class OutcomeDistribution:
             raise ValidationError(f"negative probability {p[idx]} for {key}")
         p = np.where(p < 0.0, 0.0, p)
         p.setflags(write=False)
-        for name, value in (("axes", axes), ("labels", labels), ("probs", p)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", p)
         s = float(p.sum())
         if not abs(s - self.total_mass) <= 1e-9:
             raise ValidationError(
