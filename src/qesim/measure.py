@@ -45,18 +45,18 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         axes, labels = tuple(self.axes), tuple(map(tuple, self.labels))
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64)
         if len(labels) != len(axes) or p.shape != tuple(map(len, labels)):
             raise ValidationError(
                 f"probabilities of shape {p.shape} do not match axes {axes}"
                 f" with {tuple(map(len, labels))} labels"
             )
-        low = p < -1e-12
-        if low.any():
-            idx = np.unravel_index(low.argmax(), p.shape)
-            key = tuple(names[j] for names, j in zip(labels, idx))
-            raise ValidationError(f"negative probability {p[idx]} for {key}")
-        p = np.where(p < 0.0, 0.0, p)
+        if p.min(initial=0.0) < 0.0:
+            if p.min() < -1e-12:
+                idx = np.unravel_index(p.argmin(), p.shape)
+                key = tuple(names[j] for names, j in zip(labels, idx))
+                raise ValidationError(f"negative probability {p[idx]} for {key}")
+            np.maximum(p, 0.0, out=p)
         p.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "labels", labels)

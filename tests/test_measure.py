@@ -56,6 +56,10 @@ class TestOutcomeDistribution:
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [-0.1, 1.1], 1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError):
+            OutcomeDistribution(("a",), (("a0", "a1"),), [float("nan"), 1.0], 1.0)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [[0.5, 0.5]], 1.0)
