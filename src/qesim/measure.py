@@ -51,11 +51,12 @@ class OutcomeDistribution:
                 f"probabilities of shape {p.shape} do not match axes {axes}"
                 f" with {tuple(map(len, labels))} labels"
             )
-        if p.min(initial=0.0) < 0.0:
-            if p.min() < -1e-12:
-                idx = np.unravel_index(p.argmin(), p.shape)
-                key = tuple(names[j] for names, j in zip(labels, idx))
-                raise ValidationError(f"negative probability {p[idx]} for {key}")
+        low = p.min(initial=0.0)
+        if low < -1e-12:
+            idx = np.unravel_index(p.argmin(), p.shape)
+            key = tuple(names[j] for names, j in zip(labels, idx))
+            raise ValidationError(f"negative probability {low} for {key}")
+        if low < 0.0:
             np.maximum(p, 0.0, out=p)
         p.setflags(write=False)
         object.__setattr__(self, "axes", axes)

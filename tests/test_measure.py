@@ -56,6 +56,10 @@ class TestOutcomeDistribution:
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [-0.1, 1.1], 1.0)
 
+    def test_rounding_negatives_clipped_to_zero(self):
+        d = OutcomeDistribution(("a",), (("a0", "a1"),), [-1e-13, 1.0], 1.0)
+        assert d.probs.tolist() == [0.0, 1.0]
+
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [float("nan"), 1.0], 1.0)
