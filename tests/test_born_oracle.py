@@ -7,7 +7,8 @@ which built one tuple-keyed dict entry per outcome and had
 loops of ``measure.marginal`` and ``measure.conditional``, and
 ``reference_intensity`` the earlier per-branch loop of
 ``screen.intensity_profile``.  They stay here as the definition of what the
-array code computes, bit for bit.
+array code computes, bit for bit.  Detector bases are applied with the
+earlier ``qstate.rebase``, kept in ``test_kernel_oracle``.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 from qesim import elements as el
 from qesim.circuit import DetectorSpec, distribution_from_state
 from qesim.measure import NULL_EPS, ConditioningError, conditional, marginal
-from qesim.qstate import Dof, StateVector, rebase
+from qesim.qstate import Dof, StateVector
 from qesim.screen import DEFAULT_GEOMETRY, SlitGeometry, intensity_profile
+from test_kernel_oracle import reference_rebase
 
 
 def reference_screen_matrix(geometry):
@@ -34,7 +36,7 @@ def reference_distribution(state, detectors):
             for dn, basis in spec.measured:
                 change = el.basis_change(basis, state.dof(dn))
                 if change is not None:
-                    state = rebase(state, change)
+                    state = reference_rebase(state, change)
 
     t = state.tensor_view()
     dof_axis = {d.name: i for i, d in enumerate(state.dofs)}

@@ -140,6 +140,33 @@ class TestCompiler:
 
 
 
+TWO_DOFS = "EXPERIMENT x\nDOF arm : t r\nDOF pol : h v\nSOURCE 1+0i |arm=t, pol=h>\n"
+
+
+class TestDiagnostics:
+    """The exact diagnostics of one bad STAGE or DETECT line (line 5)."""
+
+    @pytest.mark.parametrize("line, want", [
+        ("STAGE s : bs arm t", ["element 'bs' takes 3 argument(s), got 2"]),
+        ("STAGE s : mirror arm", ["unknown element keyword 'mirror'"]),
+        ("STAGE s : bs arm t r when pol=h", ["element 'bs' does not accept a when clause"]),
+        ("STAGE s : phase ghost t abc",
+         ["unknown dof 'ghost'", "bad angle 'abc' (degrees or a declared PARAM)"]),
+        ("STAGE s : qwp ghost xyz",
+         ["unknown dof 'ghost'", "bad angle 'xyz' (degrees or a declared PARAM)"]),
+        ("STAGE s : analyzer ghost spook", ["unknown dof 'ghost'", "unknown dof 'spook'"]),
+        ("STAGE s : pol ghost xyz when nope=h", ["unknown dof 'nope'"]),
+        ("STAGE s : pol pol 45 when arm=x", ["dof 'arm' has no label 'x'"]),
+        ("STAGE s : bs arm t x", ["stage 's': dof 'arm' has no label 'x'"]),
+        ("STAGE s : sg arm pol", ["stage 's': stern_gerlach needs 3-dim spin and path dofs"]),
+        ("DETECT D : arm basis=polar", ["unknown basis 'polar'"]),
+    ])
+    def test_bad_line(self, line, want):
+        res = edl.compile_text(TWO_DOFS + line + "\nDETECT E : pol basis=path\n")
+        assert not res.ok
+        assert [str(d) for d in res.diagnostics] == [f"5:1: error: {m}" for m in want]
+
+
 def golden_text(name):
     return open(os.path.join(os.path.dirname(edl.__file__), "golden", f"{name}.edl")).read()
 
@@ -220,6 +247,25 @@ class TestFormatter:
         res = edl.parse(MINIMAL.replace("1+0i", "1"))
         out = edl.format_document(res.document)
         assert "SOURCE 1+0i |arm=t>" in out
+
+
+    def test_angles_are_canonical_and_labels_verbatim(self):
+        text = TWO_DOFS + (
+            "STAGE a : phase arm t 1.50\n"
+            "STAGE b : qwp pol 1.50\n"
+            "STAGE c : pol pol 1.50 when arm=t\n"
+            "STAGE d : bs arm 1.50 r\n"
+            "DETECT D : arm basis=path\n"
+        )
+        assert edl.format_text(text) == (
+            "EXPERIMENT x\n\nDOF arm : t r\nDOF pol : h v\n\n"
+            "SOURCE 1+0i |arm=t, pol=h>\n\n"
+            "STAGE a : phase arm t 1.5\n"
+            "STAGE b : qwp pol 1.5\n"
+            "STAGE c : pol pol 1.5 when arm=t\n"
+            "STAGE d : bs arm 1.50 r\n"
+            "DETECT D : arm basis=path\n"
+        )
 
 
 class TestTotality:
