@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elements as el
 from .measure import OutcomeDistribution
-from .qstate import Dof, StateVector, ValidationError, rebase
+from .qstate import Dof, StateVector, ValidationError, contract, rebase
 from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
 
 
@@ -287,10 +287,7 @@ def distribution_from_state(
         ax = dof_axis[spec.screen_of]
         if state.dof(spec.screen_of).dim != 2:
             raise ValidationError("screen path dof must have 2 labels")
-        m = _screen_matrix(spec.geometry)
-        t = np.moveaxis(
-            np.tensordot(m, np.moveaxis(t, ax, 0), axes=([1], [0])), 0, -1
-        )
+        t = np.moveaxis(contract(t, _screen_matrix(spec.geometry), (ax,)), ax, -1)
         for name in list(dof_axis):
             if dof_axis[name] > ax:
                 dof_axis[name] -= 1

@@ -26,6 +26,7 @@ from .qstate import (
     Dof,
     StateVector,
     ValidationError,
+    contract,
     is_unitary,
 )
 
@@ -97,37 +98,25 @@ def _transform(state: StateVector, op: ElementOp) -> np.ndarray:
     """Raw (unnormalized) amplitude array after the element's matrix action."""
     dims = state.dims
     axes = [state.axis(n) for n in op.target_dofs]
-    k = int(np.prod([dims[a] for a in axes]))
+    targets = tuple(dims[a] for a in axes)
+    k = math.prod(targets)
     if op.matrix.shape[0] != k:
         raise ValidationError(
             f"element expects dimension {op.matrix.shape[0]}, targets give {k}"
         )
-    t = state.tensor_view().copy()
-    rest_axes = [i for i in range(len(dims)) if i not in axes]
-    perm = axes + rest_axes
-    t = np.transpose(t, perm).reshape(k, -1)
-
+    m = op.matrix.reshape(targets + targets)
+    t = state.tensor_view()
     if op.condition is None:
-        t = op.matrix @ t
-    else:
-        cond_dof, cond_label = op.condition
-        cax = state.axis(cond_dof)
-        ci = state.dofs[cax].index(cond_label)
-        # column block selection: reshape the rest-dimensions so the condition
-        # axis is addressable, then transform only the matching slice
-        rest_dims = [dims[i] for i in rest_axes]
-        pos = rest_axes.index(cax)
-        t = t.reshape([k] + rest_dims)
-        sl = [slice(None)] * t.ndim
-        sl[1 + pos] = ci
-        sub = t[tuple(sl)].reshape(k, -1)
-        t[tuple(sl)] = (op.matrix @ sub).reshape(t[tuple(sl)].shape)
-        t = t.reshape(k, -1)
-
-    inv = np.argsort(perm)
-    return np.transpose(
-        t.reshape([dims[a] for a in axes] + [dims[i] for i in rest_axes]), inv
-    ).reshape(-1)
+        return contract(t, m, axes).reshape(-1)
+    # transform only the condition label's slice, kept one wide so that no
+    # axis is renumbered
+    cond_dof, cond_label = op.condition
+    cax = state.axis(cond_dof)
+    ci = state.dofs[cax].index(cond_label)
+    block = (slice(None),) * cax + (slice(ci, ci + 1),)
+    out = t.copy()
+    out[block] = contract(t[block], m, axes)
+    return out.reshape(-1)
 
 
 def apply_op(state: StateVector, op: ElementOp) -> StateVector:

@@ -10,6 +10,7 @@ tracked separately as ``weight``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +217,22 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
+def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """Contract the trailing ``len(axes)`` axes of ``m`` with ``axes`` of
+    ``t``; the leading axes of ``m`` take their places.
+
+    Written as transpose, reshape and one ``@``: at the small dimensions
+    elements act on, that costs less per call than ``np.tensordot``.
+    """
+    n = len(axes)
+    perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
+    flat = t.transpose(perm).reshape(math.prod(m.shape[n:]), -1)
+    shape = [t.shape[i] for i in perm]
+    shape[:n] = m.shape[:n]
+    out = (m.reshape(-1, flat.shape[0]) @ flat).reshape(shape)
+    return out.transpose(sorted(range(t.ndim), key=perm.__getitem__))
+
+
 def rebase(s: StateVector, change: BasisChange) -> StateVector:
     """Express the same physical state in a new basis for one dof."""
     ax = s.axis(change.dof)
@@ -224,11 +241,10 @@ def rebase(s: StateVector, change: BasisChange) -> StateVector:
         raise ValidationError(
             f"basis change dimension {change.matrix.shape[0]} != dof dim {old.dim}"
         )
-    t = np.moveaxis(s.tensor_view(), ax, 0)
-    new = np.moveaxis(np.tensordot(change.matrix, t, axes=([1], [0])), 0, ax)
     dofs = list(s.dofs)
     dofs[ax] = Dof(old.name, change.new_labels)
-    return StateVector(tuple(dofs), new.reshape(-1), s.weight)
+    new = contract(s.tensor_view(), change.matrix, (ax,))
+    return StateVector(tuple(dofs), new, s.weight)
 
 
 def global_phase_deviation(a: StateVector, b: StateVector) -> float:

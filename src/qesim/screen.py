@@ -92,7 +92,8 @@ def intensity_profile(
         raise ValidationError("screen path dof must have exactly 2 labels")
     a1, a2 = np.moveaxis(s.tensor_view(), ax, 0).reshape(2, -1, 1)
     e1, e2 = _screen_matrix(geometry).T
-    # one row per residual basis state, summed in that order
+    # one row per residual basis state, summed in that order; elementwise,
+    # since qstate.contract (a matmul) rounds differently and changes verify
     return (np.abs(a1 * e1 + a2 * e2) ** 2).sum(axis=0)
 
 

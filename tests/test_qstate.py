@@ -11,6 +11,7 @@ from qesim.qstate import (
     Dof,
     StateVector,
     ValidationError,
+    contract,
     global_phase_deviation,
     global_phase_equivalent,
     inner,
@@ -131,6 +132,20 @@ class TestRebase:
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValidationError):
             BasisChange("a", np.array([[1, 1], [0, 1]]), ("p", "m"))
+
+
+class TestContract:
+    def test_leading_axes_of_m_take_the_contracted_places(self):
+        t = RNG.normal(size=(2, 3, 4, 2)) + 1j * RNG.normal(size=(2, 3, 4, 2))
+        m = RNG.normal(size=(5, 6, 2, 4)) + 1j * RNG.normal(size=(5, 6, 2, 4))
+        got = contract(t, m, (3, 2))
+        assert got.shape == (2, 3, 6, 5)
+        assert np.allclose(got, np.einsum("xyab,iqba->iqyx", m, t), atol=1e-12)
+
+    def test_single_axis_is_a_matrix_on_that_axis(self):
+        t = RNG.normal(size=(3, 2, 3))
+        m = RNG.normal(size=(7, 2))
+        assert np.allclose(contract(t, m, (1,)), np.einsum("ka,iaj->ikj", m, t))
 
 
 class TestGlobalPhase:
