@@ -28,9 +28,8 @@ name of a ``PARAM``.  A ``PARAM`` declares a parameter with its default
 value in radians; ``compile_document`` binds other values, also in radians
 (``qesim sweep FILE --param NAME`` binds one per step), and an angle naming
 the parameter receives the bound value as it is, with no conversion.  ``delay=NS`` sets the detector's ``time_offset``: its events
-are logged NS nanoseconds after the shot.  Element keywords: ``split``,
-``bs``, ``phase``, ``analyzer``, ``analyzer_inv``, ``sg``, ``sg_inv``,
-``qwp``, ``pol``, ``block``, ``recombine``.
+are logged NS nanoseconds after the shot.  ``ELEMENTS`` lists the element
+keywords with their arguments.
 """
 
 from __future__ import annotations
@@ -172,22 +171,23 @@ def format_number(x: float) -> str:
 
 # -- parser ---------------------------------------------------------------------
 
-_ELEMENT_KEYWORDS = {
-    "split": 1,
-    "bs": 3,
-    "phase": 3,
-    "analyzer": 2,
-    "analyzer_inv": 2,
-    "sg": 2,
-    "sg_inv": 2,
-    "qwp": 2,
-    "pol": 2,
-    "block": 2,
-    "recombine": 2,
-}
+DOF, LABEL, ANGLE = "dof", "label", "angle"
 
-#: keywords whose element may carry a ``when dof=label`` condition
-_CONDITIONABLE = {"qwp", "pol"}
+#: keyword -> (element constructor, the kinds of its arguments in order,
+#: whether it accepts a ``when dof=label`` condition)
+ELEMENTS = {
+    "split": (el.splitter, (DOF,), False),
+    "bs": (el.beam_splitter, (DOF, LABEL, LABEL), False),
+    "phase": (el.phase_shifter, (DOF, LABEL, ANGLE), False),
+    "analyzer": (el.analyzer, (DOF, DOF), False),
+    "analyzer_inv": (el.inverse_analyzer, (DOF, DOF), False),
+    "sg": (el.stern_gerlach, (DOF, DOF), False),
+    "sg_inv": (el.inverse_stern_gerlach, (DOF, DOF), False),
+    "qwp": (el.quarter_wave_plate, (DOF, ANGLE), True),
+    "pol": (el.linear_polarizer, (DOF, ANGLE), True),
+    "block": (el.blocker, (DOF, LABEL), False),
+    "recombine": (el.recombiner, (DOF, LABEL), False),
+}
 
 
 class _Parser:
@@ -370,14 +370,14 @@ class _Parser:
             self.error(n, 1, "STAGE needs an element keyword")
             return
         kw, args = parts[0], tuple(parts[1:])
-        if kw not in _ELEMENT_KEYWORDS:
+        if kw not in ELEMENTS:
             self.error(n, 1, f"unknown element keyword {kw!r}")
             return
-        want = _ELEMENT_KEYWORDS[kw]
-        if len(args) != want:
-            self.error(n, 1, f"element {kw!r} takes {want} argument(s), got {len(args)}")
+        _, kinds, conditionable = ELEMENTS[kw]
+        if len(args) != len(kinds):
+            self.error(n, 1, f"element {kw!r} takes {len(kinds)} argument(s), got {len(args)}")
             return
-        if when is not None and kw not in _CONDITIONABLE:
+        if when is not None and not conditionable:
             self.error(n, 1, f"element {kw!r} does not accept a when clause")
             return
         self.sink().append(ElementStage(stage_id, kw, args, when, line=n))
@@ -587,9 +587,20 @@ class _Compiler:
             measured.append((dn, basis))
         return DetectorSpec(node.name, measured=tuple(measured), time_offset=node.delay)
 
+    def angle(self, text: str, line: int) -> float | None:
+        """Radians: a PARAM's value as bound, or a literal in degrees."""
+        if text in self.params:
+            return self.params[text]
+        v = _number(text)
+        if v is None:
+            self.error(line, f"bad angle {text!r} (degrees or a declared PARAM)")
+            return None
+        return math.radians(v)
+
     def build_element(self, node: ElementStage) -> el.ElementOp | None:
-        line, kw, args = node.line, node.keyword, node.args
-        condition = None
+        line = node.line
+        make, kinds, _ = ELEMENTS[node.keyword]
+        kwargs = {}
         if node.when is not None:
             cd = self.dof(node.when[0], line)
             if cd is None:
@@ -597,61 +608,17 @@ class _Compiler:
             if node.when[1] not in cd.labels:
                 self.error(line, f"dof {cd.name!r} has no label {node.when[1]!r}")
                 return None
-            condition = node.when
-
-        def angle(text: str) -> float | None:
-            """Radians: a PARAM's value as bound, or a literal in degrees."""
-            if text in self.params:
-                return self.params[text]
-            v = _number(text)
-            if v is None:
-                self.error(line, f"bad angle {text!r} (degrees or a declared PARAM)")
-                return None
-            return math.radians(v)
-
+            kwargs["condition"] = node.when
+        # resolve every argument first, so that each bad one is reported
+        resolve = {DOF: self.dof, LABEL: lambda text, line: text, ANGLE: self.angle}
+        values = [resolve[kind](text, line) for kind, text in zip(kinds, node.args)]
+        if any(v is None for v in values):
+            return None
         try:
-            if kw == "split":
-                d = self.dof(args[0], line)
-                return None if d is None else el.splitter(d)
-            if kw == "bs":
-                d = self.dof(args[0], line)
-                return None if d is None else el.beam_splitter(d, args[1], args[2])
-            if kw == "phase":
-                d, rad = self.dof(args[0], line), angle(args[2])
-                if d is None or rad is None:
-                    return None
-                return el.phase_shifter(d, args[1], rad)
-            if kw in ("analyzer", "analyzer_inv", "sg", "sg_inv"):
-                a, b = self.dof(args[0], line), self.dof(args[1], line)
-                if a is None or b is None:
-                    return None
-                maker = {
-                    "analyzer": el.analyzer,
-                    "analyzer_inv": el.inverse_analyzer,
-                    "sg": el.stern_gerlach,
-                    "sg_inv": el.inverse_stern_gerlach,
-                }[kw]
-                return maker(a, b)
-            if kw == "qwp":
-                d, rad = self.dof(args[0], line), angle(args[1])
-                if d is None or rad is None:
-                    return None
-                return el.quarter_wave_plate(d, rad, condition=condition)
-            if kw == "pol":
-                d, rad = self.dof(args[0], line), angle(args[1])
-                if d is None or rad is None:
-                    return None
-                return el.linear_polarizer(d, rad, condition=condition)
-            if kw == "block":
-                d = self.dof(args[0], line)
-                return None if d is None else el.blocker(d, args[1])
-            if kw == "recombine":
-                d = self.dof(args[0], line)
-                return None if d is None else el.recombiner(d, args[1])
+            return make(*values, **kwargs)
         except ValidationError as e:
             self.error(line, f"stage {node.stage_id!r}: {e}")
             return None
-        raise AssertionError(f"unhandled keyword {kw!r}")
 
 
 def compile_document(doc: Document, params: dict[str, float] | None = None) -> CompileResult:
@@ -703,13 +670,10 @@ def load_circuit(path: str) -> Circuit:
 def _format_stage(node, indent: str, lines: list[str]) -> None:
     if isinstance(node, ElementStage):
         args = []
-        for i, a in enumerate(node.args):
-            num = _number(a)
-            # canonicalize numeric arguments (angles), keep names verbatim
-            is_angle = (node.keyword in ("qwp", "pol") and i == 1) or (
-                node.keyword == "phase" and i == 2
-            )
-            args.append(format_number(num) if (is_angle and num is not None) else a)
+        for kind, a in zip(ELEMENTS[node.keyword][1], node.args):
+            num = _number(a) if kind == ANGLE else None
+            # canonicalize numeric angles, keep names verbatim
+            args.append(a if num is None else format_number(num))
         text = f"{indent}STAGE {node.stage_id} : {node.keyword} {' '.join(args)}"
         if node.when is not None:
             text += f" when {node.when[0]}={node.when[1]}"
