@@ -192,20 +192,17 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise CliError("--steps must be >= 1", USAGE_ERROR)
     settings = _parse_kv(args.setting, "--setting")
-    rows = []
-    axes = None
-    keys: list[tuple[str, ...]] = []
+    steps = []
     for i in range(args.steps):
         value = args.start + (args.stop - args.start) * i / max(args.steps - 1, 1)
-        dist = joint_distribution(compile_(**{args.param: value}), settings)
-        if axes is None:
-            axes = dist.axes
-            keys = sorted(dist.outcomes.keys())
-        rows.append((value, [dist.prob(k) for k in keys]))
+        steps.append((value, joint_distribution(compile_(**{args.param: value}), settings)))
+    # the columns of the first step with outcomes; an all-blocked step has
+    # none and reads 0 in every column
+    keys = next((sorted(dist.outcomes) for _, dist in steps if dist.probs.size), [])
     header = [args.param] + ["P(" + "|".join(k) + ")" for k in keys]
     lines = [",".join(header)]
-    for value, ps in rows:
-        lines.append(",".join([f"{value:.12g}"] + [f"{p:.12g}" for p in ps]))
+    for value, dist in steps:
+        lines.append(",".join([f"{value:.12g}"] + [f"{dist.prob(k):.12g}" for k in keys]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -123,6 +123,24 @@ class TestSweep:
         assert lines[0] == "theta,P(r),P(t)"
         assert [float(x) for x in lines[3].split(",")[1:]] == pytest.approx([0, 1], abs=1e-12)
 
+    def test_sweep_starting_all_blocked_keeps_its_columns(self, capsys, tmp_path):
+        path = tmp_path / "p.edl"
+        path.write_text(
+            "EXPERIMENT p\nDOF pol : h v\nPARAM theta = 0\nSOURCE 1+0i |pol=h>\n"
+            "STAGE p : pol pol theta\nDETECT D : pol basis=path\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "sweep", str(path), "--param", "theta",
+            "--start", "1.5707963267948966", "--stop", "0", "--steps", "3",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "theta,P(h),P(v)",
+            "1.57079632679,0,0",
+            "0.785398163397,0.25,0.25",
+            "0,1,0",
+        ]
+
     @pytest.mark.parametrize("argv", [
         ("two_slit",),
         ("mz_two_bs", "--param", "theta"),
