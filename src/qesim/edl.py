@@ -29,7 +29,7 @@ value in radians; ``compile_document`` binds other values, also in radians
 (``qesim sweep FILE --param NAME`` binds one per step), and an angle naming
 the parameter receives the bound value as it is, with no conversion.  ``delay=NS`` sets the detector's ``time_offset``: its events
 are logged NS nanoseconds after the shot.  ``ELEMENTS`` lists the element
-keywords with their arguments.
+keywords with their arguments, ``elements.BASIS_NAMES`` the detector bases.
 """
 
 from __future__ import annotations
@@ -581,7 +581,7 @@ class _Compiler:
             d = self.dof(dn, node.line)
             if d is None:
                 return None
-            if basis not in ("path", "comp", "computational", "pm45", "diag", "circular"):
+            if basis not in el.BASIS_NAMES:
                 self.error(node.line, f"unknown basis {basis!r}")
                 return None
             measured.append((dn, basis))

@@ -270,6 +270,9 @@ def splitter(path_dof: Dof) -> ElementOp:
 
 # -- named measurement bases ----------------------------------------------------
 
+#: every detector basis name ``basis_change`` resolves, aliases included
+BASIS_NAMES = ("path", "comp", "computational", "pm45", "diag", "circular")
+
 
 def basis_change(name: str, dof: Dof, conv: Conventions = DEFAULT_CONVENTIONS) -> Optional[BasisChange]:
     """Resolve a named detector basis to a BasisChange (None = computational)."""
@@ -287,6 +290,3 @@ def basis_change(name: str, dof: Dof, conv: Conventions = DEFAULT_CONVENTIONS) -
         r_row = np.conj(conv.circular_r)
         return BasisChange(dof.name, np.array([l_row, r_row]), ("L", "R"))
     raise ValidationError(f"unknown basis name {name!r}")
-
-
-BASIS_NAMES = ("path", "pm45", "circular")

@@ -1,12 +1,13 @@
 import glob
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import edl, elements as el
-from qesim.circuit import evolve
+from qesim.circuit import evolve, joint_distribution
 from qesim.qstate import StateVector, ValidationError, global_phase_deviation
 
 GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl")))
@@ -165,6 +166,35 @@ class TestDiagnostics:
         res = edl.compile_text(TWO_DOFS + line + "\nDETECT E : pol basis=path\n")
         assert not res.ok
         assert [str(d) for d in res.diagnostics] == [f"5:1: error: {m}" for m in want]
+
+
+class TestBases:
+    TEXT = TWO_DOFS + (
+        "STAGE b : bs arm t r\nSTAGE q : qwp pol 30\n"
+        "DETECT D : arm basis={0}, pol basis={0}\n"
+    )
+
+    def distribution(self, basis):
+        res = edl.compile_text(self.TEXT.format(basis))
+        assert res.ok, res.diagnostics
+        return joint_distribution(res.circuit)
+
+    @pytest.mark.parametrize("alias, name", [
+        ("comp", "path"), ("computational", "path"), ("diag", "pm45"),
+    ])
+    def test_alias_measures_like_its_basis(self, alias, name):
+        got, want = self.distribution(alias), self.distribution(name)
+        assert got.labels == want.labels
+        assert np.array_equal(got.probs, want.probs)
+        assert not np.array_equal(self.distribution("path").probs, self.distribution("pm45").probs)
+
+    def test_every_basis_name_compiles(self):
+        for basis in el.BASIS_NAMES:
+            self.distribution(basis)
+
+    def test_unknown_basis_is_reported(self):
+        res = edl.compile_text(self.TEXT.format("polar"))
+        assert [str(d) for d in res.diagnostics] == ["7:1: error: unknown basis 'polar'"]
 
 
 def golden_text(name):

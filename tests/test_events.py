@@ -1,6 +1,6 @@
 import pytest
 
-from qesim import events, scenarios
+from qesim import scenarios
 from qesim.events import EventLog, coincidences, conditioned_histogram, generate_events
 from qesim.qstate import ValidationError
 from qesim.screen import fringe_visibility
