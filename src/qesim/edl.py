@@ -174,7 +174,8 @@ def format_number(x: float) -> str:
 DOF, LABEL, ANGLE = "dof", "label", "angle"
 
 #: keyword -> (element constructor, the kinds of its arguments in order,
-#: whether it accepts a ``when dof=label`` condition)
+#: whether it accepts a ``when dof=label`` condition); each kind names the
+#: compiler method that resolves an argument of that kind
 ELEMENTS = {
     "split": (el.splitter, (DOF,), False),
     "bs": (el.beam_splitter, (DOF, LABEL, LABEL), False),
@@ -587,6 +588,10 @@ class _Compiler:
             measured.append((dn, basis))
         return DetectorSpec(node.name, measured=tuple(measured), time_offset=node.delay)
 
+    def label(self, text: str, line: int) -> str:
+        """A label as written; the element constructor checks it."""
+        return text
+
     def angle(self, text: str, line: int) -> float | None:
         """Radians: a PARAM's value as bound, or a literal in degrees."""
         if text in self.params:
@@ -610,9 +615,8 @@ class _Compiler:
                 return None
             kwargs["condition"] = node.when
         # resolve every argument first, so that each bad one is reported
-        resolve = {DOF: self.dof, LABEL: lambda text, line: text, ANGLE: self.angle}
-        values = [resolve[kind](text, line) for kind, text in zip(kinds, node.args)]
-        if any(v is None for v in values):
+        values = [getattr(self, kind)(text, line) for kind, text in zip(kinds, node.args)]
+        if None in values:
             return None
         try:
             return make(*values, **kwargs)
