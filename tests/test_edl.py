@@ -192,10 +192,6 @@ class TestBases:
         for basis in el.BASIS_NAMES:
             self.distribution(basis)
 
-    def test_unknown_basis_is_reported(self):
-        res = edl.compile_text(self.TEXT.format("polar"))
-        assert [str(d) for d in res.diagnostics] == ["7:1: error: unknown basis 'polar'"]
-
 
 def golden_text(name):
     return open(os.path.join(os.path.dirname(edl.__file__), "golden", f"{name}.edl")).read()
@@ -277,7 +273,6 @@ class TestFormatter:
         res = edl.parse(MINIMAL.replace("1+0i", "1"))
         out = edl.format_document(res.document)
         assert "SOURCE 1+0i |arm=t>" in out
-
 
     def test_angles_are_canonical_and_labels_verbatim(self):
         text = TWO_DOFS + (
