@@ -57,6 +57,8 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
         if "=" not in item:
             raise CliError(f"bad {what} {item!r} (expected name=value)", USAGE_ERROR)
         k, v = item.split("=", 1)
+        if k in out:
+            raise CliError(f"{what} {k!r} given twice", USAGE_ERROR)
         out[k] = v
     return out
 
@@ -86,12 +88,11 @@ def _parse_delays(pairs: list[str], flag: str, active: list[str]) -> dict[str, f
 
 
 def _load_target(target: str) -> tuple[edl.Document, Callable[..., Circuit]]:
-    """Resolve a scenario name or .edl path to its parsed document and a
-    function compiling that document with PARAM values (radians) bound by
-    keyword.  A scenario name stands for its golden file, parsed once per
-    process by ``scenarios.document`` and compiled by ``scenarios.build``."""
+    """Resolve a scenario name or .edl path to its parsed document and the
+    ``bind`` of its template, compiled once.  A scenario name stands for its
+    golden file, parsed once per process and compiled by ``scenarios.build``."""
     if target in scenarios.list_names():
-        return scenarios.document(target), lambda **p: scenarios.build(target, **p).circuit
+        return scenarios.document(target), scenarios.build(target).template.bind
     if not (target.endswith(".edl") or os.path.sep in target):
         raise CliError(
             f"unknown target {target!r}; scenario names: {', '.join(scenarios.list_names())}",
@@ -99,8 +100,8 @@ def _load_target(target: str) -> tuple[edl.Document, Callable[..., Circuit]]:
         )
     if not os.path.exists(target):
         raise CliError(f"no such file: {target}", USAGE_ERROR)
-    doc = edl.load_document(target)
-    return doc, lambda **p: edl.build_circuit(doc, p)
+    template = edl.build_template(edl.load_document(target))
+    return template.doc, template.bind
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,7 +182,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc, compile_ = _load_target(args.target)
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, not {value!r}", USAGE_ERROR)
+    doc, bind = _load_target(args.target)
     declared = [name for name, _ in doc.params]
     if args.param not in declared:
         raise CliError(
@@ -195,7 +199,7 @@ def cmd_sweep(args) -> int:
     steps = []
     for i in range(args.steps):
         value = args.start + (args.stop - args.start) * i / max(args.steps - 1, 1)
-        steps.append((value, joint_distribution(compile_(**{args.param: value}), settings)))
+        steps.append((value, joint_distribution(bind(**{args.param: value}), settings)))
     # the columns of the first step with outcomes; an all-blocked step has
     # none and reads 0 in every column
     keys = next((sorted(dist.outcomes) for _, dist in steps if dist.probs.size), [])
@@ -211,6 +215,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.shots < 0:
+        raise CliError("--shots must be >= 0", USAGE_ERROR)
     circuit = _load_target(args.target)[1]()
     settings = _parse_kv(args.setting, "--setting")
     seed = _seed(args)
@@ -309,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"qesim: {e}", file=sys.stderr)
         return e.code
-    except (ValidationError, CompositionError, ConditioningError) as e:
+    except (ValidationError, CompositionError, ConditioningError, OSError) as e:
         print(f"qesim: {e}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -2,10 +2,10 @@
 
 The parser is total: any input produces a (possibly empty) document plus a
 list of diagnostics with line/column positions; it never raises on malformed
-text.  ``compile_document`` turns a clean parse into a runnable
-:class:`~qesim.circuit.Circuit`, again reporting problems as diagnostics.
-``format_document`` renders the canonical form, which is idempotent:
-formatting already-canonical text is the identity.
+text.  ``compile_document`` turns a clean parse into a :class:`Template`
+holding a runnable :class:`~qesim.circuit.Circuit`, again reporting problems
+as diagnostics.  ``format_document`` renders the canonical form, which is
+idempotent: formatting already-canonical text is the identity.
 
 Grammar (case-sensitive keywords, ``#`` starts a comment)::
 
@@ -25,9 +25,9 @@ Grammar (case-sensitive keywords, ``#`` starts a comment)::
 Amplitudes are complex literals of the form ``a+bi``; the source is
 normalized by the compiler.  Angle arguments are numbers in degrees or the
 name of a ``PARAM``.  A ``PARAM`` declares a parameter with its default
-value in radians; ``compile_document`` binds other values, also in radians
-(``qesim sweep FILE --param NAME`` binds one per step), and an angle naming
-the parameter receives the bound value as it is, with no conversion.  ``delay=NS`` sets the detector's ``time_offset``: its events
+value in radians; an angle naming it receives a bound value as it is, with no
+conversion.  ``Template.bind`` binds new values, rebuilding only the stages
+that name them.  ``delay=NS`` sets the detector's ``time_offset``: its events
 are logged NS nanoseconds after the shot.  ``ELEMENTS`` lists the element
 keywords with their arguments, ``elements.BASIS_NAMES`` the detector bases.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import elements as el
 from .circuit import Apply, Choice, Circuit, Detect, DetectorSpec
@@ -114,16 +114,44 @@ class ParseResult:
         )
 
 
-@dataclass
-class CompileResult:
+@dataclass(frozen=True)
+class Template:
+    """A compiled document (or None and the diagnostics) to ``bind`` PARAMs to."""
+
     circuit: Circuit | None
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    doc: Document | None = None
+    params: dict[str, float] = field(default_factory=dict)  # as bound in ``circuit``
+    lazy: tuple[tuple[ElementStage, Apply], ...] = ()  # the stages naming a PARAM
 
     @property
     def ok(self) -> bool:
         return self.circuit is not None and not any(
             d.severity == ERROR for d in self.diagnostics
         )
+
+    def bind(self, **params) -> Circuit:
+        """``circuit`` with ``params`` (radians) bound: the stages whose angle names
+        one are rebuilt and every other object is shared.  An invalid binding
+        raises the ValidationError that ``compile_document`` would report."""
+        if not self.ok:
+            raise _failure("document", self.diagnostics)
+        c = _Compiler(self.doc, {**self.params, **params})
+        c.dofs = {d.name: d for d in self.circuit.dofs}
+        ops = {id(a): c.build_element(s) for s, a in self.lazy if not params.keys().isdisjoint(s.args)}
+        if c.diags:
+            raise _failure(f"experiment {self.doc.name!r}", c.diags)
+        return replace(self.circuit, stages=_rebound(self.circuit.stages, ops)) if ops else self.circuit
+
+
+def _rebound(stages: tuple, ops: dict) -> tuple:
+    """``stages`` with the op of each Apply whose id keys ``ops`` replaced."""
+    return tuple(
+        Apply(ops[id(s)]) if id(s) in ops
+        else Choice(s.name, {a: _rebound(alt, ops) for a, alt in s.alternatives.items()})
+        if isinstance(s, Choice) else s
+        for s in stages
+    )
 
 
 # -- lexical helpers ------------------------------------------------------------
@@ -467,6 +495,7 @@ class _Compiler:
         self.doc = doc
         self.diags: list[ParseDiagnostic] = []
         self.dofs: dict[str, Dof] = {}
+        self.lazy: list[tuple[ElementStage, Apply]] = []
         self.params = dict(doc.params)
         for name, value in (params or {}).items():
             if name not in self.params:
@@ -483,7 +512,7 @@ class _Compiler:
             self.error(line, f"unknown dof {name!r}")
         return d
 
-    def run(self) -> CompileResult:
+    def run(self) -> Template:
         for name, labels in self.doc.dofs:
             try:
                 self.dofs[name] = Dof(name, labels)
@@ -491,18 +520,18 @@ class _Compiler:
                 self.error(1, str(e))
         if not self.dofs:
             self.error(1, "document declares no dofs")
-            return CompileResult(None, self.diags)
+            return Template(None, self.diags)
 
         source = self.build_source()
         stages = self.build_stages(self.doc.stages)
         if source is None or any(d.severity == ERROR for d in self.diags):
-            return CompileResult(None, self.diags)
+            return Template(None, self.diags)
         try:
             circuit = Circuit(tuple(self.dofs.values()), source, tuple(stages))
         except (ValidationError, ValueError) as e:
             self.error(1, f"circuit assembly failed: {e}")
-            return CompileResult(None, self.diags)
-        return CompileResult(circuit, self.diags)
+            return Template(None, self.diags)
+        return Template(circuit, self.diags, self.doc, self.params, tuple(self.lazy))
 
     def build_source(self) -> StateVector | None:
         if not self.doc.source:
@@ -553,6 +582,8 @@ class _Compiler:
                 op = self.build_element(node)
                 if op is not None:
                     out.append(Apply(op))
+                    if not self.params.keys().isdisjoint(node.args):
+                        self.lazy.append((node, out[-1]))
             elif isinstance(node, ChoiceNode):
                 alts = {
                     alt: tuple(self.build_stages(stages))
@@ -605,19 +636,16 @@ class _Compiler:
     def build_element(self, node: ElementStage) -> el.ElementOp | None:
         line = node.line
         make, kinds, _ = ELEMENTS[node.keyword]
-        kwargs = {}
+        errors = len(self.diags)
         if node.when is not None:
             cd = self.dof(node.when[0], line)
-            if cd is None:
-                return None
-            if node.when[1] not in cd.labels:
+            if cd is not None and node.when[1] not in cd.labels:
                 self.error(line, f"dof {cd.name!r} has no label {node.when[1]!r}")
-                return None
-            kwargs["condition"] = node.when
-        # resolve every argument first, so that each bad one is reported
+        # resolve every argument, so that each bad one is reported
         values = [getattr(self, kind)(text, line) for kind, text in zip(kinds, node.args)]
-        if None in values:
+        if len(self.diags) > errors:
             return None
+        kwargs = {} if node.when is None else {"condition": node.when}
         try:
             return make(*values, **kwargs)
         except ValidationError as e:
@@ -625,20 +653,19 @@ class _Compiler:
             return None
 
 
-def compile_document(doc: Document, params: dict[str, float] | None = None) -> CompileResult:
+def compile_document(doc: Document, params: dict[str, float] | None = None) -> Template:
     """Compile ``doc`` with ``params`` (radians) bound to its declared PARAMs;
     an undeclared name is an error."""
     return _Compiler(doc, params).run()
 
 
-def compile_text(text: str) -> CompileResult:
+def compile_text(text: str) -> Template:
     """Parse and compile in one step; diagnostics from both phases."""
     parsed = parse(text)
     if parsed.document is None or not parsed.ok:
-        return CompileResult(None, parsed.diagnostics)
+        return Template(None, parsed.diagnostics)
     result = compile_document(parsed.document)
-    result.diagnostics = parsed.diagnostics + result.diagnostics
-    return result
+    return replace(result, diagnostics=parsed.diagnostics + result.diagnostics)
 
 
 def _failure(what: str, diagnostics: list[ParseDiagnostic]) -> ValidationError:
@@ -655,17 +682,17 @@ def load_document(path: str) -> Document:
     return parsed.document
 
 
-def build_circuit(doc: Document, params: dict[str, float] | None = None) -> Circuit:
-    """``compile_document``, raising ValidationError with all diagnostics on failure."""
-    result = compile_document(doc, params)
-    if not result.ok:
-        raise _failure(f"experiment {doc.name!r}", result.diagnostics)
-    return result.circuit
+def build_template(doc: Document) -> Template:
+    """``compile_document`` at the PARAM defaults; ValidationError on failure."""
+    template = compile_document(doc)
+    if not template.ok:
+        raise _failure(f"experiment {doc.name!r}", template.diagnostics)
+    return template
 
 
 def load_circuit(path: str) -> Circuit:
     """Compile a file, raising ValidationError with all diagnostics on failure."""
-    return build_circuit(load_document(path))
+    return build_template(load_document(path)).circuit
 
 
 # -- formatter ------------------------------------------------------------------

@@ -123,7 +123,7 @@ class StateVector:
         """Build a state from a {label tuple: amplitude} mapping (normalized)."""
         dofs = tuple(dofs)
         dims = tuple(d.dim for d in dofs)
-        a = np.zeros(int(np.prod(dims)), dtype=complex)
+        a = np.zeros(math.prod(dims), dtype=complex)
         for labels, amp in mapping.items():
             labels = (labels,) if isinstance(labels, str) else tuple(labels)
             if len(labels) != len(dofs):
@@ -149,7 +149,7 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def dof(self, name: str) -> Dof:
         for d in self.dofs:

@@ -44,15 +44,8 @@ from .screen import (
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-class CatalogError(KeyError):
-    """Unknown scenario name; carries the list of valid names."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.valid = list_names()
-        super().__init__(
-            f"unknown scenario {name!r}; valid names: {', '.join(self.valid)}"
-        )
+class CatalogError(LookupError):
+    """Unknown scenario name; the message lists the valid names."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +66,7 @@ class Scenario:
     name: str
     circuit: Circuit
     expectations: tuple[Check, ...]
+    template: edl.Template  # the compiled golden file, to bind other PARAM values
 
 
 # -- shared pieces --------------------------------------------------------------
@@ -110,7 +104,7 @@ def _with_source(circ: Circuit, top_label: str, amps) -> Circuit:
 # -- two_slit -------------------------------------------------------------------
 
 
-def _two_slit_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _two_slit_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def fringe_vis_dev():
         pat = pattern_from_state(_expect_state(evolve(circ)), "slit")
         return abs(1.0 - fringe_visibility(pat))
@@ -130,7 +124,7 @@ def _two_slit_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 # -- wheeler --------------------------------------------------------------------
 
 
-def _wheeler_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _wheeler_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def screen_in_vis_dev():
         pat = pattern_from_state(_expect_state(evolve(circ, {"screen": "in"})), "slit")
         return abs(1.0 - fringe_visibility(pat))
@@ -152,11 +146,11 @@ def _wheeler_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 # -- Mach-Zehnder family --------------------------------------------------------
 
 
-def _mz_one_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _mz_one_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def half_half_dev():
         worst = 0.0
         for ph in PHI_GRID:
-            d = joint_distribution(_circuit(name, phi=ph))
+            d = joint_distribution(template.bind(phi=ph))
             worst = max(
                 worst, abs(d.prob(("t",)) - 0.5), abs(d.prob(("r",)) - 0.5)
             )
@@ -165,22 +159,22 @@ def _mz_one_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     return (Check("mz_one_bs.half_half_all_phi", 1e-12, half_half_dev),)
 
 
-def _mz_two_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _mz_two_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def cos2_dev():
         worst = 0.0
         for ph in PHI_GRID:
-            d = joint_distribution(_circuit(name, phi=ph))
+            d = joint_distribution(template.bind(phi=ph))
             worst = max(worst, abs(d.prob(("r",)) - math.cos(ph / 2) ** 2))
         return worst
 
     def all_on_one_port_dev():
-        return abs(joint_distribution(_circuit(name, phi=0.0)).prob(("r",)) - 1.0)
+        return abs(joint_distribution(template.bind(phi=0.0)).prob(("r",)) - 1.0)
 
     def regroup_dev():
         t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
         worst = 0.0
         for ph in PHI_GRID:
-            st = _expect_state(evolve(_circuit(name, phi=ph)))
+            st = _expect_state(evolve(template.bind(phi=ph)))
             e = np.exp(1j * ph)
             port_t = t_amp * e * t_amp + r_amp * r_amp  # histories T1T2 + R1R2
             port_r = t_amp * e * r_amp + r_amp * t_amp  # histories T1R2 + R1T2
@@ -198,9 +192,9 @@ def _mz_two_bs_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
     )
 
 
-def _mz_recombine_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _mz_recombine_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def phi0_prob1_dev():
-        d = joint_distribution(_circuit(name, phi=0.0))
+        d = joint_distribution(template.bind(phi=0.0))
         return abs(d.prob(("t",)) - 1.0)
 
     return (Check("mz_recombine.phi0_detector_prob_1", 1e-12, phi0_prob1_dev),)
@@ -209,7 +203,7 @@ def _mz_recombine_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 # -- analyzer loop --------------------------------------------------------------
 
 
-def _analyzer_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _analyzer_loop_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     src45 = circ.source
 
     def loop_identity_45_dev():
@@ -243,7 +237,7 @@ def _analyzer_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 # -- Stern-Gerlach loop ---------------------------------------------------------
 
 
-def _sg_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _sg_loop_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def loop_fidelity_dev():
         rng = rng_for(20260825)
         worst = 0.0
@@ -282,7 +276,7 @@ def _sg_loop_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 # -- one-photon eraser ----------------------------------------------------------
 
 
-def _one_photon_eraser_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _one_photon_eraser_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def marked_flat_dev():
         st = _expect_state(evolve(circ, {"eraser": "absent"}))
         return fringe_visibility(pattern_from_state(st, "slit"))
@@ -331,7 +325,7 @@ def _walborn_post_slit_lr(circ: Circuit) -> StateVector:
     return rebase(st, el.basis_change("circular", st.dof("spol")))
 
 
-def _walborn_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
+def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     slit = circ.dofs[0]
     spol_lr = Dof("spol", ("L", "R"))
     spol_pm = Dof("spol", ("+", "-"))
@@ -445,7 +439,7 @@ def _walborn_checks(circ: Circuit, name: str) -> tuple[Check, ...]:
 
 # -- catalog --------------------------------------------------------------------
 
-_CATALOG: dict[str, tuple[Callable[[Circuit, str], tuple[Check, ...]], str, str]] = {
+_CATALOG: dict[str, tuple[Callable[[Circuit, edl.Template, str], tuple[Check, ...]], str, str]] = {
     "two_slit": (_two_slit_checks, "Figure 1a", "plain double slit"),
     "wheeler": (_wheeler_checks, "Figure 1b", "delayed-choice removable screen"),
     "mz_one_bs": (_mz_one_bs_checks, "Figure 2", "one-beam-splitter interferometer"),
@@ -475,24 +469,17 @@ def list_names() -> list[str]:
 def document(name: str) -> edl.Document:
     """The parsed ``golden/<name>.edl``, read once per name."""
     if name not in _CATALOG:
-        raise CatalogError(name)
+        raise CatalogError(f"unknown scenario {name!r}; valid names: {', '.join(_CATALOG)}")
     return edl.load_document(os.path.join(_GOLDEN_DIR, f"{name}.edl"))
 
 
-def _circuit(name: str, **params) -> Circuit:
-    return edl.build_circuit(document(name), params)
-
-
 def build(name: str, **params) -> Scenario:
-    """Compile the scenario's golden file with ``params`` (radians) bound to
-    its declared PARAMs; an undeclared one raises ValidationError."""
-    circ = _circuit(name, **params)
-    return Scenario(name, circ, _CATALOG[name][0](circ, name))
+    """Compile the scenario's golden file once and bind ``params`` (radians);
+    an undeclared one raises ValidationError.  The checks bind the same template."""
+    template = edl.build_template(document(name))
+    circ = template.bind(**params)
+    return Scenario(name, circ, _CATALOG[name][0](circ, template, name), template)
 
 
 def list_scenarios() -> list[tuple[str, str, str]]:
     return [(name, fig, desc) for name, (_, fig, desc) in _CATALOG.items()]
-
-
-def expected_properties(name: str) -> tuple[Check, ...]:
-    return build(name).expectations

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "wheeler")
         assert code == 1 and "missing settings" in err
 
+    def test_unwritable_out_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "run", "mz_two_bs", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("qesim: ") and err.count("\n") == 1 and str(path) in err
+
     def test_out_file_and_determinism(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--out", str(p1))
@@ -95,8 +102,9 @@ class TestVerify:
         assert out.strip().endswith("0 failing check(s)")
 
     def test_unknown_name_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "bogus")
+        code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
+        assert err.startswith("qesim: unknown scenario 'bogus'; valid names: two_slit, ")
 
 
 class TestSweep:
@@ -111,7 +119,7 @@ class TestSweep:
 
     def test_sweep_of_edl_file(self, capsys, tmp_path):
         # any file, any declared PARAM: mz_two_bs with its phase renamed
-        text = open(os.path.join(GOLDEN_DIR, "mz_two_bs.edl")).read()
+        text = Path(GOLDEN_DIR, "mz_two_bs.edl").read_text()
         path = tmp_path / "mz.edl"
         path.write_text(text.replace("phi", "theta"))
         code, out, _ = run_cli(
@@ -150,6 +158,12 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 2 and out == ""
         assert "declares no PARAM" in err
+
+    @pytest.mark.parametrize("flag, value", [("--start", "nan"), ("--stop", "inf"), ("--start", "-inf")])
+    def test_non_finite_bound_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "sweep", "mz_two_bs", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err == f"qesim: {flag} must be finite, not {float(value)!r}\n"
 
 
 class TestSample:
@@ -198,6 +212,8 @@ class TestSample:
         (["--given", "+"], "--given needs --pairs"),
         (["--offset", "D_p=5"], "--offset needs --pairs"),
         (["--window", "2000"], "--window needs --pairs"),
+        (["--setting", "p_pol=plus45"], "--setting 'p_pol' given twice"),
+        (["-n", "-3"], "--shots must be >= 0"),
     ])
     def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -211,7 +227,7 @@ class TestSample:
 
     def test_duplicate_detector_name_fails(self, capsys, tmp_path):
         # two detectors named D_s under one setting would log indistinguishable events
-        text = open(os.path.join(GOLDEN_DIR, "walborn.edl")).read()
+        text = Path(GOLDEN_DIR, "walborn.edl").read_text()
         path = tmp_path / "twin.edl"
         path.write_text(text.replace("DETECT D_p", "DETECT D_s"))
         code, out, err = run_cli(

@@ -1,5 +1,7 @@
 import glob
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import edl, elements as el
-from qesim.circuit import evolve, joint_distribution
+from qesim.circuit import Apply, Choice, evolve, joint_distribution
 from qesim.qstate import StateVector, ValidationError, global_phase_deviation
 
 GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl")))
@@ -156,7 +158,8 @@ class TestDiagnostics:
         ("STAGE s : qwp ghost xyz",
          ["unknown dof 'ghost'", "bad angle 'xyz' (degrees or a declared PARAM)"]),
         ("STAGE s : analyzer ghost spook", ["unknown dof 'ghost'", "unknown dof 'spook'"]),
-        ("STAGE s : pol ghost xyz when nope=h", ["unknown dof 'nope'"]),
+        ("STAGE s : pol ghost xyz when nope=h", ["unknown dof 'nope'", "unknown dof 'ghost'",
+                                                 "bad angle 'xyz' (degrees or a declared PARAM)"]),
         ("STAGE s : pol pol 45 when arm=x", ["dof 'arm' has no label 'x'"]),
         ("STAGE s : bs arm t x", ["stage 's': dof 'arm' has no label 'x'"]),
         ("STAGE s : sg arm pol", ["stage 's': stern_gerlach needs 3-dim spin and path dofs"]),
@@ -194,18 +197,18 @@ class TestBases:
 
 
 def golden_text(name):
-    return open(os.path.join(os.path.dirname(edl.__file__), "golden", f"{name}.edl")).read()
+    return Path(os.path.dirname(edl.__file__), "golden", f"{name}.edl").read_text()
 
 
 class TestParamsAndDelays:
     def test_param_value_reaches_element_in_radians(self):
         doc = edl.parse(golden_text("mz_two_bs")).document
         assert doc.params == (("phi", 0.0),)
-        circuit = edl.build_circuit(doc, {"phi": 1.2345})
+        circuit = edl.build_template(doc).bind(phi=1.2345)
         arm = circuit.dofs[0]
         want = el.phase_shifter(arm, "t", 1.2345).matrix
         assert (circuit.stages[1].op.matrix == want).all()
-        default = edl.build_circuit(doc).stages[1].op.matrix
+        default = edl.build_template(doc).circuit.stages[1].op.matrix
         assert (default == el.phase_shifter(arm, "t", 0.0).matrix).all()
 
     def test_undeclared_param_rejected(self):
@@ -214,7 +217,7 @@ class TestParamsAndDelays:
         assert not res.ok
         assert any("undeclared PARAM 'theta'" in d.message for d in res.diagnostics)
         with pytest.raises(ValidationError):
-            edl.build_circuit(edl.parse(MINIMAL).document, {"phi": 1.0})
+            edl.build_template(edl.parse(MINIMAL).document).bind(phi=1.0)
 
     @pytest.mark.parametrize("line", [
         "PARAM phi", "PARAM 1x = 0", "PARAM phi = abc", "PARAM phi = 1e999",
@@ -245,16 +248,130 @@ class TestParamsAndDelays:
         assert edl.compile_text(text).ok
 
 
+#: PARAM-named angles inside CHOICE alternatives, on when-conditioned elements
+BOUND_IN_CHOICE = TWO_DOFS.replace("SOURCE", "PARAM phi = 0.5\nPARAM theta = -1\nSOURCE") + """\
+STAGE b1 : bs arm t r
+STAGE shift : phase arm t phi
+CHOICE plate : wave {
+    STAGE q : qwp pol theta when arm=t
+    DETECT D : arm basis=path, pol basis=pm45
+} | pol {
+    STAGE p : pol pol theta when arm=r
+    STAGE back : phase arm r phi
+    DETECT D : arm basis=path, pol basis=circular
+} | none {
+    DETECT D : arm basis=path
+}
+"""
+
+BIND_DOCS = {n: golden_text(n) for n in ("mz_one_bs", "mz_two_bs", "mz_recombine_single_detector")}
+BIND_DOCS["bound_in_choice"] = BOUND_IN_CHOICE
+
+#: finite radians: zero, signs, multiples of 2 pi and large magnitudes
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2 * math.pi, -2 * math.pi, 64 * math.pi, 1e6, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def assert_same_stages(a, b):
+    """Equal stage structure, element matrices equal to the bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert type(x) is type(y)
+        if isinstance(x, Apply):
+            assert (x.op.kind, x.op.target_dofs, x.op.condition, x.op.name) == \
+                (y.op.kind, y.op.target_dofs, y.op.condition, y.op.name)
+            assert np.array_equal(x.op.matrix, y.op.matrix)
+            assert x.op.matrix.tobytes() == y.op.matrix.tobytes()
+        elif isinstance(x, Choice):
+            assert x.name == y.name and list(x.alternatives) == list(y.alternatives)
+            for alt in x.alternatives:
+                assert_same_stages(x.alternatives[alt], y.alternatives[alt])
+        else:
+            assert x == y
+
+
+def assert_same_circuit(a, b):
+    assert a.dofs == b.dofs
+    assert np.array_equal(a.source.amps, b.source.amps) and a.source.weight == b.source.weight
+    assert_same_stages(a.stages, b.stages)
+    combos = [{}]
+    for cn in a.choice_names():
+        combos = [{**c, cn: alt} for c in combos for alt in a.find_choice(cn).alternatives]
+    for settings in combos:
+        da, db = joint_distribution(a, settings), joint_distribution(b, settings)
+        assert da.axes == db.axes and da.labels == db.labels
+        assert (da.probs == db.probs).all(), settings
+
+
+class TestBind:
+    """``Template.bind`` gives what a fresh ``compile_document`` gives."""
+
+    @pytest.mark.parametrize("name", BIND_DOCS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bind_matches_fresh_compile(self, name, data):
+        doc = edl.parse(BIND_DOCS[name]).document
+        names = [n for n, _ in doc.params]
+        chosen = data.draw(st.lists(st.sampled_from(names), unique=True))
+        params = {n: data.draw(ANGLES) for n in chosen}
+        template = edl.build_template(doc)
+        fresh = edl.compile_document(doc, params)
+        if not fresh.ok:
+            with pytest.raises(ValidationError) as exc:
+                template.bind(**params)
+            assert str(exc.value) == f"cannot compile experiment {doc.name!r}:\n" + "\n".join(
+                str(d) for d in fresh.diagnostics)
+            return
+        assert_same_circuit(template.bind(**params), fresh.circuit)
+
+    @pytest.mark.parametrize("name", BIND_DOCS)
+    def test_binding_leaves_the_template_alone(self, name):
+        template = edl.build_template(edl.parse(BIND_DOCS[name]).document)
+        names = [n for n, _ in template.doc.params]
+        first = template.bind(**dict.fromkeys(names, 1.25))
+        template.bind(**dict.fromkeys(names, -3.0))
+        assert_same_circuit(template.bind(**dict.fromkeys(names, 1.25)), first)
+        assert template.bind() is template.circuit
+        assert_same_circuit(template.circuit, edl.compile_document(template.doc).circuit)
+
+    def test_only_stages_naming_a_bound_param_are_rebuilt(self):
+        template = edl.build_template(edl.parse(BOUND_IN_CHOICE).document)
+        b1, shift, plate = template.circuit.stages
+        bound = template.bind(theta=0.25)
+        assert bound.source is template.circuit.source
+        assert bound.stages[:2] == (b1, shift) and bound.stages[0] is b1 and bound.stages[1] is shift
+        wave, pol, none = (bound.find_choice("plate").alternatives[a] for a in ("wave", "pol", "none"))
+        assert wave[0] is not plate.alternatives["wave"][0]
+        assert wave[1] is plate.alternatives["wave"][1] and none[0] is plate.alternatives["none"][0]
+        assert pol[1] is plate.alternatives["pol"][1]
+        assert template.bind(phi=0.5).stages[1] is not shift
+
+    def test_undeclared_name_raises_the_compile_message(self):
+        template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
+        with pytest.raises(ValidationError) as exc:
+            template.bind(theta=1.0)
+        assert str(exc.value) == (
+            "cannot compile experiment 'mz_two_bs':\n"
+            "1:1: error: undeclared PARAM 'theta' (declared: phi)"
+        )
+
+    def test_failed_compile_cannot_be_bound(self):
+        with pytest.raises(ValidationError, match="cannot compile document:\n.*bad angle 'phi'"):
+            edl.compile_text(MINIMAL.replace("bs arm t r", "phase arm t phi")).bind()
+
+
 class TestFormatter:
     def test_idempotent_on_goldens(self):
         for path in GOLDEN:
-            text = open(path).read()
+            text = Path(path).read_text()
             once = edl.format_text(text)
             assert edl.format_text(once) == once, path
 
     def test_format_preserves_behavior(self):
         for path in GOLDEN:
-            text = open(path).read()
+            text = Path(path).read_text()
             a = edl.compile_text(text).circuit
             b = edl.compile_text(edl.format_text(text)).circuit
             settings_sets = [{}]

@@ -58,6 +58,6 @@ class TestCatalog:
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
 def test_expected_properties_hold(name):
-    for chk in scenarios.expected_properties(name):
+    for chk in scenarios.build(name).expectations:
         value, ok = chk.run()
         assert ok, f"{chk.name}: measured {value:.3e} > tol {chk.tol:g}"
