@@ -7,10 +7,8 @@ from .qstate import (
     StateVector,
     ValidationError,
     global_phase_deviation,
-    global_phase_equivalent,
     inner,
     rebase,
-    tensor,
 )
 
 __all__ = [
@@ -20,10 +18,8 @@ __all__ = [
     "StateVector",
     "ValidationError",
     "global_phase_deviation",
-    "global_phase_equivalent",
     "inner",
     "rebase",
-    "tensor",
 ]
 
 __version__ = "0.1.0"

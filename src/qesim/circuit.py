@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .measure import OutcomeDistribution
+from .measure import OutcomeDistribution, total_variation
 from .qstate import Dof, StateVector, ValidationError, contract, rebase
 from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
 
@@ -138,83 +138,43 @@ class Circuit:
         _detector_names(self.stages)
 
     def choice_names(self) -> list[str]:
-        names: list[str] = []
-
-        def walk(stages):
-            for s in stages:
-                if isinstance(s, Choice):
-                    names.append(s.name)
-                    for alt in s.alternatives.values():
-                        walk(alt)
-
-        walk(self.stages)
-        return names
+        return [s.name for s in _walk(self.stages) if isinstance(s, Choice)]
 
     def detectors(self, settings: dict[str, str] | None = None) -> list[DetectorSpec]:
         """Detectors in stage order; with settings, only the active branch."""
-        out: list[DetectorSpec] = []
-
-        def walk(stages):
-            for s in stages:
-                if isinstance(s, Detect):
-                    out.append(s.spec)
-                elif isinstance(s, Choice):
-                    if settings is None:
-                        for alt in s.alternatives.values():
-                            walk(alt)
-                    else:
-                        walk(s.alternatives[settings[s.name]])
-
-        walk(self.stages)
-        return out
+        return [s.spec for s in _walk(self.stages, settings) if isinstance(s, Detect)]
 
     def find_choice(self, name: str) -> Choice:
-        def walk(stages):
-            for s in stages:
-                if isinstance(s, Choice):
-                    if s.name == name:
-                        return s
-                    for alt in s.alternatives.values():
-                        found = walk(alt)
-                        if found:
-                            return found
-            return None
+        for s in _walk(self.stages):
+            if isinstance(s, Choice) and s.name == name:
+                return s
+        raise ValidationError(f"no choice named {name!r}")
 
-        c = walk(self.stages)
-        if c is None:
-            raise ValidationError(f"no choice named {name!r}")
-        return c
+
+def _walk(stages, settings: dict[str, str] | None = None):
+    """Each stage in order, a Choice before the stages of its alternatives:
+    all of them, or with ``settings`` only the chosen one."""
+    for s in stages:
+        yield s
+        if isinstance(s, Choice):
+            alts = s.alternatives
+            for alt in alts.values() if settings is None else (alts[settings[s.name]],):
+                yield from _walk(alt, settings)
 
 
 def validate_settings(c: Circuit, settings: dict[str, str]) -> None:
-    wanted = set(c.choice_names())
+    choices = [s for s in _walk(c.stages) if isinstance(s, Choice)]
+    wanted = {s.name for s in choices}
     got = set(settings)
     if wanted - got:
         raise ValidationError(f"missing settings for choices {sorted(wanted - got)}")
     if got - wanted:
         raise ValidationError(f"unknown choice names {sorted(got - wanted)}")
-
-    def check_alt(stages):
-        for s in stages:
-            if isinstance(s, Choice):
-                if settings[s.name] not in s.alternatives:
-                    raise ValidationError(
-                        f"choice {s.name!r} has no alternative {settings[s.name]!r}"
-                    )
-                for alt in s.alternatives.values():
-                    check_alt(alt)
-
-    check_alt(c.stages)
-
-
-def _active_stages(stages, settings) -> list[Stage]:
-    out: list[Stage] = []
-    for s in stages:
-        if isinstance(s, Choice):
-            out.extend(_active_stages(s.alternatives[settings[s.name]], settings))
-        else:
-            out.append(s)
-    return out
+    for s in choices:
+        if settings[s.name] not in s.alternatives:
+            raise ValidationError(
+                f"choice {s.name!r} has no alternative {settings[s.name]!r}"
+            )
 
 
 def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | AllBlocked:
@@ -222,7 +182,7 @@ def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | 
     settings = settings or {}
     validate_settings(c, settings)
     state = c.source
-    for s in _active_stages(c.stages, settings):
+    for s in _walk(c.stages, settings):
         if isinstance(s, Apply):
             try:
                 state = el.apply_op(state, s.op)
@@ -239,7 +199,7 @@ def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
     """
     validate_settings(c, settings)
     branches = [c.source]
-    for s in _active_stages(c.stages, settings):
+    for s in _walk(c.stages, settings):
         if not isinstance(s, Apply):
             continue
         op = s.op
@@ -343,17 +303,6 @@ def joint_distribution(
     return distribution_from_state(state, specs)
 
 
-def _acted_dofs(stages) -> set[str]:
-    acted: set[str] = set()
-    for s in stages:
-        if isinstance(s, Apply):
-            acted.update(s.op.acts_on())
-        elif isinstance(s, Choice):
-            for alt in s.alternatives.values():
-                acted.update(_acted_dofs(alt))
-    return acted
-
-
 def compare_marginals(
     c: Circuit,
     axis_subset,
@@ -373,11 +322,7 @@ def compare_marginals(
     common_screens = {
         s.name: s for s in c.detectors(None) if s.screen_of is not None
     }
-    choice_detnames = set()
-    for alt in choice.alternatives.values():
-        for s in alt:
-            if isinstance(s, Detect):
-                choice_detnames.add(s.spec.name)
+    choice_detnames = {s.spec.name for s in _walk((choice,)) if isinstance(s, Detect)}
 
     subset_dofs: set[str] = set()
     probes: list[DetectorSpec] = []
@@ -391,7 +336,9 @@ def compare_marginals(
             subset_dofs.add(d.name)
 
     for alt_stages in choice.alternatives.values():
-        touched = _acted_dofs(alt_stages)
+        touched = {
+            d for s in _walk(alt_stages) if isinstance(s, Apply) for d in s.op.acts_on()
+        }
         overlap = touched & subset_dofs
         if overlap:
             raise ContractError(
@@ -412,8 +359,6 @@ def compare_marginals(
         mixtures.append(OutcomeDistribution(dist.axes, dist.labels, acc, mass))
 
     worst = 0.0
-    from .measure import total_variation
-
     for i in range(len(mixtures)):
         for j in range(i + 1, len(mixtures)):
             worst = max(worst, total_variation(mixtures[i], mixtures[j]))

@@ -185,6 +185,10 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not math.isfinite(value):
             raise CliError(f"{flag} must be finite, not {value!r}", USAGE_ERROR)
+    span = args.stop - args.start
+    values = [args.start + span * i / max(args.steps - 1, 1) for i in range(args.steps)]
+    if not all(map(math.isfinite, values)):
+        raise CliError("--start and --stop are too far apart: a step overflows", USAGE_ERROR)
     doc, bind = _load_target(args.target)
     declared = [name for name, _ in doc.params]
     if args.param not in declared:
@@ -197,8 +201,7 @@ def cmd_sweep(args) -> int:
         raise CliError("--steps must be >= 1", USAGE_ERROR)
     settings = _parse_kv(args.setting, "--setting")
     steps = []
-    for i in range(args.steps):
-        value = args.start + (args.stop - args.start) * i / max(args.steps - 1, 1)
+    for value in values:
         steps.append((value, joint_distribution(bind(**{args.param: value}), settings)))
     # the columns of the first step with outcomes; an all-blocked step has
     # none and reads 0 in every column

@@ -499,7 +499,7 @@ class _Compiler:
         self.params = dict(doc.params)
         for name, value in (params or {}).items():
             if name not in self.params:
-                declared = ", ".join(self.params) or "none"
+                declared = ", ".join(n for n, _ in doc.params) or "none"
                 self.error(1, f"undeclared PARAM {name!r} (declared: {declared})")
             self.params[name] = float(value)
 
@@ -688,11 +688,6 @@ def build_template(doc: Document) -> Template:
     if not template.ok:
         raise _failure(f"experiment {doc.name!r}", template.diagnostics)
     return template
-
-
-def load_circuit(path: str) -> Circuit:
-    """Compile a file, raising ValidationError with all diagnostics on failure."""
-    return build_template(load_document(path)).circuit
 
 
 # -- formatter ------------------------------------------------------------------

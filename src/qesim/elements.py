@@ -5,7 +5,7 @@ Conventions (all fixed, checked by tests):
 * beam splitter: transmission 1/sqrt2, reflection i/sqrt2 (symmetric);
 * circular basis: |L> = (|x> + i|y>)/sqrt2, |R> = (|x> - i|y>)/sqrt2;
 * quarter-wave plate: R(theta) . diag(1, -i) . R(-theta), i.e. unit phase on
-  the fast axis and -i on the slow axis, with a configurable extra unit phase.
+  the fast axis and -i on the slow axis, with no extra global phase.
 
 With these choices the two-photon eraser pipeline produces the familiar
 entangled four-term state whose plus/minus-basis form makes the erasure
@@ -41,18 +41,10 @@ class AllBlockedError(RuntimeError):
     """Every branch of the state was removed by a filter."""
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Phase conventions the element matrices are built from."""
-
-    bs_transmission: complex = 1 / math.sqrt(2)
-    bs_reflection: complex = 1j / math.sqrt(2)
-    circular_l: tuple[complex, complex] = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    circular_r: tuple[complex, complex] = (1 / math.sqrt(2), -1j / math.sqrt(2))
-    qwp_global_phase: complex = 1.0 + 0.0j
-
-
-DEFAULT_CONVENTIONS = Conventions()
+_BS_TRANSMISSION = 1 / math.sqrt(2)
+_BS_REFLECTION = 1j / math.sqrt(2)
+_CIRCULAR_L = (1 / math.sqrt(2), 1j / math.sqrt(2))
+_CIRCULAR_R = (1 / math.sqrt(2), -1j / math.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -138,10 +130,6 @@ def apply_op(state: StateVector, op: ElementOp) -> StateVector:
 # -- constructors ---------------------------------------------------------------
 
 
-def _pair_axes(dof: Dof, a: str, b: str) -> tuple[int, int]:
-    return dof.index(a), dof.index(b)
-
-
 def _embed_two(dof: Dof, ia: int, ib: int, block: np.ndarray) -> np.ndarray:
     m = np.eye(dof.dim, dtype=complex)
     m[ia, ia], m[ia, ib] = block[0, 0], block[0, 1]
@@ -149,12 +137,10 @@ def _embed_two(dof: Dof, ia: int, ib: int, block: np.ndarray) -> np.ndarray:
     return m
 
 
-def beam_splitter(
-    path_dof: Dof, port_a: str, port_b: str, conv: Conventions = DEFAULT_CONVENTIONS
-) -> ElementOp:
+def beam_splitter(path_dof: Dof, port_a: str, port_b: str) -> ElementOp:
     """50/50 beam splitter coupling two port labels of a path dof."""
-    ia, ib = _pair_axes(path_dof, port_a, port_b)
-    t, r = conv.bs_transmission, conv.bs_reflection
+    ia, ib = path_dof.index(port_a), path_dof.index(port_b)
+    t, r = _BS_TRANSMISSION, _BS_REFLECTION
     m = _embed_two(path_dof, ia, ib, np.array([[t, r], [r, t]]))
     return ElementOp(UNITARY, (path_dof.name,), m, name="bs")
 
@@ -215,17 +201,12 @@ def _rot(theta: float) -> np.ndarray:
 
 
 def quarter_wave_plate(
-    pol_dof: Dof,
-    fast_axis: float,
-    condition: Optional[tuple[str, str]] = None,
-    conv: Conventions = DEFAULT_CONVENTIONS,
+    pol_dof: Dof, fast_axis: float, condition: Optional[tuple[str, str]] = None
 ) -> ElementOp:
     """Quarter-wave plate with its fast axis at ``fast_axis`` radians."""
     if pol_dof.dim != 2:
         raise ValidationError("quarter_wave_plate needs a 2-dim polarization dof")
-    m = conv.qwp_global_phase * (
-        _rot(fast_axis) @ np.diag([1.0, -1.0j]) @ _rot(-fast_axis)
-    )
+    m = _rot(fast_axis) @ np.diag([1.0, -1.0j]) @ _rot(-fast_axis)
     return ElementOp(UNITARY, (pol_dof.name,), m, condition=condition, name="qwp")
 
 
@@ -274,7 +255,7 @@ def splitter(path_dof: Dof) -> ElementOp:
 BASIS_NAMES = ("path", "comp", "computational", "pm45", "diag", "circular")
 
 
-def basis_change(name: str, dof: Dof, conv: Conventions = DEFAULT_CONVENTIONS) -> Optional[BasisChange]:
+def basis_change(name: str, dof: Dof) -> Optional[BasisChange]:
     """Resolve a named detector basis to a BasisChange (None = computational)."""
     if name in ("path", "comp", "computational"):
         return None
@@ -286,7 +267,7 @@ def basis_change(name: str, dof: Dof, conv: Conventions = DEFAULT_CONVENTIONS) -
     if name == "circular":
         if dof.dim != 2:
             raise ValidationError("basis 'circular' needs a 2-dim dof")
-        l_row = np.conj(conv.circular_l)
-        r_row = np.conj(conv.circular_r)
+        l_row = np.conj(_CIRCULAR_L)
+        r_row = np.conj(_CIRCULAR_R)
         return BasisChange(dof.name, np.array([l_row, r_row]), ("L", "R"))
     raise ValidationError(f"unknown basis name {name!r}")

@@ -15,8 +15,8 @@ optionally after subtracting per-detector compensation offsets — which is how
 a delayed eraser's pairs are recovered.
 
 An ``EventLog`` keeps its events as parallel numpy columns, not one object
-per event; ``DetectionEvent`` and ``CoincidencePair`` objects are built only
-when a caller asks for them.
+per event; ``DetectionEvent`` objects are built only when a caller asks for
+``EventLog.events``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class EventLog:
     Row ``i`` is shot ``shot[i]`` registered at ``time[i]`` (ns) with
     ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
     each pair once.  ``generate_events`` stores rows in (time, detector name,
-    shot) order; ``from_jsonl`` keeps the order of the file.
+    shot) order.
     """
 
     def __init__(self, seed: int, shots: int, shot, time, label, labels):
@@ -77,10 +77,6 @@ class EventLog:
         mine = [k for k, (det, _) in enumerate(self.labels) if det == detector]
         return np.flatnonzero(np.isin(self.label, mine))
 
-    def for_detector(self, name: str) -> tuple[DetectionEvent, ...]:
-        events = self.events
-        return tuple(events[i] for i in self._rows(name).tolist())
-
     def _columns(self, rows=slice(None)):
         return zip(self.shot[rows].tolist(), self.time[rows].tolist(), self.label[rows].tolist())
 
@@ -98,19 +94,6 @@ class EventLog:
         return "shot,t,det,outcome\n" + "".join(
             [f"{s},{t:.12g}{tail[k]}" for s, t, k in self._columns()]
         )
-
-    @staticmethod
-    def from_jsonl(text: str, seed: int = 0, shots: int = 0) -> "EventLog":
-        index: dict[tuple[str, tuple[str, ...]], int] = {}
-        shot, time, label = [], [], []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            shot.append(d["shot"])
-            time.append(d["t"])
-            label.append(index.setdefault((d["det"], tuple(d["outcome"])), len(index)))
-        return EventLog(seed, shots, shot, time, label, index)
 
 
 def generate_events(
@@ -184,28 +167,15 @@ def generate_events(
     return EventLog(seed, shots, shot, time, label, index)
 
 
-@dataclass(frozen=True)
-class CoincidencePair:
-    a: DetectionEvent
-    b: DetectionEvent
-
-
 class Coincidences:
     """Pairs found by ``coincidences``: pair ``i`` joins rows ``a[i]`` and
-    ``b[i]`` of ``log``.  Iterating yields ``CoincidencePair`` views."""
+    ``b[i]`` of ``log``."""
 
     def __init__(self, log: EventLog, a: np.ndarray, b: np.ndarray):
         self.log, self.a, self.b = log, a, b
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self):
-        events = self.log.events
-        return (
-            CoincidencePair(events[i], events[j])
-            for i, j in zip(self.a.tolist(), self.b.tolist())
-        )
 
     def to_csv(self) -> str:
         log = self.log

@@ -19,8 +19,6 @@ from .qstate import ValidationError
 #: probabilities below this are treated as exactly zero when conditioning
 NULL_EPS = 1e-15
 
-RNG_ALGORITHM = "PCG64"
-
 
 class ConditioningError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""

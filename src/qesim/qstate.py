@@ -9,7 +9,6 @@ tracked separately as ``weight``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,9 +70,6 @@ class BasisChange:
             raise ValidationError("label count must match matrix dimension")
         if not is_unitary(m):
             raise ValidationError("basis-change matrix is not unitary")
-
-    def inverse(self, old_labels: tuple[str, ...]) -> "BasisChange":
-        return BasisChange(self.dof, self.matrix.conj().T, old_labels)
 
 
 def is_unitary(m: np.ndarray, tol: float = NORM_TOL) -> bool:
@@ -166,10 +162,6 @@ class StateVector:
     def tensor_view(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
-    def basis_labels(self):
-        """Joint label tuples in canonical order."""
-        return itertools.product(*(d.labels for d in self.dofs))
-
     def amplitude(self, labels) -> complex:
         labels = (labels,) if isinstance(labels, str) else tuple(labels)
         idx = np.ravel_multi_index(
@@ -177,37 +169,11 @@ class StateVector:
         )
         return complex(self.amps[idx])
 
-    def amplitudes(self) -> dict[tuple[str, ...], complex]:
-        return {
-            labels: complex(a)
-            for labels, a in zip(self.basis_labels(), self.amps)
-        }
-
     def same_space(self, other: "StateVector") -> bool:
         return self.dofs == other.dofs
 
-    # -- serialization --------------------------------------------------------
-
-    def to_records(self) -> dict:
-        """Canonical JSON-friendly form: every basis entry, canonical order."""
-        return {
-            "weight": self.weight,
-            "amplitudes": [
-                {"labels": list(labels), "re": float(a.real), "im": float(a.imag)}
-                for labels, a in zip(self.basis_labels(), self.amps)
-            ],
-        }
-
 
 # -- operations ----------------------------------------------------------------
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Product state over the concatenated dof list."""
-    shared = {d.name for d in a.dofs} & {d.name for d in b.dofs}
-    if shared:
-        raise CompositionError(f"duplicate dof names {sorted(shared)}")
-    return StateVector(a.dofs + b.dofs, np.kron(a.amps, b.amps), a.weight * b.weight)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -258,8 +224,3 @@ def global_phase_deviation(a: StateVector, b: StateVector) -> float:
         return float(np.max(np.abs(a.amps - b.amps)))
     c = c / abs(c)
     return float(np.max(np.abs(a.amps - c * b.amps)))
-
-
-def global_phase_equivalent(a: StateVector, b: StateVector, tol: float) -> bool:
-    """True iff a unit complex c exists with max_k |a_k - c*b_k| < tol."""
-    return global_phase_deviation(a, b) < tol

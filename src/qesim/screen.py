@@ -118,14 +118,6 @@ def pattern_from_bin_probs(
     return Pattern(tuple(geometry.bin_centers()), tuple(vals / mean))
 
 
-def visibility(p: Pattern) -> float:
-    """(max - min) / (max + min) over bins."""
-    hi, lo = max(p.intensities), min(p.intensities)
-    if hi <= 0:
-        raise ValidationError("visibility of an all-zero pattern is undefined")
-    return (hi - lo) / (hi + lo)
-
-
 def fringe_visibility(
     p: Pattern, geometry: SlitGeometry = DEFAULT_GEOMETRY
 ) -> float:

@@ -9,6 +9,7 @@ import glob
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def test_criterion_7_no_retrocausality(capsys):
         for d in ({}, {"D_p": 1e9}, {"D_p": 3.7e8})
     ]
     seqs = [
-        [(e.shot, e.outcome) for e in log.for_detector("D_s")] for log in logs
+        [(e.shot, e.outcome) for e in log.events if e.detector == "D_s"] for log in logs
     ]
     seq_ok = seqs[0] == seqs[1] == seqs[2]
     ok = tv < 1e-10 and seq_ok
@@ -133,8 +134,8 @@ def test_criterion_8_delayed_erasure_sampling(capsys):
 
     dist = joint_distribution(sc.circuit, {"p_pol": "absent"})
     counts: dict[tuple[str, ...], int] = {}
-    for p in pairs:
-        key = p.a.outcome + p.b.outcome
+    for i, j in zip(pairs.a.tolist(), pairs.b.tolist()):
+        key = log.events[i].outcome + log.events[j].outcome
         counts[key] = counts.get(key, 0) + 1
     sigma_ok = True
     for k, prob in dist.outcomes.items():
@@ -158,7 +159,7 @@ def test_criterion_9_infrastructure(capsys):
     pool = np.array(list(
         "EXPERIMNTDOFSURCEAGHIM{}|<>=:;#., \n\tabcxyz0123456789+-ié☃"
     ))
-    seed_text = open(GOLDEN[0]).read()
+    seed_text = Path(GOLDEN[0]).read_text()
     crashes = 0
     for k in range(100_000):
         if k % 2 == 0:
@@ -181,7 +182,7 @@ def test_criterion_9_infrastructure(capsys):
     # golden round trip: compile(format(text)) behaves like compile(text)
     rt_dev = 0.0
     for path in GOLDEN:
-        text = open(path).read()
+        text = Path(path).read_text()
         a = edl.compile_text(text).circuit
         b = edl.compile_text(edl.format_text(text)).circuit
         settings_sets = [{}]

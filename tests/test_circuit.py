@@ -18,7 +18,7 @@ from qesim.circuit import (
     validate_settings,
 )
 from qesim.measure import marginal
-from qesim.qstate import Dof, StateVector, ValidationError
+from qesim.qstate import CompositionError, Dof, StateVector, ValidationError
 
 ARM = Dof("arm", ("t", "r"))
 POL = Dof("pol", ("v", "h"))
@@ -179,3 +179,23 @@ class TestCompareMarginals:
             ),
         )
         assert compare_marginals(c, ["slit"], "screen") < 1e-15
+
+    def test_screen_in_nested_choice_belongs_to_the_choice(self):
+        # a screen inside the compared choice is no common screen, however
+        # deeply it is nested; it is then read as a dof name, which fails
+        slit = Dof("slit", ("s1", "s2"))
+        wall = Detect(DetectorSpec("wall", screen_of="slit"))
+        count = Detect(DetectorSpec("c", measured=(("slit", "path"),)))
+
+        def circuit(alt_a):
+            return Circuit(
+                (slit,),
+                StateVector.basis_state((slit,), ("s1",)),
+                (Apply(el.splitter(slit)), Choice("outer", {"a": alt_a, "b": (count,)})),
+            )
+
+        direct = circuit((wall,))
+        nested = circuit((Choice("inner", {"x": (wall,), "y": (count,)}),))
+        for c, base in ((direct, {}), (nested, {"inner": "x"})):
+            with pytest.raises(CompositionError):
+                compare_marginals(c, ["wall"], "outer", base)

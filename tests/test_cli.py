@@ -165,6 +165,18 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == f"qesim: {flag} must be finite, not {float(value)!r}\n"
 
+    @pytest.mark.parametrize("target, start, stop", [
+        ("mz_two_bs", "-1e308", "1e308"),  # stop - start is inf
+        ("mz_two_bs", "-1e308", "5e307"),  # the last step's (stop - start) * 2 is inf
+        ("no_such.edl", "-1e308", "1e308"),  # rejected before the target is read
+    ])
+    def test_overflowing_steps_are_usage_error(self, capsys, target, start, stop):
+        code, out, err = run_cli(
+            capsys, "sweep", target, f"--start={start}", f"--stop={stop}", "--steps", "3"
+        )
+        assert code == 2 and out == ""
+        assert err == "qesim: --start and --stop are too far apart: a step overflows\n"
+
 
 class TestSample:
     def test_jsonl_events(self, capsys):

@@ -138,7 +138,7 @@ class TestCompiler:
         p = tmp_path / "bad.edl"
         p.write_text("EXPERIMENT x\nDOF a :\n")
         with pytest.raises(ValidationError) as exc:
-            edl.load_circuit(str(p))
+            edl.load_document(str(p))
         assert "2:1" in str(exc.value)
 
 
@@ -355,6 +355,16 @@ class TestBind:
         assert str(exc.value) == (
             "cannot compile experiment 'mz_two_bs':\n"
             "1:1: error: undeclared PARAM 'theta' (declared: phi)"
+        )
+
+    def test_each_undeclared_name_lists_only_the_declared(self):
+        template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
+        with pytest.raises(ValidationError) as exc:
+            template.bind(a=1.0, b=2.0)
+        assert str(exc.value) == (
+            "cannot compile experiment 'mz_two_bs':\n"
+            "1:1: error: undeclared PARAM 'a' (declared: phi)\n"
+            "1:1: error: undeclared PARAM 'b' (declared: phi)"
         )
 
     def test_failed_compile_cannot_be_bound(self):

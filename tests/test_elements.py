@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesim import elements as el
 from qesim.qstate import Dof, StateVector, ValidationError, is_unitary
@@ -140,6 +142,21 @@ class TestQwpConventions:
         out = op.matrix @ np.array([1.0, 0.0])
         assert abs(abs(out[0]) - abs(out[1])) < 1e-12
         assert abs(abs((out[1] / out[0]).imag) - abs(out[1] / out[0])) < 1e-12
+
+    @given(st.one_of(
+        st.sampled_from([0.0, -0.0, math.pi / 4, -math.pi / 2, math.pi, 2 * math.pi]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_no_global_phase_factor_keeps_every_bit(self, angle):
+        # the matrix once was multiplied by a unit phase 1+0j; leaving the
+        # factor out must not even flip the sign of a zero
+        def rot(theta):
+            c, s = math.cos(theta), math.sin(theta)
+            return np.array([[c, -s], [s, c]], dtype=complex)
+
+        with_factor = (1.0 + 0.0j) * (rot(angle) @ np.diag([1.0, -1.0j]) @ rot(-angle))
+        assert el.quarter_wave_plate(POL, angle).matrix.tobytes() == with_factor.tobytes()
 
 
 class TestBasisChange:

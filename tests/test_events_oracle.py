@@ -3,7 +3,8 @@
 ``reference_coincidences`` and ``reference_histogram`` are the earlier
 implementations, which walked ``DetectionEvent`` objects one by one.  They
 stay here as the definition of what ``events.coincidences`` and
-``events.conditioned_histogram`` compute.
+``events.conditioned_histogram`` compute; a pair is named by the log rows of
+its two events.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import events, scenarios
-from qesim.events import CoincidencePair, EventLog, coincidences, conditioned_histogram
+from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.qstate import ValidationError
 from qesim.screen import DEFAULT_GEOMETRY, pattern_from_bin_probs
 
@@ -20,35 +21,44 @@ PERIOD = events.DEFAULT_PERIOD_NS
 
 
 def reference_coincidences(log, det_a, det_b, window, offsets):
+    """(row of a, row of b) for each pair, in pairing order."""
     offsets = offsets or {}
+    events = log.events
 
-    def shifted(e):
-        return e.time - offsets.get(e.detector, 0.0)
+    def shifted(i):
+        return events[i].time - offsets.get(events[i].detector, 0.0)
 
-    a_events = sorted(log.for_detector(det_a), key=shifted)
-    b_events = sorted(log.for_detector(det_b), key=shifted)
+    def rows(det):
+        return sorted((i for i, e in enumerate(events) if e.detector == det), key=shifted)
+
+    a_rows, b_rows = rows(det_a), rows(det_b)
     pairs = []
     j = 0
-    for ea in a_events:
-        ta = shifted(ea)
-        while j < len(b_events) and shifted(b_events[j]) < ta - window:
+    for ia in a_rows:
+        ta = shifted(ia)
+        while j < len(b_rows) and shifted(b_rows[j]) < ta - window:
             j += 1
-        if j < len(b_events) and abs(shifted(b_events[j]) - ta) <= window:
-            pairs.append(CoincidencePair(ea, b_events[j]))
+        if j < len(b_rows) and abs(shifted(b_rows[j]) - ta) <= window:
+            pairs.append((ia, b_rows[j]))
             j += 1
     return pairs
 
 
-def reference_histogram(pairs, partner_outcome, geometry=DEFAULT_GEOMETRY):
+def row_pairs(pairs):
+    return list(zip(pairs.a.tolist(), pairs.b.tolist()))
+
+
+def reference_histogram(log, pairs, partner_outcome, geometry=DEFAULT_GEOMETRY):
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
     counts = {}
-    for p in pairs:
-        if partner_outcome is not None and p.b.outcome != partner_outcome:
+    for ia, ib in pairs:
+        a, b = log.events[ia], log.events[ib]
+        if partner_outcome is not None and b.outcome != partner_outcome:
             continue
-        if len(p.a.outcome) != 1:
+        if len(a.outcome) != 1:
             raise ValidationError("screen events must carry a single bin label")
-        key = p.a.outcome[0]
+        key = a.outcome[0]
         counts[key] = counts.get(key, 0.0) + 1.0
     if not counts:
         raise ValidationError("no pairs satisfy the condition")
@@ -86,9 +96,11 @@ def logs(draw):
         delays={"D_s": draw(NS), "D_p": draw(NS)},
     )
     if draw(st.booleans()):
-        # a log read back in another row order: pairing must sort by time itself
-        lines = draw(st.permutations(log.to_jsonl().splitlines()))
-        log = EventLog.from_jsonl("\n".join(lines), seed=log.seed, shots=log.shots)
+        # the same events in another row order: pairing must sort by time itself
+        order = draw(st.permutations(range(len(log.shot))))
+        log = EventLog(
+            log.seed, log.shots, log.shot[order], log.time[order], log.label[order], log.labels
+        )
     return log
 
 
@@ -100,7 +112,7 @@ def logs(draw):
     offsets=st.dictionaries(st.sampled_from(["D_s", "D_p"]), NS),
 )
 def test_coincidences_match_reference(log, dets, window, offsets):
-    got = list(coincidences(log, *dets, window=window, offsets=offsets))
+    got = row_pairs(coincidences(log, *dets, window=window, offsets=offsets))
     assert got == reference_coincidences(log, *dets, window, offsets)
 
 
@@ -117,7 +129,7 @@ def test_conditioned_histogram_matches_dict_count(log, window, partner, swap):
     # swapped, the A side carries polarisation outcomes: with partner None
     # that is still one label per event, so both versions accept it
     assert outcome_of(conditioned_histogram, pairs, partner) == outcome_of(
-        reference_histogram, list(pairs), partner
+        reference_histogram, log, row_pairs(pairs), partner
     )
 
 
@@ -129,4 +141,4 @@ def test_fallback_runs_only_when_candidates_collide(monkeypatch, window, sequent
     log = events.generate_events(WALBORN, {"p_pol": "absent"}, shots=200, seed=3)
     pairs = coincidences(log, "D_s", "D_p", window=window)
     assert bool(calls) == sequential
-    assert list(pairs) == reference_coincidences(log, "D_s", "D_p", window, {})
+    assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", window, {})

@@ -13,10 +13,8 @@ from qesim.qstate import (
     ValidationError,
     contract,
     global_phase_deviation,
-    global_phase_equivalent,
     inner,
     rebase,
-    tensor,
 )
 
 RNG = np.random.default_rng(12345)
@@ -78,12 +76,6 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector(AB[:1], np.array([1.0, 0.0]), weight=1.5)
 
-    def test_to_records_covers_all_basis_states(self):
-        s = random_state(AB)
-        rec = s.to_records()
-        assert len(rec["amplitudes"]) == 6
-        assert rec["weight"] == s.weight
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_random_states_are_normalized(self, seed):
@@ -92,14 +84,6 @@ class TestStateVector:
 
 
 class TestTensorInner:
-    def test_tensor_dims(self):
-        s = tensor(random_state(AB[:1]), random_state(AB[1:]))
-        assert s.dims == (2, 3)
-
-    def test_tensor_rejects_name_collision(self):
-        with pytest.raises(CompositionError):
-            tensor(random_state(AB[:1]), random_state(AB[:1]))
-
     def test_inner_self_is_one(self):
         s = random_state(AB)
         assert abs(inner(s, s) - 1.0) < 1e-12
@@ -117,7 +101,7 @@ class TestRebase:
         s = random_state(AB, rng)
         u = random_unitary(3, rng)
         fwd = BasisChange("b", u, ("n0", "n1", "n2"))
-        back = fwd.inverse(AB[1].labels)
+        back = BasisChange("b", u.conj().T, AB[1].labels)
         s2 = rebase(rebase(s, fwd), back)
         assert s2.dofs == s.dofs
         assert np.max(np.abs(s2.amps - s.amps)) < 1e-12
@@ -154,17 +138,17 @@ class TestGlobalPhase:
     def test_phase_rotation_is_equivalent(self, theta, seed):
         s = random_state(AB, np.random.default_rng(seed))
         rotated = StateVector(s.dofs, s.amps * np.exp(1j * theta), s.weight)
-        assert global_phase_equivalent(s, rotated, 1e-10)
-        assert global_phase_equivalent(rotated, s, 1e-10)
+        assert global_phase_deviation(s, rotated) < 1e-10
+        assert global_phase_deviation(rotated, s) < 1e-10
 
     def test_distinct_states_are_not_equivalent(self):
         a = StateVector.basis_state(AB, ("a0", "b0"))
         b = StateVector.basis_state(AB, ("a1", "b0"))
-        assert not global_phase_equivalent(a, b, 1e-10)
+        assert not global_phase_deviation(a, b) < 1e-10
         assert global_phase_deviation(a, b) > 0.5
 
     def test_relative_phase_is_detected(self):
         d = AB[:1]
         a = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): 1})
         b = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): -1})
-        assert not global_phase_equivalent(a, b, 1e-10)
+        assert not global_phase_deviation(a, b) < 1e-10

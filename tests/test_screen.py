@@ -12,7 +12,6 @@ from qesim.screen import (
     pattern_from_bin_probs,
     pattern_from_state,
     sum_patterns,
-    visibility,
 )
 
 SLIT = Dof("slit", ("s1", "s2"))
@@ -76,7 +75,6 @@ class TestVisibility:
     def test_zero_visibility(self):
         p = Pattern(tuple(DEFAULT_GEOMETRY.bin_centers()), (1.0,) * DEFAULT_GEOMETRY.bins)
         assert fringe_visibility(p) < 1e-12
-        assert visibility(p) < 1e-12
 
     def test_partial_visibility(self):
         # amplitudes sqrt(3)/2 and 1/2 give coherence 2*(sqrt(3)/4) = sin(60)
@@ -92,7 +90,6 @@ class TestVisibility:
         s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit", g)
         assert abs(fringe_visibility(p, g) - 1.0) < 1e-9
-        assert visibility(p) < 1.0  # max/min estimate undershoots here
 
 
 class TestPatternAlgebra:
