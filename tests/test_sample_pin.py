@@ -12,8 +12,13 @@ outcomes or to number formatting shows up there.  The ``run`` cases of the
 files in ``FILES`` (a 12-dof chain with 4096 outcomes and an experiment whose
 blocker absorbs everything), of ``walborn`` as CSV and of its ``--ascii``
 screen on stderr were recorded from the dict-per-outcome Born path, before
-``OutcomeDistribution`` held a dense array.  Every case runs in a temporary
-directory holding ``FILES``, so that a relative target path prints the same.
+``OutcomeDistribution`` held a dense array.  The ``sweep`` cases of the files
+in ``FILES`` were recorded from the step-by-step sweep, which bound and
+evaluated one value at a time, before a sweep was evaluated as one batched
+evolution: filters with all-blocked steps, pm45 and circular detectors with a
+dof summed out, a screen, a PARAM inside a CHOICE, and a 12-dof sweep whose
+steps fill more than one block.  Every case runs in a temporary directory
+holding ``FILES``, so that a relative target path prints the same.
 """
 
 import hashlib
@@ -45,6 +50,66 @@ STAGE stop : block chan U
 DETECT D_s : screen slit
 DETECT D_c : chan basis=path
 """,
+    # the PARAM drives a filter and a conditioned qwp: theta = pi/2 and 3 pi/2
+    # are all-blocked steps, the others have weight cos^2(theta)
+    "gated.edl": """EXPERIMENT gated
+DOF arm : t r
+DOF pol : h v
+PARAM theta = 0
+SOURCE 1+0i |arm=t, pol=h>
+STAGE b1 : bs arm t r
+STAGE sel : pol pol theta
+STAGE tilt : qwp pol 20
+STAGE plate : qwp pol theta when arm=t
+STAGE b2 : bs arm t r
+DETECT D : arm basis=path, pol basis=pm45
+""",
+    # pm45 and circular detectors; arm is summed out
+    "bases.edl": """EXPERIMENT bases
+DOF arm : t r
+DOF pol : h v
+DOF aux : x y
+PARAM phi = 0
+SOURCE 1+0i |arm=t, pol=h, aux=x> ; 0.5+0.5i |arm=t, pol=v, aux=y>
+STAGE b1 : bs arm t r
+STAGE shift : phase arm t phi
+STAGE b2 : bs arm t r
+STAGE mix : qwp pol 30 when arm=t
+STAGE tie : qwp aux 60 when arm=r
+DETECT P : pol basis=pm45
+DETECT C : aux basis=circular
+""",
+    # a screen behind a phase-shifted slit; pol is summed out
+    "fringe.edl": """EXPERIMENT fringe
+DOF slit : s1 s2
+DOF pol : h v
+PARAM phi = 0
+SOURCE 1+0i |slit=s1, pol=h>
+STAGE slits : split slit
+STAGE shift : phase slit s1 phi
+STAGE mark : qwp pol 45 when slit=s2
+DETECT wall : screen slit
+""",
+    # the PARAM inside the alternatives of a CHOICE
+    "chosen.edl": """EXPERIMENT chosen
+DOF arm : t r
+DOF pol : h v
+PARAM theta = 0
+SOURCE 1+0i |arm=t, pol=h>
+STAGE b1 : bs arm t r
+CHOICE plate : wave {
+    STAGE q : qwp pol theta when arm=t
+    STAGE b2 : bs arm t r
+    DETECT D : arm basis=path, pol basis=circular
+} | filter {
+    STAGE p : pol pol theta when arm=r
+    DETECT D : arm basis=path, pol basis=pm45
+}
+""",
+    # chain12 with its first QWP angle a PARAM
+    "chain12_param.edl": chain_edl(12)
+    .replace("qwp q1 37.25", "qwp q1 theta")
+    .replace("SOURCE", "PARAM theta = 0\nSOURCE"),
 }
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -231,6 +296,37 @@ CASES = {
     "sweep_mz_recombine": (
         "sweep mz_recombine_single_detector",
         "4f0ec33e71db3ab0b4b727aa84722ddac77a08cbfc4b733928eb04f1d3abe48f",
+        EMPTY,
+    ),
+    "sweep_gated": (
+        "sweep gated.edl --param theta --stop 6.283185307179586 --steps 17",
+        "999c70b76a3a7a390b55c9978b61f356c847162ba44df09aa85a87a02c5d1595",
+        EMPTY,
+    ),
+    "sweep_bases": (
+        "sweep bases.edl --start=-0.7 --stop 5.5 --steps 33",
+        "380f3809c28b9fc8d110073cabec3c51d78ae2b2946054fdba07a40bd3b2442a",
+        EMPTY,
+    ),
+    "sweep_screen": (
+        "sweep fringe.edl --steps 16",
+        "bc6c029802ed8daaa5637f10007f7f54eae43c12da7837dfb2b527b9e761982e",
+        EMPTY,
+    ),
+    "sweep_choice_wave": (
+        "sweep chosen.edl --param theta --setting plate=wave --steps 25",
+        "ad76369d36d61c1d53b425fb2bf5b16f01a614ca6f8ee8b1698227e3a77adcf5",
+        EMPTY,
+    ),
+    "sweep_choice_filter": (
+        "sweep chosen.edl --param theta --setting plate=filter --steps 25",
+        "38953d123c30627d9c70408bdbfbbdd727f1ea5a3cc0c52b360c53f9441387d2",
+        EMPTY,
+    ),
+    # 40 steps of 4096 amplitudes each
+    "sweep_chain12": (
+        "sweep chain12_param.edl --param theta --start 0.1 --stop 3 --steps 40",
+        "388a57f0ce0102102e66e5174d104c3c9e9343ef54232e28d0ba501dcfbe23b2",
         EMPTY,
     ),
     "run_chain12_csv": (
