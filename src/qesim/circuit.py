@@ -6,7 +6,9 @@ far-field position distribution of a two-label path dof.  Filters post-select:
 the evolved state is renormalized and the pass probability accumulates in its
 weight.  ``compare_marginals`` instead keeps the absorbed branches, so the
 full-ensemble marginal of an untouched subsystem can be compared across
-delayed-choice settings.
+delayed-choice settings.  ``evolve_rows`` and ``joint_distributions`` evaluate
+many variants of one circuit, such as the steps of a PARAM sweep, as one
+stacked evolution with the same bytes per row.
 """
 
 from __future__ import annotations
@@ -17,8 +19,21 @@ import numpy as np
 
 from . import elements as el
 from .measure import OutcomeDistribution, total_variation
-from .qstate import Dof, StateVector, ValidationError, contract, rebase
+from .qstate import (
+    BasisChange,
+    Dof,
+    StateVector,
+    ValidationError,
+    _axis,
+    _unit,
+    _weight,
+    contract,
+    rebase,
+)
 from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
+
+#: the most amplitudes ``joint_distributions`` evolves at once
+BLOCK_AMPS = 2**16
 
 
 class ContractError(ValueError):
@@ -95,6 +110,19 @@ class AllBlocked:
 
     dofs: tuple[Dof, ...]
     weight: float = 0.0
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """The rows of ``evolve_rows``: ``amps[i]`` is row i's amplitude tensor
+    over ``dofs`` and ``weights[i]`` its weight, as ``evolve`` gives them.  A
+    row of ``blocked`` is one ``evolve`` reports as AllBlocked; its amplitudes
+    are zero."""
+
+    dofs: tuple[Dof, ...]
+    amps: np.ndarray
+    weights: list[float]
+    blocked: list[bool]
 
 
 def _detector_names(stages) -> set[str]:
@@ -191,6 +219,44 @@ def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | 
     return state
 
 
+def evolve_rows(c: Circuit, rows: list[dict], settings: dict[str, str] | None = None) -> StateStack:
+    """``evolve`` of one variant of ``c`` per row, as one stacked evolution.
+
+    Row i is ``c`` with the op of each Apply whose id keys ``rows[i]`` put in
+    its place (every row keys the same Applies; ``edl.Template.rows`` builds
+    them).  A stage no row replaces acts on the whole stack at once.  Each row
+    is contracted by the same matmul, normalized and checked as ``evolve``
+    does it, so it has the bytes ``evolve`` gives.  All rows are held at once.
+    """
+    settings = settings or {}
+    validate_settings(c, settings)
+    n, dims = len(rows), c.source.dims
+    t = np.repeat(c.source.tensor_view()[None], n, axis=0)
+    weights, blocked = [c.source.weight] * n, [False] * n
+    for s in _walk(c.stages, settings):
+        if not isinstance(s, Apply):
+            continue
+        varied = rows and id(s) in rows[0]
+        matrices = np.stack([r[id(s)].matrix for r in rows]) if varied else None
+        flat = el._act(t, c.dofs, s.op, matrices).reshape(n, -1)
+        for i in range(n):
+            if blocked[i]:
+                continue
+            row = flat[i]
+            try:
+                a, w = el._settle(row, s.op, weights[i])
+            except el.AllBlockedError:
+                blocked[i] = True
+                flat[i] = 0.0
+                continue
+            a = _unit(a)
+            if a is not row:
+                flat[i] = a
+            weights[i] = _weight(w)
+        t = flat.reshape((n,) + dims)
+    return StateStack(c.dofs, t, weights, blocked)
+
+
 def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
     """Evolve keeping both outcomes of every filter (pass and absorbed).
 
@@ -219,35 +285,41 @@ def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
     return branches
 
 
-def distribution_from_state(
-    state: StateVector, detectors: list[DetectorSpec]
-) -> OutcomeDistribution:
-    """Joint Born distribution over the detectors' declared measurements."""
+def _basis_changes(dofs, detectors) -> list[BasisChange]:
+    """The basis changes the detectors' measurements need; ValidationError if
+    two detectors measure one dof."""
     seen: set[str] = set()
     for spec in detectors:
         for dn in spec.measured_dofs():
             if dn in seen:
                 raise ValidationError(f"dof {dn!r} measured by two detectors")
             seen.add(dn)
-
+    changes = []
     for spec in detectors:
         if spec.screen_of is None:
             for dn, basis in spec.measured:
-                change = el.basis_change(basis, state.dof(dn))
+                change = el.basis_change(basis, dofs[_axis(dofs, dn)])
                 if change is not None:
-                    state = rebase(state, change)
+                    changes.append(change)
+    return changes
 
-    t = state.tensor_view()
-    dof_axis = {d.name: i for i, d in enumerate(state.dofs)}
-    n_dofs = len(state.dofs)
+
+def _born(dofs, t: np.ndarray, weights, detectors) -> list[OutcomeDistribution | None]:
+    """Joint Born distribution of each state of the stack ``t`` (axis 0 counts
+    the states) over ``dofs`` in the detectors' bases, weighted by
+    ``weights[i]``; None where that weight is None."""
+    dof_axis = {d.name: i for i, d in enumerate(dofs)}
+    labels_of = {d.name: d.labels for d in dofs}
+    n_dofs = len(dofs)
     screens = [s for s in detectors if s.screen_of is not None]
     # contract each screen's path axis against its bin-phase matrix; the new
     # bin axis is appended at the end, so earlier axes keep their meaning
     for spec in screens:
         ax = dof_axis[spec.screen_of]
-        if state.dof(spec.screen_of).dim != 2:
+        if len(labels_of[spec.screen_of]) != 2:
             raise ValidationError("screen path dof must have 2 labels")
-        t = np.moveaxis(contract(t, _screen_matrix(spec.geometry), (ax,)), ax, -1)
+        m = _screen_matrix(spec.geometry)
+        t = np.moveaxis(contract(t, np.broadcast_to(m, (len(t),) + m.shape), (ax + 1,)), ax + 1, -1)
         for name in list(dof_axis):
             if dof_axis[name] > ax:
                 dof_axis[name] -= 1
@@ -264,24 +336,48 @@ def distribution_from_state(
             axis_info.append((spec.name, labels, screen_axis[spec.name]))
         else:
             for dn, _basis in spec.measured:
-                axis_info.append((dn, state.dof(dn).labels, dof_axis[dn]))
+                axis_info.append((dn, labels_of[dn], dof_axis[dn]))
 
     probs = np.abs(t) ** 2
     keep = [ax for _, _, ax in axis_info]
-    drop = tuple(i for i in range(probs.ndim) if i not in keep)
+    drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in keep)
     p = probs.sum(axis=drop) if drop else probs
     if keep:
-        p = np.transpose(p, np.argsort(np.argsort(keep)))
-    total = float(p.sum())
-    if total > 0:
-        p = p * (state.weight / total)
-    mass = state.weight if total > 0 else 0.0
-    return OutcomeDistribution(
-        tuple(name for name, _, _ in axis_info),
-        tuple(labels for _, labels, _ in axis_info),
-        p,
-        mass,
-    )
+        p = np.transpose(p, [0] + [i + 1 for i in np.argsort(np.argsort(keep))])
+    axes = tuple(name for name, _, _ in axis_info)
+    labels = tuple(labels for _, labels, _ in axis_info)
+    out: list[OutcomeDistribution | None] = []
+    for row, weight in zip(p, weights):
+        if weight is None:
+            out.append(None)
+            continue
+        total = float(row.sum())
+        if total > 0:
+            row = row * (weight / total)
+        out.append(OutcomeDistribution(axes, labels, row, weight if total > 0 else 0.0))
+    return out
+
+
+def distribution_from_state(
+    state: StateVector, detectors: list[DetectorSpec]
+) -> OutcomeDistribution:
+    """Joint Born distribution over the detectors' declared measurements."""
+    for change in _basis_changes(state.dofs, detectors):
+        state = rebase(state, change)
+    return _born(state.dofs, state.tensor_view()[None], (state.weight,), detectors)[0]
+
+
+def _active_detectors(c: Circuit, settings: dict[str, str]) -> list[DetectorSpec]:
+    specs = c.detectors(settings)
+    if not specs:
+        raise ContractError("circuit has no Detect stage under these settings")
+    return specs
+
+
+def _all_blocked(specs: list[DetectorSpec]) -> OutcomeDistribution:
+    """The distribution of an all-blocked evolution: no outcomes, mass 0."""
+    axes = [axis for spec in specs for axis in spec.axis_names()]
+    return OutcomeDistribution(tuple(axes), ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0)
 
 
 def joint_distribution(
@@ -290,17 +386,40 @@ def joint_distribution(
     """Born probabilities over the joint outcomes of all active detectors."""
     settings = settings or {}
     state = evolve(c, settings)
-    specs = c.detectors(settings)
-    if not specs:
-        raise ContractError("circuit has no Detect stage under these settings")
+    specs = _active_detectors(c, settings)
     if isinstance(state, AllBlocked):
-        axes: list[str] = []
-        for spec in specs:
-            axes.extend(spec.axis_names())
-        return OutcomeDistribution(
-            tuple(axes), ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0
-        )
+        return _all_blocked(specs)
     return distribution_from_state(state, specs)
+
+
+def joint_distributions(
+    c: Circuit, rows: list[dict], settings: dict[str, str] | None = None
+) -> list[OutcomeDistribution]:
+    """``joint_distribution`` of each row's variant of ``c`` (see
+    ``evolve_rows``), with the same bytes.  Rows are evolved in blocks of at
+    most ``BLOCK_AMPS`` amplitudes, and the Born step runs on each block."""
+    settings = settings or {}
+    per = max(1, BLOCK_AMPS // c.source.dim)
+    out: list[OutcomeDistribution] = []
+    for start in range(0, len(rows), per):
+        stack = evolve_rows(c, rows[start:start + per], settings)
+        specs = _active_detectors(c, settings)
+        dofs, t = list(stack.dofs), stack.amps
+        for change in _basis_changes(stack.dofs, specs):
+            # rebase, on every state of the stack
+            ax = _axis(dofs, change.dof)
+            m = np.broadcast_to(change.matrix, (len(t),) + change.matrix.shape)
+            flat = contract(t, m, (ax + 1,)).reshape(len(t), -1)
+            for i, blocked in enumerate(stack.blocked):
+                row = flat[i]
+                a = row if blocked else _unit(row)
+                if a is not row:
+                    flat[i] = a
+            dofs[ax] = Dof(change.dof, change.new_labels)
+            t = flat.reshape(t.shape)
+        weights = [None if b else w for w, b in zip(stack.weights, stack.blocked)]
+        out += [_all_blocked(specs) if d is None else d for d in _born(dofs, t, weights, specs)]
+    return out
 
 
 def compare_marginals(

@@ -22,10 +22,9 @@ import json
 import math
 import os
 import sys
-from typing import Callable
 
 from . import edl, events, scenarios
-from .circuit import Circuit, joint_distribution, validate_settings
+from .circuit import joint_distribution, joint_distributions, validate_settings
 from .measure import ConditioningError, marginal
 from .qstate import CompositionError, ValidationError
 from .screen import fringe_visibility
@@ -87,12 +86,12 @@ def _parse_delays(pairs: list[str], flag: str, active: list[str]) -> dict[str, f
     return out
 
 
-def _load_target(target: str) -> tuple[edl.Document, Callable[..., Circuit]]:
-    """Resolve a scenario name or .edl path to its parsed document and the
-    ``bind`` of its template, compiled once.  A scenario name stands for its
-    golden file, parsed once per process and compiled by ``scenarios.build``."""
+def _load_target(target: str) -> edl.Template:
+    """Resolve a scenario name or .edl path to its template, compiled once.  A
+    scenario name stands for its golden file, parsed once per process and
+    compiled by ``scenarios.build``."""
     if target in scenarios.list_names():
-        return scenarios.document(target), scenarios.build(target).template.bind
+        return scenarios.build(target).template
     if not (target.endswith(".edl") or os.path.sep in target):
         raise CliError(
             f"unknown target {target!r}; scenario names: {', '.join(scenarios.list_names())}",
@@ -100,8 +99,7 @@ def _load_target(target: str) -> tuple[edl.Document, Callable[..., Circuit]]:
         )
     if not os.path.exists(target):
         raise CliError(f"no such file: {target}", USAGE_ERROR)
-    template = edl.build_template(edl.load_document(target))
-    return template.doc, template.bind
+    return edl.build_template(edl.load_document(target))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -125,7 +123,7 @@ def _ascii_pattern(values, width: int = 60) -> str:
 
 
 def cmd_run(args) -> int:
-    circuit = _load_target(args.target)[1]()
+    circuit = _load_target(args.target).bind()
     settings = _parse_kv(args.setting, "--setting")
     dist = joint_distribution(circuit, settings)
     if args.format == "json":
@@ -185,30 +183,30 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not math.isfinite(value):
             raise CliError(f"{flag} must be finite, not {value!r}", USAGE_ERROR)
+    if args.steps < 1:
+        raise CliError("--steps must be >= 1", USAGE_ERROR)
     span = args.stop - args.start
     values = [args.start + span * i / max(args.steps - 1, 1) for i in range(args.steps)]
     if not all(map(math.isfinite, values)):
         raise CliError("--start and --stop are too far apart: a step overflows", USAGE_ERROR)
-    doc, bind = _load_target(args.target)
-    declared = [name for name, _ in doc.params]
+    template = _load_target(args.target)
+    declared = [name for name, _ in template.doc.params]
     if args.param not in declared:
         raise CliError(
-            f"experiment {doc.name!r} declares no PARAM {args.param!r}"
+            f"experiment {template.doc.name!r} declares no PARAM {args.param!r}"
             f" (declared: {', '.join(declared) or 'none'})",
             USAGE_ERROR,
         )
-    if args.steps < 1:
-        raise CliError("--steps must be >= 1", USAGE_ERROR)
     settings = _parse_kv(args.setting, "--setting")
-    steps = []
-    for value in values:
-        steps.append((value, joint_distribution(bind(**{args.param: value}), settings)))
+    # every step in one batched evolution, with the bytes of one bind and
+    # joint_distribution per step
+    dists = joint_distributions(template.circuit, template.rows(args.param, values), settings)
     # the columns of the first step with outcomes; an all-blocked step has
     # none and reads 0 in every column
-    keys = next((sorted(dist.outcomes) for _, dist in steps if dist.probs.size), [])
+    keys = next((sorted(dist.outcomes) for dist in dists if dist.probs.size), [])
     header = [args.param] + ["P(" + "|".join(k) + ")" for k in keys]
     lines = [",".join(header)]
-    for value, dist in steps:
+    for value, dist in zip(values, dists):
         lines.append(",".join([f"{value:.12g}"] + [f"{dist.prob(k):.12g}" for k in keys]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -220,7 +218,7 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     if args.shots < 0:
         raise CliError("--shots must be >= 0", USAGE_ERROR)
-    circuit = _load_target(args.target)[1]()
+    circuit = _load_target(args.target).bind()
     settings = _parse_kv(args.setting, "--setting")
     seed = _seed(args)
     validate_settings(circuit, settings)

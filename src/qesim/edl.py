@@ -134,6 +134,16 @@ class Template:
         """``circuit`` with ``params`` (radians) bound: the stages whose angle names
         one are rebuilt and every other object is shared.  An invalid binding
         raises the ValidationError that ``compile_document`` would report."""
+        ops = self._rebuilt(params)
+        return replace(self.circuit, stages=_rebound(self.circuit.stages, ops)) if ops else self.circuit
+
+    def rows(self, name: str, values) -> list[dict[int, el.ElementOp]]:
+        """For each value (radians) of PARAM ``name``, the ops ``bind`` rebuilds
+        for it, keyed by the id of the Apply of ``circuit`` each replaces: the
+        rows of ``circuit.evolve_rows`` and ``circuit.joint_distributions``."""
+        return [self._rebuilt({name: v}) for v in values]
+
+    def _rebuilt(self, params: dict) -> dict[int, el.ElementOp]:
         if not self.ok:
             raise _failure("document", self.diagnostics)
         c = _Compiler(self.doc, {**self.params, **params})
@@ -141,7 +151,7 @@ class Template:
         ops = {id(a): c.build_element(s) for s, a in self.lazy if not params.keys().isdisjoint(s.args)}
         if c.diags:
             raise _failure(f"experiment {self.doc.name!r}", c.diags)
-        return replace(self.circuit, stages=_rebound(self.circuit.stages, ops)) if ops else self.circuit
+        return ops
 
 
 def _rebound(stages: tuple, ops: dict) -> tuple:

@@ -26,6 +26,7 @@ from .qstate import (
     Dof,
     StateVector,
     ValidationError,
+    _axis,
     contract,
     is_unitary,
 )
@@ -88,27 +89,46 @@ class ElementOp:
 
 def _transform(state: StateVector, op: ElementOp) -> np.ndarray:
     """Raw (unnormalized) amplitude array after the element's matrix action."""
-    dims = state.dims
-    axes = [state.axis(n) for n in op.target_dofs]
-    targets = tuple(dims[a] for a in axes)
+    return _act(state.tensor_view()[None], state.dofs, op)[0].reshape(-1)
+
+
+def _act(t: np.ndarray, dofs, op: ElementOp, matrices: np.ndarray | None = None) -> np.ndarray:
+    """The element's matrix action on a stack ``t`` of amplitude tensors over
+    ``dofs`` (axis 0 counts the states): ``op.matrix`` acts on each state or,
+    given ``matrices`` of op's shape stacked, ``matrices[i]`` on state ``i``."""
+    axes = [_axis(dofs, n) + 1 for n in op.target_dofs]
+    targets = tuple(t.shape[a] for a in axes)
     k = math.prod(targets)
     if op.matrix.shape[0] != k:
         raise ValidationError(
             f"element expects dimension {op.matrix.shape[0]}, targets give {k}"
         )
-    m = op.matrix.reshape(targets + targets)
-    t = state.tensor_view()
+    if matrices is None:
+        matrices = np.broadcast_to(op.matrix, (len(t), k, k))
+    m = matrices.reshape((len(t),) + targets + targets)
     if op.condition is None:
-        return contract(t, m, axes).reshape(-1)
+        return contract(t, m, axes)
     # transform only the condition label's slice, kept one wide so that no
     # axis is renumbered
     cond_dof, cond_label = op.condition
-    cax = state.axis(cond_dof)
-    ci = state.dofs[cax].index(cond_label)
-    block = (slice(None),) * cax + (slice(ci, ci + 1),)
+    cax = _axis(dofs, cond_dof)
+    ci = dofs[cax].index(cond_label)
+    block = (slice(None),) * (cax + 1) + (slice(ci, ci + 1),)
     out = t.copy()
     out[block] = contract(t[block], m, axes)
-    return out.reshape(-1)
+    return out
+
+
+def _settle(out: np.ndarray, op: ElementOp, weight: float) -> tuple[np.ndarray, float]:
+    """The amplitudes and weight after the element's matrix action gave
+    ``out``: a unitary keeps both; a filter renormalizes ``out`` and folds its
+    pass probability into ``weight``, or raises AllBlockedError."""
+    if op.kind == UNITARY:
+        return out, weight
+    pass_prob = float(np.vdot(out, out).real)
+    if pass_prob < ALL_BLOCKED_EPS:
+        raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
+    return out / math.sqrt(pass_prob), weight * pass_prob
 
 
 def apply_op(state: StateVector, op: ElementOp) -> StateVector:
@@ -118,13 +138,7 @@ def apply_op(state: StateVector, op: ElementOp) -> StateVector:
     pass probability into the state's weight.  Raises :class:`AllBlockedError`
     when a filter removes (essentially) all probability mass.
     """
-    out = _transform(state, op)
-    if op.kind == UNITARY:
-        return StateVector(state.dofs, out, state.weight)
-    pass_prob = float(np.vdot(out, out).real)
-    if pass_prob < ALL_BLOCKED_EPS:
-        raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
-    return StateVector(state.dofs, out / math.sqrt(pass_prob), state.weight * pass_prob)
+    return StateVector(state.dofs, *_settle(_transform(state, op), op, state.weight))
 
 
 # -- constructors ---------------------------------------------------------------

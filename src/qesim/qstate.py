@@ -100,17 +100,10 @@ class StateVector:
         n = self.dim
         if a.size != n:
             raise ValidationError(f"expected {n} amplitudes, got {a.size}")
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(f"amplitudes not normalized (norm={norm})")
-        if abs(norm - 1.0) > NORM_TOL:
-            a = a / norm
-        a = a.copy()
+        a = _unit(a).copy()
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
-        if not (-NORM_TOL <= self.weight <= 1.0 + NORM_TOL):
-            raise ValidationError(f"weight {self.weight} outside [0, 1]")
-        object.__setattr__(self, "weight", float(min(max(self.weight, 0.0), 1.0)))
+        object.__setattr__(self, "weight", _weight(self.weight))
 
     # -- construction helpers -------------------------------------------------
 
@@ -154,10 +147,7 @@ class StateVector:
         raise CompositionError(f"no dof named {name!r}")
 
     def axis(self, name: str) -> int:
-        for i, d in enumerate(self.dofs):
-            if d.name == name:
-                return i
-        raise CompositionError(f"no dof named {name!r}")
+        return _axis(self.dofs, name)
 
     def tensor_view(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
@@ -173,6 +163,30 @@ class StateVector:
         return self.dofs == other.dofs
 
 
+def _unit(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or ``a`` over its norm when that is off 1 by more than
+    NORM_TOL; ValidationError when it is off by more than 1e-9."""
+    norm = np.linalg.norm(a)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValidationError(f"amplitudes not normalized (norm={norm})")
+    return a / norm if abs(norm - 1.0) > NORM_TOL else a
+
+
+def _weight(w: float) -> float:
+    """A survival weight clamped into [0, 1]; ValidationError when it lies
+    outside by more than NORM_TOL."""
+    if not (-NORM_TOL <= w <= 1.0 + NORM_TOL):
+        raise ValidationError(f"weight {w} outside [0, 1]")
+    return float(min(max(w, 0.0), 1.0))
+
+
+def _axis(dofs, name: str) -> int:
+    for i, d in enumerate(dofs):
+        if d.name == name:
+            return i
+    raise CompositionError(f"no dof named {name!r}")
+
+
 # -- operations ----------------------------------------------------------------
 
 
@@ -185,17 +199,25 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     """Contract the trailing ``len(axes)`` axes of ``m`` with ``axes`` of
-    ``t``; the leading axes of ``m`` take their places.
+    ``t``; as many leading axes of ``m`` take their places.
+
+    ``m`` may carry one more axis in front, over a stack of states: then axis
+    0 of ``t`` is that stack, kept in front, ``axes`` count from 1, and
+    ``m[i]`` acts on ``t[i]``.  Each state is then contracted by the same
+    ``@`` as alone; folding the stack into the columns instead would be
+    another gemm, whose last bits may differ.
 
     Written as transpose, reshape and one ``@``: at the small dimensions
     elements act on, that costs less per call than ``np.tensordot``.
     """
     n = len(axes)
-    perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
-    flat = t.transpose(perm).reshape(math.prod(m.shape[n:]), -1)
+    b = m.ndim - 2 * n  # 1 over a stack, else 0
+    perm = list(range(b)) + list(axes) + [i for i in range(b, t.ndim) if i not in axes]
+    k = math.prod(m.shape[b + n:])
+    flat = t.transpose(perm).reshape(*t.shape[:b], k, -1)
     shape = [t.shape[i] for i in perm]
-    shape[:n] = m.shape[:n]
-    out = (m.reshape(-1, flat.shape[0]) @ flat).reshape(shape)
+    shape[b:b + n] = m.shape[b:b + n]
+    out = (m.reshape(*m.shape[:b], -1, k) @ flat).reshape(shape)
     return out.transpose(sorted(range(t.ndim), key=perm.__getitem__))
 
 

@@ -69,14 +69,15 @@ class TestRun:
     def test_ascii_bins_follow_the_detector_geometry(self, capsys, monkeypatch):
         # EDL cannot declare a geometry, so a circuit whose screen has 32 bins
         # is put in place of the compiled file
-        circuit = scenarios.build("walborn").circuit
+        template = scenarios.build("walborn").template
+        circuit = template.circuit
         stages = tuple(
             Detect(replace(s.spec, geometry=SlitGeometry(bins=32)))
             if isinstance(s, Detect) and s.spec.screen_of else s
             for s in circuit.stages
         )
         circuit = replace(circuit, stages=stages)
-        monkeypatch.setattr(cli, "_load_target", lambda target: (None, lambda **p: circuit))
+        monkeypatch.setattr(cli, "_load_target", lambda target: replace(template, circuit=circuit))
         code, _, err = run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--ascii")
         assert code == 0
         lines = err.splitlines()
