@@ -239,22 +239,30 @@ def evolve_rows(c: Circuit, rows: list[dict], settings: dict[str, str] | None = 
         varied = rows and id(s) in rows[0]
         matrices = np.stack([r[id(s)].matrix for r in rows]) if varied else None
         flat = el._act(t, c.dofs, s.op, matrices).reshape(n, -1)
-        for i in range(n):
-            if blocked[i]:
-                continue
-            row = flat[i]
-            try:
-                a, w = el._settle(row, s.op, weights[i])
-            except el.AllBlockedError:
-                blocked[i] = True
-                flat[i] = 0.0
-                continue
-            a = _unit(a)
-            if a is not row:
-                flat[i] = a
-            weights[i] = _weight(w)
+        if s.op.kind == el.FILTER:
+            for i in range(n):
+                if blocked[i]:
+                    continue
+                try:
+                    flat[i], w = el._settle(flat[i], s.op, weights[i])
+                except el.AllBlockedError:
+                    blocked[i], flat[i] = True, 0.0
+                else:
+                    weights[i] = _weight(w)
+        _normalize_rows(flat, blocked)
         t = flat.reshape((n,) + dims)
     return StateStack(c.dofs, t, weights, blocked)
+
+
+def _normalize_rows(flat: np.ndarray, blocked: list[bool]) -> None:
+    """Check and renormalize each unblocked row of ``flat`` in place, as
+    ``StateVector`` does its amplitudes."""
+    for i, b in enumerate(blocked):
+        if not b:
+            row = flat[i]
+            a = _unit(row)
+            if a is not row:
+                flat[i] = a
 
 
 def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
@@ -406,15 +414,11 @@ def joint_distributions(
         specs = _active_detectors(c, settings)
         dofs, t = list(stack.dofs), stack.amps
         for change in _basis_changes(stack.dofs, specs):
-            # rebase, on every state of the stack
+            # ``rebase`` of every state of the stack
             ax = _axis(dofs, change.dof)
             m = np.broadcast_to(change.matrix, (len(t),) + change.matrix.shape)
             flat = contract(t, m, (ax + 1,)).reshape(len(t), -1)
-            for i, blocked in enumerate(stack.blocked):
-                row = flat[i]
-                a = row if blocked else _unit(row)
-                if a is not row:
-                    flat[i] = a
+            _normalize_rows(flat, stack.blocked)
             dofs[ax] = Dof(change.dof, change.new_labels)
             t = flat.reshape(t.shape)
         weights = [None if b else w for w, b in zip(stack.weights, stack.blocked)]
@@ -432,7 +436,8 @@ def compare_marginals(
     marginal across all alternatives of the named choice.
 
     Each axis is either a screen detector declared outside the choice or a dof
-    name (measured in its computational basis).  Filters inside the evolution
+    name (measured in its computational basis); a detector declared inside the
+    choice raises ContractError.  Filters inside the evolution
     keep their absorbed branches here, so the marginal covers the whole
     ensemble, not just post-selected survivors.
     """
@@ -445,10 +450,16 @@ def compare_marginals(
 
     subset_dofs: set[str] = set()
     probes: list[DetectorSpec] = []
+    dof_names = {d.name for d in c.dofs}
     for ax in axis_subset:
         if ax in common_screens and ax not in choice_detnames:
             probes.append(common_screens[ax])
             subset_dofs.add(common_screens[ax].screen_of)
+        elif ax in choice_detnames and ax not in dof_names:
+            raise ContractError(
+                f"detector {ax!r} belongs to the compared choice {choice_name!r},"
+                " so not every alternative has it"
+            )
         else:
             d = c.source.dof(ax)  # raises CompositionError for unknown names
             probes.append(DetectorSpec(name=f"_probe_{ax}", measured=((ax, "path"),)))

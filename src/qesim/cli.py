@@ -249,7 +249,15 @@ def cmd_sample(args) -> int:
 
     pairs = events.coincidences(log, det_a, det_b, window=window, offsets=offsets)
     if args.given is not None:
-        pat = events.conditioned_histogram(pairs, tuple(args.given.split("|")))
+        given = tuple(args.given.split("|"))
+        outcomes = [outcome for det, outcome in log.labels if det == det_b]
+        if given not in outcomes:
+            raise CliError(
+                f"--given {args.given!r} is no outcome of {det_b};"
+                f" its outcomes: {', '.join('|'.join(o) for o in outcomes)}",
+                USAGE_ERROR,
+            )
+        pat = events.conditioned_histogram(pairs, given)
         _emit(pat.to_csv(), args.out)
         sys.stderr.write(
             f"{len(pairs)} pairs, fitted visibility {fringe_visibility(pat):.4f}\n"

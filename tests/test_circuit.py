@@ -18,7 +18,7 @@ from qesim.circuit import (
     validate_settings,
 )
 from qesim.measure import marginal
-from qesim.qstate import CompositionError, Dof, StateVector, ValidationError
+from qesim.qstate import Dof, StateVector, ValidationError
 
 ARM = Dof("arm", ("t", "r"))
 POL = Dof("pol", ("v", "h"))
@@ -182,7 +182,8 @@ class TestCompareMarginals:
 
     def test_screen_in_nested_choice_belongs_to_the_choice(self):
         # a screen inside the compared choice is no common screen, however
-        # deeply it is nested; it is then read as a dof name, which fails
+        # deeply it is nested, and the error names the choice it belongs to;
+        # so does a counter of the choice
         slit = Dof("slit", ("s1", "s2"))
         wall = Detect(DetectorSpec("wall", screen_of="slit"))
         count = Detect(DetectorSpec("c", measured=(("slit", "path"),)))
@@ -197,5 +198,10 @@ class TestCompareMarginals:
         direct = circuit((wall,))
         nested = circuit((Choice("inner", {"x": (wall,), "y": (count,)}),))
         for c, base in ((direct, {}), (nested, {"inner": "x"})):
-            with pytest.raises(CompositionError):
-                compare_marginals(c, ["wall"], "outer", base)
+            for name in ("wall", "c"):
+                with pytest.raises(ContractError) as exc:
+                    compare_marginals(c, [name], "outer", base)
+                assert str(exc.value) == (
+                    f"detector {name!r} belongs to the compared choice 'outer',"
+                    " so not every alternative has it"
+                )

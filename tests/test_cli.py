@@ -166,6 +166,12 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == f"qesim: {flag} must be finite, not {float(value)!r}\n"
 
+    def test_steps_below_one_is_usage_error(self, capsys):
+        # rejected before the target is read, as the bounds are
+        code, out, err = run_cli(capsys, "sweep", "no_such.edl", "--steps", "0")
+        assert code == 2 and out == ""
+        assert err == "qesim: --steps must be >= 1\n"
+
     @pytest.mark.parametrize("target, start, stop", [
         ("mz_two_bs", "-1e308", "1e308"),  # stop - start is inf
         ("mz_two_bs", "-1e308", "5e307"),  # the last step's (stop - start) * 2 is inf
@@ -227,6 +233,8 @@ class TestSample:
         (["--window", "2000"], "--window needs --pairs"),
         (["--setting", "p_pol=plus45"], "--setting 'p_pol' given twice"),
         (["-n", "-3"], "--shots must be >= 0"),
+        (["--pairs", "D_s,D_p", "--given", "nosuch"],
+         "--given 'nosuch' is no outcome of D_p; its outcomes: +, -"),
     ])
     def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -237,6 +245,15 @@ class TestSample:
         assert message in err
         if "unknown detector" in message:
             assert "active detectors: D_s, D_p" in err
+
+    def test_given_outcome_without_pairs_is_a_check_error(self, capsys):
+        # the +45 polarizer never lets D_p register -
+        code, out, err = run_cli(
+            capsys, "sample", "walborn", "-n", "10", "--setting", "p_pol=plus45",
+            "--pairs", "D_s,D_p", "--given", "-",
+        )
+        assert code == 1 and out == ""
+        assert err == "qesim: no pairs satisfy the condition\n"
 
     def test_duplicate_detector_name_fails(self, capsys, tmp_path):
         # two detectors named D_s under one setting would log indistinguishable events

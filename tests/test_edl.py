@@ -1,16 +1,27 @@
 import glob
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim import edl, elements as el
-from qesim.circuit import Apply, Choice, evolve, joint_distribution
-from qesim.qstate import StateVector, ValidationError, global_phase_deviation
+from qesim import circuit, edl, elements as el
+from qesim.circuit import (
+    AllBlocked,
+    Apply,
+    Choice,
+    Circuit,
+    evolve,
+    evolve_rows,
+    joint_distribution,
+    joint_distributions,
+)
+from qesim.qstate import Dof, StateVector, ValidationError, global_phase_deviation
 
 GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl")))
 
@@ -370,6 +381,144 @@ class TestBind:
     def test_failed_compile_cannot_be_bound(self):
         with pytest.raises(ValidationError, match="cannot compile document:\n.*bad angle 'phi'"):
             edl.compile_text(MINIMAL.replace("bs arm t r", "phase arm t phi")).bind()
+
+
+#: stage lines a generated sweep document draws from; {a} is the swept PARAM
+#: or a fixed angle, on phase, qwp and pol, with and without ``when``
+SWEPT_STAGES = (
+    "bs arm t r",
+    "phase arm t {a}",
+    "qwp pol {a}",
+    "qwp pol {a} when arm=t",
+    "pol pol {a}",
+    "pol pol {a} when arm=r",
+)
+SWEPT_DETECTORS = (
+    "arm basis=path, pol basis=pm45",
+    "pol basis=circular",
+    "arm basis=pm45",
+    "screen arm",
+)
+
+
+@st.composite
+def sweep_documents(draw):
+    """A two-dof document whose PARAM ``theta`` some stages name, with
+    optionally a CHOICE of two stage lists and a detector inside it."""
+
+    def stages(indent):
+        lines = []
+        for _ in range(draw(st.integers(1, 4))):
+            angle = draw(st.sampled_from(["theta", "theta", "30", "-45"]))
+            lines.append(f"{indent}STAGE s{len(lines)} : " + draw(st.sampled_from(SWEPT_STAGES)).format(a=angle))
+        return lines
+
+    source = draw(st.sampled_from(["1+0i |arm=t, pol=h>", "1+0i |arm=t, pol=h> ; 0+1i |arm=r, pol=v>"]))
+    lines = ["EXPERIMENT swept", "DOF arm : t r", "DOF pol : h v", "PARAM theta = 0", f"SOURCE {source}"]
+    lines += stages("")
+    detector = "DETECT D : " + draw(st.sampled_from(SWEPT_DETECTORS))
+    if draw(st.booleans()):
+        inside = draw(st.booleans())
+        lines.append("CHOICE c : one {")
+        lines += stages("    ") + (["    " + detector] if inside else [])
+        lines.append("} | two {")
+        lines += stages("    ") + (["    " + detector] if inside else [])
+        lines.append("}")
+        if not inside:
+            lines.append(detector)
+    else:
+        lines.append(detector)
+    return "\n".join(lines) + "\n"
+
+
+#: swept values: any finite radians, and the angles at which pol blocks |h>
+STEP_ANGLES = st.one_of(ANGLES, st.sampled_from([math.pi / 2, 3 * math.pi / 2, -math.pi / 2]))
+
+
+def all_settings(c):
+    combos = [{}]
+    for cn in c.choice_names():
+        combos = [{**s, cn: alt} for s in combos for alt in c.find_choice(cn).alternatives]
+    return combos
+
+
+def assert_rows_match_bind(doc, data):
+    """Row i of ``joint_distributions`` and ``evolve_rows`` is what ``bind`` of
+    value i gives ``joint_distribution`` and ``evolve``, to the bit, under
+    every setting and with blocks of any size."""
+    template = edl.build_template(doc)
+    name = data.draw(st.sampled_from([n for n, _ in doc.params]))
+    values = data.draw(st.lists(STEP_ANGLES, min_size=1, max_size=10))
+    block = data.draw(st.sampled_from([circuit.BLOCK_AMPS, 1, 4, 8]))
+    for settings in all_settings(template.circuit):
+        try:
+            want = [joint_distribution(template.bind(**{name: v}), settings) for v in values]
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as exc:
+                joint_distributions(template.circuit, template.rows(name, values), settings)
+            assert str(exc.value) == str(e)
+            continue
+        with mock.patch.object(circuit, "BLOCK_AMPS", block):
+            got = joint_distributions(template.circuit, template.rows(name, values), settings)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.axes, g.labels, g.total_mass) == (w.axes, w.labels, w.total_mass), settings
+            assert g.probs.shape == w.probs.shape and g.probs.tobytes() == w.probs.tobytes(), settings
+        stack = evolve_rows(template.circuit, template.rows(name, values), settings)
+        for i, v in enumerate(values):
+            state = evolve(template.bind(**{name: v}), settings)
+            assert stack.blocked[i] == isinstance(state, AllBlocked)
+            if not stack.blocked[i]:
+                assert stack.amps[i].tobytes() == state.tensor_view().tobytes()
+                assert stack.weights[i] == state.weight
+
+
+class TestRows:
+    """A sweep evaluated as one batched evolution has the bytes of one
+    ``bind`` and ``joint_distribution`` per step."""
+
+    @pytest.mark.parametrize("name", BIND_DOCS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_rows_match_bind(self, name, data):
+        assert_rows_match_bind(edl.parse(BIND_DOCS[name]).document, data)
+
+    @given(text=sweep_documents(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_rows_match_bind(self, text, data):
+        parsed = edl.parse(text)
+        assert parsed.ok, text
+        assert_rows_match_bind(parsed.document, data)
+
+    def test_rows_are_renormalized_as_evolve_does(self):
+        # three nearly unitary steps push the norm 1.47e-12 off 1, past
+        # NORM_TOL, so evolve renormalizes; each row must be renormalized alike
+        arm = Dof("arm", ("t", "r"))
+        near = el.ElementOp(el.UNITARY, ("arm",), np.diag([1 + 4.9e-13] * 2))
+        shift = Apply(el.phase_shifter(arm, "r", 0.0))
+        c = Circuit(
+            (arm,),
+            StateVector.from_amplitudes((arm,), {("t",): 0.6, ("r",): 0.8}),
+            (Apply(near), Apply(near), Apply(near), shift),
+        )
+        values = [0.1, 1.0, 2.5]
+        rows = [{id(shift): el.phase_shifter(arm, "r", v)} for v in values]
+        stack = evolve_rows(c, rows)
+        for i, v in enumerate(values):
+            state = evolve(replace(c, stages=c.stages[:3] + (Apply(rows[i][id(shift)]),)))
+            assert stack.amps[i].tobytes() == state.amps.tobytes()
+
+    def test_rows_bind_one_param_and_raise_bind_errors(self):
+        template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
+        (shift,) = (s for s in template.circuit.stages if isinstance(s, Apply) and s.op.name == "phase")
+        rows = template.rows("phi", [0.5, 1.5])
+        assert [list(r) for r in rows] == [[id(shift)], [id(shift)]]
+        with pytest.raises(ValidationError) as exc:
+            template.rows("theta", [1.0])
+        assert str(exc.value) == (
+            "cannot compile experiment 'mz_two_bs':\n"
+            "1:1: error: undeclared PARAM 'theta' (declared: phi)"
+        )
 
 
 class TestFormatter:
