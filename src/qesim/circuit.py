@@ -32,7 +32,8 @@ from .qstate import (
 )
 from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
 
-#: the most amplitudes ``joint_distributions`` evolves at once
+#: the most amplitudes ``joint_distributions`` evolves at once, unless one
+#: row alone holds more
 BLOCK_AMPS = 2**16
 
 
@@ -326,8 +327,7 @@ def _born(dofs, t: np.ndarray, weights, detectors) -> list[OutcomeDistribution |
         ax = dof_axis[spec.screen_of]
         if len(labels_of[spec.screen_of]) != 2:
             raise ValidationError("screen path dof must have 2 labels")
-        m = _screen_matrix(spec.geometry)
-        t = np.moveaxis(contract(t, np.broadcast_to(m, (len(t),) + m.shape), (ax + 1,)), ax + 1, -1)
+        t = np.moveaxis(contract(t, _screen_matrix(spec.geometry)[None], (ax + 1,)), ax + 1, -1)
         for name in list(dof_axis):
             if dof_axis[name] > ax:
                 dof_axis[name] -= 1
@@ -405,7 +405,8 @@ def joint_distributions(
 ) -> list[OutcomeDistribution]:
     """``joint_distribution`` of each row's variant of ``c`` (see
     ``evolve_rows``), with the same bytes.  Rows are evolved in blocks of at
-    most ``BLOCK_AMPS`` amplitudes, and the Born step runs on each block."""
+    most ``BLOCK_AMPS`` amplitudes (or of one row), and the Born step runs on
+    each block."""
     settings = settings or {}
     per = max(1, BLOCK_AMPS // c.source.dim)
     out: list[OutcomeDistribution] = []
@@ -416,8 +417,7 @@ def joint_distributions(
         for change in _basis_changes(stack.dofs, specs):
             # ``rebase`` of every state of the stack
             ax = _axis(dofs, change.dof)
-            m = np.broadcast_to(change.matrix, (len(t),) + change.matrix.shape)
-            flat = contract(t, m, (ax + 1,)).reshape(len(t), -1)
+            flat = contract(t, change.matrix[None], (ax + 1,)).reshape(len(t), -1)
             _normalize_rows(flat, stack.blocked)
             dofs[ax] = Dof(change.dof, change.new_labels)
             t = flat.reshape(t.shape)

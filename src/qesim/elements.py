@@ -104,8 +104,8 @@ def _act(t: np.ndarray, dofs, op: ElementOp, matrices: np.ndarray | None = None)
             f"element expects dimension {op.matrix.shape[0]}, targets give {k}"
         )
     if matrices is None:
-        matrices = np.broadcast_to(op.matrix, (len(t), k, k))
-    m = matrices.reshape((len(t),) + targets + targets)
+        matrices = op.matrix[None]  # matmul broadcasts it over the stack
+    m = matrices.reshape((len(matrices),) + targets + targets)
     if op.condition is None:
         return contract(t, m, axes)
     # transform only the condition label's slice, kept one wide so that no

@@ -203,9 +203,10 @@ def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
 
     ``m`` may carry one more axis in front, over a stack of states: then axis
     0 of ``t`` is that stack, kept in front, ``axes`` count from 1, and
-    ``m[i]`` acts on ``t[i]``.  Each state is then contracted by the same
-    ``@`` as alone; folding the stack into the columns instead would be
-    another gemm, whose last bits may differ.
+    ``m[i]`` acts on ``t[i]`` (``m[0]`` on every state if that axis has length
+    1).  Each state is then contracted by the same ``@`` as alone; folding
+    the stack into the columns instead would be another gemm, whose last bits
+    may differ.
 
     Written as transpose, reshape and one ``@``: at the small dimensions
     elements act on, that costs less per call than ``np.tensordot``.
