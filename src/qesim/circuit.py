@@ -437,15 +437,14 @@ def compare_marginals(
 
     Each axis is either a screen detector declared outside the choice or a dof
     name (measured in its computational basis); a detector declared inside the
-    choice raises ContractError.  Filters inside the evolution
-    keep their absorbed branches here, so the marginal covers the whole
-    ensemble, not just post-selected survivors.
+    choice, or one that measures dofs, raises ContractError.  Filters inside
+    the evolution keep their absorbed branches here, so the marginal covers
+    the whole ensemble, not just post-selected survivors.
     """
     axis_subset = [axis_subset] if isinstance(axis_subset, str) else list(axis_subset)
     choice = c.find_choice(choice_name)
-    common_screens = {
-        s.name: s for s in c.detectors(None) if s.screen_of is not None
-    }
+    specs = c.detectors(None)
+    common_screens = {s.name: s for s in specs if s.screen_of is not None}
     choice_detnames = {s.spec.name for s in _walk((choice,)) if isinstance(s, Detect)}
 
     subset_dofs: set[str] = set()
@@ -459,6 +458,10 @@ def compare_marginals(
             raise ContractError(
                 f"detector {ax!r} belongs to the compared choice {choice_name!r},"
                 " so not every alternative has it"
+            )
+        elif any(s.name == ax for s in specs) and ax not in dof_names:
+            raise ContractError(
+                f"detector {ax!r} measures dofs; only screens and dofs can be compared"
             )
         else:
             d = c.source.dof(ax)  # raises CompositionError for unknown names

@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import edl, events, scenarios
-from .circuit import joint_distribution, joint_distributions, validate_settings
+from .circuit import ContractError, joint_distribution, joint_distributions, validate_settings
 from .measure import ConditioningError, marginal
 from .qstate import CompositionError, ValidationError
 from .screen import fringe_visibility
@@ -102,12 +102,13 @@ def _load_target(target: str) -> edl.Template:
     return edl.build_template(edl.load_document(target))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text pieces in order, each as soon as it is made."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(pieces)
 
 
 def _ascii_pattern(values, width: int = 60) -> str:
@@ -133,7 +134,7 @@ def cmd_run(args) -> int:
             "axes": list(dist.axes),
             **dist.to_json_dict(),
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     else:
         # the label columns of every row, in the C order of dist.probs
         rows = [""]
@@ -143,7 +144,7 @@ def cmd_run(args) -> int:
         cells = [None] * (2 * len(rows))
         cells[::2], cells[1::2] = rows, dist.probs.ravel().tolist()
         body = ("%s%.12g\n" * len(rows)) % tuple(cells)
-        _emit(",".join(dist.axes) + ",p\n" + body, args.out)
+        _emit([",".join(dist.axes) + ",p\n" + body], args.out)
     if args.ascii:
         for spec in circuit.detectors(settings):
             if spec.screen_of is not None:
@@ -201,14 +202,19 @@ def cmd_sweep(args) -> int:
     # every step in one batched evolution, with the bytes of one bind and
     # joint_distribution per step
     dists = joint_distributions(template.circuit, template.rows(args.param, values), settings)
-    # the columns of the first step with outcomes; an all-blocked step has
-    # none and reads 0 in every column
-    keys = next((sorted(dist.outcomes) for dist in dists if dist.probs.size), [])
-    header = [args.param] + ["P(" + "|".join(k) + ")" for k in keys]
-    lines = [",".join(header)]
+    # the columns of the first step with outcomes, sorted, as flat indices
+    # into every step's probs; an all-blocked step has none and reads 0
+    first = next((dist for dist in dists if dist.probs.size), None)
+    keys = list(first.outcomes) if first is not None else []
+    flat = sorted(range(len(keys)), key=keys.__getitem__)
+    header = [args.param] + ["P(" + "|".join(keys[i]) + ")" for i in flat]
+    zeros = [0.0] * len(flat)
+    cells = []
     for value, dist in zip(values, dists):
-        lines.append(",".join([f"{value:.12g}"] + [f"{dist.prob(k):.12g}" for k in keys]))
-    _emit("\n".join(lines) + "\n", args.out)
+        cells.append(value)
+        cells += dist.probs.ravel()[flat].tolist() if dist.probs.size else zeros
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    _emit([",".join(header) + "\n", (row * len(values)) % tuple(cells)], args.out)
     return 0
 
 
@@ -243,8 +249,8 @@ def cmd_sample(args) -> int:
     )
 
     if args.pairs is None:
-        text = log.to_csv() if args.format == "csv" else log.to_jsonl()
-        _emit(text, args.out)
+        write = log.to_csv if args.format == "csv" else log.to_jsonl
+        _emit(events.blocks(write, len(log)), args.out)
         return 0
 
     pairs = events.coincidences(log, det_a, det_b, window=window, offsets=offsets)
@@ -258,12 +264,12 @@ def cmd_sample(args) -> int:
                 USAGE_ERROR,
             )
         pat = events.conditioned_histogram(pairs, given)
-        _emit(pat.to_csv(), args.out)
+        _emit([pat.to_csv()], args.out)
         sys.stderr.write(
             f"{len(pairs)} pairs, fitted visibility {fringe_visibility(pat):.4f}\n"
         )
     else:
-        _emit(pairs.to_csv(), args.out)
+        _emit(events.blocks(pairs.to_csv, len(pairs)), args.out)
     return 0
 
 
@@ -324,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"qesim: {e}", file=sys.stderr)
         return e.code
-    except (ValidationError, CompositionError, ConditioningError, OSError) as e:
+    except (ValidationError, CompositionError, ConditioningError, ContractError, OSError) as e:
         print(f"qesim: {e}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -16,7 +16,9 @@ a delayed eraser's pairs are recovered.
 
 An ``EventLog`` keeps its events as parallel numpy columns, not one object
 per event; ``DetectionEvent`` objects are built only when a caller asks for
-``EventLog.events``.
+``EventLog.events``.  Its writers, and that of ``Coincidences``, format a
+range of rows, so that ``blocks`` can write a log of any length
+``BLOCK_ROWS`` rows at a time and never holds the whole text.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from .screen import DEFAULT_GEOMETRY, Pattern, SlitGeometry, pattern_from_bin_pr
 #: default shot spacing and coincidence window, in nanoseconds
 DEFAULT_PERIOD_NS = 1e6
 DEFAULT_WINDOW_NS = 1e3
+
+#: rows formatted and written at a time by ``blocks``
+BLOCK_ROWS = 2**14
+#: sizes below which a whole float's ``repr`` (JSON) and ``%.12g`` (CSV) give
+#: the digits of its int: ``repr`` turns to exponents at 1e16 > 2**53, and 12
+#: significant digits hold every int below 1e12
+JSON_WHOLE_BOUND = 2**53
+CSV_WHOLE_BOUND = 1e12
 
 
 @dataclass(frozen=True)
@@ -77,23 +87,75 @@ class EventLog:
         mine = [k for k, (det, _) in enumerate(self.labels) if det == detector]
         return np.flatnonzero(np.isin(self.label, mine))
 
-    def _columns(self, rows=slice(None)):
-        return zip(self.shot[rows].tolist(), self.time[rows].tolist(), self.label[rows].tolist())
+    def __len__(self) -> int:
+        return len(self.shot)
 
-    def to_jsonl(self) -> str:
-        tail = [
+    @cached_property
+    def _jsonl_tails(self) -> np.ndarray:
+        """Each label's JSON line after the time, indexed like ``labels``."""
+        return _table(
             f',"det":{json.dumps(det)},"outcome":'
             f'{json.dumps(list(outcome), separators=(",", ":"))}}}\n'
             for det, outcome in self.labels
-        ]
-        # repr(float) is how json.dumps writes a finite float
-        return "".join([f'{{"shot":{s},"t":{t!r}{tail[k]}' for s, t, k in self._columns()])
-
-    def to_csv(self) -> str:
-        tail = [f",{det},{'|'.join(outcome)}\n" for det, outcome in self.labels]
-        return "shot,t,det,outcome\n" + "".join(
-            [f"{s},{t:.12g}{tail[k]}" for s, t, k in self._columns()]
         )
+
+    @cached_property
+    def _csv_tails(self) -> np.ndarray:
+        return _table(f",{det},{'|'.join(outcome)}\n" for det, outcome in self.labels)
+
+    def to_jsonl(self, lo: int = 0, hi: int | None = None) -> str:
+        """JSON lines of rows ``[lo, hi)``."""
+        # repr(float) is how json.dumps writes a finite float
+        t_fmt, times = _times(self.time[lo:hi], "%d.0", JSON_WHOLE_BOUND, "%r")
+        return _format(
+            '{"shot":%d,"t":' + t_fmt + "%s",
+            self.shot[lo:hi].tolist(), times, self._jsonl_tails[self.label[lo:hi]].tolist(),
+        )
+
+    def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
+        """CSV of rows ``[lo, hi)``, after the header when ``lo == 0``."""
+        t_fmt, times = _times(self.time[lo:hi], "%d", CSV_WHOLE_BOUND, "%.12g")
+        body = _format(
+            "%d," + t_fmt + "%s",
+            self.shot[lo:hi].tolist(), times, self._csv_tails[self.label[lo:hi]].tolist(),
+        )
+        return "shot,t,det,outcome\n" + body if lo == 0 else body
+
+
+def _table(texts) -> np.ndarray:
+    """Strings as an object array, so that a label column picks them at once."""
+    return np.array(list(texts), dtype=object)
+
+
+def _times(t: np.ndarray, whole_fmt: str, bound: float, fmt: str) -> tuple[str, list]:
+    """The format and values of one block of times.  When every time is a
+    whole number of ns below ``bound`` in size and none is -0.0, ``whole_fmt``
+    writes the ints with the same bytes as ``fmt`` writes the floats, and is
+    faster; otherwise ``fmt`` and the floats."""
+    if not (t.size == 0 or np.abs(t).max() < bound):
+        return fmt, t.tolist()
+    ints = t.astype(np.int64)
+    if (ints == t).all() and (np.signbit(t) == (ints < 0)).all():
+        return whole_fmt, ints.tolist()
+    return fmt, t.tolist()
+
+
+def _format(row_fmt: str, *columns: list) -> str:
+    """Rows of ``row_fmt``, one per entry of the equally long ``columns``,
+    formatted by one % operation over the flat cell list."""
+    n = len(columns[0])
+    cells = [None] * (n * len(columns))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return (row_fmt * n) % tuple(cells)
+
+
+def blocks(write, rows: int):
+    """The text pieces ``write(lo, hi)`` of consecutive blocks of
+    ``BLOCK_ROWS`` rows, each formatted when the previous one has been taken.
+    There is always block 0, so an empty table still writes its header."""
+    step = BLOCK_ROWS
+    return (write(lo, lo + step) for lo in range(0, max(rows, 1), step))
 
 
 def generate_events(
@@ -177,14 +239,22 @@ class Coincidences:
     def __len__(self) -> int:
         return len(self.a)
 
-    def to_csv(self) -> str:
+    @cached_property
+    def _outcomes(self) -> np.ndarray:
+        return _table(f",{'|'.join(o)}" for _, o in self.log.labels)
+
+    def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
+        """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""
         log = self.log
-        outcome = ["|".join(o) for _, o in log.labels]
-        rows = [
-            f"{sa},{ta:.12g},{outcome[ka]},{sb},{tb:.12g},{outcome[kb]}\n"
-            for (sa, ta, ka), (sb, tb, kb) in zip(log._columns(self.a), log._columns(self.b))
-        ]
-        return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + "".join(rows)
+        a, b = self.a[lo:hi], self.b[lo:hi]
+        ta_fmt, ta = _times(log.time[a], "%d", CSV_WHOLE_BOUND, "%.12g")
+        tb_fmt, tb = _times(log.time[b], "%d", CSV_WHOLE_BOUND, "%.12g")
+        body = _format(
+            "%d," + ta_fmt + "%s,%d," + tb_fmt + "%s\n",
+            log.shot[a].tolist(), ta, self._outcomes[log.label[a]].tolist(),
+            log.shot[b].tolist(), tb, self._outcomes[log.label[b]].tolist(),
+        )
+        return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
 
 
 def _shifted(log: EventLog, detector: str, offset: float) -> tuple[np.ndarray, np.ndarray]:

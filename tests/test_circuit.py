@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qesim import elements as el
+from qesim import scenarios
 from qesim.circuit import (
     AllBlocked,
     Apply,
@@ -157,6 +158,16 @@ class TestCompareMarginals:
         c = masked_loop()
         with pytest.raises(ContractError):
             compare_marginals(c, ["arm"], "mask")
+
+    def test_measuring_detector_is_rejected(self):
+        # D_p is declared outside the choice, but it measures polarisation
+        # dofs: it is no screen, and no dof is named after it
+        walborn = scenarios.build("walborn").circuit
+        with pytest.raises(ContractError) as exc:
+            compare_marginals(walborn, ["D_p"], "p_pol")
+        assert str(exc.value) == (
+            "detector 'D_p' measures dofs; only screens and dofs can be compared"
+        )
 
     def test_unknown_axis_is_rejected(self):
         with pytest.raises(Exception):

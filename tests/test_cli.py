@@ -277,6 +277,25 @@ class TestSample:
         assert run_cli(capsys, "verify", "mz_one_bs")[0] == 0
 
 
+# compiles, but under every setting no DETECT stage is active
+NO_DETECTOR = """EXPERIMENT dark
+DOF arm : t r
+PARAM phi = 0
+SOURCE 1+0i |arm=t>
+STAGE b1 : bs arm t r
+STAGE shift : phase arm t phi
+"""
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sample", "-n", "5"], ["sweep", "--steps", "3"]])
+def test_no_detector_is_a_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "dark.edl"
+    path.write_text(NO_DETECTOR)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "qesim: circuit has no Detect stage under these settings\n"
+
+
 def _all_settings(name):
     """Every combination of choice alternatives of a catalog circuit, as flags."""
     circuit = scenarios.build(name).circuit

@@ -364,6 +364,14 @@ CASES = {
 }
 
 
+#: a million shots, written through --out; recorded from the one-string
+#: writer, which built the whole log as one string before writing it
+MILLION = {
+    "jsonl": "188a8da01d74d8a36d467ab81740ec46e06fbccec9e75d8c8e0c2f66c09fe82d",
+    "csv": "3507998be8e0294f881a3b888a59e662b1fdef64983f039267f99a8563712b84",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -379,3 +387,16 @@ def test_sample_output_pinned(case, capsys, tmp_path, monkeypatch):
     assert code == 0
     assert sha256(captured.out) == out_sha
     assert sha256(captured.err) == err_sha
+
+
+@pytest.mark.parametrize("fmt", sorted(MILLION))
+def test_million_shots_pinned(fmt, capsys, tmp_path):
+    path = tmp_path / f"log.{fmt}"
+    argv = "sample walborn_delayed -n 1000000 --setting p_pol=absent --seed 0 --format"
+    assert main(argv.split() + [fmt, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == MILLION[fmt]

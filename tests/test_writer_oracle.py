@@ -1,0 +1,156 @@
+"""The block writers against the one-string writers they replaced.
+
+``reference_jsonl``, ``reference_csv`` and ``reference_pair_csv`` are the
+earlier ``EventLog.to_jsonl``, ``EventLog.to_csv`` and ``Coincidences.to_csv``,
+which formatted every row with an f-string and joined all rows into one
+string.  They stay here as the definition of the bytes that ``events.blocks``
+over the block writers must give, whatever the block size and whatever the
+times: whole ns (which a block may write as ints), fractional, negative,
+-0.0, subnormal, and sizes on both sides of the bounds below which a whole
+float is written with the digits of its int.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qesim import events, scenarios
+from qesim.cli import main
+from qesim.events import Coincidences, EventLog
+
+
+def columns(log, rows=slice(None)):
+    return zip(log.shot[rows].tolist(), log.time[rows].tolist(), log.label[rows].tolist())
+
+
+def reference_jsonl(log):
+    tail = [
+        f',"det":{json.dumps(det)},"outcome":'
+        f'{json.dumps(list(outcome), separators=(",", ":"))}}}\n'
+        for det, outcome in log.labels
+    ]
+    return "".join([f'{{"shot":{s},"t":{t!r}{tail[k]}' for s, t, k in columns(log)])
+
+
+def reference_csv(log):
+    tail = [f",{det},{'|'.join(outcome)}\n" for det, outcome in log.labels]
+    return "shot,t,det,outcome\n" + "".join([f"{s},{t:.12g}{tail[k]}" for s, t, k in columns(log)])
+
+
+def reference_pair_csv(pairs):
+    log = pairs.log
+    outcome = ["|".join(o) for _, o in log.labels]
+    rows = [
+        f"{sa},{ta:.12g},{outcome[ka]},{sb},{tb:.12g},{outcome[kb]}\n"
+        for (sa, ta, ka), (sb, tb, kb) in zip(columns(log, pairs.a), columns(log, pairs.b))
+    ]
+    return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + "".join(rows)
+
+
+def written(write, rows, block):
+    with mock.patch.object(events, "BLOCK_ROWS", block):
+        return "".join(events.blocks(write, rows))
+
+
+BOUNDARY = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e6, 1e9 + 1234.5,
+    2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 2.0**53 + 2,
+    1e12 - 1, -(1e12 - 1), 1e12, -1e12, 1e12 + 1,
+    1e15, 1e16 - 2, 1e16, -1e16, 1e17, 2.0**62, 2.0**63, -(2.0**63), 2.0**64,
+    1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308,
+]
+WHOLE = st.integers(-(2**53) + 1, 2**53 - 1).map(float)
+# a log of whole times takes the int path in every block; boundary values
+# sprinkled among them decide it block by block
+TIMES = st.one_of(
+    st.lists(WHOLE, max_size=30),
+    st.lists(st.one_of(WHOLE, st.sampled_from(BOUNDARY)), max_size=30),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+)
+NAME = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1, max_size=4)
+LABELS = st.lists(st.tuples(NAME, st.lists(NAME, min_size=1, max_size=2).map(tuple)),
+                  min_size=1, max_size=4)
+BLOCK = st.sampled_from([1, 2, 7, 2**14])
+
+
+@st.composite
+def logs(draw):
+    time = draw(TIMES)
+    labels = draw(LABELS)
+    n = len(time)
+    shot = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    label = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+    return EventLog(0, n, shot, time, label, labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(log=logs(), block=BLOCK)
+def test_log_writers_match_one_string_writers(log, block):
+    assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
+    assert written(log.to_csv, len(log), block) == reference_csv(log)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=logs().filter(len), block=BLOCK, data=st.data())
+def test_pair_writer_matches_one_string_writer(log, block, data):
+    m = data.draw(st.integers(0, 20))
+    rows = st.lists(st.integers(0, len(log) - 1), min_size=m, max_size=m)
+    a = np.array(data.draw(rows), dtype=np.int64)
+    b = np.array(data.draw(rows), dtype=np.int64)
+    pairs = Coincidences(log, a, b)
+    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+
+
+# each case next to whole times, so that only the case itself decides
+# whether its block is written as ints
+EDGE_TIMES = [
+    [-0.0], [0.0, -0.0], [-0.0, 3.0, -4.0],
+    [2.0**53 - 1, -(2.0**53 - 1)], [2.0**53], [-(2.0**53)], [1e16], [-1e16], [1e17],
+    [1e12 - 1, -(1e12 - 1)], [1e12], [-1e12], [1e12 + 1], [1e300], [-1e300],
+    [5e-324], [-5e-324], [0.5], [-2.5], [1e6 * 7 + 0.25],
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 2**14])
+@pytest.mark.parametrize("case", EDGE_TIMES, ids=repr)
+def test_edge_times_match_one_string_writers(case, block):
+    time = [1e6, 2e6] + case + [3e6 + 1e9] * 5 + [1.5, 2.0, 3.0]
+    labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
+    log = EventLog(0, len(time), range(len(time)), time, [k % 2 for k in range(len(time))], labels)
+    assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
+    assert written(log.to_csv, len(log), block) == reference_csv(log)
+    pairs = Coincidences(log, np.arange(len(log) - 1), np.arange(1, len(log)))
+    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+
+
+def test_empty_log_writes_block_zero():
+    log = EventLog(0, 0, [], [], [], [("D", ("x",))])
+    assert list(events.blocks(log.to_jsonl, len(log))) == [""]
+    assert list(events.blocks(log.to_csv, len(log))) == ["shot,t,det,outcome\n"]
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], ""),
+    (["--format", "csv"], "shot,t,det,outcome\n"),
+    (["--pairs", "D_s,D_p"], "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n"),
+])
+def test_zero_shots_through_the_cli(capsys, flags, expected):
+    argv = ["sample", "walborn_delayed", "-n", "0", "--setting", "p_pol=absent"] + flags
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_real_log_times_are_written_as_ints():
+    # the shot period and the declared delays are whole ns, so every block
+    # of a sampled log takes the int path of both formats
+    log = events.generate_events(
+        scenarios.build("walborn_delayed").circuit, {"p_pol": "absent"}, shots=3000, seed=1
+    )
+    for lo in range(0, len(log), 1000):
+        t = log.time[lo:lo + 1000]
+        assert events._times(t, "%d.0", events.JSON_WHOLE_BOUND, "%r")[0] == "%d.0"
+        assert events._times(t, "%d", events.CSV_WHOLE_BOUND, "%.12g")[0] == "%d"
