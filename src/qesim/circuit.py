@@ -7,8 +7,10 @@ the evolved state is renormalized and the pass probability accumulates in its
 weight.  ``compare_marginals`` instead keeps the absorbed branches, so the
 full-ensemble marginal of an untouched subsystem can be compared across
 delayed-choice settings.  ``evolve_rows`` and ``joint_distributions`` evaluate
-many variants of one circuit, such as the steps of a PARAM sweep, as one
-stacked evolution with the same bytes per row.
+many variants of one circuit, such as the steps of a PARAM sweep or one
+circuit fed many sources, as one stacked evolution with the same bytes per
+row; one vectorised pass checks the norms of all rows, and only a row whose
+norm it cannot place within NORM_TOL of 1 goes through ``_unit``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from . import elements as el
 from .measure import OutcomeDistribution, total_variation
 from .qstate import (
+    NORM_TOL,
     BasisChange,
     Dof,
     StateVector,
@@ -118,12 +121,18 @@ class StateStack:
     """The rows of ``evolve_rows``: ``amps[i]`` is row i's amplitude tensor
     over ``dofs`` and ``weights[i]`` its weight, as ``evolve`` gives them.  A
     row of ``blocked`` is one ``evolve`` reports as AllBlocked; its amplitudes
-    are zero."""
+    and weight are zero."""
 
     dofs: tuple[Dof, ...]
     amps: np.ndarray
     weights: list[float]
     blocked: list[bool]
+
+    def state(self, i: int) -> StateVector | AllBlocked:
+        """Row i as ``evolve`` returns it, with the same bytes."""
+        if self.blocked[i]:
+            return AllBlocked(self.dofs)
+        return StateVector(self.dofs, self.amps[i], self.weights[i])
 
 
 def _detector_names(stages) -> set[str]:
@@ -220,26 +229,37 @@ def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | 
     return state
 
 
-def evolve_rows(c: Circuit, rows: list[dict], settings: dict[str, str] | None = None) -> StateStack:
+def evolve_rows(
+    c: Circuit, rows: list[dict], settings: dict[str, str] | None = None, sources: list | None = None
+) -> StateStack:
     """``evolve`` of one variant of ``c`` per row, as one stacked evolution.
 
     Row i is ``c`` with the op of each Apply whose id keys ``rows[i]`` put in
     its place (every row keys the same Applies; ``edl.Template.rows`` builds
-    them).  A stage no row replaces acts on the whole stack at once.  Each row
-    is contracted by the same matmul, normalized and checked as ``evolve``
-    does it, so it has the bytes ``evolve`` gives.  All rows are held at once.
+    them), and, given ``sources``, with ``sources[i]`` (a state over
+    ``c.dofs``) as its source.  A stage no row replaces acts on the whole
+    stack at once.  Each row is contracted by the same matmul, normalized and
+    checked as ``evolve`` does it, so it has the bytes ``evolve`` gives: the
+    norms of all rows are checked in one pass, and a row that pass cannot
+    clear goes through ``_unit`` as alone.  All rows are held at once.
     """
     settings = settings or {}
     validate_settings(c, settings)
     n, dims = len(rows), c.source.dims
-    t = np.repeat(c.source.tensor_view()[None], n, axis=0)
-    weights, blocked = [c.source.weight] * n, [False] * n
+    if sources is None:
+        t, weights = np.repeat(c.source.tensor_view()[None], n, axis=0), [c.source.weight] * n
+    elif len(sources) != n or any(s.dofs != c.dofs for s in sources):
+        raise ContractError(f"evolve_rows needs one source per row ({n}), each over the circuit's dofs")
+    else:
+        t = np.array([s.tensor_view() for s in sources]).reshape((n,) + dims)
+        weights = [s.weight for s in sources]
+    blocked = [False] * n
     for s in _walk(c.stages, settings):
         if not isinstance(s, Apply):
             continue
         varied = rows and id(s) in rows[0]
         matrices = np.stack([r[id(s)].matrix for r in rows]) if varied else None
-        flat = el._act(t, c.dofs, s.op, matrices).reshape(n, -1)
+        flat = el._act(t, c.dofs, s.op, matrices).reshape(n, c.source.dim)
         if s.op.kind == el.FILTER:
             for i in range(n):
                 if blocked[i]:
@@ -247,7 +267,7 @@ def evolve_rows(c: Circuit, rows: list[dict], settings: dict[str, str] | None = 
                 try:
                     flat[i], w = el._settle(flat[i], s.op, weights[i])
                 except el.AllBlockedError:
-                    blocked[i], flat[i] = True, 0.0
+                    blocked[i], flat[i], weights[i] = True, 0.0, 0.0
                 else:
                     weights[i] = _weight(w)
         _normalize_rows(flat, blocked)
@@ -257,13 +277,20 @@ def evolve_rows(c: Circuit, rows: list[dict], settings: dict[str, str] | None = 
 
 def _normalize_rows(flat: np.ndarray, blocked: list[bool]) -> None:
     """Check and renormalize each unblocked row of ``flat`` in place, as
-    ``StateVector`` does its amplitudes."""
-    for i, b in enumerate(blocked):
-        if not b:
-            row = flat[i]
-            a = _unit(row)
-            if a is not row:
-                flat[i] = a
+    ``StateVector`` does its amplitudes.
+
+    One vectorised pass computes every row's norm.  For a row of k
+    amplitudes, that norm and ``_unit``'s each lie within (k + 3) * 2**-54 of
+    the exact one, so a row whose norm is within NORM_TOL - (k + 4) * 2**-52
+    of 1 is one ``_unit`` leaves as it is.  Every other row goes through
+    ``_unit``: every row, when that margin is not positive."""
+    margin = NORM_TOL - (flat.shape[1] + 4) * 2.0**-52
+    sure = np.abs(np.linalg.norm(flat, axis=1) - 1.0) <= margin
+    for i in np.flatnonzero(~sure & ~np.asarray(blocked, dtype=bool)):
+        row = flat[i]
+        a = _unit(row)
+        if a is not row:
+            flat[i] = a
 
 
 def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:

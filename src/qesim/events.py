@@ -84,8 +84,8 @@ class EventLog:
 
     def _rows(self, detector: str) -> np.ndarray:
         """Row indices of one detector's events, in stored order."""
-        mine = [k for k, (det, _) in enumerate(self.labels) if det == detector]
-        return np.flatnonzero(np.isin(self.label, mine))
+        mine = np.array([det == detector for det, _ in self.labels], dtype=bool)
+        return np.flatnonzero(mine[self.label])
 
     def __len__(self) -> int:
         return len(self.shot)
@@ -327,8 +327,8 @@ def conditioned_histogram(
     labels = pairs.log.labels
     a = pairs.log.label[pairs.a]
     if partner_outcome is not None:
-        wanted = [k for k, (_, outcome) in enumerate(labels) if outcome == partner_outcome]
-        a = a[np.isin(pairs.log.label[pairs.b], wanted)]
+        wanted = np.array([outcome == partner_outcome for _, outcome in labels], dtype=bool)
+        a = a[wanted[pairs.log.label[pairs.b]]]
     counts = np.bincount(a, minlength=len(labels))
     used = np.flatnonzero(counts).tolist()
     if any(len(labels[k][1]) != 1 for k in used):

@@ -215,7 +215,8 @@ def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     b = m.ndim - 2 * n  # 1 over a stack, else 0
     perm = list(range(b)) + list(axes) + [i for i in range(b, t.ndim) if i not in axes]
     k = math.prod(m.shape[b + n:])
-    flat = t.transpose(perm).reshape(*t.shape[:b], k, -1)
+    # no -1: it is ambiguous on an empty stack
+    flat = t.transpose(perm).reshape(*t.shape[:b], k, math.prod(t.shape[b:]) // k)
     shape = [t.shape[i] for i in perm]
     shape[b:b + n] = m.shape[b:b + n]
     out = (m.reshape(*m.shape[:b], -1, k) @ flat).reshape(shape)

@@ -88,8 +88,8 @@ def _lr_to_pm(dof_name: str) -> BasisChange:
     return BasisChange(dof_name, np.array([row_p, row_m]), ("+", "-"))
 
 
-def _random_pol(rng) -> np.ndarray:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+def _random_amps(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
 
 
@@ -99,13 +99,18 @@ def _expect_state(st) -> StateVector:
     return st
 
 
-def _with_source(circ: Circuit, top_label: str, amps) -> Circuit:
-    """``circ`` fed with ``amps`` over its first dof, all in ``top_label`` of
-    the second."""
-    source = StateVector.from_amplitudes(
-        circ.dofs, {(l, top_label): a for l, a in zip(circ.dofs[0].labels, amps)}
-    )
-    return replace(circ, source=source)
+def _fed(circ: Circuit, top_label: str, vectors) -> list[StateVector]:
+    """One source per vector: its amplitudes over ``circ``'s first dof, all
+    in ``top_label`` of the second."""
+    first = circ.dofs[0].labels
+    return [StateVector.from_amplitudes(circ.dofs, {(l, top_label): a for l, a in zip(first, v)})
+            for v in vectors]
+
+
+def _evolved(circ: Circuit, sources, settings) -> list[StateVector]:
+    """``evolve`` of ``circ`` fed with each source, as one stacked evolution."""
+    stack = evolve_rows(circ, [{}] * len(sources), settings, sources)
+    return [_expect_state(stack.state(i)) for i in range(len(sources))]
 
 
 # -- two_slit -------------------------------------------------------------------
@@ -226,12 +231,9 @@ def _analyzer_loop_checks(circ: Circuit, template: edl.Template, name: str) -> t
 
     def loop_identity_random_dev():
         rng = rng_for(20260824)
-        worst = 0.0
-        for _ in range(100):
-            c = _with_source(circ, "U", _random_pol(rng))
-            out = _expect_state(evolve(c, {"mask": "open"}))
-            worst = max(worst, global_phase_deviation(out, c.source))
-        return worst
+        sources = _fed(circ, "U", [_random_amps(rng, 2) for _ in range(100)])
+        outs = _evolved(circ, sources, {"mask": "open"})
+        return max(map(global_phase_deviation, outs, sources))
 
     def blocked_lower_dev():
         # |45> with the lower (h-tagged) channel masked: pure |v> out, weight 1/2
@@ -253,26 +255,19 @@ def _analyzer_loop_checks(circ: Circuit, template: edl.Template, name: str) -> t
 def _sg_loop_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def loop_fidelity_dev():
         rng = rng_for(20260825)
-        worst = 0.0
-        for _ in range(100):
-            v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            v = v / np.linalg.norm(v)
-            c = _with_source(circ, "top", v)
-            out = _expect_state(evolve(c, {"mask": "open"}))
-            worst = max(worst, abs(1.0 - abs(inner(c.source, out)) ** 2))
-        return worst
+        sources = _fed(circ, "top", [_random_amps(rng, 3) for _ in range(100)])
+        outs = _evolved(circ, sources, {"mask": "open"})
+        return max(abs(1.0 - abs(inner(s, out)) ** 2) for s, out in zip(sources, outs))
 
     def masked_dev():
         rng = rng_for(20260826)
         worst = 0.0
-        keep = {"keep_top": ("plus", "top"), "keep_mid": ("zero", "mid"), "keep_bot": ("minus", "bot")}
-        for _ in range(20):
-            v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            v = v / np.linalg.norm(v)
-            c = _with_source(circ, "top", v)
-            for i, (setting, (spin_label, _)) in enumerate(keep.items()):
-                out = _expect_state(evolve(c, {"mask": setting}))
-                want = StateVector.basis_state(c.dofs, (spin_label, "top"))
+        keep = {"keep_top": "plus", "keep_mid": "zero", "keep_bot": "minus"}
+        vs = [_random_amps(rng, 3) for _ in range(20)]
+        sources = _fed(circ, "top", vs)
+        for i, (setting, spin_label) in enumerate(keep.items()):
+            want = StateVector.basis_state(circ.dofs, (spin_label, "top"))
+            for v, out in zip(vs, _evolved(circ, sources, {"mask": setting})):
                 worst = max(
                     worst,
                     global_phase_deviation(out, want),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesim import elements as el
+from qesim import circuit, elements as el
 from qesim import scenarios
 from qesim.circuit import (
     AllBlocked,
@@ -19,7 +19,7 @@ from qesim.circuit import (
     validate_settings,
 )
 from qesim.measure import marginal
-from qesim.qstate import Dof, StateVector, ValidationError
+from qesim.qstate import NORM_TOL, Dof, StateVector, ValidationError, _unit
 
 ARM = Dof("arm", ("t", "r"))
 POL = Dof("pol", ("v", "h"))
@@ -216,3 +216,64 @@ class TestCompareMarginals:
                     f"detector {name!r} belongs to the compared choice 'outer',"
                     " so not every alternative has it"
                 )
+
+
+def scaled(base: np.ndarray, norm: float) -> np.ndarray:
+    """``base`` scaled to about ``norm``; exactly ``norm`` when it has one
+    nonzero real amplitude."""
+    if np.count_nonzero(base) == 1:
+        return base * norm
+    return base * (norm / np.linalg.norm(base))
+
+
+def edge_bases(k: int) -> list[np.ndarray]:
+    """Rows of k amplitudes: one nonzero, random ones, and one large amplitude
+    beside many tiny ones, whose norm depends most on the order of summation
+    (two norms of a row of 2**11 can differ by 100 ulps)."""
+    rng = np.random.default_rng(k)
+    bases = [np.eye(1, k, dtype=complex)[0], rng.normal(size=k) + 1j * rng.normal(size=k)]
+    for tiny in (2.0**-27, 2.0**-28):
+        bases.append(np.full(k, tiny, dtype=complex))
+        bases[-1][0] = 1.0
+    return bases
+
+
+#: norms off 1 by less than NORM_TOL, around NORM_TOL to a few ulps, and
+#: between NORM_TOL and the 1e-9 at which ``_unit`` raises
+EDGE_NORMS = [1 + 0.4e-12, 1 - 0.4e-12, 1 + 5e-10, 1 - 5e-10] + [
+    x + j * 2.0**-52 * sign
+    for x, sign in ((1 + NORM_TOL, 1), (1 - NORM_TOL, -1))
+    for j in range(-40, 41)
+]
+
+
+class TestNormalizeRows:
+    """``_normalize_rows`` checks every row in one pass and leaves each row
+    with the bytes, and the error, ``_unit`` gives it."""
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 2**11, 2**13])
+    def test_rows_get_the_bytes_of_unit(self, k):
+        rows = [scaled(b, x) for b in edge_bases(k) for x in EDGE_NORMS]
+        flat = np.array(rows + [np.zeros(k)] * 2, dtype=complex)
+        blocked = [False] * len(rows) + [True] * 2
+        circuit._normalize_rows(flat, blocked)
+        for row, got in zip(rows, flat):
+            assert got.tobytes() == _unit(row.copy()).tobytes()
+        assert not flat[len(rows):].any()
+
+    def test_the_boundary_rows_exist(self):
+        # the edge norms straddle NORM_TOL: some rows are renormalized, some kept
+        rows = [scaled(b, x) for b in edge_bases(9) for x in EDGE_NORMS]
+        kept = sum(_unit(r) is r for r in rows)
+        assert 0 < kept < len(rows)
+
+    @pytest.mark.parametrize("k", [2, 2**13])
+    def test_a_row_off_by_more_than_1e_9_raises_as_unit_does(self, k):
+        for base in edge_bases(k):
+            row = scaled(base, 1 + 2e-9)
+            with pytest.raises(ValidationError) as want:
+                _unit(row.copy())
+            flat = np.array([scaled(base, 1.0), row, scaled(base, 1 - 2e-9)])
+            with pytest.raises(ValidationError) as got:
+                circuit._normalize_rows(flat, [False, False, False])
+            assert str(got.value) == str(want.value)

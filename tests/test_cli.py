@@ -2,10 +2,11 @@ import json
 import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qesim import cli, scenarios
+from qesim import cli, elements as el, scenarios
 from qesim.circuit import Detect
 from qesim.cli import main
 from qesim.screen import SlitGeometry
@@ -101,6 +102,14 @@ class TestVerify:
         assert code == 0
         assert "PASS mz_two_bs.p_d2_cos2_half_phi" in out
         assert out.strip().endswith("0 failing check(s)")
+
+    def test_loop_checks_evolve_their_inputs_stacked(self, capsys):
+        # the random-input loop checks run one stacked evolution per setting;
+        # one ``evolve`` per input would make about 750 ``apply_op`` calls
+        with mock.patch.object(el, "apply_op", wraps=el.apply_op) as apply_op:
+            code, out, _ = run_cli(capsys, "verify")
+        assert code == 0 and out.endswith("OK: 0 failing check(s)\n")
+        assert apply_op.call_count <= 150
 
     def test_unknown_name_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")

@@ -473,6 +473,54 @@ def assert_rows_match_bind(doc, data):
                 assert stack.weights[i] == state.weight
 
 
+#: one real part of a source amplitude: often zero, so that a mask may block
+#: a whole source
+AMPLITUDE_PART = st.one_of(st.just(0.0), st.floats(-1, 1, allow_subnormal=False))
+
+
+def random_sources(data, dofs, n):
+    """``n`` random states over ``dofs``, of random weights."""
+    dim = math.prod(d.dim for d in dofs)
+    out = []
+    for _ in range(n):
+        parts = np.array(data.draw(st.lists(AMPLITUDE_PART, min_size=2 * dim, max_size=2 * dim)))
+        a = parts[:dim] + 1j * parts[dim:]
+        if np.linalg.norm(a) < 1e-3:
+            a = np.eye(dim)[data.draw(st.integers(0, dim - 1))]
+        weight = data.draw(st.one_of(st.just(1.0), st.floats(0, 1)))
+        out.append(StateVector(dofs, a / np.linalg.norm(a), weight))
+    return out
+
+
+def assert_sources_match_evolve(template, data, extra=()):
+    """Row i of ``evolve_rows`` given sources is what ``evolve`` gives the
+    circuit of row i fed with source i, to the bit, under every setting: the
+    amplitudes, the weight and whether it is blocked."""
+    c = template.circuit
+    n = data.draw(st.integers(1, 8))
+    sources = random_sources(data, c.dofs, n) + list(extra)
+    if template.params:
+        name = data.draw(st.sampled_from(sorted(template.params)))
+        values = data.draw(st.lists(STEP_ANGLES, min_size=len(sources), max_size=len(sources)))
+        rows = template.rows(name, values)
+        circuits = [template.bind(**{name: v}) for v in values]
+    else:
+        rows, circuits = [{}] * len(sources), [c] * len(sources)
+    for settings in all_settings(c):
+        stack = evolve_rows(c, rows, settings, sources)
+        assert stack.amps.shape == (len(sources),) + c.source.dims
+        for i, (circ, source) in enumerate(zip(circuits, sources)):
+            state = evolve(replace(circ, source=source), settings)
+            assert stack.blocked[i] == isinstance(state, AllBlocked), settings
+            assert stack.weights[i] == state.weight, settings
+            if stack.blocked[i]:
+                assert not stack.amps[i].any()
+                assert stack.state(i) == state
+            else:
+                assert stack.amps[i].tobytes() == state.tensor_view().tobytes(), settings
+                assert stack.state(i).amps.tobytes() == state.amps.tobytes()
+
+
 class TestRows:
     """A sweep evaluated as one batched evolution has the bytes of one
     ``bind`` and ``joint_distribution`` per step."""
@@ -489,6 +537,38 @@ class TestRows:
         parsed = edl.parse(text)
         assert parsed.ok, text
         assert_rows_match_bind(parsed.document, data)
+
+    @pytest.mark.parametrize("name", ["analyzer_loop", "sg_loop"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sources_match_evolve_on_loops(self, name, data):
+        template = edl.build_template(edl.parse(golden_text(name)).document)
+        # the spin plus state alone, which keep_mid and keep_bot block entirely
+        dofs = template.circuit.dofs
+        plus = StateVector.basis_state(dofs, (dofs[0].labels[0], dofs[1].labels[0]))
+        assert_sources_match_evolve(template, data, extra=[plus])
+
+    @given(text=sweep_documents(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_sources_match_evolve(self, text, data):
+        assert_sources_match_evolve(edl.build_template(edl.parse(text).document), data)
+
+    def test_sources_must_fit_the_rows_and_the_circuit(self):
+        c = edl.compile_text(golden_text("analyzer_loop")).circuit
+        with pytest.raises(circuit.ContractError, match=r"one source per row \(2\)"):
+            evolve_rows(c, [{}, {}], {"mask": "open"}, [c.source])
+        other = StateVector.basis_state((Dof("arm", ("t", "r")),), ("t",))
+        with pytest.raises(circuit.ContractError, match=r"one source per row \(1\), each over the circuit.s dofs"):
+            evolve_rows(c, [{}], {"mask": "open"}, [other])
+
+    @pytest.mark.parametrize(
+        "name,settings", [("mz_two_bs", {}), ("sg_loop", {"mask": "keep_top"})]
+    )
+    def test_empty_stack(self, name, settings):
+        c = edl.compile_text(golden_text(name)).circuit
+        for stack in (evolve_rows(c, [], settings), evolve_rows(c, [], settings, [])):
+            assert stack.amps.shape == (0,) + c.source.dims
+            assert stack.weights == [] and stack.blocked == []
 
     def test_rows_are_renormalized_as_evolve_does(self):
         # three nearly unitary steps push the norm 1.47e-12 off 1, past
