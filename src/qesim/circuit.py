@@ -6,11 +6,11 @@ far-field position distribution of a two-label path dof.  Filters post-select:
 the evolved state is renormalized and the pass probability accumulates in its
 weight.  ``compare_marginals`` instead keeps the absorbed branches, so the
 full-ensemble marginal of an untouched subsystem can be compared across
-delayed-choice settings.  ``evolve_rows`` and ``joint_distributions`` evaluate
-many variants of one circuit, such as the steps of a PARAM sweep or one
-circuit fed many sources, as one stacked evolution with the same bytes per
-row; one vectorised pass checks the norms of all rows, and only a row whose
-norm it cannot place within NORM_TOL of 1 goes through ``_unit``.
+delayed-choice settings.  ``evolve_rows`` and ``joint_probs`` evaluate many
+variants of one circuit, such as the steps of a PARAM sweep or one circuit
+fed many sources, as one stacked evolution with the same bytes per row; one
+vectorised pass checks the norms of all rows, and only a row whose norm it
+cannot place within NORM_TOL of 1 goes through ``_unit``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .measure import OutcomeDistribution, total_variation
+from .measure import OutcomeDistribution, check_probs, total_variation
 from .qstate import (
     NORM_TOL,
     BasisChange,
@@ -230,22 +230,24 @@ def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | 
 
 
 def evolve_rows(
-    c: Circuit, rows: list[dict], settings: dict[str, str] | None = None, sources: list | None = None
+    c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None, sources: list | None = None
 ) -> StateStack:
-    """``evolve`` of one variant of ``c`` per row, as one stacked evolution.
+    """``evolve`` of ``n`` variants of ``c``, as one stacked evolution.
 
-    Row i is ``c`` with the op of each Apply whose id keys ``rows[i]`` put in
-    its place (every row keys the same Applies; ``edl.Template.rows`` builds
-    them), and, given ``sources``, with ``sources[i]`` (a state over
-    ``c.dofs``) as its source.  A stage no row replaces acts on the whole
-    stack at once.  Each row is contracted by the same matmul, normalized and
-    checked as ``evolve`` does it, so it has the bytes ``evolve`` gives: the
-    norms of all rows are checked in one pass, and a row that pass cannot
-    clear goes through ``_unit`` as alone.  All rows are held at once.
+    Row i is ``c`` with ``stacks[id(s)][i]`` as the matrix of each Apply ``s``
+    whose id keys ``stacks`` (``edl.Template.rows`` builds them), and, given
+    ``sources``, with ``sources[i]`` (a state over ``c.dofs``) as its source.
+    A stage no stack varies acts on the whole stack at once.  Each row is
+    contracted by the same matmul, normalized and checked as ``evolve`` does
+    it, so it has the bytes ``evolve`` gives: the norms of all rows are checked
+    in one pass, and a row that pass cannot clear goes through ``_unit`` as
+    alone.  All rows are held at once.
     """
     settings = settings or {}
     validate_settings(c, settings)
-    n, dims = len(rows), c.source.dims
+    dims = c.source.dims
+    if any(len(m) != n for m in stacks.values()):
+        raise ContractError(f"evolve_rows needs {n} matrices in each stack")
     if sources is None:
         t, weights = np.repeat(c.source.tensor_view()[None], n, axis=0), [c.source.weight] * n
     elif len(sources) != n or any(s.dofs != c.dofs for s in sources):
@@ -253,26 +255,21 @@ def evolve_rows(
     else:
         t = np.array([s.tensor_view() for s in sources]).reshape((n,) + dims)
         weights = [s.weight for s in sources]
-    blocked = [False] * n
+    weights, blocked = np.array(weights, dtype=float), np.zeros(n, dtype=bool)
     for s in _walk(c.stages, settings):
         if not isinstance(s, Apply):
             continue
-        varied = rows and id(s) in rows[0]
-        matrices = np.stack([r[id(s)].matrix for r in rows]) if varied else None
-        flat = el._act(t, c.dofs, s.op, matrices).reshape(n, c.source.dim)
+        flat = el._act(t, c.dofs, s.op, stacks.get(id(s))).reshape(n, c.source.dim)
         if s.op.kind == el.FILTER:
-            for i in range(n):
-                if blocked[i]:
-                    continue
-                try:
-                    flat[i], w = el._settle(flat[i], s.op, weights[i])
-                except el.AllBlockedError:
-                    blocked[i], flat[i], weights[i] = True, 0.0, 0.0
-                else:
-                    weights[i] = _weight(w)
+            # ``apply_op``'s settle of each row: np.vdot's rounding has no stacked twin
+            pass_prob = np.array([np.vdot(row, row).real for row in flat])
+            blocked |= pass_prob < el.ALL_BLOCKED_EPS
+            flat[blocked] = 0.0
+            flat[~blocked] /= np.sqrt(pass_prob[~blocked])[:, None]
+            weights = np.array([0.0 if b else _weight(w) for w, b in zip(weights * pass_prob, blocked)])
         _normalize_rows(flat, blocked)
         t = flat.reshape((n,) + dims)
-    return StateStack(c.dofs, t, weights, blocked)
+    return StateStack(c.dofs, t, weights.tolist(), blocked.tolist())
 
 
 def _normalize_rows(flat: np.ndarray, blocked: list[bool]) -> None:
@@ -340,10 +337,11 @@ def _basis_changes(dofs, detectors) -> list[BasisChange]:
     return changes
 
 
-def _born(dofs, t: np.ndarray, weights, detectors) -> list[OutcomeDistribution | None]:
-    """Joint Born distribution of each state of the stack ``t`` (axis 0 counts
+def _born(dofs, t: np.ndarray, weights, detectors):
+    """Joint Born probabilities of each state of the stack ``t`` (axis 0 counts
     the states) over ``dofs`` in the detectors' bases, weighted by
-    ``weights[i]``; None where that weight is None."""
+    ``weights[i]``: the axes, their labels, the probabilities (axis 0 counts
+    the states) and each state's mass, which is 0 where it has no amplitude."""
     dof_axis = {d.name: i for i, d in enumerate(dofs)}
     labels_of = {d.name: d.labels for d in dofs}
     n_dofs = len(dofs)
@@ -365,10 +363,7 @@ def _born(dofs, t: np.ndarray, weights, detectors) -> list[OutcomeDistribution |
     axis_info: list[tuple[str, tuple[str, ...], int]] = []  # name, labels, axis
     for spec in detectors:
         if spec.screen_of is not None:
-            labels = tuple(
-                spec.geometry.bin_label(i) for i in range(spec.geometry.bins)
-            )
-            axis_info.append((spec.name, labels, screen_axis[spec.name]))
+            axis_info.append((spec.name, spec.geometry.bin_labels, screen_axis[spec.name]))
         else:
             for dn, _basis in spec.measured:
                 axis_info.append((dn, labels_of[dn], dof_axis[dn]))
@@ -381,16 +376,12 @@ def _born(dofs, t: np.ndarray, weights, detectors) -> list[OutcomeDistribution |
         p = np.transpose(p, [0] + [i + 1 for i in np.argsort(np.argsort(keep))])
     axes = tuple(name for name, _, _ in axis_info)
     labels = tuple(labels for _, labels, _ in axis_info)
-    out: list[OutcomeDistribution | None] = []
-    for row, weight in zip(p, weights):
-        if weight is None:
-            out.append(None)
-            continue
-        total = float(row.sum())
-        if total > 0:
-            row = row * (weight / total)
-        out.append(OutcomeDistribution(axes, labels, row, weight if total > 0 else 0.0))
-    return out
+    totals = p.sum(axis=tuple(range(1, p.ndim)))
+    weights = np.asarray(weights, dtype=float)
+    # each state's weight over its total, unless that is 0 and so is every probability
+    scale = weights / np.where(totals > 0, totals, 1.0)
+    masses = np.where(totals > 0, weights, 0.0)
+    return axes, labels, p * scale.reshape((-1,) + (1,) * (p.ndim - 1)), masses
 
 
 def distribution_from_state(
@@ -399,7 +390,8 @@ def distribution_from_state(
     """Joint Born distribution over the detectors' declared measurements."""
     for change in _basis_changes(state.dofs, detectors):
         state = rebase(state, change)
-    return _born(state.dofs, state.tensor_view()[None], (state.weight,), detectors)[0]
+    axes, labels, p, masses = _born(state.dofs, state.tensor_view()[None], (state.weight,), detectors)
+    return OutcomeDistribution(axes, labels, p[0], float(masses[0]))
 
 
 def _active_detectors(c: Circuit, settings: dict[str, str]) -> list[DetectorSpec]:
@@ -427,18 +419,21 @@ def joint_distribution(
     return distribution_from_state(state, specs)
 
 
-def joint_distributions(
-    c: Circuit, rows: list[dict], settings: dict[str, str] | None = None
-) -> list[OutcomeDistribution]:
-    """``joint_distribution`` of each row's variant of ``c`` (see
-    ``evolve_rows``), with the same bytes.  Rows are evolved in blocks of at
-    most ``BLOCK_AMPS`` amplitudes (or of one row), and the Born step runs on
-    each block."""
+def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None):
+    """The probabilities of ``joint_distributions``, as arrays.
+
+    Rows are evolved in blocks of at most ``BLOCK_AMPS`` amplitudes (or of
+    one row), and the Born step runs on each block.  Each block yields its
+    axes, their labels, its rows' probabilities as one C-ordered array (axis
+    0 counts the rows), their masses and which rows are blocked; a blocked
+    row's probabilities and mass are 0.  Every row is checked as
+    OutcomeDistribution checks its probabilities, with the same bytes.
+    """
     settings = settings or {}
     per = max(1, BLOCK_AMPS // c.source.dim)
-    out: list[OutcomeDistribution] = []
-    for start in range(0, len(rows), per):
-        stack = evolve_rows(c, rows[start:start + per], settings)
+    for start in range(0, n, per):
+        m = min(per, n - start)
+        stack = evolve_rows(c, m, {k: v[start:start + m] for k, v in stacks.items()}, settings)
         specs = _active_detectors(c, settings)
         dofs, t = list(stack.dofs), stack.amps
         for change in _basis_changes(stack.dofs, specs):
@@ -448,8 +443,22 @@ def joint_distributions(
             _normalize_rows(flat, stack.blocked)
             dofs[ax] = Dof(change.dof, change.new_labels)
             t = flat.reshape(t.shape)
-        weights = [None if b else w for w, b in zip(stack.weights, stack.blocked)]
-        out += [_all_blocked(specs) if d is None else d for d in _born(dofs, t, weights, specs)]
+        axes, labels, p, masses = _born(dofs, t, stack.weights, specs)
+        p = np.ascontiguousarray(p)
+        check_probs(axes, labels, p, masses)
+        yield axes, labels, p, masses, stack.blocked
+
+
+def joint_distributions(
+    c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None
+) -> list[OutcomeDistribution]:
+    """``joint_distribution`` of each of ``n`` variants of ``c`` (see
+    ``evolve_rows``), with the same bytes, from ``joint_probs``."""
+    out: list[OutcomeDistribution] = []
+    for axes, labels, p, masses, blocked in joint_probs(c, n, stacks, settings):
+        specs = _active_detectors(c, settings or {})
+        out += [_all_blocked(specs) if b else OutcomeDistribution(axes, labels, row, mass)
+                for row, mass, b in zip(p, masses.tolist(), blocked)]
     return out
 
 

@@ -22,9 +22,12 @@ import json
 import math
 import os
 import sys
+from itertools import product
+
+import numpy as np
 
 from . import edl, events, scenarios
-from .circuit import ContractError, joint_distribution, joint_distributions, validate_settings
+from .circuit import ContractError, joint_distribution, joint_probs, validate_settings
 from .measure import ConditioningError, marginal
 from .qstate import CompositionError, ValidationError
 from .screen import fringe_visibility
@@ -200,21 +203,20 @@ def cmd_sweep(args) -> int:
         )
     settings = _parse_kv(args.setting, "--setting")
     # every step in one batched evolution, with the bytes of one bind and
-    # joint_distribution per step
-    dists = joint_distributions(template.circuit, template.rows(args.param, values), settings)
-    # the columns of the first step with outcomes, sorted, as flat indices
-    # into every step's probs; an all-blocked step has none and reads 0
-    first = next((dist for dist in dists if dist.probs.size), None)
-    keys = list(first.outcomes) if first is not None else []
+    # joint_distribution per step; an all-blocked step's probabilities are 0
+    keys, probs = [], []
+    for _axes, labels, p, _masses, blocked in joint_probs(
+        template.circuit, len(values), template.rows(args.param, values), settings
+    ):
+        probs.append(p.reshape(len(p), -1))
+        if not keys and not all(blocked):
+            keys = list(product(*labels))
+    # the outcome columns, sorted, as flat indices into each step's probs
     flat = sorted(range(len(keys)), key=keys.__getitem__)
     header = [args.param] + ["P(" + "|".join(keys[i]) + ")" for i in flat]
-    zeros = [0.0] * len(flat)
-    cells = []
-    for value, dist in zip(values, dists):
-        cells.append(value)
-        cells += dist.probs.ravel()[flat].tolist() if dist.probs.size else zeros
+    cells = np.column_stack([values, np.concatenate(probs)[:, flat]])
     row = ",".join(["%.12g"] * len(header)) + "\n"
-    _emit([",".join(header) + "\n", (row * len(values)) % tuple(cells)], args.out)
+    _emit([",".join(header) + "\n", (row * len(values)) % tuple(cells.ravel().tolist())], args.out)
     return 0
 
 

@@ -39,6 +39,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import elements as el
 from .circuit import Apply, Choice, Circuit, Detect, DetectorSpec
 from .qstate import Dof, StateVector, ValidationError
@@ -137,11 +139,27 @@ class Template:
         ops = self._rebuilt(params)
         return replace(self.circuit, stages=_rebound(self.circuit.stages, ops)) if ops else self.circuit
 
-    def rows(self, name: str, values) -> list[dict[int, el.ElementOp]]:
-        """For each value (radians) of PARAM ``name``, the ops ``bind`` rebuilds
-        for it, keyed by the id of the Apply of ``circuit`` each replaces: the
-        rows of ``circuit.evolve_rows`` and ``circuit.joint_distributions``."""
-        return [self._rebuilt({name: v}) for v in values]
+    def rows(self, name: str, values) -> dict[int, np.ndarray]:
+        """For each Apply of ``circuit`` whose angle names PARAM ``name``, keyed
+        by its id, the stack of the matrices ``bind`` builds it with at each of
+        ``values`` (radians), to the bit: the rows of ``circuit.evolve_rows``
+        and ``circuit.joint_distributions``.  The first value ``bind`` rejects
+        raises what ``bind`` of it raises."""
+        if not self.ok or name not in self.params:
+            self._rebuilt({name: 0.0})  # raises
+        values, dofs = np.array(values, dtype=float), {d.name: d for d in self.circuit.dofs}
+        stacks, suspect = {}, ~np.isfinite(values)
+        for s, a in self.lazy:
+            kinds = ELEMENTS[s.keyword][1]
+            if (ANGLE, name) in zip(kinds, s.args):
+                # the stage compiled: its dofs and labels resolve as written
+                args = [dofs[t] if k == DOF else values if k == ANGLE else t for k, t in zip(kinds, s.args)]
+                stacks[id(a)] = STACKS[s.keyword](*args)
+                suspect |= el.rejected(a.op.kind, stacks[id(a)])
+        # a matrix ElementOp rejects, or an angle that is not finite
+        for v in values[suspect] if stacks else ():
+            self._rebuilt({name: v})
+        return stacks
 
     def _rebuilt(self, params: dict) -> dict[int, el.ElementOp]:
         if not self.ok:
@@ -226,6 +244,11 @@ ELEMENTS = {
     "pol": (el.linear_polarizer, (DOF, ANGLE), True),
     "block": (el.blocker, (DOF, LABEL), False),
     "recombine": (el.recombiner, (DOF, LABEL), False),
+}
+
+#: keyword -> the array form of its constructor, over a vector of angles
+STACKS = {
+    "phase": el.phase_shifter_stack, "qwp": el.quarter_wave_plate_stack, "pol": el.linear_polarizer_stack,
 }
 
 

@@ -73,18 +73,28 @@ class ElementOp:
             raise ValidationError("element matrix must be square")
         if self.condition is not None and self.condition[0] in self.target_dofs:
             raise ValidationError("condition dof cannot also be a target dof")
-        if self.kind == UNITARY:
-            if not is_unitary(m):
-                raise ValidationError("unitary element matrix fails M^dag M = I")
-        else:
-            if np.max(np.abs(m @ m - m)) > NORM_TOL or np.max(np.abs(m.conj().T - m)) > NORM_TOL:
-                raise ValidationError("filter matrix must be an orthogonal projector")
+        if rejected(self.kind, m[None])[0]:
+            raise ValidationError(
+                "unitary element matrix fails M^dag M = I" if self.kind == UNITARY
+                else "filter matrix must be an orthogonal projector"
+            )
 
     def acts_on(self) -> tuple[str, ...]:
         """Dofs whose joint state this element can change or correlate."""
         if self.condition is None:
             return self.target_dofs
         return self.target_dofs + (self.condition[0],)
+
+
+def rejected(kind: str, m: np.ndarray) -> np.ndarray:
+    """For each matrix of the stack ``m`` of ``kind``, whether ElementOp
+    rejects it: a unitary unless every entry of M^dag M - I is below NORM_TOL,
+    a filter if some entry of M M - M or M^dag - M exceeds it."""
+    if kind == UNITARY:
+        return ~is_unitary(m)
+    return (np.abs(m @ m - m).max(axis=(-2, -1)) > NORM_TOL) | (
+        np.abs(m.conj().swapaxes(-1, -2) - m).max(axis=(-2, -1)) > NORM_TOL
+    )
 
 
 def _transform(state: StateVector, op: ElementOp) -> np.ndarray:
@@ -119,18 +129,6 @@ def _act(t: np.ndarray, dofs, op: ElementOp, matrices: np.ndarray | None = None)
     return out
 
 
-def _settle(out: np.ndarray, op: ElementOp, weight: float) -> tuple[np.ndarray, float]:
-    """The amplitudes and weight after the element's matrix action gave
-    ``out``: a unitary keeps both; a filter renormalizes ``out`` and folds its
-    pass probability into ``weight``, or raises AllBlockedError."""
-    if op.kind == UNITARY:
-        return out, weight
-    pass_prob = float(np.vdot(out, out).real)
-    if pass_prob < ALL_BLOCKED_EPS:
-        raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
-    return out / math.sqrt(pass_prob), weight * pass_prob
-
-
 def apply_op(state: StateVector, op: ElementOp) -> StateVector:
     """Apply an element to a state.
 
@@ -138,7 +136,13 @@ def apply_op(state: StateVector, op: ElementOp) -> StateVector:
     pass probability into the state's weight.  Raises :class:`AllBlockedError`
     when a filter removes (essentially) all probability mass.
     """
-    return StateVector(state.dofs, *_settle(_transform(state, op), op, state.weight))
+    out = _transform(state, op)
+    if op.kind == UNITARY:
+        return StateVector(state.dofs, out, state.weight)
+    pass_prob = float(np.vdot(out, out).real)
+    if pass_prob < ALL_BLOCKED_EPS:
+        raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
+    return StateVector(state.dofs, out / math.sqrt(pass_prob), state.weight * pass_prob)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -164,6 +168,14 @@ def phase_shifter(path_dof: Dof, label: str, phi: float) -> ElementOp:
     m = np.eye(path_dof.dim, dtype=complex)
     m[path_dof.index(label), path_dof.index(label)] = np.exp(1j * phi)
     return ElementOp(UNITARY, (path_dof.name,), m, name="phase")
+
+
+def phase_shifter_stack(path_dof: Dof, label: str, phis: np.ndarray) -> np.ndarray:
+    """The matrices of ``phase_shifter`` at each of ``phis``, stacked and
+    unchecked (``rejected`` checks them)."""
+    m = np.repeat(np.eye(path_dof.dim, dtype=complex)[None], len(phis), axis=0)
+    m[:, path_dof.index(label), path_dof.index(label)] = np.exp(1j * phis)
+    return m
 
 
 def _tag_matrix(internal: Dof, path: Dof) -> np.ndarray:
@@ -214,6 +226,11 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _rot_stack(thetas: np.ndarray) -> np.ndarray:
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.ascontiguousarray(np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1))
+
+
 def quarter_wave_plate(
     pol_dof: Dof, fast_axis: float, condition: Optional[tuple[str, str]] = None
 ) -> ElementOp:
@@ -224,6 +241,14 @@ def quarter_wave_plate(
     return ElementOp(UNITARY, (pol_dof.name,), m, condition=condition, name="qwp")
 
 
+def quarter_wave_plate_stack(pol_dof: Dof, fast_axes: np.ndarray) -> np.ndarray:
+    """The matrices of ``quarter_wave_plate`` at each of ``fast_axes``, stacked
+    and unchecked."""
+    if pol_dof.dim != 2:
+        raise ValidationError("quarter_wave_plate needs a 2-dim polarization dof")
+    return _rot_stack(fast_axes) @ np.diag([1.0, -1.0j]) @ _rot_stack(-fast_axes)
+
+
 def linear_polarizer(
     pol_dof: Dof, angle: float, condition: Optional[tuple[str, str]] = None
 ) -> ElementOp:
@@ -232,6 +257,15 @@ def linear_polarizer(
         raise ValidationError("linear_polarizer needs a 2-dim polarization dof")
     v = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
     return ElementOp(FILTER, (pol_dof.name,), np.outer(v, v.conj()), condition=condition, name="pol")
+
+
+def linear_polarizer_stack(pol_dof: Dof, angles: np.ndarray) -> np.ndarray:
+    """The matrices of ``linear_polarizer`` at each of ``angles``, stacked and
+    unchecked."""
+    if pol_dof.dim != 2:
+        raise ValidationError("linear_polarizer needs a 2-dim polarization dof")
+    v = np.stack([np.cos(angles), np.sin(angles)], axis=-1).astype(complex)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def blocker(path_dof: Dof, label: str) -> ElementOp:

@@ -44,29 +44,11 @@ class OutcomeDistribution:
     def __post_init__(self):
         axes, labels = tuple(self.axes), tuple(map(tuple, self.labels))
         p = np.array(self.probs, dtype=np.float64)
-        if len(labels) != len(axes) or p.shape != tuple(map(len, labels)):
-            raise ValidationError(
-                f"probabilities of shape {p.shape} do not match axes {axes}"
-                f" with {tuple(map(len, labels))} labels"
-            )
-        low = p.min(initial=0.0)
-        if low < -1e-12:
-            idx = np.unravel_index(p.argmin(), p.shape)
-            key = tuple(names[j] for names, j in zip(labels, idx))
-            raise ValidationError(f"negative probability {low} for {key}")
-        if low < 0.0:
-            np.maximum(p, 0.0, out=p)
+        check_probs(axes, labels, p[None], [self.total_mass])
         p.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", p)
-        s = float(p.sum())
-        if not abs(s - self.total_mass) <= 1e-9:
-            raise ValidationError(
-                f"probabilities sum to {s}, declared total_mass {self.total_mass}"
-            )
-        if self.total_mass > 1 + 1e-9:
-            raise ValidationError(f"total_mass {self.total_mass} > 1")
 
     @cached_property
     def outcomes(self) -> dict[tuple[str, ...], float]:
@@ -96,6 +78,32 @@ class OutcomeDistribution:
             ],
             "totalMass": self.total_mass,
         }
+
+
+def check_probs(axes, labels, p: np.ndarray, masses) -> None:
+    """Check each array of the C-ordered stack ``p`` (axis 0 counts them) as
+    OutcomeDistribution checks its probabilities, declared to sum to
+    ``masses[i]``: raise ValidationError for the first that fails, after
+    setting each negative no lower than -1e-12 to 0 in place."""
+    shape = tuple(map(len, labels))
+    if len(labels) != len(axes) or p.shape[1:] != shape:
+        raise ValidationError(
+            f"probabilities of shape {p.shape[1:]} do not match axes {axes} with {shape} labels"
+        )
+    flat = p.reshape(len(p), math.prod(shape))
+    lows = flat.min(axis=1, initial=0.0).tolist()
+    if min(lows, default=0.0) < 0.0:
+        tiny = [i for i, low in enumerate(lows) if -1e-12 <= low < 0.0]
+        flat[tiny] = np.maximum(flat[tiny], 0.0)
+    for i, (low, s, mass) in enumerate(zip(lows, flat.sum(axis=1).tolist(), masses)):
+        if low < -1e-12:
+            idx = np.unravel_index(flat[i].argmin(), shape)
+            key = tuple(names[j] for names, j in zip(labels, idx))
+            raise ValidationError(f"negative probability {low} for {key}")
+        if not abs(s - mass) <= 1e-9:
+            raise ValidationError(f"probabilities sum to {s}, declared total_mass {mass}")
+        if mass > 1 + 1e-9:
+            raise ValidationError(f"total_mass {mass} > 1")
 
 
 def marginal(d: OutcomeDistribution, axis_subset) -> OutcomeDistribution:

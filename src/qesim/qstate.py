@@ -72,10 +72,11 @@ class BasisChange:
             raise ValidationError("basis-change matrix is not unitary")
 
 
-def is_unitary(m: np.ndarray, tol: float = NORM_TOL) -> bool:
+def is_unitary(m: np.ndarray, tol: float = NORM_TOL):
+    """Whether every entry of M^dag M - I is below ``tol``; over a stack of
+    matrices (the last two axes), one bool per matrix."""
     m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[0])
-    return np.max(np.abs(m.conj().T @ m - eye)) < tol
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1)) < tol
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def _fed(circ: Circuit, top_label: str, vectors) -> list[StateVector]:
 
 def _evolved(circ: Circuit, sources, settings) -> list[StateVector]:
     """``evolve`` of ``circ`` fed with each source, as one stacked evolution."""
-    stack = evolve_rows(circ, [{}] * len(sources), settings, sources)
+    stack = evolve_rows(circ, len(sources), {}, settings, sources)
     return [_expect_state(stack.state(i)) for i in range(len(sources))]
 
 
@@ -160,7 +160,7 @@ def _wheeler_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
 
 def _phi_grid_distributions(template: edl.Template):
     """The distribution at each phi of ``PHI_GRID``, in one batched evolution."""
-    return joint_distributions(template.circuit, template.rows("phi", PHI_GRID))
+    return joint_distributions(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID))
 
 
 def _mz_one_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
@@ -187,7 +187,7 @@ def _mz_two_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple
 
     def regroup_dev():
         t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
-        stack = evolve_rows(template.circuit, template.rows("phi", PHI_GRID))
+        stack = evolve_rows(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID))
         if any(stack.blocked):
             raise ValidationError("evolution unexpectedly blocked")
         arm = stack.dofs[0]

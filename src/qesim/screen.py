@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,11 @@ class SlitGeometry:
 
     def bin_label(self, i: int) -> str:
         return f"bin{i:03d}"
+
+    @cached_property
+    def bin_labels(self) -> tuple[str, ...]:
+        """``bin_label`` of every bin, in order, made once per geometry."""
+        return tuple(map(self.bin_label, range(self.bins)))
 
 
 DEFAULT_GEOMETRY = SlitGeometry()
@@ -111,7 +117,7 @@ def pattern_from_bin_probs(
     probs: dict[str, float], geometry: SlitGeometry
 ) -> Pattern:
     """Pattern from a bin-label probability (or count) map, mean-normalized to 1."""
-    vals = np.array([probs.get(geometry.bin_label(i), 0.0) for i in range(geometry.bins)])
+    vals = np.array([probs.get(label, 0.0) for label in geometry.bin_labels])
     mean = vals.mean()
     if mean < 1e-300:
         raise ValidationError("all-zero histogram")

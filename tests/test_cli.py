@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 from qesim import cli, elements as el, scenarios
 from qesim.circuit import Detect
 from qesim.cli import main
+from qesim.measure import OutcomeDistribution
+from qesim.qstate import ValidationError
 from qesim.screen import SlitGeometry
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qesim", "golden")
@@ -117,7 +120,32 @@ class TestVerify:
         assert err.startswith("qesim: unknown scenario 'bogus'; valid names: two_slit, ")
 
 
+def counted(cls):
+    """Patch ``cls.__post_init__`` to count the objects of ``cls`` made."""
+    return mock.patch.object(cls, "__post_init__", autospec=True, side_effect=cls.__post_init__)
+
+
 class TestSweep:
+    def test_steps_build_no_objects(self, capsys):
+        # a sweep's matrices and probabilities are arrays: the ElementOps and
+        # OutcomeDistributions it makes do not grow with --steps
+        run_cli(capsys, "sweep", "mz_two_bs", "--steps", "2")  # warm the catalog
+        counts = []
+        for steps in (2, 1024):
+            with counted(el.ElementOp) as ops, counted(OutcomeDistribution) as dists:
+                code, out, _ = run_cli(capsys, "sweep", "mz_two_bs", "--steps", str(steps))
+            assert code == 0 and len(out.splitlines()) == steps + 1
+            counts.append((ops.call_count, dists.call_count))
+        assert counts[0] == counts[1]
+
+    def test_rows_raise_what_bind_of_the_first_bad_value_raises(self):
+        template = scenarios.build("mz_two_bs").template
+        with pytest.raises(ValidationError) as want:
+            template.bind(phi=math.nan)
+        with pytest.raises(ValidationError) as got:
+            template.rows("phi", [0.0, 1.0, math.nan, 2.0])
+        assert "stage 'shift'" in str(want.value) and str(got.value) == str(want.value)
+
     def test_phase_sweep_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "mz_two_bs", "--steps", "3", "--stop", "3.141592653589793"

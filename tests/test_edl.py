@@ -455,16 +455,16 @@ def assert_rows_match_bind(doc, data):
             want = [joint_distribution(template.bind(**{name: v}), settings) for v in values]
         except ValidationError as e:
             with pytest.raises(ValidationError) as exc:
-                joint_distributions(template.circuit, template.rows(name, values), settings)
+                joint_distributions(template.circuit, len(values), template.rows(name, values), settings)
             assert str(exc.value) == str(e)
             continue
         with mock.patch.object(circuit, "BLOCK_AMPS", block):
-            got = joint_distributions(template.circuit, template.rows(name, values), settings)
+            got = joint_distributions(template.circuit, len(values), template.rows(name, values), settings)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g.axes, g.labels, g.total_mass) == (w.axes, w.labels, w.total_mass), settings
             assert g.probs.shape == w.probs.shape and g.probs.tobytes() == w.probs.tobytes(), settings
-        stack = evolve_rows(template.circuit, template.rows(name, values), settings)
+        stack = evolve_rows(template.circuit, len(values), template.rows(name, values), settings)
         for i, v in enumerate(values):
             state = evolve(template.bind(**{name: v}), settings)
             assert stack.blocked[i] == isinstance(state, AllBlocked)
@@ -502,12 +502,12 @@ def assert_sources_match_evolve(template, data, extra=()):
     if template.params:
         name = data.draw(st.sampled_from(sorted(template.params)))
         values = data.draw(st.lists(STEP_ANGLES, min_size=len(sources), max_size=len(sources)))
-        rows = template.rows(name, values)
+        stacks = template.rows(name, values)
         circuits = [template.bind(**{name: v}) for v in values]
     else:
-        rows, circuits = [{}] * len(sources), [c] * len(sources)
+        stacks, circuits = {}, [c] * len(sources)
     for settings in all_settings(c):
-        stack = evolve_rows(c, rows, settings, sources)
+        stack = evolve_rows(c, len(sources), stacks, settings, sources)
         assert stack.amps.shape == (len(sources),) + c.source.dims
         for i, (circ, source) in enumerate(zip(circuits, sources)):
             state = evolve(replace(circ, source=source), settings)
@@ -556,17 +556,19 @@ class TestRows:
     def test_sources_must_fit_the_rows_and_the_circuit(self):
         c = edl.compile_text(golden_text("analyzer_loop")).circuit
         with pytest.raises(circuit.ContractError, match=r"one source per row \(2\)"):
-            evolve_rows(c, [{}, {}], {"mask": "open"}, [c.source])
+            evolve_rows(c, 2, {}, {"mask": "open"}, [c.source])
         other = StateVector.basis_state((Dof("arm", ("t", "r")),), ("t",))
         with pytest.raises(circuit.ContractError, match=r"one source per row \(1\), each over the circuit.s dofs"):
-            evolve_rows(c, [{}], {"mask": "open"}, [other])
+            evolve_rows(c, 1, {}, {"mask": "open"}, [other])
+        with pytest.raises(circuit.ContractError, match=r"needs 3 matrices in each stack"):
+            evolve_rows(c, 3, {0: np.zeros((2, 2, 2))}, {"mask": "open"})
 
     @pytest.mark.parametrize(
         "name,settings", [("mz_two_bs", {}), ("sg_loop", {"mask": "keep_top"})]
     )
     def test_empty_stack(self, name, settings):
         c = edl.compile_text(golden_text(name)).circuit
-        for stack in (evolve_rows(c, [], settings), evolve_rows(c, [], settings, [])):
+        for stack in (evolve_rows(c, 0, {}, settings), evolve_rows(c, 0, {}, settings, [])):
             assert stack.amps.shape == (0,) + c.source.dims
             assert stack.weights == [] and stack.blocked == []
 
@@ -582,17 +584,20 @@ class TestRows:
             (Apply(near), Apply(near), Apply(near), shift),
         )
         values = [0.1, 1.0, 2.5]
-        rows = [{id(shift): el.phase_shifter(arm, "r", v)} for v in values]
-        stack = evolve_rows(c, rows)
-        for i, v in enumerate(values):
-            state = evolve(replace(c, stages=c.stages[:3] + (Apply(rows[i][id(shift)]),)))
+        ops = [el.phase_shifter(arm, "r", v) for v in values]
+        stack = evolve_rows(c, len(values), {id(shift): np.stack([op.matrix for op in ops])})
+        for i, op in enumerate(ops):
+            state = evolve(replace(c, stages=c.stages[:3] + (Apply(op),)))
             assert stack.amps[i].tobytes() == state.amps.tobytes()
 
     def test_rows_bind_one_param_and_raise_bind_errors(self):
         template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
         (shift,) = (s for s in template.circuit.stages if isinstance(s, Apply) and s.op.name == "phase")
-        rows = template.rows("phi", [0.5, 1.5])
-        assert [list(r) for r in rows] == [[id(shift)], [id(shift)]]
+        stacks = template.rows("phi", [0.5, 1.5])
+        assert list(stacks) == [id(shift)] and stacks[id(shift)].shape == (2, 2, 2)
+        for v, m in zip([0.5, 1.5], stacks[id(shift)]):
+            (bound,) = (s for s in template.bind(phi=v).stages if isinstance(s, Apply) and s.op.name == "phase")
+            assert m.tobytes() == bound.op.matrix.tobytes()
         with pytest.raises(ValidationError) as exc:
             template.rows("theta", [1.0])
         assert str(exc.value) == (

@@ -58,6 +58,40 @@ class TestElementOp:
         assert set(op.acts_on()) == {"pol", "arm"}
 
 
+#: angles the array-form constructors must build to the bit as the scalar
+#: ones do: signed zeros, multiples of pi/4, large magnitudes, seeded uniforms
+STACK_ANGLES = np.concatenate([
+    [0.0, -0.0, 1e6, -1e6, 1e12, -1e12, 1e300, -1e300],
+    [k * math.pi / 4 for k in range(-64, 65)],
+    np.random.default_rng(20261018).uniform(-50, 50, 10_000),
+])
+
+
+class TestStacks:
+    @pytest.mark.parametrize("stack,scalar", [
+        (lambda a: el.phase_shifter_stack(ARM, "r", a), lambda x: el.phase_shifter(ARM, "r", x)),
+        (lambda a: el.quarter_wave_plate_stack(POL, a), lambda x: el.quarter_wave_plate(POL, x)),
+        (lambda a: el.linear_polarizer_stack(POL, a), lambda x: el.linear_polarizer(POL, x)),
+    ], ids=["phase", "qwp", "pol"])
+    def test_stack_is_the_scalar_constructor_to_the_bit(self, stack, scalar):
+        got = stack(STACK_ANGLES)
+        assert got.shape == (len(STACK_ANGLES), 2, 2) and got.flags.c_contiguous
+        bad = [x for x, m in zip(STACK_ANGLES.tolist(), got) if m.tobytes() != scalar(x).matrix.tobytes()]
+        assert not bad, f"{len(bad)} angles build other bytes, the first {bad[0]!r}"
+
+    def test_rejected_is_what_element_op_rejects(self):
+        angles = np.array([0.3, math.nan, math.inf, -1.0])
+        with np.errstate(invalid="ignore"):
+            phases = el.phase_shifter_stack(ARM, "t", angles)
+            projectors = el.linear_polarizer_stack(POL, angles)
+        assert el.rejected(el.UNITARY, phases).tolist() == [False, True, True, False]
+        # the projector check lets nan through, as ElementOp does
+        assert not el.rejected(el.FILTER, projectors).any()
+        el.linear_polarizer(POL, math.nan)
+        with pytest.raises(ValidationError, match="fails M"):
+            el.phase_shifter(ARM, "t", math.nan)
+
+
 class TestApply:
     def test_beam_splitter_amplitudes(self):
         s = StateVector.basis_state((ARM,), ("t",))
