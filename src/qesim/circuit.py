@@ -430,11 +430,10 @@ def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | Non
     OutcomeDistribution checks its probabilities, with the same bytes.
     """
     settings = settings or {}
-    per = max(1, BLOCK_AMPS // c.source.dim)
+    per, specs = max(1, BLOCK_AMPS // c.source.dim), _active_detectors(c, settings)
     for start in range(0, n, per):
         m = min(per, n - start)
         stack = evolve_rows(c, m, {k: v[start:start + m] for k, v in stacks.items()}, settings)
-        specs = _active_detectors(c, settings)
         dofs, t = list(stack.dofs), stack.amps
         for change in _basis_changes(stack.dofs, specs):
             # ``rebase`` of every state of the stack
@@ -454,9 +453,9 @@ def joint_distributions(
 ) -> list[OutcomeDistribution]:
     """``joint_distribution`` of each of ``n`` variants of ``c`` (see
     ``evolve_rows``), with the same bytes, from ``joint_probs``."""
-    out: list[OutcomeDistribution] = []
+    out, specs = [], _active_detectors(c, settings or {})
+    # OutcomeDistribution checks each row again: only verify's 64-step grid comes here
     for axes, labels, p, masses, blocked in joint_probs(c, n, stacks, settings):
-        specs = _active_detectors(c, settings or {})
         out += [_all_blocked(specs) if b else OutcomeDistribution(axes, labels, row, mass)
                 for row, mass, b in zip(p, masses.tolist(), blocked)]
     return out

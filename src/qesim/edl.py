@@ -149,11 +149,12 @@ class Template:
             self._rebuilt({name: 0.0})  # raises
         values, dofs = np.array(values, dtype=float), {d.name: d for d in self.circuit.dofs}
         stacks, suspect = {}, ~np.isfinite(values)
+        angles = np.where(suspect, 0.0, values)  # bind rejects each value not finite, below
         for s, a in self.lazy:
             kinds = ELEMENTS[s.keyword][1]
             if (ANGLE, name) in zip(kinds, s.args):
                 # the stage compiled: its dofs and labels resolve as written
-                args = [dofs[t] if k == DOF else values if k == ANGLE else t for k, t in zip(kinds, s.args)]
+                args = [dofs[t] if k == DOF else angles if k == ANGLE else t for k, t in zip(kinds, s.args)]
                 stacks[id(a)] = STACKS[s.keyword](*args)
                 suspect |= el.rejected(a.op.kind, stacks[id(a)])
         # a matrix ElementOp rejects, or an angle that is not finite

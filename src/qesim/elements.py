@@ -165,16 +165,14 @@ def beam_splitter(path_dof: Dof, port_a: str, port_b: str) -> ElementOp:
 
 def phase_shifter(path_dof: Dof, label: str, phi: float) -> ElementOp:
     """Multiply one path label's amplitude by e^{i phi}."""
-    m = np.eye(path_dof.dim, dtype=complex)
-    m[path_dof.index(label), path_dof.index(label)] = np.exp(1j * phi)
-    return ElementOp(UNITARY, (path_dof.name,), m, name="phase")
+    return ElementOp(UNITARY, (path_dof.name,), phase_shifter_stack(path_dof, label, [phi])[0], name="phase")
 
 
-def phase_shifter_stack(path_dof: Dof, label: str, phis: np.ndarray) -> np.ndarray:
+def phase_shifter_stack(path_dof: Dof, label: str, phis) -> np.ndarray:
     """The matrices of ``phase_shifter`` at each of ``phis``, stacked and
     unchecked (``rejected`` checks them)."""
     m = np.repeat(np.eye(path_dof.dim, dtype=complex)[None], len(phis), axis=0)
-    m[:, path_dof.index(label), path_dof.index(label)] = np.exp(1j * phis)
+    m[:, path_dof.index(label), path_dof.index(label)] = np.exp(1j * np.asarray(phis, dtype=float))
     return m
 
 
@@ -221,13 +219,17 @@ def inverse_stern_gerlach(spin_dof: Dof, path_dof: Dof) -> ElementOp:
     return ElementOp(UNITARY, op.target_dofs, op.matrix.conj().T, name="sg_inv")
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _cos_sin(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle by ``math``, whose rounding no numpy build's
+    vector kernels can change; ValidationError if an angle is not finite."""
+    a = np.asarray(thetas, dtype=float).tolist()
+    if bad := [x for x in a if not math.isfinite(x)]:
+        raise ValidationError(f"angle {bad[0]} is not finite")
+    return np.array([math.cos(x) for x in a]), np.array([math.sin(x) for x in a])
 
 
-def _rot_stack(thetas: np.ndarray) -> np.ndarray:
-    c, s = np.cos(thetas), np.sin(thetas)
+def _rot_stack(thetas) -> np.ndarray:
+    c, s = _cos_sin(thetas)
     return np.ascontiguousarray(np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1))
 
 
@@ -235,36 +237,33 @@ def quarter_wave_plate(
     pol_dof: Dof, fast_axis: float, condition: Optional[tuple[str, str]] = None
 ) -> ElementOp:
     """Quarter-wave plate with its fast axis at ``fast_axis`` radians."""
-    if pol_dof.dim != 2:
-        raise ValidationError("quarter_wave_plate needs a 2-dim polarization dof")
-    m = _rot(fast_axis) @ np.diag([1.0, -1.0j]) @ _rot(-fast_axis)
+    m = quarter_wave_plate_stack(pol_dof, [fast_axis])[0]
     return ElementOp(UNITARY, (pol_dof.name,), m, condition=condition, name="qwp")
 
 
-def quarter_wave_plate_stack(pol_dof: Dof, fast_axes: np.ndarray) -> np.ndarray:
+def quarter_wave_plate_stack(pol_dof: Dof, fast_axes) -> np.ndarray:
     """The matrices of ``quarter_wave_plate`` at each of ``fast_axes``, stacked
     and unchecked."""
     if pol_dof.dim != 2:
         raise ValidationError("quarter_wave_plate needs a 2-dim polarization dof")
-    return _rot_stack(fast_axes) @ np.diag([1.0, -1.0j]) @ _rot_stack(-fast_axes)
+    a = np.asarray(fast_axes, dtype=float)
+    return _rot_stack(a) @ np.diag([1.0, -1.0j]) @ _rot_stack(-a)
 
 
 def linear_polarizer(
     pol_dof: Dof, angle: float, condition: Optional[tuple[str, str]] = None
 ) -> ElementOp:
     """Projector onto cos(angle)|first> + sin(angle)|second>."""
-    if pol_dof.dim != 2:
-        raise ValidationError("linear_polarizer needs a 2-dim polarization dof")
-    v = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    return ElementOp(FILTER, (pol_dof.name,), np.outer(v, v.conj()), condition=condition, name="pol")
+    m = linear_polarizer_stack(pol_dof, [angle])[0]
+    return ElementOp(FILTER, (pol_dof.name,), m, condition=condition, name="pol")
 
 
-def linear_polarizer_stack(pol_dof: Dof, angles: np.ndarray) -> np.ndarray:
+def linear_polarizer_stack(pol_dof: Dof, angles) -> np.ndarray:
     """The matrices of ``linear_polarizer`` at each of ``angles``, stacked and
     unchecked."""
     if pol_dof.dim != 2:
         raise ValidationError("linear_polarizer needs a 2-dim polarization dof")
-    v = np.stack([np.cos(angles), np.sin(angles)], axis=-1).astype(complex)
+    v = np.stack(_cos_sin(angles), axis=-1).astype(complex)
     return v[:, :, None] * v.conj()[:, None, :]
 
 

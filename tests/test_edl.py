@@ -590,6 +590,17 @@ class TestRows:
             state = evolve(replace(c, stages=c.stages[:3] + (Apply(op),)))
             assert stack.amps[i].tobytes() == state.amps.tobytes()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_angle_not_finite_is_a_stage_error_of_bind_and_rows(self, value):
+        template = edl.build_template(edl.parse(BOUND_IN_CHOICE).document)
+        with pytest.raises(ValidationError) as want:
+            template.bind(theta=value)
+        for stage in ("q", "p"):
+            assert f"error: stage {stage!r}: angle {value} is not finite" in str(want.value)
+        with pytest.raises(ValidationError) as got:
+            template.rows("theta", [0.5, value, 1.0])
+        assert str(got.value) == str(want.value)
+
     def test_rows_bind_one_param_and_raise_bind_errors(self):
         template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
         (shift,) = (s for s in template.circuit.stages if isinstance(s, Apply) and s.op.name == "phase")

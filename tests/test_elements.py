@@ -67,29 +67,56 @@ STACK_ANGLES = np.concatenate([
 ])
 
 
+def rot(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def one_phase(x):
+    m = np.eye(2, dtype=complex)
+    m[1, 1] = np.exp(1j * x)
+    return m
+
+
+def one_pol(x):
+    v = np.array([math.cos(x), math.sin(x)], dtype=complex)
+    return np.outer(v, v.conj())
+
+
 class TestStacks:
-    @pytest.mark.parametrize("stack,scalar", [
-        (lambda a: el.phase_shifter_stack(ARM, "r", a), lambda x: el.phase_shifter(ARM, "r", x)),
-        (lambda a: el.quarter_wave_plate_stack(POL, a), lambda x: el.quarter_wave_plate(POL, x)),
-        (lambda a: el.linear_polarizer_stack(POL, a), lambda x: el.linear_polarizer(POL, x)),
+    @pytest.mark.parametrize("stack,scalar,one", [
+        (lambda a: el.phase_shifter_stack(ARM, "r", a), lambda x: el.phase_shifter(ARM, "r", x), one_phase),
+        (lambda a: el.quarter_wave_plate_stack(POL, a), lambda x: el.quarter_wave_plate(POL, x),
+         lambda x: rot(x) @ np.diag([1.0, -1.0j]) @ rot(-x)),
+        (lambda a: el.linear_polarizer_stack(POL, a), lambda x: el.linear_polarizer(POL, x), one_pol),
     ], ids=["phase", "qwp", "pol"])
-    def test_stack_is_the_scalar_constructor_to_the_bit(self, stack, scalar):
+    def test_stack_is_the_scalar_constructor_to_the_bit(self, stack, scalar, one):
+        # ``one`` builds a single matrix by the arithmetic the golden pins were
+        # made with; the scalar constructor is a stack of one
         got = stack(STACK_ANGLES)
         assert got.shape == (len(STACK_ANGLES), 2, 2) and got.flags.c_contiguous
-        bad = [x for x, m in zip(STACK_ANGLES.tolist(), got) if m.tobytes() != scalar(x).matrix.tobytes()]
+        bad = [x for x, m in zip(STACK_ANGLES.tolist(), got)
+               if not m.tobytes() == scalar(x).matrix.tobytes() == one(x).tobytes()]
         assert not bad, f"{len(bad)} angles build other bytes, the first {bad[0]!r}"
 
     def test_rejected_is_what_element_op_rejects(self):
-        angles = np.array([0.3, math.nan, math.inf, -1.0])
         with np.errstate(invalid="ignore"):
-            phases = el.phase_shifter_stack(ARM, "t", angles)
-            projectors = el.linear_polarizer_stack(POL, angles)
+            phases = el.phase_shifter_stack(ARM, "t", [0.3, math.nan, math.inf, -1.0])
         assert el.rejected(el.UNITARY, phases).tolist() == [False, True, True, False]
-        # the projector check lets nan through, as ElementOp does
-        assert not el.rejected(el.FILTER, projectors).any()
-        el.linear_polarizer(POL, math.nan)
         with pytest.raises(ValidationError, match="fails M"):
             el.phase_shifter(ARM, "t", math.nan)
+        shear, half = np.array([[1, 1], [0, 1]], dtype=complex), np.full((2, 2), 0.5j)
+        assert el.rejected(el.UNITARY, np.stack([np.eye(2), shear])).tolist() == [False, True]
+        assert el.rejected(el.FILTER, np.stack([one_pol(0.3), shear, half])).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_plate_and_polarizer_reject_an_angle_not_finite(self, angle):
+        for make in (el.quarter_wave_plate_stack, el.linear_polarizer_stack):
+            with pytest.raises(ValidationError, match=f"^angle {angle} is not finite$"):
+                make(POL, [0.3, angle, 1.0])
+        for make in (el.quarter_wave_plate, el.linear_polarizer):
+            with pytest.raises(ValidationError, match=f"^angle {angle} is not finite$"):
+                make(POL, angle)
 
 
 class TestApply:
@@ -185,10 +212,6 @@ class TestQwpConventions:
     def test_no_global_phase_factor_keeps_every_bit(self, angle):
         # the matrix once was multiplied by a unit phase 1+0j; leaving the
         # factor out must not even flip the sign of a zero
-        def rot(theta):
-            c, s = math.cos(theta), math.sin(theta)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-
         with_factor = (1.0 + 0.0j) * (rot(angle) @ np.diag([1.0, -1.0j]) @ rot(-angle))
         assert el.quarter_wave_plate(POL, angle).matrix.tobytes() == with_factor.tobytes()
 
