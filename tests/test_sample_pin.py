@@ -12,13 +12,16 @@ outcomes or to number formatting shows up there.  The ``run`` cases of the
 files in ``FILES`` (a 12-dof chain with 4096 outcomes and an experiment whose
 blocker absorbs everything), of ``walborn`` as CSV and of its ``--ascii``
 screen on stderr were recorded from the dict-per-outcome Born path, before
-``OutcomeDistribution`` held a dense array.  The ``sweep`` cases of the files
-in ``FILES`` were recorded from the step-by-step sweep, which bound and
-evaluated one value at a time, before a sweep was evaluated as one batched
-evolution: filters with all-blocked steps, pm45 and circular detectors with a
-dof summed out, a screen, a PARAM inside a CHOICE, and a 12-dof sweep whose
-steps fill more than one block.  Every case runs in a temporary directory
-holding ``FILES``, so that a relative target path prints the same.
+``OutcomeDistribution`` held a dense array.  The ``run`` case of a 13-dof
+chain as CSV was recorded from the writer that built one label prefix per
+row, before the CSV was formatted from a label template.  The ``sweep``
+cases of the files in ``FILES`` were recorded from the step-by-step sweep,
+which bound and evaluated one value at a time, before a sweep was evaluated
+as one batched evolution: filters with all-blocked steps, pm45 and circular
+detectors with a dof summed out, a screen, a PARAM inside a CHOICE, and a
+12-dof sweep whose steps fill more than one block.  Every case runs in a
+temporary directory holding ``FILES``, so that a relative target path prints
+the same.
 """
 
 import hashlib
@@ -42,6 +45,7 @@ def chain_edl(n: int) -> str:
 
 FILES = {
     "chain12.edl": chain_edl(12),
+    "chain13.edl": chain_edl(13),
     "blocked.edl": """EXPERIMENT blocked
 DOF slit : s1 s2
 DOF chan : U L
@@ -332,6 +336,12 @@ CASES = {
     "run_chain12_csv": (
         "run chain12.edl --format csv",
         "4feb461557ca5467063e0fdfca7e880db7404df42f93990a2d9e6229e4664814",
+        EMPTY,
+    ),
+    # 13 axes: a CSV writer that splits the axes in two splits them unevenly
+    "run_chain13_csv": (
+        "run chain13.edl --format csv",
+        "cd09485c64c7d2c07a899aa49f7697b553966ab470b20b017d203bfe383aedca",
         EMPTY,
     ),
     "run_chain12_json": (
