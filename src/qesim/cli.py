@@ -131,23 +131,10 @@ def cmd_run(args) -> int:
     settings = _parse_kv(args.setting, "--setting")
     dist = joint_distribution(circuit, settings)
     if args.format == "json":
-        doc = {
-            "target": args.target,
-            "settings": settings,
-            "axes": list(dist.axes),
-            **dist.to_json_dict(),
-        }
+        doc = {"target": args.target, "settings": settings, **dist.to_json_dict()}
         _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     else:
-        # the label columns of every row, in the C order of dist.probs
-        rows = [""]
-        for labels in dist.labels:
-            rows = [f"{row}{label}," for row in rows for label in labels]
-        # one % operation formats all rows, faster than an f-string per row
-        cells = [None] * (2 * len(rows))
-        cells[::2], cells[1::2] = rows, dist.probs.ravel().tolist()
-        body = ("%s%.12g\n" * len(rows)) % tuple(cells)
-        _emit([",".join(dist.axes) + ",p\n" + body], args.out)
+        _emit([dist.to_csv()], args.out)
     if args.ascii:
         for spec in circuit.detectors(settings):
             if spec.screen_of is not None:

@@ -73,11 +73,26 @@ class OutcomeDistribution:
 
     def to_json_dict(self) -> dict:
         return {
+            "axes": list(self.axes),
             "outcomes": [
                 {"labels": list(k), "p": p} for k, p in self.outcomes.items()
             ],
             "totalMass": self.total_mass,
         }
+
+    def to_csv(self) -> str:
+        """A header of the axes and ``p``, then one row of labels and
+        probability per outcome, in C order; no rows when there are no outcomes."""
+        head = ",".join(self.axes) + ",p\n"
+        if not self.probs.size:
+            return head
+        # labels are literals of the format, so one % formats only the probs:
+        # the first half of the axes gives each row's prefix, the rest its suffix
+        cells = [[label.replace("%", "%%") + "," for label in ls] for ls in self.labels]
+        k = len(cells) // 2
+        pre, suf = (list(map("".join, product(*c))) for c in (cells[:k], cells[k:]))
+        form = "".join(p + ("%.12g\n" + p).join(suf) + "%.12g\n" for p in pre)
+        return head + form % tuple(self.probs.ravel().tolist())
 
 
 def check_probs(axes, labels, p: np.ndarray, masses) -> None:

@@ -1,4 +1,5 @@
-"""The block writers against the one-string writers they replaced.
+"""The block writers, and the ``run`` CSV writer, against the writers they
+replaced.
 
 ``reference_jsonl``, ``reference_csv`` and ``reference_pair_csv`` are the
 earlier ``EventLog.to_jsonl``, ``EventLog.to_csv`` and ``Coincidences.to_csv``,
@@ -8,6 +9,12 @@ over the block writers must give, whatever the block size and whatever the
 times: whole ns (which a block may write as ints), fractional, negative,
 -0.0, subnormal, and sizes on both sides of the bounds below which a whole
 float is written with the digits of its int.
+
+``reference_run_csv`` is the earlier ``run --format csv`` writer, which built
+one label prefix per row and formatted each row with ``%s%.12g``.  It stays
+here as the definition of the bytes of ``OutcomeDistribution.to_csv``, which
+writes the labels into its format as literals, whatever the number of axes
+and labels and whatever the labels hold.
 """
 
 import json
@@ -21,6 +28,7 @@ from hypothesis import strategies as st
 from qesim import events, scenarios
 from qesim.cli import main
 from qesim.events import Coincidences, EventLog
+from qesim.measure import OutcomeDistribution
 
 
 def columns(log, rows=slice(None)):
@@ -49,6 +57,14 @@ def reference_pair_csv(pairs):
         for (sa, ta, ka), (sb, tb, kb) in zip(columns(log, pairs.a), columns(log, pairs.b))
     ]
     return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + "".join(rows)
+
+
+def reference_run_csv(dist):
+    rows = [""]
+    for labels in dist.labels:
+        rows = [f"{row}{label}," for row in rows for label in labels]
+    body = "".join(["%s%.12g\n" % (row, p) for row, p in zip(rows, dist.probs.ravel().tolist())])
+    return ",".join(dist.axes) + ",p\n" + body
 
 
 def written(write, rows, block):
@@ -154,3 +170,50 @@ def test_real_log_times_are_written_as_ints():
         t = log.time[lo:lo + 1000]
         assert events._times(t, "%d.0", events.JSON_WHOLE_BOUND, "%r")[0] == "%d.0"
         assert events._times(t, "%d", events.CSV_WHOLE_BOUND, "%.12g")[0] == "%d"
+
+
+# label text that a format string would read as directives or cell breaks
+TEXT = st.text(
+    st.one_of(st.sampled_from("%,s.12g"), st.characters(codec="utf-8", exclude_categories=("Cs",))),
+    max_size=4,
+)
+
+
+def distribution(axes, labels, seed):
+    """Probabilities spread over many decades, some exactly 0, summing below 1."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(map(len, labels))
+    n = int(np.prod(shape))
+    p = rng.random(n) * 10.0 ** -rng.integers(0, 320, n) * (rng.random(n) < 0.9) / max(n, 1)
+    return OutcomeDistribution(axes, labels, p.reshape(shape), float(p.sum()))
+
+
+@st.composite
+def distributions(draw):
+    k = draw(st.integers(1, 7))
+    axes = tuple(draw(st.lists(TEXT, min_size=k, max_size=k)))
+    labels = tuple(tuple(draw(st.lists(TEXT, min_size=1, max_size=5))) for _ in range(k))
+    return distribution(axes, labels, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dist=distributions())
+def test_run_csv_matches_prefix_per_row_writer(dist):
+    assert dist.to_csv() == reference_run_csv(dist)
+
+
+@pytest.mark.parametrize("axes, labels", [
+    (("D",), (tuple(f"b{j}" for j in range(300)),)),
+    (("a%", "b,c", "%%d"), (("%s", "%%", "x"), ("x,y", "%.12g"), ("%", ",", "%(k)s"))),
+    (("p%", "q"), (("%",), ("%d", "%%%"))),
+    ((), ()),
+], ids=["300_labels", "percent_comma", "percent_odd", "no_axes"])
+def test_run_csv_edge_labels_match_prefix_per_row_writer(axes, labels):
+    dist = distribution(axes, labels, 7)
+    assert dist.to_csv() == reference_run_csv(dist)
+
+
+@pytest.mark.parametrize("labels", [((), ()), ((), ("x", "y")), (("x", "y"), ())], ids=repr)
+def test_run_csv_of_all_blocked_has_only_the_header(labels):
+    dist = OutcomeDistribution(("D_s", "D_c"), labels, np.zeros(tuple(map(len, labels))), 0.0)
+    assert dist.to_csv() == reference_run_csv(dist) == "D_s,D_c,p\n"
