@@ -170,9 +170,13 @@ def phase_shifter(path_dof: Dof, label: str, phi: float) -> ElementOp:
 
 def phase_shifter_stack(path_dof: Dof, label: str, phis) -> np.ndarray:
     """The matrices of ``phase_shifter`` at each of ``phis``, stacked and
-    unchecked (``rejected`` checks them)."""
-    m = np.repeat(np.eye(path_dof.dim, dtype=complex)[None], len(phis), axis=0)
-    m[:, path_dof.index(label), path_dof.index(label)] = np.exp(1j * np.asarray(phis, dtype=float))
+    unchecked (``rejected`` checks them); ValidationError if an angle is not
+    finite."""
+    a = np.asarray(phis, dtype=float)
+    if not (ok := np.isfinite(a)).all():
+        raise ValidationError(f"angle {a[~ok].tolist()[0]} is not finite")
+    m = np.repeat(np.eye(path_dof.dim, dtype=complex)[None], len(a), axis=0)
+    m[:, path_dof.index(label), path_dof.index(label)] = np.exp(1j * a)
     return m
 
 

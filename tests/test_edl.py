@@ -593,13 +593,15 @@ class TestRows:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_angle_not_finite_is_a_stage_error_of_bind_and_rows(self, value):
         template = edl.build_template(edl.parse(BOUND_IN_CHOICE).document)
-        with pytest.raises(ValidationError) as want:
-            template.bind(theta=value)
-        for stage in ("q", "p"):
-            assert f"error: stage {stage!r}: angle {value} is not finite" in str(want.value)
-        with pytest.raises(ValidationError) as got:
-            template.rows("theta", [0.5, value, 1.0])
-        assert str(got.value) == str(want.value)
+        # theta drives a qwp and a pol, phi two phase stages
+        for param, stages in (("theta", ("q", "p")), ("phi", ("shift", "back"))):
+            with pytest.raises(ValidationError) as want:
+                template.bind(**{param: value})
+            for stage in stages:
+                assert f"error: stage {stage!r}: angle {value} is not finite" in str(want.value)
+            with pytest.raises(ValidationError) as got:
+                template.rows(param, [0.5, value, 1.0])
+            assert str(got.value) == str(want.value)
 
     def test_rows_bind_one_param_and_raise_bind_errors(self):
         template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
