@@ -184,7 +184,7 @@ def distribution(axes, labels, seed):
     rng = np.random.default_rng(seed)
     shape = tuple(map(len, labels))
     n = int(np.prod(shape))
-    p = rng.random(n) * 10.0 ** -rng.integers(0, 320, n) * (rng.random(n) < 0.9) / max(n, 1)
+    p = rng.random(n) * 10.0 ** -rng.integers(0, 320, n) * (rng.random(n) < 0.9) / n
     return OutcomeDistribution(axes, labels, p.reshape(shape), float(p.sum()))
 
 
