@@ -4,7 +4,10 @@ Each case runs the CLI in-process and compares SHA-256 hashes of stdout and
 stderr with recorded values.  The ``sample`` cases, run with a fixed seed,
 were recorded from the object-per-event implementation of ``qesim.events``:
 any change to sampling, event order, pairing, histogramming or number
-formatting shows up there.  The ``run`` cases (every catalog scenario under
+formatting shows up there.  The ``sample`` cases of ``mz_one_bs``,
+``mz_two_bs``, ``analyzer_loop`` and ``one_photon_eraser`` were recorded from
+the sampler that searched the whole CDF for every shot and ordered rows by a
+lexsort, before shots were drawn from a table of CDF cells.  The ``run`` cases (every catalog scenario under
 every choice alternative), ``verify`` and the ``sweep`` cases were recorded
 from the catalog as built by Python circuit constructors, before it was
 compiled from the golden EDL files: any change to a circuit, to the order of
@@ -165,6 +168,31 @@ CASES = {
         "sample walborn --setting p_pol=plus45 -n 3000 --seed 16"
         " --delay D_p=1.5e6 --window 1e6 --pairs D_s,D_p",
         "594ccd2ee472df72faf5c80663c8b3c184e011623a4900ae38a27f2cbf3f982f",
+        EMPTY,
+    ),
+    # CDF shapes the walborn cases never reach: an entry of exactly 0.5, on the
+    # edge of a draw-table cell
+    "mz_one_bs": (
+        "sample mz_one_bs -n 3000 --seed 21",
+        "f58c446237d8b7f7dcc982b3514889f9536f198336682a142452c0ab5cee3713",
+        EMPTY,
+    ),
+    # a leading outcome of probability 0
+    "mz_two_bs": (
+        "sample mz_two_bs -n 3000 --seed 22",
+        "4af20dfd4b4ee2e6863a76bc28765162e22b683117dc8c960f4fd960365491cc",
+        EMPTY,
+    ),
+    # half the shots absorbed, behind CDF entries a rounding step off 0.25 and 0.5
+    "absorbed_residual": (
+        "sample analyzer_loop --setting mask=block_L -n 3000 --seed 23",
+        "ff9de2cd44d2f54cc961a230369b6fec87a5dc9d563a95cdf3fd439857f08cad",
+        EMPTY,
+    ),
+    # a 256-bin screen behind filters
+    "screen_behind_filters": (
+        "sample one_photon_eraser --setting eraser=plus45 -n 3000 --seed 24 --format csv",
+        "000ddb0a7c710da86344c6473a8b759d8b30228ca608eb5c1800bf67739a78fa",
         EMPTY,
     ),
     "run_two_slit": (
