@@ -11,7 +11,7 @@ TARGET is either a catalog scenario name, which stands for its golden
 ``.edl`` file, or a path to an ``.edl`` file.
 Exit codes: 0 success, 1 failed checks or domain errors (an invalid circuit,
 settings or file), 2 usage errors.
-The seed defaults to the ``QESIM_SEED`` environment variable, then 0.
+The seed (a non-negative integer) defaults to ``$QESIM_SEED``, then 0.
 All file outputs are byte-deterministic for fixed inputs and seed.
 """
 
@@ -43,14 +43,18 @@ class CliError(Exception):
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``QESIM_SEED``, else 0."""
+    """``--seed``, else ``QESIM_SEED``, else 0; a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    text = os.environ.get("QESIM_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"QESIM_SEED must be an integer, not {text!r}", USAGE_ERROR) from None
+        seed, source = args.seed, "--seed"
+    else:
+        text = os.environ.get("QESIM_SEED", "0")
+        try:
+            seed, source = int(text), "QESIM_SEED"
+        except ValueError:
+            raise CliError(f"QESIM_SEED must be an integer, not {text!r}", USAGE_ERROR) from None
+    if seed < 0:
+        raise CliError(f"{source} must be a non-negative integer, not {seed}", USAGE_ERROR)
+    return seed
 
 
 def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:

@@ -313,6 +313,19 @@ class TestSample:
         assert run_cli(capsys, "sample", "mz_one_bs", "-n", "5", "--seed", "1")[0] == 0
         assert run_cli(capsys, "verify", "mz_one_bs")[0] == 0
 
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "two_slit", "-n", "3", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--seed" in err and "non-negative" in err
+
+    def test_negative_seed_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("QESIM_SEED", "-5")
+        code, out, err = run_cli(capsys, "sample", "two_slit", "-n", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "QESIM_SEED" in err and "non-negative" in err
+        # --seed overrides the variable, so its value is never read
+        assert run_cli(capsys, "sample", "two_slit", "-n", "3", "--seed", "0")[0] == 0
+
 
 # compiles, but under every setting no DETECT stage is active
 NO_DETECTOR = """EXPERIMENT dark
