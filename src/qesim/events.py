@@ -1,7 +1,7 @@
 """Timestamped detection events and coincidence counting.
 
 Each shot samples one joint outcome from the active detectors' Born
-distribution; every detector then logs an event at
+distribution via a cell table; every detector then logs an event at
 
     t = shot * period + delay (all in ns),
 
@@ -16,7 +16,8 @@ a delayed eraser's pairs are recovered.
 
 An ``EventLog`` keeps its events as parallel numpy columns, not one object
 per event; ``DetectionEvent`` objects are built only when a caller asks for
-``EventLog.events``.  Its writers, and that of ``Coincidences``, format a
+``EventLog.events``; its rows are merged from one block per detector by a
+stable sort on time.  Its writers, and that of ``Coincidences``, format a
 range of rows, so that ``blocks`` can write a log of any length
 ``BLOCK_ROWS`` rows at a time and never holds the whole text.
 """
@@ -40,6 +41,8 @@ DEFAULT_WINDOW_NS = 1e3
 
 #: rows formatted and written at a time by ``blocks``
 BLOCK_ROWS = 2**14
+#: equal cells of [0, 1) in the table that ``_draw`` reads outcomes from
+DRAW_CELLS = 2**14
 #: sizes below which a whole float's ``repr`` (JSON) and ``%.12g`` (CSV) give
 #: the digits of its int: ``repr`` turns to exponents at 1e16 > 2**53, and 12
 #: significant digits hold every int below 1e12
@@ -61,7 +64,7 @@ class EventLog:
     Row ``i`` is shot ``shot[i]`` registered at ``time[i]`` (ns) with
     ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
     each pair once.  ``generate_events`` stores rows in (time, detector name,
-    shot) order.
+    shot) order: a stable sort on time of per-detector blocks in name order.
     """
 
     def __init__(self, seed: int, shots: int, shot, time, label, labels):
@@ -158,6 +161,21 @@ def blocks(write, rows: int):
     return (write(lo, lo + step) for lo in range(0, max(rows, 1), step))
 
 
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for ``u`` in [0, 1) from ``Generator.random``.
+    ``u * DRAW_CELLS`` scales by a power of two, so the cell, its floor, is exact.  The CDF
+    does not decrease (entries above 1 before its final 1.0 compare as 1.0 does), so where
+    count(cdf <= a cell's lower edge) == count(cdf < its upper edge), that is the pick."""
+    edges = np.arange(DRAW_CELLS + 1) / DRAW_CELLS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    sure = lo == np.searchsorted(cdf, edges[1:], side="left")
+    cell = (u * DRAW_CELLS).astype(np.intp)
+    picks = lo[cell]
+    unsure = np.flatnonzero(~sure[cell])
+    picks[unsure] = np.searchsorted(cdf, u[unsure], side="right")
+    return picks
+
+
 def generate_events(
     c: Circuit,
     settings: dict[str, str] | None = None,
@@ -191,14 +209,14 @@ def generate_events(
     if survive < 1.0 - 1e-12:
         cdf = np.append(cdf, 1.0)
     cdf[-1] = 1.0
-    picks = np.searchsorted(cdf, rng_for(seed).random(shots), side="right")
+    picks = _draw(cdf, rng_for(seed).random(shots))
     survivors = np.flatnonzero(picks < len(keys))
     picks = picks[survivors]
 
-    # one block of rows per detector, in declaration order; the joint axes
-    # are split among detectors in that order too
+    # one block of rows per detector, in shot order; labels are indexed, and
+    # the joint axes split among detectors, in declaration order
     index: dict[tuple[str, tuple[str, ...]], int] = {}
-    shot_parts, time_parts, label_parts = [], [], []
+    parts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     pos = 0
     for spec in specs:
         span = slice(pos, pos + len(spec.axis_names()))
@@ -208,20 +226,17 @@ def generate_events(
             [index.setdefault((spec.name, k[span]), len(index)) for k in keys],
             dtype=np.int32,
         )
-        shot_parts.append(survivors)
-        time_parts.append(survivors * period + offset)
-        label_parts.append(label_of_key[picks])
-    del survivors, picks
-    shot = np.concatenate(shot_parts)
-    time = np.concatenate(time_parts)
-    label = np.concatenate(label_parts)
-    del shot_parts, time_parts, label_parts
+        parts[spec.name] = (survivors * period + offset, label_of_key[picks])
+    del picks
+    names = sorted(parts)
+    shot = np.tile(survivors, len(names))
+    time = np.concatenate([parts[name][0] for name in names])
+    label = np.concatenate([parts[name][1] for name in names])
+    del survivors, parts
 
-    # lexsort is stable, so rows equal in (time, name, shot) -- two detectors
-    # sharing a name -- stay in declaration order
-    names = sorted({det for det, _ in index})
-    name_rank = np.array([names.index(det) for det, _ in index], dtype=np.int32)
-    order = np.lexsort((shot, name_rank[label], time))
+    # blocks in name order, a block's times monotone in its shots, names distinct
+    # (Circuit checks): a stable sort on time leaves rows in (time, name, shot) order
+    order = np.argsort(time, kind="stable")
     # reorder one column at a time, so that only one old column is alive
     shot = shot[order]
     time = time[order]

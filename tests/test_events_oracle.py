@@ -1,18 +1,23 @@
-"""The columnar pairing and histogram against the object-per-event originals.
+"""The event layer against earlier implementations kept as references.
 
 ``reference_coincidences`` and ``reference_histogram`` are the earlier
 implementations, which walked ``DetectionEvent`` objects one by one.  They
 stay here as the definition of what ``events.coincidences`` and
 ``events.conditioned_histogram`` compute; a pair is named by the log rows of
-its two events.
+its two events.  ``reference_generate_events`` is the generator that searched
+the whole CDF for every shot and ordered rows by a lexsort on (time, detector
+name, shot); ``events.generate_events`` must give the same columns, to the bit.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import events, scenarios
+from qesim.circuit import joint_distribution
 from qesim.events import EventLog, coincidences, conditioned_histogram
+from qesim.measure import rng_for
 from qesim.qstate import ValidationError
 from qesim.screen import DEFAULT_GEOMETRY, pattern_from_bin_probs
 
@@ -142,3 +147,135 @@ def test_fallback_runs_only_when_candidates_collide(monkeypatch, window, sequent
     pairs = coincidences(log, "D_s", "D_p", window=window)
     assert bool(calls) == sequential
     assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", window, {})
+
+
+def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None,
+                              period=events.DEFAULT_PERIOD_NS):
+    if shots < 0:
+        raise ValidationError("shots must be >= 0")
+    settings = settings or {}
+    delays = delays or {}
+    dist = joint_distribution(c, settings)
+    specs = c.detectors(settings)
+
+    keys = list(dist.outcomes)
+    cdf = np.cumsum(dist.probs.ravel())
+    survive = cdf[-1] if len(keys) else 0.0
+    if survive < dist.total_mass - 1e-9 or dist.total_mass > 1 + 1e-9:
+        raise ValidationError("inconsistent distribution mass")
+    if survive < 1.0 - 1e-12:
+        cdf = np.append(cdf, 1.0)
+    cdf[-1] = 1.0
+    picks = np.searchsorted(cdf, rng_for(seed).random(shots), side="right")
+    survivors = np.flatnonzero(picks < len(keys))
+    picks = picks[survivors]
+
+    index = {}
+    shot_parts, time_parts, label_parts = [], [], []
+    pos = 0
+    for spec in specs:
+        span = slice(pos, pos + len(spec.axis_names()))
+        pos = span.stop
+        offset = delays.get(spec.name, spec.time_offset)
+        label_of_key = np.array(
+            [index.setdefault((spec.name, k[span]), len(index)) for k in keys],
+            dtype=np.int32,
+        )
+        shot_parts.append(survivors)
+        time_parts.append(survivors * period + offset)
+        label_parts.append(label_of_key[picks])
+    shot = np.concatenate(shot_parts)
+    time = np.concatenate(time_parts)
+    label = np.concatenate(label_parts)
+
+    names = sorted({det for det, _ in index})
+    name_rank = np.array([names.index(det) for det, _ in index], dtype=np.int32)
+    order = np.lexsort((shot, name_rank[label], time))
+    return EventLog(seed, shots, shot[order], time[order], label[order], index)
+
+
+def all_settings(c):
+    combos = [{}]
+    for cn in c.choice_names():
+        combos = [{**s, cn: alt} for s in combos for alt in c.find_choice(cn).alternatives]
+    return combos
+
+
+#: every catalog circuit under every combination of choice alternatives
+TARGETS = [
+    (name, circuit, chosen)
+    for name in scenarios.list_names()
+    for circuit in [scenarios.build(name).circuit]
+    for chosen in all_settings(circuit)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.sampled_from(TARGETS),
+    shots=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+    period=st.sampled_from([events.DEFAULT_PERIOD_NS, 0.0, -PERIOD, 1.5]),
+    data=st.data(),
+)
+def test_generate_events_matches_reference(target, shots, seed, period, data):
+    _, circuit, chosen = target
+    active = [spec.name for spec in circuit.detectors(chosen)]
+    delays = data.draw(st.dictionaries(st.sampled_from(active), NS))
+    got = events.generate_events(circuit, chosen, shots, seed, delays, period)
+    want = reference_generate_events(circuit, chosen, shots, seed, delays, period)
+    assert np.array_equal(got.shot, want.shot)
+    assert np.array_equal(got.time, want.time)
+    assert np.array_equal(got.label, want.label)
+    assert got.labels == want.labels
+
+
+def test_generate_events_targets_cover_the_catalog():
+    assert {name for name, _, _ in TARGETS} == set(scenarios.list_names())
+    assert len(TARGETS) > len(scenarios.list_names())
+
+
+CELLS = events.DRAW_CELLS
+EDGES = np.arange(CELLS) / CELLS
+UNIFORM = rng_for(7).random(20000)
+
+
+def around(values):
+    """Each value and the floats one step below and above it."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -1.0), values, np.nextafter(values, 2.0)])
+
+
+def dense_cdf(n):
+    """A running sum of n random probabilities, scaled to end at 1.0."""
+    cdf = np.cumsum(rng_for(8).random(n))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf
+
+
+def cdf_of(entries):
+    """A CDF as generate_events ends it: sorted, its last entry 1.0."""
+    return np.append(np.sort(entries), 1.0)
+
+
+DRAW_CDFS = {
+    # entries on cell edges, and one step either side of them
+    "cell_edges": cdf_of(around([1 / CELLS, 2 / CELLS, 0.25, 0.5, 0.75, (CELLS - 1) / CELLS])),
+    # runs of equal entries: leading zeros, repeats inside, and a run of 1.0
+    "runs": np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.3, 0.3, 0.3, 0.5, 1.0, 1.0, 1.0]),
+    "single": np.array([1.0]),
+    # 65536 entries: four per cell on average, so most cells are not sure
+    "dense": dense_cdf(65536),
+    # rounding left running-sum entries above 1 before the last, set to 1.0
+    "over_one": np.array([0.25, 0.5, 1.0000000000000002, 1.0000000000000002, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CDFS))
+def test_draw_matches_searchsorted(name):
+    cdf = DRAW_CDFS[name]
+    inner = cdf[(cdf >= 0.0) & (cdf < 1.0)]
+    u = np.concatenate([[0.0], EDGES, [1 - 2**-53], UNIFORM, around(inner)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(events._draw(cdf, u), np.searchsorted(cdf, u, side="right"))

@@ -7,8 +7,9 @@ any change to sampling, event order, pairing, histogramming or number
 formatting shows up there.  The ``sample`` cases of ``mz_one_bs``,
 ``mz_two_bs``, ``analyzer_loop`` and ``one_photon_eraser`` were recorded from
 the sampler that searched the whole CDF for every shot and ordered rows by a
-lexsort, before shots were drawn from a table of CDF cells.  The ``run`` cases (every catalog scenario under
-every choice alternative), ``verify`` and the ``sweep`` cases were recorded
+lexsort, before shots were drawn from a table of CDF cells.  The ``run`` cases
+(every catalog scenario under every choice alternative), ``verify`` and the
+``sweep`` cases were recorded
 from the catalog as built by Python circuit constructors, before it was
 compiled from the golden EDL files: any change to a circuit, to the order of
 outcomes or to number formatting shows up there.  The ``run`` cases of the
