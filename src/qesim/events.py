@@ -168,11 +168,11 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     count(cdf <= a cell's lower edge) == count(cdf < its upper edge), that is the pick."""
     edges = np.arange(DRAW_CELLS + 1) / DRAW_CELLS
     lo = np.searchsorted(cdf, edges[:-1], side="right")
-    sure = lo == np.searchsorted(cdf, edges[1:], side="left")
+    unsure = lo != np.searchsorted(cdf, edges[1:], side="left")
     cell = (u * DRAW_CELLS).astype(np.intp)
     picks = lo[cell]
-    unsure = np.flatnonzero(~sure[cell])
-    picks[unsure] = np.searchsorted(cdf, u[unsure], side="right")
+    searched = np.flatnonzero(unsure[cell])
+    picks[searched] = np.searchsorted(cdf, u[searched], side="right")
     return picks
 
 
