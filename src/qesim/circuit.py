@@ -4,13 +4,14 @@ Evolution is pure and deterministic.  Detection is ideal projective
 measurement in each detector's declared basis; a screen detector measures the
 far-field position distribution of a two-label path dof.  Filters post-select:
 the evolved state is renormalized and the pass probability accumulates in its
-weight.  ``compare_marginals`` instead keeps the absorbed branches, so the
-full-ensemble marginal of an untouched subsystem can be compared across
-delayed-choice settings.  ``evolve_rows`` and ``joint_probs`` evaluate many
-variants of one circuit, such as the steps of a PARAM sweep or one circuit
-fed many sources, as one stacked evolution with the same bytes per row; one
-vectorised pass checks the norms of all rows, and only a row whose norm it
-cannot place within NORM_TOL of 1 goes through ``_unit``.
+weight.  ``compare_marginals`` instead keeps the absorbed branches, as a
+stack whose rows split in two at each filter, so the full-ensemble marginal
+of an untouched subsystem can be compared across delayed-choice settings.
+``evolve_rows`` and ``joint_probs`` evaluate many variants of one circuit,
+such as the steps of a PARAM sweep or one circuit fed many sources, as one
+stacked evolution with the same bytes per row; one vectorised pass checks
+the norms of all rows, and only a row whose norm it cannot place within
+NORM_TOL of 1 goes through ``_unit``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .qstate import (
 )
 from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
 
-#: the most amplitudes ``joint_distributions`` evolves at once, unless one
-#: row alone holds more
+#: the most amplitudes ``joint_probs`` evolves at once, unless one row alone
+#: holds more
 BLOCK_AMPS = 2**16
 
 
@@ -261,11 +262,9 @@ def evolve_rows(
             continue
         flat = el._act(t, c.dofs, s.op, stacks.get(id(s))).reshape(n, c.source.dim)
         if s.op.kind == el.FILTER:
-            # ``apply_op``'s settle of each row: np.vdot's rounding has no stacked twin
-            pass_prob = np.array([np.vdot(row, row).real for row in flat])
+            # a row blocked before is all 0 and so is blocked again
+            pass_prob = el._settle(flat)
             blocked |= pass_prob < el.ALL_BLOCKED_EPS
-            flat[blocked] = 0.0
-            flat[~blocked] /= np.sqrt(pass_prob[~blocked])[:, None]
             weights = np.array([0.0 if b else _weight(w) for w, b in zip(weights * pass_prob, blocked)])
         _normalize_rows(flat, blocked)
         t = flat.reshape((n,) + dims)
@@ -290,32 +289,30 @@ def _normalize_rows(flat: np.ndarray, blocked: list[bool]) -> None:
             flat[i] = a
 
 
-def _branched_evolve(c: Circuit, settings: dict[str, str]) -> list[StateVector]:
-    """Evolve keeping both outcomes of every filter (pass and absorbed).
+def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``evolve`` keeping both outcomes of every filter: the stacked amplitude
+    tensors of the branches and their weights, which sum to the source's.
 
-    Returns a list of normalized branch states whose weights sum to the
-    pre-filter mass; zero-weight branches are dropped.
+    At each filter every row splits into its pass branch, then its absorbed
+    branch, each settled and normalized as ``evolve`` does a state; a branch
+    whose probability is below ALL_BLOCKED_EPS is dropped.
     """
     validate_settings(c, settings)
-    branches = [c.source]
+    t, weights = c.source.tensor_view()[None], np.array([c.source.weight])
     for s in _walk(c.stages, settings):
         if not isinstance(s, Apply):
             continue
-        op = s.op
-        nxt: list[StateVector] = []
-        for st in branches:
-            if op.kind == el.UNITARY:
-                nxt.append(el.apply_op(st, op))
-                continue
-            raw = el._transform(st, op)
-            blocked = st.amps - raw
-            for arr in (raw, blocked):
-                p = float(np.vdot(arr, arr).real)
-                if p < el.ALL_BLOCKED_EPS:
-                    continue
-                nxt.append(StateVector(st.dofs, arr / np.sqrt(p), st.weight * p))
-        branches = nxt
-    return branches
+        flat = el._act(t, c.dofs, s.op).reshape(len(t), c.source.dim)
+        if s.op.kind == el.FILTER:
+            absorbed = t.reshape(flat.shape) - flat
+            flat = np.stack([flat, absorbed], axis=1).reshape(2 * len(t), c.source.dim)
+            pass_prob = el._settle(flat)
+            kept = pass_prob >= el.ALL_BLOCKED_EPS
+            flat = flat[kept]
+            weights = np.array([_weight(w) for w in (np.repeat(weights, 2) * pass_prob)[kept]])
+        _normalize_rows(flat, [False] * len(flat))
+        t = flat.reshape((len(flat),) + c.source.dims)
+    return t, weights
 
 
 def _basis_changes(dofs, detectors) -> list[BasisChange]:
@@ -340,8 +337,8 @@ def _basis_changes(dofs, detectors) -> list[BasisChange]:
 def _born(dofs, t: np.ndarray, weights, detectors):
     """Joint Born probabilities of each state of the stack ``t`` (axis 0 counts
     the states) over ``dofs`` in the detectors' bases, weighted by
-    ``weights[i]``: the axes, their labels, the probabilities (axis 0 counts
-    the states) and each state's mass, which is 0 where it has no amplitude."""
+    ``weights[i]``: the axes, their labels, the probabilities as one C-ordered
+    stack, and each state's mass, which is 0 where it has no amplitude."""
     dof_axis = {d.name: i for i, d in enumerate(dofs)}
     labels_of = {d.name: d.labels for d in dofs}
     n_dofs = len(dofs)
@@ -381,7 +378,8 @@ def _born(dofs, t: np.ndarray, weights, detectors):
     # each state's weight over its total, unless that is 0 and so is every probability
     scale = weights / np.where(totals > 0, totals, 1.0)
     masses = np.where(totals > 0, weights, 0.0)
-    return axes, labels, p * scale.reshape((-1,) + (1,) * (p.ndim - 1)), masses
+    p = p * scale.reshape((-1,) + (1,) * (p.ndim - 1))
+    return axes, labels, np.ascontiguousarray(p), masses
 
 
 def distribution_from_state(
@@ -401,12 +399,6 @@ def _active_detectors(c: Circuit, settings: dict[str, str]) -> list[DetectorSpec
     return specs
 
 
-def _all_blocked(specs: list[DetectorSpec]) -> OutcomeDistribution:
-    """The distribution of an all-blocked evolution: no outcomes, mass 0."""
-    axes = [axis for spec in specs for axis in spec.axis_names()]
-    return OutcomeDistribution(tuple(axes), ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0)
-
-
 def joint_distribution(
     c: Circuit, settings: dict[str, str] | None = None
 ) -> OutcomeDistribution:
@@ -415,12 +407,15 @@ def joint_distribution(
     state = evolve(c, settings)
     specs = _active_detectors(c, settings)
     if isinstance(state, AllBlocked):
-        return _all_blocked(specs)
+        # no outcomes, mass 0
+        axes = tuple(axis for spec in specs for axis in spec.axis_names())
+        return OutcomeDistribution(axes, ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0)
     return distribution_from_state(state, specs)
 
 
 def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None):
-    """The probabilities of ``joint_distributions``, as arrays.
+    """``joint_distribution`` of each of ``n`` variants of ``c`` (see
+    ``evolve_rows``), with the same bytes, as arrays.
 
     Rows are evolved in blocks of at most ``BLOCK_AMPS`` amplitudes (or of
     one row), and the Born step runs on each block.  Each block yields its
@@ -443,22 +438,8 @@ def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | Non
             dofs[ax] = Dof(change.dof, change.new_labels)
             t = flat.reshape(t.shape)
         axes, labels, p, masses = _born(dofs, t, stack.weights, specs)
-        p = np.ascontiguousarray(p)
         check_probs(axes, labels, p, masses)
         yield axes, labels, p, masses, stack.blocked
-
-
-def joint_distributions(
-    c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None
-) -> list[OutcomeDistribution]:
-    """``joint_distribution`` of each of ``n`` variants of ``c`` (see
-    ``evolve_rows``), with the same bytes, from ``joint_probs``."""
-    out, specs = [], _active_detectors(c, settings or {})
-    # OutcomeDistribution checks each row again: only verify's 64-step grid comes here
-    for axes, labels, p, masses, blocked in joint_probs(c, n, stacks, settings):
-        out += [_all_blocked(specs) if b else OutcomeDistribution(axes, labels, row, mass)
-                for row, mass, b in zip(p, masses.tolist(), blocked)]
-    return out
 
 
 def compare_marginals(
@@ -516,15 +497,15 @@ def compare_marginals(
     base = dict(base_settings or {})
     mixtures: list[OutcomeDistribution] = []
     for alt in choice.alternatives:
-        settings = {**base, choice_name: alt}
-        dist, acc, mass = None, 0.0, 0.0
-        for branch in _branched_evolve(c, settings):
-            dist = distribution_from_state(branch, probes)
-            acc = acc + dist.probs
-            mass += dist.total_mass
-        if dist is None:
+        t, weights = _branches(c, {**base, choice_name: alt})
+        if not len(t):
             raise ContractError("all branches blocked; marginal undefined")
-        mixtures.append(OutcomeDistribution(dist.axes, dist.labels, acc, mass))
+        _basis_changes(c.dofs, probes)  # probes need none, but two may not measure one dof
+        axes, labels, p, masses = _born(c.dofs, t, weights, probes)
+        check_probs(axes, labels, p, masses)
+        # each branch's probabilities added to the sum of those before it
+        acc = np.cumsum(p, axis=0)[-1]
+        mixtures.append(OutcomeDistribution(axes, labels, acc, sum(masses.tolist())))
 
     worst = 0.0
     for i in range(len(mixtures)):

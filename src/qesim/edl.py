@@ -143,7 +143,7 @@ class Template:
         """For each Apply of ``circuit`` whose angle names PARAM ``name``, keyed
         by its id, the stack of the matrices ``bind`` builds it with at each of
         ``values`` (radians), to the bit: the rows of ``circuit.evolve_rows``
-        and ``circuit.joint_distributions``.  The first value ``bind`` rejects
+        and ``circuit.joint_probs``.  The first value ``bind`` rejects
         raises what ``bind`` of it raises."""
         if not self.ok or name not in self.params:
             self._rebuilt({name: 0.0})  # raises

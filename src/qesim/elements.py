@@ -97,11 +97,6 @@ def rejected(kind: str, m: np.ndarray) -> np.ndarray:
     )
 
 
-def _transform(state: StateVector, op: ElementOp) -> np.ndarray:
-    """Raw (unnormalized) amplitude array after the element's matrix action."""
-    return _act(state.tensor_view()[None], state.dofs, op)[0].reshape(-1)
-
-
 def _act(t: np.ndarray, dofs, op: ElementOp, matrices: np.ndarray | None = None) -> np.ndarray:
     """The element's matrix action on a stack ``t`` of amplitude tensors over
     ``dofs`` (axis 0 counts the states): ``op.matrix`` acts on each state or,
@@ -136,13 +131,26 @@ def apply_op(state: StateVector, op: ElementOp) -> StateVector:
     pass probability into the state's weight.  Raises :class:`AllBlockedError`
     when a filter removes (essentially) all probability mass.
     """
-    out = _transform(state, op)
+    out = _act(state.tensor_view()[None], state.dofs, op).reshape(1, -1)
     if op.kind == UNITARY:
-        return StateVector(state.dofs, out, state.weight)
-    pass_prob = float(np.vdot(out, out).real)
+        return StateVector(state.dofs, out[0], state.weight)
+    pass_prob = float(_settle(out)[0])
     if pass_prob < ALL_BLOCKED_EPS:
         raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
-    return StateVector(state.dofs, out / math.sqrt(pass_prob), state.weight * pass_prob)
+    return StateVector(state.dofs, out[0], state.weight * pass_prob)
+
+
+def _settle(flat: np.ndarray) -> np.ndarray:
+    """Settle each row of ``flat`` after a filter, in place, and return the
+    rows' pass probabilities: a row whose pass probability is below
+    ALL_BLOCKED_EPS is blocked and set to 0, every other is divided by the
+    square root of it.  Each row's pass probability is its own ``np.vdot``,
+    whose rounding no stacked form shares."""
+    pass_prob = np.array([np.vdot(row, row).real for row in flat])
+    blocked = pass_prob < ALL_BLOCKED_EPS
+    flat[blocked] = 0.0
+    flat[~blocked] /= np.sqrt(pass_prob[~blocked])[:, None]
+    return pass_prob
 
 
 # -- constructors ---------------------------------------------------------------

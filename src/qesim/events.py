@@ -193,6 +193,8 @@ def generate_events(
     """
     if shots < 0:
         raise ValidationError("shots must be >= 0")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed}")
     settings = settings or {}
     delays = delays or {}
     dist = joint_distribution(c, settings)

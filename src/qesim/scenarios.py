@@ -1,8 +1,8 @@
 """The catalog: every experiment of the paper, each with machine-checkable
 expected properties.
 
-Each circuit is defined once, by ``golden/<name>.edl``; this module adds only
-the checks, the paper figure and a short description.
+Each circuit is defined once, by ``golden/<name>.edl``, whose header comment
+describes it; this module adds only the checks.
 
 Detector naming for the interferometers: D1 is the port in line with the
 transmitted arm, D2 the port in line with the reflected arm; with the
@@ -28,9 +28,9 @@ from .circuit import (
     evolve,
     evolve_rows,
     joint_distribution,
-    joint_distributions,
+    joint_probs,
 )
-from .measure import conditional, marginal, rng_for
+from .measure import OutcomeDistribution, conditional, marginal, rng_for
 from .qstate import (
     BasisChange,
     Dof,
@@ -42,6 +42,7 @@ from .qstate import (
 )
 from .screen import (
     DEFAULT_GEOMETRY,
+    Pattern,
     pattern_from_bin_probs,
     fringe_visibility,
     pattern_from_state,
@@ -97,6 +98,16 @@ def _expect_state(st) -> StateVector:
     if not isinstance(st, StateVector):
         raise ValidationError("evolution unexpectedly blocked")
     return st
+
+
+def _pattern_gap(a: Pattern, b: Pattern) -> float:
+    """The largest difference between two screen patterns' intensities."""
+    return float(np.max(np.abs(np.array(a.intensities) - np.array(b.intensities))))
+
+
+def _bin_pattern(d: OutcomeDistribution) -> Pattern:
+    """The screen pattern of a distribution over one screen's bins."""
+    return pattern_from_bin_probs({k[0]: p for k, p in d.outcomes.items()}, DEFAULT_GEOMETRY)
 
 
 def _fed(circ: Circuit, top_label: str, vectors) -> list[StateVector]:
@@ -158,18 +169,20 @@ def _wheeler_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
 # -- Mach-Zehnder family --------------------------------------------------------
 
 
-def _phi_grid_distributions(template: edl.Template):
-    """The distribution at each phi of ``PHI_GRID``, in one batched evolution."""
-    return joint_distributions(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID))
+def _phi_grid_probs(template: edl.Template) -> dict[str, list[float]]:
+    """Each label of the circuit's one detector axis -> its probability at
+    each phi of ``PHI_GRID``, from one batched evolution."""
+    blocks = list(joint_probs(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID)))
+    p = np.concatenate([rows for _, _, rows, _, _ in blocks])
+    return dict(zip(blocks[0][1][0], p.T.tolist()))
 
 
 def _mz_one_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def half_half_dev():
         worst = 0.0
-        for d in _phi_grid_distributions(template):
-            worst = max(
-                worst, abs(d.prob(("t",)) - 0.5), abs(d.prob(("r",)) - 0.5)
-            )
+        probs = _phi_grid_probs(template)
+        for p_t, p_r in zip(probs["t"], probs["r"]):
+            worst = max(worst, abs(p_t - 0.5), abs(p_r - 0.5))
         return worst
 
     return (Check("mz_one_bs.half_half_all_phi", 1e-12, half_half_dev),)
@@ -178,8 +191,8 @@ def _mz_one_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple
 def _mz_two_bs_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     def cos2_dev():
         worst = 0.0
-        for ph, d in zip(PHI_GRID, _phi_grid_distributions(template)):
-            worst = max(worst, abs(d.prob(("r",)) - math.cos(ph / 2) ** 2))
+        for ph, p_r in zip(PHI_GRID, _phi_grid_probs(template)["r"]):
+            worst = max(worst, abs(p_r - math.cos(ph / 2) ** 2))
         return worst
 
     def all_on_one_port_dev():
@@ -307,10 +320,7 @@ def _one_photon_eraser_checks(circ: Circuit, template: edl.Template, name: str) 
             pattern_from_state(minus, "slit"),
             (p_plus, p_minus),
         )
-        flat = pattern_from_state(marked, "slit")
-        return float(
-            np.max(np.abs(np.array(total.intensities) - np.array(flat.intensities)))
-        )
+        return _pattern_gap(total, pattern_from_state(marked, "slit"))
 
     def marked_weight_dev():
         return abs(_expect_state(evolve(circ, {"eraser": "absent"})).weight - 0.5)
@@ -381,10 +391,7 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         d = joint_distribution(circ, {"p_pol": "absent"})
         worst = 0.0
         for outcome in ("+", "-"):
-            sub = conditional(d, ("ppol", outcome))
-            pat = pattern_from_bin_probs(
-                {k[0]: p for k, p in sub.outcomes.items()}, DEFAULT_GEOMETRY
-            )
+            pat = _bin_pattern(conditional(d, ("ppol", outcome)))
             worst = max(worst, abs(1.0 - fringe_visibility(pat)))
         return worst
 
@@ -396,21 +403,10 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         d = joint_distribution(circ, {"p_pol": "absent"})
         pats, weights = [], []
         for outcome in ("+", "-"):
-            sub = conditional(d, ("ppol", outcome))
-            pats.append(
-                pattern_from_bin_probs(
-                    {k[0]: p for k, p in sub.outcomes.items()}, DEFAULT_GEOMETRY
-                )
-            )
+            pats.append(_bin_pattern(conditional(d, ("ppol", outcome))))
             weights.append(marginal(d, ["ppol"]).prob((outcome,)))
         total = sum_patterns(pats[0], pats[1], tuple(weights))
-        flat = pattern_from_bin_probs(
-            {k[0]: p for k, p in marginal(d, ["D_s"]).outcomes.items()},
-            DEFAULT_GEOMETRY,
-        )
-        return float(
-            np.max(np.abs(np.array(total.intensities) - np.array(flat.intensities)))
-        )
+        return _pattern_gap(total, _bin_pattern(marginal(d, ["D_s"])))
 
     def polarizer_before_ds_dev():
         # selecting +/- on the p photon or directly on the s photon picks out
@@ -422,12 +418,8 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
             via_p = el.apply_op(st_pm, el.ElementOp(el.FILTER, ("ppol",), proj))
             via_s = el.apply_op(st_pm, el.ElementOp(el.FILTER, ("spol",), proj))
-            pa = pattern_from_state(via_p, "slit")
-            pb = pattern_from_state(via_s, "slit")
-            worst = max(
-                worst,
-                float(np.max(np.abs(np.array(pa.intensities) - np.array(pb.intensities)))),
-            )
+            gap = _pattern_gap(pattern_from_state(via_p, "slit"), pattern_from_state(via_s, "slit"))
+            worst = max(worst, gap)
         return worst
 
     def marginal_invariance():
@@ -447,25 +439,17 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
 
 # -- catalog --------------------------------------------------------------------
 
-_CATALOG: dict[str, tuple[Callable[[Circuit, edl.Template, str], tuple[Check, ...]], str, str]] = {
-    "two_slit": (_two_slit_checks, "Figure 1a", "plain double slit"),
-    "wheeler": (_wheeler_checks, "Figure 1b", "delayed-choice removable screen"),
-    "mz_one_bs": (_mz_one_bs_checks, "Figure 2", "one-beam-splitter interferometer"),
-    "mz_two_bs": (_mz_two_bs_checks, "Figure 3", "two-beam-splitter interferometer"),
-    "mz_recombine_single_detector": (
-        _mz_recombine_checks,
-        "Figure 4",
-        "single detector registering both arms",
-    ),
-    "analyzer_loop": (_analyzer_loop_checks, "Figures 5-6", "vh analyzer loop"),
-    "sg_loop": (_sg_loop_checks, "Figures 7-8", "Stern-Gerlach loop"),
-    "one_photon_eraser": (
-        _one_photon_eraser_checks,
-        "Figures 9-11",
-        "single-beam eraser with marking polarizers",
-    ),
-    "walborn": (_walborn_checks, "Figures 12-14", "two-photon eraser"),
-    "walborn_delayed": (_walborn_checks, "Figure 15", "delayed erasure"),
+_CATALOG: dict[str, Callable[[Circuit, edl.Template, str], tuple[Check, ...]]] = {
+    "two_slit": _two_slit_checks,
+    "wheeler": _wheeler_checks,
+    "mz_one_bs": _mz_one_bs_checks,
+    "mz_two_bs": _mz_two_bs_checks,
+    "mz_recombine_single_detector": _mz_recombine_checks,
+    "analyzer_loop": _analyzer_loop_checks,
+    "sg_loop": _sg_loop_checks,
+    "one_photon_eraser": _one_photon_eraser_checks,
+    "walborn": _walborn_checks,
+    "walborn_delayed": _walborn_checks,
 }
 
 
@@ -486,8 +470,4 @@ def build(name: str, **params) -> Scenario:
     an undeclared one raises ValidationError.  The checks bind the same template."""
     template = edl.build_template(document(name))
     circ = template.bind(**params)
-    return Scenario(name, circ, _CATALOG[name][0](circ, template, name), template)
-
-
-def list_scenarios() -> list[tuple[str, str, str]]:
-    return [(name, fig, desc) for name, (_, fig, desc) in _CATALOG.items()]
+    return Scenario(name, circ, _CATALOG[name](circ, template, name), template)

@@ -19,7 +19,7 @@ from qesim.circuit import (
     evolve,
     evolve_rows,
     joint_distribution,
-    joint_distributions,
+    joint_probs,
 )
 from qesim.qstate import Dof, StateVector, ValidationError, global_phase_deviation
 
@@ -443,9 +443,10 @@ def all_settings(c):
 
 
 def assert_rows_match_bind(doc, data):
-    """Row i of ``joint_distributions`` and ``evolve_rows`` is what ``bind`` of
-    value i gives ``joint_distribution`` and ``evolve``, to the bit, under
-    every setting and with blocks of any size."""
+    """Row i of ``joint_probs`` and ``evolve_rows`` is what ``bind`` of value
+    i gives ``joint_distribution`` and ``evolve``, to the bit, under every
+    setting and with blocks of any size; a row ``joint_distribution`` finds
+    all blocked is marked blocked, with probabilities and mass 0."""
     template = edl.build_template(doc)
     name = data.draw(st.sampled_from([n for n, _ in doc.params]))
     values = data.draw(st.lists(STEP_ANGLES, min_size=1, max_size=10))
@@ -455,15 +456,23 @@ def assert_rows_match_bind(doc, data):
             want = [joint_distribution(template.bind(**{name: v}), settings) for v in values]
         except ValidationError as e:
             with pytest.raises(ValidationError) as exc:
-                joint_distributions(template.circuit, len(values), template.rows(name, values), settings)
+                list(joint_probs(template.circuit, len(values), template.rows(name, values), settings))
             assert str(exc.value) == str(e)
             continue
         with mock.patch.object(circuit, "BLOCK_AMPS", block):
-            got = joint_distributions(template.circuit, len(values), template.rows(name, values), settings)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.axes, g.labels, g.total_mass) == (w.axes, w.labels, w.total_mass), settings
-            assert g.probs.shape == w.probs.shape and g.probs.tobytes() == w.probs.tobytes(), settings
+            got = list(joint_probs(template.circuit, len(values), template.rows(name, values), settings))
+        per = max(1, block // template.circuit.source.dim)
+        assert [len(p) for _, _, p, _, _ in got] == [min(per, len(values) - i) for i in range(0, len(values), per)]
+        rows = [(axes, labels, row, mass, b) for axes, labels, p, masses, blocked in got
+                for row, mass, b in zip(p, masses.tolist(), blocked)]
+        assert len(rows) == len(want)
+        for (axes, labels, row, mass, b), w in zip(rows, want):
+            assert axes == w.axes and b == (w.probs.size == 0), settings
+            if b:
+                assert mass == w.total_mass == 0.0 and not row.any(), settings
+            else:
+                assert (labels, mass) == (w.labels, w.total_mass), settings
+                assert row.shape == w.probs.shape and row.tobytes() == w.probs.tobytes(), settings
         stack = evolve_rows(template.circuit, len(values), template.rows(name, values), settings)
         for i, v in enumerate(values):
             state = evolve(template.bind(**{name: v}), settings)

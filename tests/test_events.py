@@ -93,6 +93,10 @@ class TestCoincidences:
         assert len(pairs) == 200
         assert all(a.shot == b.shot for a, b in event_pairs(pairs))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, not -1"):
+            walborn_log(shots=3, seed=-1)
+
     def test_negative_window_rejected(self):
         with pytest.raises(ValidationError):
             coincidences(walborn_log(shots=2), "D_s", "D_p", window=-1)

@@ -4,7 +4,8 @@
 ``elements._transform`` (transpose, reshape, ``@``, with a conditioned
 element transforming one column block) and ``qstate.rebase`` (``moveaxis``
 plus ``tensordot``).  They stay here as the definition of what the shared
-contraction computes, bit for bit.
+contraction computes, bit for bit: ``elements._act`` on a stack of one state,
+``elements.apply_op`` and ``qstate.rebase``.
 """
 
 import math
@@ -139,7 +140,8 @@ def assert_same_state(got, want):
 @settings(max_examples=400, deadline=None)
 def test_apply_op_matches_transpose_reference(case):
     s, op = case
-    assert np.array_equal(el._transform(s, op), reference_transform(s, op))
+    raw = el._act(s.tensor_view()[None], s.dofs, op)[0].reshape(-1)
+    assert np.array_equal(raw, reference_transform(s, op))
     assert_same_state(outcome(el.apply_op, s, op), outcome(reference_apply_op, s, op))
 
 

@@ -6,7 +6,9 @@ filter as one ``StateVector`` each, and the marginal of each alternative is
 the running sum of one validated ``OutcomeDistribution`` per branch.  It
 stays here as the definition of what ``compare_marginals`` computes, bit for
 bit, on random circuits with filters, conditioned or not, before, inside and
-after the compared choice, probed on dofs and on a screen.
+after the compared choice, probed on dofs and on a screen.  The branch stack
+``circuit._branches`` holds the reference's branches, in its order and with
+its bytes.
 """
 
 import math
@@ -25,6 +27,7 @@ from qesim.circuit import (
     ContractError,
     Detect,
     DetectorSpec,
+    _branches,
     _walk,
     compare_marginals,
     distribution_from_state,
@@ -212,6 +215,19 @@ def test_compare_marginals_matches_reference(case):
     c, axes, base = case
     want = outcome(reference_compare_marginals, c, axes, "c", base)
     assert outcome(compare_marginals, c, axes, "c", base) == want
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None)
+def test_branch_stack_matches_reference(case):
+    c, _, base = case
+    for alt in c.find_choice("c").alternatives:
+        want = reference_branched_evolve(c, {**base, "c": alt})
+        t, weights = _branches(c, {**base, "c": alt})
+        assert len(t) == len(weights) == len(want)
+        for amps, weight, branch in zip(t, weights, want):
+            assert amps.tobytes() == branch.tensor_view().tobytes()
+            assert weight == branch.weight
 
 
 @given(cases())

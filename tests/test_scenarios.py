@@ -23,11 +23,6 @@ class TestCatalog:
     def test_names_and_order_are_stable(self):
         assert scenarios.list_names() == EXPECTED_NAMES
 
-    def test_list_scenarios_entries(self):
-        entries = scenarios.list_scenarios()
-        assert [n for n, _, _ in entries] == EXPECTED_NAMES
-        assert all(fig and desc for _, fig, desc in entries)
-
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(scenarios.CatalogError) as exc:
             scenarios.build("nope")
