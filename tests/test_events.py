@@ -38,6 +38,10 @@ class TestGeneration:
     def test_different_seed_differs(self):
         assert walborn_log(seed=1).to_jsonl() != walborn_log(seed=2).to_jsonl()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, not -1"):
+            walborn_log(shots=3, seed=-1)
+
     def test_filtered_shots_drop_out(self):
         sc = scenarios.build("walborn")
         log = generate_events(sc.circuit, {"p_pol": "plus45"}, shots=4000, seed=0)
@@ -92,10 +96,6 @@ class TestCoincidences:
         pairs = coincidences(log, "D_s", "D_p", offsets={"D_p": delay})
         assert len(pairs) == 200
         assert all(a.shot == b.shot for a, b in event_pairs(pairs))
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be a non-negative integer, not -1"):
-            walborn_log(shots=3, seed=-1)
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValidationError):
