@@ -1,17 +1,17 @@
 """Executable experiments: sources, elements, choice points, and detectors.
 
-Evolution is pure and deterministic.  Detection is ideal projective
-measurement in each detector's declared basis; a screen detector measures the
-far-field position distribution of a two-label path dof.  Filters post-select:
-the evolved state is renormalized and the pass probability accumulates in its
-weight.  ``compare_marginals`` instead keeps the absorbed branches, as a
-stack whose rows split in two at each filter, so the full-ensemble marginal
-of an untouched subsystem can be compared across delayed-choice settings.
-``evolve_rows`` and ``joint_probs`` evaluate many variants of one circuit,
-such as the steps of a PARAM sweep or one circuit fed many sources, as one
-stacked evolution with the same bytes per row; one vectorised pass checks
-the norms of all rows, and only a row whose norm it cannot place within
-NORM_TOL of 1 goes through ``_unit``.
+Evolution is pure and deterministic, and has one step: ``evolve_rows``
+takes a stack of sources through one ``elements.apply_op`` per active Apply
+stage, so many variants of one circuit (the steps of a PARAM sweep, or one
+circuit fed many sources) evolve at once, each row with the bytes it would
+have alone; ``evolve`` is its stack of one.  Filters post-select: each row
+is renormalized and its pass probability accumulates in its weight.
+Detection is ideal projective measurement in each detector's declared basis;
+a screen detector measures the far-field position distribution of a
+two-label path dof.  ``compare_marginals`` instead keeps the absorbed
+branches, as a stack whose rows split in two at each filter, so the
+full-ensemble marginal of an untouched subsystem can be compared across
+delayed-choice settings.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ import numpy as np
 from . import elements as el
 from .measure import OutcomeDistribution, check_probs, total_variation
 from .qstate import (
-    NORM_TOL,
+    AllBlocked,
     BasisChange,
     Dof,
+    StateStack,
     StateVector,
     ValidationError,
     _axis,
-    _unit,
+    _normalize_rows,
     _weight,
     contract,
     rebase,
@@ -107,33 +108,6 @@ class Choice:
 
 
 Stage = Apply | Detect | Choice
-
-
-@dataclass(frozen=True)
-class AllBlocked:
-    """Degenerate evolution result: every branch was absorbed by filters."""
-
-    dofs: tuple[Dof, ...]
-    weight: float = 0.0
-
-
-@dataclass(frozen=True)
-class StateStack:
-    """The rows of ``evolve_rows``: ``amps[i]`` is row i's amplitude tensor
-    over ``dofs`` and ``weights[i]`` its weight, as ``evolve`` gives them.  A
-    row of ``blocked`` is one ``evolve`` reports as AllBlocked; its amplitudes
-    and weight are zero."""
-
-    dofs: tuple[Dof, ...]
-    amps: np.ndarray
-    weights: list[float]
-    blocked: list[bool]
-
-    def state(self, i: int) -> StateVector | AllBlocked:
-        """Row i as ``evolve`` returns it, with the same bytes."""
-        if self.blocked[i]:
-            return AllBlocked(self.dofs)
-        return StateVector(self.dofs, self.amps[i], self.weights[i])
 
 
 def _detector_names(stages) -> set[str]:
@@ -217,101 +191,61 @@ def validate_settings(c: Circuit, settings: dict[str, str]) -> None:
 
 
 def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | AllBlocked:
-    """Pre-measurement state after all active Apply stages (Detects are inert)."""
-    settings = settings or {}
-    validate_settings(c, settings)
-    state = c.source
-    for s in _walk(c.stages, settings):
-        if isinstance(s, Apply):
-            try:
-                state = el.apply_op(state, s.op)
-            except el.AllBlockedError:
-                return AllBlocked(c.dofs)
-    return state
+    """Pre-measurement state after all active Apply stages (Detects are
+    inert): the one row of ``evolve_rows``."""
+    return evolve_rows(c, 1, {}, settings).state(0)
 
 
 def evolve_rows(
     c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None, sources: list | None = None
 ) -> StateStack:
-    """``evolve`` of ``n`` variants of ``c``, as one stacked evolution.
+    """``n`` variants of ``c``: the stack of their sources after one
+    ``apply_op`` per active Apply stage, all rows held at once.
 
     Row i is ``c`` with ``stacks[id(s)][i]`` as the matrix of each Apply ``s``
     whose id keys ``stacks`` (``edl.Template.rows`` builds them), and, given
     ``sources``, with ``sources[i]`` (a state over ``c.dofs``) as its source.
-    A stage no stack varies acts on the whole stack at once.  Each row is
-    contracted by the same matmul, normalized and checked as ``evolve`` does
-    it, so it has the bytes ``evolve`` gives: the norms of all rows are checked
-    in one pass, and a row that pass cannot clear goes through ``_unit`` as
-    alone.  All rows are held at once.
     """
     settings = settings or {}
     validate_settings(c, settings)
-    dims = c.source.dims
     if any(len(m) != n for m in stacks.values()):
         raise ContractError(f"evolve_rows needs {n} matrices in each stack")
     if sources is None:
-        t, weights = np.repeat(c.source.tensor_view()[None], n, axis=0), [c.source.weight] * n
+        t, weights = c.source.tensor_view()[None].repeat(n, axis=0), [c.source.weight] * n
     elif len(sources) != n or any(s.dofs != c.dofs for s in sources):
         raise ContractError(f"evolve_rows needs one source per row ({n}), each over the circuit's dofs")
     else:
-        t = np.array([s.tensor_view() for s in sources]).reshape((n,) + dims)
+        t = np.array([s.tensor_view() for s in sources]).reshape((n,) + c.source.dims)
         weights = [s.weight for s in sources]
-    weights, blocked = np.array(weights, dtype=float), np.zeros(n, dtype=bool)
+    stack = StateStack(c.dofs, t, np.array(weights, dtype=float), np.zeros(n, dtype=bool))
     for s in _walk(c.stages, settings):
-        if not isinstance(s, Apply):
-            continue
-        flat = el._act(t, c.dofs, s.op, stacks.get(id(s))).reshape(n, c.source.dim)
-        if s.op.kind == el.FILTER:
-            # a row blocked before is all 0 and so is blocked again
-            pass_prob = el._settle(flat)
-            blocked |= pass_prob < el.ALL_BLOCKED_EPS
-            weights = np.array([0.0 if b else _weight(w) for w, b in zip(weights * pass_prob, blocked)])
-        _normalize_rows(flat, blocked)
-        t = flat.reshape((n,) + dims)
-    return StateStack(c.dofs, t, weights.tolist(), blocked.tolist())
-
-
-def _normalize_rows(flat: np.ndarray, blocked: list[bool]) -> None:
-    """Check and renormalize each unblocked row of ``flat`` in place, as
-    ``StateVector`` does its amplitudes.
-
-    One vectorised pass computes every row's norm.  For a row of k
-    amplitudes, that norm and ``_unit``'s each lie within (k + 3) * 2**-54 of
-    the exact one, so a row whose norm is within NORM_TOL - (k + 4) * 2**-52
-    of 1 is one ``_unit`` leaves as it is.  Every other row goes through
-    ``_unit``: every row, when that margin is not positive."""
-    margin = NORM_TOL - (flat.shape[1] + 4) * 2.0**-52
-    sure = np.abs(np.linalg.norm(flat, axis=1) - 1.0) <= margin
-    for i in np.flatnonzero(~sure & ~np.asarray(blocked, dtype=bool)):
-        row = flat[i]
-        a = _unit(row)
-        if a is not row:
-            flat[i] = a
+        if isinstance(s, Apply):
+            stack = el.apply_op(stack, s.op, stacks.get(id(s)))
+    return stack
 
 
 def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """``evolve`` keeping both outcomes of every filter: the stacked amplitude
     tensors of the branches and their weights, which sum to the source's.
 
-    At each filter every row splits into its pass branch, then its absorbed
-    branch, each settled and normalized as ``evolve`` does a state; a branch
-    whose probability is below ALL_BLOCKED_EPS is dropped.
+    A unitary acts by ``apply_op``.  At a filter every row splits into its
+    pass branch, then its absorbed branch, each settled and normalized as
+    ``apply_op`` does a row; a branch ``_settle`` finds blocked is dropped.
     """
     validate_settings(c, settings)
     t, weights = c.source.tensor_view()[None], np.array([c.source.weight])
     for s in _walk(c.stages, settings):
-        if not isinstance(s, Apply):
-            continue
-        flat = el._act(t, c.dofs, s.op).reshape(len(t), c.source.dim)
-        if s.op.kind == el.FILTER:
-            absorbed = t.reshape(flat.shape) - flat
-            flat = np.stack([flat, absorbed], axis=1).reshape(2 * len(t), c.source.dim)
+        if isinstance(s, Apply) and s.op.kind == el.UNITARY:
+            t = el.apply_op(StateStack(c.dofs, t, weights, np.zeros(len(t), dtype=bool)), s.op).amps
+        elif isinstance(s, Apply):
+            passed = el._act(t, c.dofs, s.op)
+            flat = np.stack([passed, t - passed], axis=1).reshape(2 * len(t), c.source.dim)
             pass_prob = el._settle(flat)
             kept = pass_prob >= el.ALL_BLOCKED_EPS
             flat = flat[kept]
             weights = np.array([_weight(w) for w in (np.repeat(weights, 2) * pass_prob)[kept]])
-        _normalize_rows(flat, [False] * len(flat))
-        t = flat.reshape((len(flat),) + c.source.dims)
+            _normalize_rows(flat, np.zeros(len(flat), dtype=bool))
+            t = flat.reshape((len(flat),) + c.source.dims)
     return t, weights
 
 
@@ -429,15 +363,12 @@ def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | Non
     for start in range(0, n, per):
         m = min(per, n - start)
         stack = evolve_rows(c, m, {k: v[start:start + m] for k, v in stacks.items()}, settings)
-        dofs, t = list(stack.dofs), stack.amps
+        dofs = list(stack.dofs)
         for change in _basis_changes(stack.dofs, specs):
-            # ``rebase`` of every state of the stack
-            ax = _axis(dofs, change.dof)
-            flat = contract(t, change.matrix[None], (ax + 1,)).reshape(len(t), -1)
-            _normalize_rows(flat, stack.blocked)
-            dofs[ax] = Dof(change.dof, change.new_labels)
-            t = flat.reshape(t.shape)
-        axes, labels, p, masses = _born(dofs, t, stack.weights, specs)
+            # ``rebase`` of every state of the stack, as one unitary step
+            stack = el.apply_op(stack, el.ElementOp(el.UNITARY, (change.dof,), change.matrix))
+            dofs[_axis(dofs, change.dof)] = Dof(change.dof, change.new_labels)
+        axes, labels, p, masses = _born(dofs, stack.amps, stack.weights, specs)
         check_probs(axes, labels, p, masses)
         yield axes, labels, p, masses, stack.blocked
 

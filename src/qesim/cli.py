@@ -237,6 +237,8 @@ def cmd_sample(args) -> int:
             raise CliError("--pairs needs two detector names: A,B", USAGE_ERROR)
         det_a, det_b = (s.strip() for s in args.pairs.split(",", 1))
         _check_detectors((det_a, det_b), "--pairs", active)
+        if det_a == det_b:
+            raise CliError(f"--pairs needs two different detectors, got {det_a!r} twice", USAGE_ERROR)
     log = events.generate_events(
         circuit, settings, shots=args.shots, seed=seed, delays=delays
     )

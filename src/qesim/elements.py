@@ -24,9 +24,11 @@ from .qstate import (
     NORM_TOL,
     BasisChange,
     Dof,
-    StateVector,
+    StateStack,
     ValidationError,
     _axis,
+    _normalize_rows,
+    _weight,
     contract,
     is_unitary,
 )
@@ -36,10 +38,6 @@ FILTER = "filter"
 
 #: survival probability below which a filtered state counts as fully blocked
 ALL_BLOCKED_EPS = 1e-15
-
-
-class AllBlockedError(RuntimeError):
-    """Every branch of the state was removed by a filter."""
 
 
 _BS_TRANSMISSION = 1 / math.sqrt(2)
@@ -124,20 +122,24 @@ def _act(t: np.ndarray, dofs, op: ElementOp, matrices: np.ndarray | None = None)
     return out
 
 
-def apply_op(state: StateVector, op: ElementOp) -> StateVector:
-    """Apply an element to a state.
-
-    Unitaries rotate amplitudes; filters project, renormalize, and fold the
-    pass probability into the state's weight.  Raises :class:`AllBlockedError`
-    when a filter removes (essentially) all probability mass.
+def apply_op(stack: StateStack, op: ElementOp, matrices: np.ndarray | None = None) -> StateStack:
+    """Apply an element to each state of a stack, with the bytes each would
+    get alone: ``op.matrix`` to every row or, given ``matrices`` of op's
+    shape stacked, ``matrices[i]`` to row i.  Unitaries rotate amplitudes;
+    filters project, renormalize, and fold each row's pass probability into
+    its weight.  A row a filter removes (essentially) all probability mass
+    from is marked blocked, with amplitudes and weight 0, and stays blocked.
     """
-    out = _act(state.tensor_view()[None], state.dofs, op).reshape(1, -1)
-    if op.kind == UNITARY:
-        return StateVector(state.dofs, out[0], state.weight)
-    pass_prob = float(_settle(out)[0])
-    if pass_prob < ALL_BLOCKED_EPS:
-        raise AllBlockedError(f"filter {op.name or op.target_dofs} blocked everything")
-    return StateVector(state.dofs, out[0], state.weight * pass_prob)
+    n = len(stack.amps)
+    flat = _act(stack.amps, stack.dofs, op, matrices).reshape(n, stack.dim)
+    weights, blocked = stack.weights, stack.blocked
+    if op.kind == FILTER:
+        # a row blocked before is all 0 and so is blocked again
+        pass_prob = _settle(flat)
+        blocked = blocked | (pass_prob < ALL_BLOCKED_EPS)
+        weights = np.array([0.0 if b else _weight(w) for w, b in zip((weights * pass_prob).tolist(), blocked.tolist())])
+    _normalize_rows(flat, blocked)
+    return StateStack(stack.dofs, flat.reshape(stack.amps.shape), weights, blocked)
 
 
 def _settle(flat: np.ndarray) -> np.ndarray:

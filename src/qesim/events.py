@@ -307,12 +307,14 @@ def coincidences(
 ) -> Coincidences:
     """Greedy earliest-first pairing of two detectors' events.
 
-    Each event is used at most once.  ``offsets`` (ns, subtracted per
-    detector before comparison) compensate known delays, e.g. a delayed
-    eraser arm.
+    Each event is used at most once, so the two detectors must differ.
+    ``offsets`` (ns, subtracted per detector before comparison) compensate
+    known delays, e.g. a delayed eraser arm.
     """
     if not window >= 0:
         raise ValidationError("window must be >= 0")
+    if det_a == det_b:
+        raise ValidationError(f"cannot pair detector {det_a!r} with itself")
     offsets = offsets or {}
     if not all(np.isfinite(v) for v in offsets.values()):
         raise ValidationError("offsets must be finite")

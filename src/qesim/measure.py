@@ -43,7 +43,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         axes, labels = tuple(self.axes), tuple(map(tuple, self.labels))
-        p = np.array(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64, order="C")
         check_probs(axes, labels, p[None], [self.total_mass])
         p.setflags(write=False)
         object.__setattr__(self, "axes", axes)

@@ -164,6 +164,40 @@ class StateVector:
         return self.dofs == other.dofs
 
 
+@dataclass(frozen=True)
+class AllBlocked:
+    """Degenerate evolution result: every branch was absorbed by filters."""
+
+    dofs: tuple[Dof, ...]
+    weight: float = 0.0
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """States over one space, as one array: ``amps[i]`` is row i's amplitude
+    tensor over ``dofs`` and ``weights[i]`` its weight.  A row of ``blocked``
+    was absorbed entirely by a filter; its amplitudes and weight are zero."""
+
+    dofs: tuple[Dof, ...]
+    amps: np.ndarray
+    weights: np.ndarray
+    blocked: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.amps.shape[1:]
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.amps.shape[1:])
+
+    def state(self, i: int) -> StateVector | AllBlocked:
+        """Row i as a state, with the same bytes; AllBlocked if it is blocked."""
+        if self.blocked[i]:
+            return AllBlocked(self.dofs)
+        return StateVector(self.dofs, self.amps[i], self.weights[i])
+
+
 def _unit(a: np.ndarray) -> np.ndarray:
     """``a`` itself, or ``a`` over its norm when that is off 1 by more than
     NORM_TOL; ValidationError when it is off by more than 1e-9."""
@@ -171,6 +205,28 @@ def _unit(a: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError(f"amplitudes not normalized (norm={norm})")
     return a / norm if abs(norm - 1.0) > NORM_TOL else a
+
+
+def _normalize_rows(flat: np.ndarray, blocked) -> None:
+    """Check and renormalize each unblocked row of ``flat`` in place, as
+    ``StateVector`` does its amplitudes.
+
+    One vectorised pass sums the squares of each row's real parts.  For k
+    amplitudes that sum is within a factor 1 +- 2k * 2**-53 of the squared
+    norm, and ``_unit``'s norm within (k + 3) * 2**-54 of the norm, so a row
+    whose sum is within 2 * (NORM_TOL - (k + 4) * 2**-52) of 1 is one
+    ``_unit`` leaves as it is.  Every other row goes through ``_unit``: every
+    row, without the pass, when that margin is not positive (k > 4499)."""
+    margin = NORM_TOL - (flat.shape[1] + 4) * 2.0**-52
+    unsure = ~np.asarray(blocked, dtype=bool)
+    if margin > 0:
+        re = np.ascontiguousarray(flat).view(np.float64)
+        unsure = unsure & (np.abs(np.einsum("ij,ij->i", re, re) - 1.0) > 2 * margin)
+    for i in unsure.nonzero()[0]:
+        row = flat[i]
+        a = _unit(row)
+        if a is not row:
+            flat[i] = a
 
 
 def _weight(w: float) -> float:

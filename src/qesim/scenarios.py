@@ -23,6 +23,7 @@ import numpy as np
 from . import edl
 from . import elements as el
 from .circuit import (
+    Apply,
     Circuit,
     compare_marginals,
     evolve,
@@ -343,6 +344,11 @@ def _walborn_post_slit_lr(circ: Circuit) -> StateVector:
     return rebase(st, el.basis_change("circular", st.dof("spol")))
 
 
+def _filtered(st: StateVector, op: el.ElementOp) -> StateVector:
+    """``st`` after the one filter ``op``: ``evolve`` of a one-stage circuit."""
+    return _expect_state(evolve(Circuit(st.dofs, st, (Apply(op),))))
+
+
 def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[Check, ...]:
     slit = circ.dofs[0]
     spol_lr = Dof("spol", ("L", "R"))
@@ -380,7 +386,7 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
 
     def conditioned_on_x_dev():
         st = _walborn_post_slit_lr(circ)
-        st = el.apply_op(st, el.linear_polarizer(ppol, 0.0))
+        st = _filtered(st, el.linear_polarizer(ppol, 0.0))
         want = StateVector.from_amplitudes(
             (slit, spol_lr, ppol),
             {("s1", "R", "x"): 1j, ("s2", "L", "x"): -1j},
@@ -416,8 +422,8 @@ def _walborn_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         st_pm = rebase(st_pm, el.basis_change("pm45", ppol))
         worst = 0.0
         for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-            via_p = el.apply_op(st_pm, el.ElementOp(el.FILTER, ("ppol",), proj))
-            via_s = el.apply_op(st_pm, el.ElementOp(el.FILTER, ("spol",), proj))
+            via_p = _filtered(st_pm, el.ElementOp(el.FILTER, ("ppol",), proj))
+            via_s = _filtered(st_pm, el.ElementOp(el.FILTER, ("spol",), proj))
             gap = _pattern_gap(pattern_from_state(via_p, "slit"), pattern_from_state(via_s, "slit"))
             worst = max(worst, gap)
         return worst

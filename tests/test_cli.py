@@ -272,6 +272,7 @@ class TestSample:
         (["-n", "-3"], "--shots must be >= 0"),
         (["--pairs", "D_s,D_p", "--given", "nosuch"],
          "--given 'nosuch' is no outcome of D_p; its outcomes: +, -"),
+        (["--pairs", "D_s,D_s"], "--pairs needs two different detectors, got 'D_s' twice"),
     ])
     def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import elements as el
-from qesim.qstate import Dof, StateVector, ValidationError, is_unitary
+from qesim.qstate import AllBlocked, Dof, StateStack, StateVector, ValidationError, is_unitary
 
 POL = Dof("pol", ("v", "h"))
 ARM = Dof("arm", ("t", "r"))
@@ -123,16 +123,22 @@ class TestStacks:
                 make(POL, angle)
 
 
+def applied(s, op):
+    """``apply_op`` on the one-row stack of ``s``."""
+    stack = StateStack(s.dofs, s.tensor_view()[None], np.array([s.weight]), np.zeros(1, dtype=bool))
+    return el.apply_op(stack, op)
+
+
 class TestApply:
     def test_beam_splitter_amplitudes(self):
         s = StateVector.basis_state((ARM,), ("t",))
-        out = el.apply_op(s, el.beam_splitter(ARM, "t", "r"))
+        out = applied(s, el.beam_splitter(ARM, "t", "r")).state(0)
         assert abs(out.amplitude(("t",)) - 1 / math.sqrt(2)) < 1e-12
         assert abs(out.amplitude(("r",)) - 1j / math.sqrt(2)) < 1e-12
 
     def test_phase_shifter_targets_one_label(self):
         s = StateVector.from_amplitudes((ARM,), {("t",): 1, ("r",): 1})
-        out = el.apply_op(s, el.phase_shifter(ARM, "t", math.pi))
+        out = applied(s, el.phase_shifter(ARM, "t", math.pi)).state(0)
         ratio = out.amplitude(("t",)) / out.amplitude(("r",))
         assert abs(ratio + 1) < 1e-12
 
@@ -140,7 +146,7 @@ class TestApply:
         s = StateVector.from_amplitudes(
             (POL, CHAN), {("v", "U"): 0.6, ("h", "U"): 0.8}
         )
-        out = el.apply_op(s, el.analyzer(POL, CHAN))
+        out = applied(s, el.analyzer(POL, CHAN)).state(0)
         assert abs(out.amplitude(("v", "U")) - 0.6) < 1e-12
         assert abs(out.amplitude(("h", "L")) - 0.8) < 1e-12
         assert abs(out.amplitude(("h", "U"))) < 1e-15
@@ -149,30 +155,29 @@ class TestApply:
         s = StateVector.from_amplitudes(
             (POL, CHAN), {("v", "U"): 0.6, ("h", "U"): 0.8j}
         )
-        out = el.apply_op(
-            el.apply_op(s, el.analyzer(POL, CHAN)), el.inverse_analyzer(POL, CHAN)
-        )
+        out = el.apply_op(applied(s, el.analyzer(POL, CHAN)), el.inverse_analyzer(POL, CHAN)).state(0)
         assert np.max(np.abs(out.amps - s.amps)) < 1e-12
 
     def test_filter_folds_probability_into_weight(self):
         s = StateVector.from_amplitudes((POL,), {("v",): 0.6, ("h",): 0.8})
-        out = el.apply_op(s, el.linear_polarizer(POL, 0.0))  # project onto v
+        out = applied(s, el.linear_polarizer(POL, 0.0)).state(0)  # project onto v
         assert abs(out.weight - 0.36) < 1e-12
         assert abs(out.amplitude(("v",)) - 1.0) < 1e-12
 
-    def test_fully_blocked_raises(self):
+    def test_fully_blocked_row_is_blocked(self):
         s = StateVector.basis_state((ARM,), ("t",))
-        with pytest.raises(el.AllBlockedError):
-            el.apply_op(s, el.blocker(ARM, "t"))
+        out = applied(s, el.blocker(ARM, "t"))
+        assert out.blocked[0] and not out.amps[0].any() and out.weights[0] == 0.0
+        assert out.state(0) == AllBlocked((ARM,))
 
     def test_conditioned_op_leaves_other_branch_alone(self):
         slit = Dof("slit", ("s1", "s2"))
         s = StateVector.from_amplitudes(
             (slit, POL), {("s1", "v"): 1, ("s2", "v"): 1}
         )
-        out = el.apply_op(
+        out = applied(
             s, el.quarter_wave_plate(POL, math.pi / 4, condition=("slit", "s1"))
-        )
+        ).state(0)
         # s2 branch untouched
         assert abs(out.amplitude(("s2", "v")) - 1 / math.sqrt(2)) < 1e-12
         assert abs(out.amplitude(("s2", "h"))) < 1e-15
@@ -184,7 +189,7 @@ class TestApply:
         s = StateVector.from_amplitudes(
             (slit, POL), {("s1", "v"): 1, ("s1", "h"): 1, ("s2", "v"): 1, ("s2", "h"): 1}
         )
-        out = el.apply_op(s, el.linear_polarizer(POL, 0.0, condition=("slit", "s1")))
+        out = applied(s, el.linear_polarizer(POL, 0.0, condition=("slit", "s1"))).state(0)
         # of the 4 equal branches only (s1, h) is absorbed
         assert abs(out.weight - 0.75) < 1e-12
 

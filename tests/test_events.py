@@ -101,6 +101,11 @@ class TestCoincidences:
         with pytest.raises(ValidationError):
             coincidences(walborn_log(shots=2), "D_s", "D_p", window=-1)
 
+    def test_a_detector_is_not_paired_with_itself(self):
+        # each event is used at most once, so it cannot be its own partner
+        with pytest.raises(ValidationError, match="cannot pair detector 'D_s' with itself"):
+            coincidences(walborn_log(shots=2), "D_s", "D_s")
+
 
 class TestConditionedHistogram:
     def test_conditioned_fringes_and_flat_total(self):

@@ -3,9 +3,13 @@
 ``reference_transform`` and ``reference_rebase`` are the earlier
 ``elements._transform`` (transpose, reshape, ``@``, with a conditioned
 element transforming one column block) and ``qstate.rebase`` (``moveaxis``
-plus ``tensordot``).  They stay here as the definition of what the shared
-contraction computes, bit for bit: ``elements._act`` on a stack of one state,
-``elements.apply_op`` and ``qstate.rebase``.
+plus ``tensordot``).  ``reference_apply_op`` and ``reference_evolve`` are the
+earlier single-state ``elements.apply_op``, which raised ``AllBlockedError``
+when a filter absorbed everything, and ``circuit.evolve``, one such step per
+Apply stage.  They stay here as the definition of what the shared
+contraction and the stacked step compute, bit for bit: ``elements._act`` on
+a stack of one state, ``elements.apply_op`` on every row of a stack,
+``circuit.evolve`` and ``evolve_rows``, and ``qstate.rebase``.
 """
 
 import math
@@ -15,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import elements as el
-from qesim.qstate import BasisChange, Dof, StateVector, ValidationError, rebase
+from qesim.circuit import Apply, _walk, validate_settings
+from qesim.qstate import AllBlocked, BasisChange, Dof, StateStack, StateVector, ValidationError, rebase
+
+
+class AllBlockedError(RuntimeError):
+    """Every branch of the state was removed by a filter."""
 
 
 def reference_transform(state, op):
@@ -58,8 +67,23 @@ def reference_apply_op(state, op):
         return StateVector(state.dofs, out, state.weight)
     pass_prob = float(np.vdot(out, out).real)
     if pass_prob < el.ALL_BLOCKED_EPS:
-        raise el.AllBlockedError("blocked")
+        raise AllBlockedError("blocked")
     return StateVector(state.dofs, out / math.sqrt(pass_prob), state.weight * pass_prob)
+
+
+def reference_evolve(c, settings=None):
+    """``reference_apply_op`` on one state per active Apply stage;
+    AllBlocked once a filter absorbs everything."""
+    settings = settings or {}
+    validate_settings(c, settings)
+    state = c.source
+    for s in _walk(c.stages, settings):
+        if isinstance(s, Apply):
+            try:
+                state = reference_apply_op(state, s.op)
+            except AllBlockedError:
+                return AllBlocked(c.dofs)
+    return state
 
 
 def reference_rebase(s, change):
@@ -72,6 +96,19 @@ def reference_rebase(s, change):
     return StateVector(tuple(dofs), new.reshape(-1), s.weight)
 
 
+def random_amps(rng, n, zero_fraction):
+    """``n`` random unit amplitudes, about ``zero_fraction`` of them exactly
+    zero."""
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v[rng.random(n) < zero_fraction] = 0.0
+    if not v.any():
+        v[0] = 1.0
+    return v / np.linalg.norm(v)
+
+
+WEIGHTS = st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_max=True))
+
+
 @st.composite
 def states(draw, min_dofs=1):
     """A random state of ``min_dofs``-5 dofs of dimension 2 or 3, some
@@ -81,13 +118,8 @@ def states(draw, min_dofs=1):
         Dof(f"d{i}", tuple(f"d{i}_{j}" for j in range(dim))) for i, dim in enumerate(dims)
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(np.prod(dims))
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    if not v.any():
-        v[0] = 1.0
-    weight = draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_max=True)))
-    return StateVector(dofs, v / np.linalg.norm(v), weight)
+    amps = random_amps(rng, int(np.prod(dims)), draw(st.sampled_from([0.0, 0.3])))
+    return StateVector(dofs, amps, draw(WEIGHTS))
 
 
 def random_unitary(rng, k):
@@ -98,6 +130,17 @@ def random_unitary(rng, k):
 def random_projector(rng, k, rank):
     v = random_unitary(rng, k)[:, :rank]
     return v @ v.conj().T
+
+
+def random_matrix(rng, kind, k):
+    """A random unitary, or a random projector: onto random vectors, or onto
+    basis labels (0 to k of them), which blocks a state with no amplitude
+    on those labels entirely."""
+    if kind == el.UNITARY:
+        return random_unitary(rng, k)
+    if rng.random() < 0.5:
+        return np.diag(rng.integers(0, 2, size=k)).astype(complex)
+    return random_projector(rng, k, int(rng.integers(1, k + 1)))
 
 
 @st.composite
@@ -114,22 +157,49 @@ def ops(draw):
         condition = (cd.name, draw(st.sampled_from(cd.labels)))
     k = int(np.prod([s.dof(n).dim for n in targets]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from([el.UNITARY, el.FILTER]))
+    return s, el.ElementOp(kind, targets, random_matrix(rng, kind, k), condition)
+
+
+@st.composite
+def stacks(draw):
+    """1-4 random states over one space, some of them blocked, and an op
+    (see ``ops``); optionally one random matrix of the op's kind per row."""
+    s, op = draw(ops())
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_fraction = draw(st.sampled_from([0.0, 0.3]))
+    rows = [s] + [StateVector(s.dofs, random_amps(rng, s.dim, zero_fraction), draw(WEIGHTS)) for _ in range(n - 1)]
+    blocked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    matrices = None
     if draw(st.booleans()):
-        return s, el.ElementOp(el.UNITARY, targets, random_unitary(rng, k), condition)
-    rank = draw(st.integers(1, k))
-    return s, el.ElementOp(el.FILTER, targets, random_projector(rng, k, rank), condition)
+        matrices = np.array([random_matrix(rng, op.kind, len(op.matrix)) for _ in range(n)])
+    return rows, blocked, op, matrices
+
+
+def stack_of(rows, blocked):
+    """The stack of ``rows``, a blocked row all zero with weight 0."""
+    amps = np.array([np.zeros_like(r.amps) if b else r.amps for r, b in zip(rows, blocked)])
+    weights = np.array([0.0 if b else r.weight for r, b in zip(rows, blocked)])
+    return StateStack(rows[0].dofs, amps.reshape((len(rows),) + rows[0].dims), weights, np.array(blocked))
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except el.AllBlockedError:
-        return el.AllBlockedError
+    except AllBlockedError:
+        return AllBlockedError
+
+
+def applied(s, op):
+    """``apply_op`` on the stack of ``s`` alone: its row, or AllBlockedError."""
+    got = el.apply_op(stack_of([s], [False]), op).state(0)
+    return AllBlockedError if isinstance(got, AllBlocked) else got
 
 
 def assert_same_state(got, want):
-    if want is el.AllBlockedError:
-        assert got is el.AllBlockedError
+    if want is AllBlockedError:
+        assert got is AllBlockedError
         return
     assert got.dofs == want.dofs
     assert np.array_equal(got.amps, want.amps)
@@ -142,7 +212,24 @@ def test_apply_op_matches_transpose_reference(case):
     s, op = case
     raw = el._act(s.tensor_view()[None], s.dofs, op)[0].reshape(-1)
     assert np.array_equal(raw, reference_transform(s, op))
-    assert_same_state(outcome(el.apply_op, s, op), outcome(reference_apply_op, s, op))
+    assert_same_state(applied(s, op), outcome(reference_apply_op, s, op))
+
+
+@given(stacks())
+@settings(max_examples=300, deadline=None)
+def test_apply_op_on_a_stack_matches_the_reference_row_by_row(case):
+    rows, blocked, op, matrices = case
+    got = el.apply_op(stack_of(rows, blocked), op, matrices)
+    assert got.dofs == rows[0].dofs and got.amps.shape == (len(rows),) + rows[0].dims
+    for i, (row, b) in enumerate(zip(rows, blocked)):
+        row_op = op if matrices is None else el.ElementOp(op.kind, op.target_dofs, matrices[i], op.condition)
+        want = AllBlockedError if b else outcome(reference_apply_op, row, row_op)
+        assert bool(got.blocked[i]) == (want is AllBlockedError)
+        if want is AllBlockedError:
+            assert not got.amps[i].any() and got.weights[i] == 0.0
+        else:
+            assert got.amps[i].tobytes() == want.tensor_view().tobytes()
+            assert got.weights[i] == want.weight
 
 
 @given(states(), st.data())

@@ -35,6 +35,7 @@ from qesim.circuit import (
 )
 from qesim.measure import OutcomeDistribution, total_variation
 from qesim.qstate import Dof, StateVector
+from test_kernel_oracle import reference_apply_op
 
 SLIT = Dof("slit", ("s1", "s2"))
 POL = Dof("pol", ("h", "v"))
@@ -53,7 +54,7 @@ def reference_branched_evolve(c, settings):
         nxt = []
         for st_ in branches:
             if op.kind == el.UNITARY:
-                nxt.append(el.apply_op(st_, op))
+                nxt.append(reference_apply_op(st_, op))
                 continue
             raw = el._act(st_.tensor_view()[None], st_.dofs, op)[0].reshape(-1)
             blocked = st_.amps - raw

@@ -60,6 +60,14 @@ class TestOutcomeDistribution:
         d = OutcomeDistribution(("a",), (("a0", "a1"),), [-1e-13, 1.0], 1.0)
         assert d.probs.tolist() == [0.0, 1.0]
 
+    def test_fortran_ordered_probabilities_are_clipped_as_c_ordered(self):
+        labels = (("x", "y"), ("u", "v"))
+        probs = [[-1e-13, 0.5], [0.25, 0.25 + 1e-13]]
+        f = OutcomeDistribution(("a", "b"), labels, np.asfortranarray(probs), 1.0)
+        c = OutcomeDistribution(("a", "b"), labels, np.array(probs), 1.0)
+        assert f.probs.min() == 0.0
+        assert f.probs.tobytes() == c.probs.tobytes() and f.to_csv() == c.to_csv()
+
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [float("nan"), 1.0], 1.0)
