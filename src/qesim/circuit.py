@@ -197,27 +197,25 @@ def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | 
 
 
 def evolve_rows(
-    c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None, sources: list | None = None
+    c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None, sources: StateStack | None = None
 ) -> StateStack:
     """``n`` variants of ``c``: the stack of their sources after one
     ``apply_op`` per active Apply stage, all rows held at once.
 
     Row i is ``c`` with ``stacks[id(s)][i]`` as the matrix of each Apply ``s``
-    whose id keys ``stacks`` (``edl.Template.rows`` builds them), and, given
-    ``sources``, with ``sources[i]`` (a state over ``c.dofs``) as its source.
+    whose id keys ``stacks`` (``edl.Template.rows`` builds them), and row i of
+    ``sources`` (a stack over ``c.dofs``; ``c.source`` by default) as its source.
     """
     settings = settings or {}
     validate_settings(c, settings)
     if any(len(m) != n for m in stacks.values()):
         raise ContractError(f"evolve_rows needs {n} matrices in each stack")
     if sources is None:
-        t, weights = c.source.tensor_view()[None].repeat(n, axis=0), [c.source.weight] * n
-    elif len(sources) != n or any(s.dofs != c.dofs for s in sources):
+        sources = StateStack(c.dofs, c.source.tensor_view()[None].repeat(n, axis=0),
+                             np.full(n, c.source.weight), np.zeros(n, dtype=bool))
+    elif sources.dofs != c.dofs or sources.amps.shape != (n, *c.source.dims):
         raise ContractError(f"evolve_rows needs one source per row ({n}), each over the circuit's dofs")
-    else:
-        t = np.array([s.tensor_view() for s in sources]).reshape((n,) + c.source.dims)
-        weights = [s.weight for s in sources]
-    stack = StateStack(c.dofs, t, np.array(weights, dtype=float), np.zeros(n, dtype=bool))
+    stack = sources
     for s in _walk(c.stages, settings):
         if isinstance(s, Apply):
             stack = el.apply_op(stack, s.op, stacks.get(id(s)))
@@ -359,6 +357,7 @@ def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | Non
     OutcomeDistribution checks its probabilities, with the same bytes.
     """
     settings = settings or {}
+    validate_settings(c, settings)
     per, specs = max(1, BLOCK_AMPS // c.source.dim), _active_detectors(c, settings)
     for start in range(0, n, per):
         m = min(per, n - start)

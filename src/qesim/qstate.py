@@ -184,10 +184,6 @@ class StateStack:
     blocked: np.ndarray
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.amps.shape[1:]
-
-    @property
     def dim(self) -> int:
         return math.prod(self.amps.shape[1:])
 
@@ -255,13 +251,10 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
-    """Contract the trailing ``len(axes)`` axes of ``m`` with ``axes`` of
-    ``t``; as many leading axes of ``m`` take their places.
-
-    ``m`` may carry one more axis in front, over a stack of states: then axis
-    0 of ``t`` is that stack, kept in front, ``axes`` count from 1, and
-    ``m[i]`` acts on ``t[i]`` (``m[0]`` on every state if that axis has length
-    1).  Each state is then contracted by the same ``@`` as alone; folding
+    """Contract the trailing ``len(axes)`` axes of ``m[i]`` with ``axes`` of
+    ``t[i]`` over a stack of states (axis 0 of ``t`` and ``m``, kept in front,
+    so ``axes`` count from 1); as many leading axes of ``m[i]`` take their
+    places, and ``m[0]`` acts on every state if ``m`` has length 1.  Folding
     the stack into the columns instead would be another gemm, whose last bits
     may differ.
 
@@ -269,14 +262,13 @@ def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     elements act on, that costs less per call than ``np.tensordot``.
     """
     n = len(axes)
-    b = m.ndim - 2 * n  # 1 over a stack, else 0
-    perm = list(range(b)) + list(axes) + [i for i in range(b, t.ndim) if i not in axes]
-    k = math.prod(m.shape[b + n:])
+    perm = [0] + list(axes) + [i for i in range(1, t.ndim) if i not in axes]
+    k = math.prod(m.shape[1 + n:])
     # no -1: it is ambiguous on an empty stack
-    flat = t.transpose(perm).reshape(*t.shape[:b], k, math.prod(t.shape[b:]) // k)
+    flat = t.transpose(perm).reshape(t.shape[0], k, math.prod(t.shape[1:]) // k)
     shape = [t.shape[i] for i in perm]
-    shape[b:b + n] = m.shape[b:b + n]
-    out = (m.reshape(*m.shape[:b], -1, k) @ flat).reshape(shape)
+    shape[1:1 + n] = m.shape[1:1 + n]
+    out = (m.reshape(m.shape[0], math.prod(m.shape[1:1 + n]), k) @ flat).reshape(shape)
     return out.transpose(sorted(range(t.ndim), key=perm.__getitem__))
 
 
@@ -290,7 +282,7 @@ def rebase(s: StateVector, change: BasisChange) -> StateVector:
         )
     dofs = list(s.dofs)
     dofs[ax] = Dof(old.name, change.new_labels)
-    new = contract(s.tensor_view(), change.matrix, (ax,))
+    new = contract(s.tensor_view()[None], change.matrix[None], (ax + 1,))[0]
     return StateVector(tuple(dofs), new, s.weight)
 
 
@@ -299,9 +291,14 @@ def global_phase_deviation(a: StateVector, b: StateVector) -> float:
     largest-magnitude component of b (deterministic and numerically stable)."""
     if not a.same_space(b):
         raise CompositionError("comparison requires identical spaces")
-    k = int(np.argmax(np.abs(b.amps)))
-    c = a.amps[k] / b.amps[k]
+    return _phase_deviation(a.amps, b.amps)
+
+
+def _phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """``global_phase_deviation`` of two amplitude arrays of one shape."""
+    k = int(np.argmax(np.abs(b)))
+    c = a.flat[k] / b.flat[k]
     if abs(c) < 1e-15:
-        return float(np.max(np.abs(a.amps - b.amps)))
+        return float(np.max(np.abs(a - b)))
     c = c / abs(c)
-    return float(np.max(np.abs(a.amps - c * b.amps)))
+    return float(np.max(np.abs(a - c * b)))

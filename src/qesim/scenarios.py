@@ -35,10 +35,11 @@ from .measure import OutcomeDistribution, conditional, marginal, rng_for
 from .qstate import (
     BasisChange,
     Dof,
+    StateStack,
     StateVector,
     ValidationError,
+    _phase_deviation,
     global_phase_deviation,
-    inner,
     rebase,
 )
 from .screen import (
@@ -103,26 +104,30 @@ def _expect_state(st) -> StateVector:
 
 def _pattern_gap(a: Pattern, b: Pattern) -> float:
     """The largest difference between two screen patterns' intensities."""
-    return float(np.max(np.abs(np.array(a.intensities) - np.array(b.intensities))))
+    return float(np.max(np.abs(a.intensities - b.intensities)))
 
 
 def _bin_pattern(d: OutcomeDistribution) -> Pattern:
     """The screen pattern of a distribution over one screen's bins."""
-    return pattern_from_bin_probs({k[0]: p for k, p in d.outcomes.items()}, DEFAULT_GEOMETRY)
+    return pattern_from_bin_probs(dict(zip(d.labels[0], d.probs.tolist())), DEFAULT_GEOMETRY)
 
 
-def _fed(circ: Circuit, top_label: str, vectors) -> list[StateVector]:
-    """One source per vector: its amplitudes over ``circ``'s first dof, all
-    in ``top_label`` of the second."""
-    first = circ.dofs[0].labels
-    return [StateVector.from_amplitudes(circ.dofs, {(l, top_label): a for l, a in zip(first, v)})
-            for v in vectors]
+def _fed(circ: Circuit, top_label: str, vectors) -> StateStack:
+    """One source row per vector: its amplitudes over ``circ``'s first dof,
+    all in ``top_label`` of the second, each row over its own norm."""
+    amps = np.zeros((len(vectors), *(d.dim for d in circ.dofs)), dtype=complex)
+    amps[:, :, circ.dofs[1].index(top_label)] = vectors
+    for row in amps:
+        row /= np.linalg.norm(row)
+    return StateStack(circ.dofs, amps, np.ones(len(amps)), np.zeros(len(amps), dtype=bool))
 
 
-def _evolved(circ: Circuit, sources, settings) -> list[StateVector]:
-    """``evolve`` of ``circ`` fed with each source, as one stacked evolution."""
-    stack = evolve_rows(circ, len(sources), {}, settings, sources)
-    return [_expect_state(stack.state(i)) for i in range(len(sources))]
+def _evolved(circ: Circuit, sources: StateStack, settings) -> StateStack:
+    """``circ`` fed with each source row, as one stacked evolution."""
+    stack = evolve_rows(circ, len(sources.amps), {}, settings, sources)
+    if stack.blocked.any():
+        raise ValidationError("evolution unexpectedly blocked")
+    return stack
 
 
 # -- two_slit -------------------------------------------------------------------
@@ -134,10 +139,9 @@ def _two_slit_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[
         return abs(1.0 - fringe_visibility(pat))
 
     def fringe_shape_dev():
-        geo = DEFAULT_GEOMETRY
         pat = pattern_from_state(_expect_state(evolve(circ)), "slit")
-        expect = 1 + np.cos(geo.delta(geo.bin_centers()))
-        return float(np.max(np.abs(np.array(pat.intensities) - expect)))
+        expect = 1 + np.cos(pat.geometry.delta(pat.geometry.bin_centers()))
+        return float(np.max(np.abs(pat.intensities - expect)))
 
     return (
         Check("two_slit.fringe_visibility_1", 1e-9, fringe_vis_dev),
@@ -247,7 +251,7 @@ def _analyzer_loop_checks(circ: Circuit, template: edl.Template, name: str) -> t
         rng = rng_for(20260824)
         sources = _fed(circ, "U", [_random_amps(rng, 2) for _ in range(100)])
         outs = _evolved(circ, sources, {"mask": "open"})
-        return max(map(global_phase_deviation, outs, sources))
+        return max(map(_phase_deviation, outs.amps, sources.amps))
 
     def blocked_lower_dev():
         # |45> with the lower (h-tagged) channel masked: pure |v> out, weight 1/2
@@ -271,7 +275,7 @@ def _sg_loop_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         rng = rng_for(20260825)
         sources = _fed(circ, "top", [_random_amps(rng, 3) for _ in range(100)])
         outs = _evolved(circ, sources, {"mask": "open"})
-        return max(abs(1.0 - abs(inner(s, out)) ** 2) for s, out in zip(sources, outs))
+        return max(abs(1.0 - abs(np.vdot(s, out)) ** 2) for s, out in zip(sources.amps, outs.amps))
 
     def masked_dev():
         rng = rng_for(20260826)
@@ -281,11 +285,12 @@ def _sg_loop_checks(circ: Circuit, template: edl.Template, name: str) -> tuple[C
         sources = _fed(circ, "top", vs)
         for i, (setting, spin_label) in enumerate(keep.items()):
             want = StateVector.basis_state(circ.dofs, (spin_label, "top"))
-            for v, out in zip(vs, _evolved(circ, sources, {"mask": setting})):
+            outs = _evolved(circ, sources, {"mask": setting})
+            for v, out, weight in zip(vs, outs.amps, outs.weights):
                 worst = max(
                     worst,
-                    global_phase_deviation(out, want),
-                    abs(out.weight - abs(v[i]) ** 2),
+                    _phase_deviation(out, want.tensor_view()),
+                    abs(weight - abs(v[i]) ** 2),
                 )
         return worst
 

@@ -58,26 +58,27 @@ class SlitGeometry:
 DEFAULT_GEOMETRY = SlitGeometry()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
-    """Binned screen intensities (non-negative, one value per bin center)."""
+    """Binned screen intensities: a read-only float64 array with one finite,
+    non-negative value per bin center of ``geometry``."""
 
-    xs: tuple[float, ...]
-    intensities: tuple[float, ...]
+    geometry: SlitGeometry
+    intensities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
-        object.__setattr__(
-            self, "intensities", tuple(float(v) for v in self.intensities)
-        )
-        if len(self.xs) != len(self.intensities):
-            raise ValidationError("xs and intensities lengths differ")
-        if any(v < -1e-12 for v in self.intensities):
-            raise ValidationError("negative intensity")
+        v = np.array(self.intensities, dtype=np.float64)
+        if v.shape != (self.geometry.bins,):
+            raise ValidationError(f"expected {self.geometry.bins} intensities, got shape {v.shape}")
+        # NaN fails both comparisons
+        if not ((v >= -1e-12) & (v < math.inf)).all():
+            raise ValidationError("intensities must be finite and non-negative")
+        v.setflags(write=False)
+        object.__setattr__(self, "intensities", v)
 
     def to_csv(self) -> str:
         lines = ["x,intensity"]
-        for x, v in zip(self.xs, self.intensities):
+        for x, v in zip(self.geometry.bin_centers().tolist(), self.intensities.tolist()):
             lines.append(f"{x:.12g},{v:.12g}")
         return "\n".join(lines) + "\n"
 
@@ -107,10 +108,9 @@ def pattern_from_state(
     s: StateVector, path_dof: str, geometry: SlitGeometry = DEFAULT_GEOMETRY
 ) -> Pattern:
     """Interference pattern of a state on the screen, flat baseline at 1."""
-    total = intensity_profile(s, path_dof, geometry)
     # baseline: the incoherent (cross-term-free) intensity, which is the
     # squared norm of the state = 1 per bin
-    return Pattern(tuple(geometry.bin_centers()), tuple(total))
+    return Pattern(geometry, intensity_profile(s, path_dof, geometry))
 
 
 def pattern_from_bin_probs(
@@ -121,30 +121,28 @@ def pattern_from_bin_probs(
     mean = vals.mean()
     if mean < 1e-300:
         raise ValidationError("all-zero histogram")
-    return Pattern(tuple(geometry.bin_centers()), tuple(vals / mean))
+    return Pattern(geometry, vals / mean)
 
 
-def fringe_visibility(
-    p: Pattern, geometry: SlitGeometry = DEFAULT_GEOMETRY
-) -> float:
+def fringe_visibility(p: Pattern) -> float:
     """Visibility sqrt(B^2 + C^2) / A of the least-squares fit
-    I(x) = A + B cos(delta) + C sin(delta).
+    I(x) = A + B cos(delta) + C sin(delta) over the pattern's own geometry.
 
     Every pattern this model produces lies exactly in that span, so the fit is
     exact and the result does not depend on whether the bin grid happens to
     hit the fringe extrema (unlike a max/min estimate).
     """
-    delta = geometry.delta(np.asarray(p.xs))
+    delta = p.geometry.delta(p.geometry.bin_centers())
     design = np.stack([np.ones_like(delta), np.cos(delta), np.sin(delta)], axis=1)
-    (a, b, c), *_ = np.linalg.lstsq(design, np.asarray(p.intensities), rcond=None)
+    (a, b, c), *_ = np.linalg.lstsq(design, p.intensities, rcond=None)
     if a <= 0:
         raise ValidationError("fitted baseline is not positive")
     return float(math.hypot(b, c) / a)
 
 
 def sum_patterns(a: Pattern, b: Pattern, weights: tuple[float, float] = (1.0, 1.0)) -> Pattern:
-    """Pointwise weighted sum of two patterns on the same grid."""
-    if a.xs != b.xs:
-        raise ValidationError("patterns live on different grids")
+    """Pointwise weighted sum of two patterns on the same geometry."""
+    if a.geometry != b.geometry:
+        raise ValidationError("patterns live on different geometries")
     wa, wb = weights
-    return Pattern(a.xs, tuple(wa * x + wb * y for x, y in zip(a.intensities, b.intensities)))
+    return Pattern(a.geometry, wa * a.intensities + wb * b.intensities)

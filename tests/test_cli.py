@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import qesim
 from qesim import cli, elements as el, scenarios
 from qesim.circuit import Detect
 from qesim.cli import main
@@ -21,6 +24,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_m_qesim_runs_the_cli(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(qesim.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "qesim", "verify", "two_slit"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = run_cli(capsys, "verify", "two_slit")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 class TestRun:
@@ -186,6 +198,17 @@ class TestSweep:
             "0.785398163397,0.25,0.25",
             "0,1,0",
         ]
+
+    def test_missing_setting_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "c.edl"
+        path.write_text(
+            "EXPERIMENT c\nDOF arm : t r\nPARAM phi = 0\nSOURCE 1+0i |arm=t>\n"
+            "STAGE shift : phase arm t phi\n"
+            "CHOICE c : a {\n    DETECT D : arm basis=path\n} | b {\n    DETECT E : arm basis=path\n}\n"
+        )
+        code, out, err = run_cli(capsys, "sweep", str(path), "--param", "phi")
+        assert code == 1 and out == ""
+        assert err == "qesim: missing settings for choices ['c']\n"
 
     @pytest.mark.parametrize("argv", [
         ("two_slit",),

@@ -21,7 +21,7 @@ from qesim.circuit import (
     joint_distribution,
     joint_probs,
 )
-from qesim.qstate import Dof, StateVector, ValidationError, global_phase_deviation
+from qesim.qstate import Dof, StateStack, StateVector, ValidationError, global_phase_deviation
 from test_kernel_oracle import reference_evolve
 
 GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl")))
@@ -488,8 +488,16 @@ def assert_rows_match_bind(doc, data):
 AMPLITUDE_PART = st.one_of(st.just(0.0), st.floats(-1, 1, allow_subnormal=False))
 
 
-def random_sources(data, dofs, n):
-    """``n`` random states over ``dofs``, of random weights."""
+def stack_of(dofs, states):
+    """``states`` over ``dofs`` as one StateStack, row i with state i's bytes."""
+    n = len(states)
+    amps = np.array([s.tensor_view() for s in states]).reshape((n, *(d.dim for d in dofs)))
+    return StateStack(dofs, amps, np.array([s.weight for s in states]), np.zeros(n, dtype=bool))
+
+
+def random_sources(data, dofs, n, extra=()):
+    """The stack of ``n`` random states over ``dofs``, of random weights, then
+    the states ``extra``."""
     dim = math.prod(d.dim for d in dofs)
     out = []
     for _ in range(n):
@@ -499,7 +507,7 @@ def random_sources(data, dofs, n):
             a = np.eye(dim)[data.draw(st.integers(0, dim - 1))]
         weight = data.draw(st.one_of(st.just(1.0), st.floats(0, 1)))
         out.append(StateVector(dofs, a / np.linalg.norm(a), weight))
-    return out
+    return stack_of(dofs, out + list(extra))
 
 
 def assert_sources_match_evolve(template, data, extra=()):
@@ -508,19 +516,20 @@ def assert_sources_match_evolve(template, data, extra=()):
     amplitudes, the weight and whether it is blocked."""
     c = template.circuit
     n = data.draw(st.integers(1, 8))
-    sources = random_sources(data, c.dofs, n) + list(extra)
+    sources = random_sources(data, c.dofs, n, extra)
+    m = len(sources.amps)
     if template.params:
         name = data.draw(st.sampled_from(sorted(template.params)))
-        values = data.draw(st.lists(STEP_ANGLES, min_size=len(sources), max_size=len(sources)))
+        values = data.draw(st.lists(STEP_ANGLES, min_size=m, max_size=m))
         stacks = template.rows(name, values)
         circuits = [template.bind(**{name: v}) for v in values]
     else:
-        stacks, circuits = {}, [c] * len(sources)
+        stacks, circuits = {}, [c] * m
     for settings in all_settings(c):
-        stack = evolve_rows(c, len(sources), stacks, settings, sources)
-        assert stack.amps.shape == (len(sources),) + c.source.dims
-        for i, (circ, source) in enumerate(zip(circuits, sources)):
-            state = reference_evolve(replace(circ, source=source), settings)
+        stack = evolve_rows(c, m, stacks, settings, sources)
+        assert stack.amps.shape == (m,) + c.source.dims
+        for i, circ in enumerate(circuits):
+            state = reference_evolve(replace(circ, source=sources.state(i)), settings)
             assert stack.blocked[i] == isinstance(state, AllBlocked), settings
             assert stack.weights[i] == state.weight, settings
             if stack.blocked[i]:
@@ -566,10 +575,10 @@ class TestRows:
     def test_sources_must_fit_the_rows_and_the_circuit(self):
         c = edl.compile_text(golden_text("analyzer_loop")).circuit
         with pytest.raises(circuit.ContractError, match=r"one source per row \(2\)"):
-            evolve_rows(c, 2, {}, {"mask": "open"}, [c.source])
+            evolve_rows(c, 2, {}, {"mask": "open"}, stack_of(c.dofs, [c.source]))
         other = StateVector.basis_state((Dof("arm", ("t", "r")),), ("t",))
         with pytest.raises(circuit.ContractError, match=r"one source per row \(1\), each over the circuit.s dofs"):
-            evolve_rows(c, 1, {}, {"mask": "open"}, [other])
+            evolve_rows(c, 1, {}, {"mask": "open"}, stack_of(other.dofs, [other]))
         with pytest.raises(circuit.ContractError, match=r"needs 3 matrices in each stack"):
             evolve_rows(c, 3, {0: np.zeros((2, 2, 2))}, {"mask": "open"})
 
@@ -578,7 +587,7 @@ class TestRows:
     )
     def test_empty_stack(self, name, settings):
         c = edl.compile_text(golden_text(name)).circuit
-        for stack in (evolve_rows(c, 0, {}, settings), evolve_rows(c, 0, {}, settings, [])):
+        for stack in (evolve_rows(c, 0, {}, settings), evolve_rows(c, 0, {}, settings, stack_of(c.dofs, []))):
             assert stack.amps.shape == (0,) + c.source.dims
             assert list(stack.weights) == [] and list(stack.blocked) == []
 

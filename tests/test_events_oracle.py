@@ -71,6 +71,11 @@ def reference_histogram(log, pairs, partner_outcome, geometry=DEFAULT_GEOMETRY):
     return pattern_from_bin_probs(counts, geometry)
 
 
+def pattern_key(result):
+    """An error message as it is, a pattern as its geometry and bytes."""
+    return result if isinstance(result, str) else (result.geometry, result.intensities.tobytes())
+
+
 def outcome_of(fn, *args):
     try:
         return fn(*args)
@@ -139,8 +144,8 @@ def test_conditioned_histogram_matches_dict_count(log, window, partner, swap):
     pairs = coincidences(log, *dets, window=window)
     # swapped, the A side carries polarisation outcomes: with partner None
     # that is still one label per event, so both versions accept it
-    assert outcome_of(conditioned_histogram, pairs, partner) == outcome_of(
-        reference_histogram, log, row_pairs(pairs), partner
+    assert pattern_key(outcome_of(conditioned_histogram, pairs, partner)) == pattern_key(
+        outcome_of(reference_histogram, log, row_pairs(pairs), partner)
     )
 
 

@@ -122,14 +122,17 @@ class TestContract:
     def test_leading_axes_of_m_take_the_contracted_places(self):
         t = RNG.normal(size=(2, 3, 4, 2)) + 1j * RNG.normal(size=(2, 3, 4, 2))
         m = RNG.normal(size=(5, 6, 2, 4)) + 1j * RNG.normal(size=(5, 6, 2, 4))
-        got = contract(t, m, (3, 2))
+        got = contract(t[None], m[None], (4, 3))[0]
         assert got.shape == (2, 3, 6, 5)
         assert np.allclose(got, np.einsum("xyab,iqba->iqyx", m, t), atol=1e-12)
 
     def test_single_axis_is_a_matrix_on_that_axis(self):
         t = RNG.normal(size=(3, 2, 3))
         m = RNG.normal(size=(7, 2))
-        assert np.allclose(contract(t, m, (1,)), np.einsum("ka,iaj->ikj", m, t))
+        assert np.allclose(contract(t[None], m[None], (2,))[0], np.einsum("ka,iaj->ikj", m, t))
+
+    def test_empty_stack_of_matrices(self):
+        assert contract(np.zeros((0, 2, 3)), np.zeros((0, 7, 2)), (1,)).shape == (0, 7, 3)
 
 
 class TestGlobalPhase:

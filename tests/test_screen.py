@@ -73,7 +73,7 @@ class TestVisibility:
         assert abs(fringe_visibility(p) - 1.0) < 1e-12
 
     def test_zero_visibility(self):
-        p = Pattern(tuple(DEFAULT_GEOMETRY.bin_centers()), (1.0,) * DEFAULT_GEOMETRY.bins)
+        p = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
         assert fringe_visibility(p) < 1e-12
 
     def test_partial_visibility(self):
@@ -89,7 +89,26 @@ class TestVisibility:
         g = SlitGeometry(bins=17, x_range=(-0.0173, 0.0191))
         s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit", g)
-        assert abs(fringe_visibility(p, g) - 1.0) < 1e-9
+        assert abs(fringe_visibility(p) - 1.0) < 1e-9
+
+    def test_fit_uses_the_patterns_own_geometry(self):
+        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
+        p = pattern_from_state(s, "slit", SlitGeometry(slit_separation=80e-6))
+        assert abs(fringe_visibility(p) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+    def test_non_finite_or_negative_intensity_rejected(self, bad):
+        v = np.ones(DEFAULT_GEOMETRY.bins)
+        v[7] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            Pattern(DEFAULT_GEOMETRY, v)
+
+    def test_intensities_are_one_read_only_value_per_bin(self):
+        with pytest.raises(ValidationError, match="expected 256 intensities"):
+            Pattern(DEFAULT_GEOMETRY, np.ones(255))
+        p = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
+        with pytest.raises(ValueError):
+            p.intensities[0] = 2.0
 
 
 class TestPatternAlgebra:
@@ -110,7 +129,7 @@ class TestPatternAlgebra:
 
     def test_grid_mismatch_rejected(self):
         g = SlitGeometry(bins=8)
-        a = Pattern(tuple(g.bin_centers()), (1.0,) * 8)
-        b = Pattern(tuple(DEFAULT_GEOMETRY.bin_centers()), (1.0,) * DEFAULT_GEOMETRY.bins)
+        a = Pattern(g, np.ones(8))
+        b = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
         with pytest.raises(ValidationError):
             sum_patterns(a, b)
