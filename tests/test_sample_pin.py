@@ -25,14 +25,19 @@ as one batched evolution: filters with all-blocked steps, pm45 and circular
 detectors with a dof summed out, a screen, a PARAM inside a CHOICE, and a
 12-dof sweep whose steps fill more than one block.  Every case runs in a
 temporary directory holding ``FILES``, so that a relative target path prints
-the same.
+the same.  The ``sweep`` case over 33 decades and the screen pattern pin, of
+a pattern whose intensities span 60 decades with some exactly 0, were recorded
+from the writers that formatted each number with CPython's ``%.12g``, before
+one numpy writer formatted them.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qesim.cli import main
+from qesim.screen import Pattern, SlitGeometry
 
 
 def chain_edl(n: int) -> str:
@@ -321,6 +326,13 @@ CASES = {
         "cac42b5e634928911ba5eb1282fffc15c64a3add9f5aafdc71b22b42efe70713",
         EMPTY,
     ),
+    # cells from -1e-07 through 1.49975978266e-32: exponent forms on both
+    # sides of the scaled range, and values that round up to 0.5000000375 and 1
+    "sweep_mz_two_bs_decades": (
+        "sweep mz_two_bs --start=-1e-07 --stop 6.283185307179586 --steps 9",
+        "d0cb66293bc1c33cba683027181c66b1a3b287228a3e2e30dbff36a8152992cf",
+        EMPTY,
+    ),
     "sweep_mz_one_bs": (
         "sweep mz_one_bs",
         "7d6eab743cd8fa4adae4868b0c4ade586e33c89361383bd3e851ec403b921178",
@@ -439,3 +451,10 @@ def test_million_shots_pinned(fmt, capsys, tmp_path):
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     assert digest.hexdigest() == MILLION[fmt]
+
+
+def test_pattern_csv_pinned():
+    intensities = 10.0 ** np.linspace(-40, 20, 64) * 1.2345678901234567
+    intensities[::9] = 0.0
+    text = Pattern(SlitGeometry(bins=64), intensities).to_csv()
+    assert sha256(text) == "4a765c11f4ae48678d7feca1c8a390a4fd0150747334f22aa1406380ed7d64fe"
