@@ -28,7 +28,7 @@ import numpy as np
 
 from . import edl, events, scenarios
 from .circuit import ContractError, joint_distribution, joint_probs, validate_settings
-from .measure import ConditioningError, marginal
+from .measure import ConditioningError, _csv_rows, marginal
 from .qstate import CompositionError, ValidationError
 from .screen import fringe_visibility
 
@@ -138,7 +138,7 @@ def cmd_run(args) -> int:
         doc = {"target": args.target, "settings": settings, **dist.to_json_dict()}
         _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
     else:
-        _emit([dist.to_csv()], args.out)
+        _emit(events.blocks(dist.to_csv, dist.probs.size), args.out)
     if args.ascii:
         for spec in circuit.detectors(settings):
             if spec.screen_of is not None:
@@ -206,8 +206,7 @@ def cmd_sweep(args) -> int:
     flat = sorted(range(len(keys)), key=keys.__getitem__)
     header = [args.param] + ["P(" + "|".join(keys[i]) + ")" for i in flat]
     cells = np.column_stack([values, np.concatenate(probs)[:, flat]])
-    row = ",".join(["%.12g"] * len(header)) + "\n"
-    _emit([",".join(header) + "\n", (row * len(values)) % tuple(cells.ravel().tolist())], args.out)
+    _emit([",".join(header) + "\n", _csv_rows(cells)], args.out)
     return 0
 
 

@@ -46,7 +46,7 @@ _CIRCULAR_L = (1 / math.sqrt(2), 1j / math.sqrt(2))
 _CIRCULAR_R = (1 / math.sqrt(2), -1j / math.sqrt(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementOp:
     """One element's action on a state.
 

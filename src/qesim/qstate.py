@@ -52,7 +52,7 @@ class Dof:
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisChange:
     """A unitary relabeling of one dof's basis."""
 
@@ -79,7 +79,7 @@ def is_unitary(m: np.ndarray, tol: float = NORM_TOL):
     return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1)) < tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized amplitudes over the product basis of ``dofs``.
 
@@ -172,7 +172,7 @@ class AllBlocked:
     weight: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateStack:
     """States over one space, as one array: ``amps[i]`` is row i's amplitude
     tensor over ``dofs`` and ``weights[i]`` its weight.  A row of ``blocked``

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .measure import _csv_rows
 from .qstate import StateVector, ValidationError
 
 
@@ -77,10 +78,8 @@ class Pattern:
         object.__setattr__(self, "intensities", v)
 
     def to_csv(self) -> str:
-        lines = ["x,intensity"]
-        for x, v in zip(self.geometry.bin_centers().tolist(), self.intensities.tolist()):
-            lines.append(f"{x:.12g},{v:.12g}")
-        return "\n".join(lines) + "\n"
+        cells = np.column_stack([self.geometry.bin_centers(), self.intensities])
+        return "x,intensity\n" + _csv_rows(cells)
 
 
 def _screen_matrix(geometry: SlitGeometry) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qesim import scenarios
+from qesim.circuit import evolve, evolve_rows
 from qesim.qstate import (
     BasisChange,
     CompositionError,
@@ -155,3 +157,22 @@ class TestGlobalPhase:
         a = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): 1})
         b = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): -1})
         assert not global_phase_deviation(a, b) < 1e-10
+
+
+def test_array_holders_compare_by_identity():
+    # dataclass equality over an ndarray field would raise instead of answering
+    circuit = scenarios.build("mz_two_bs").circuit
+    op = circuit.stages[0].op
+    state = evolve(circuit, {})
+    stack = evolve_rows(circuit, 2, {}, {})
+    change = BasisChange("a", np.eye(2), ("x", "y"))
+    for obj, twin in [
+        (state, evolve(circuit, {})),
+        (stack, evolve_rows(circuit, 2, {}, {})),
+        (change, BasisChange("a", np.eye(2), ("x", "y"))),
+        (op, scenarios.build("mz_two_bs").circuit.stages[0].op),
+        (circuit, scenarios.build("mz_two_bs").circuit),
+    ]:
+        assert obj == obj and not obj != obj
+        assert obj != twin and not obj == twin
+        assert hash(obj) == hash(obj)
