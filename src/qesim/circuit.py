@@ -90,7 +90,7 @@ class Detect:
     spec: DetectorSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Choice:
     """A named point where one of several alternative stage lists is wired in."""
 

@@ -238,6 +238,8 @@ def cmd_sample(args) -> int:
         _check_detectors((det_a, det_b), "--pairs", active)
         if det_a == det_b:
             raise CliError(f"--pairs needs two different detectors, got {det_a!r} twice", USAGE_ERROR)
+        if args.format is not None:
+            raise CliError("--format is for the event log; --pairs writes CSV", USAGE_ERROR)
     log = events.generate_events(
         circuit, settings, shots=args.shots, seed=seed, delays=delays
     )
@@ -304,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="sample events; optional coincidence pairs")
     sp.add_argument("target")
-    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sp.add_argument("--format", choices=("jsonl", "csv"), default=None,
+                    help="event log format (default jsonl); not with --pairs")
     sp.add_argument("--delay", action="append", default=[], metavar="DET=NS")
     sp.add_argument("--window", type=float, default=None, metavar="NS",
                     help=f"with --pairs (default {events.DEFAULT_WINDOW_NS:g})")

@@ -126,6 +126,19 @@ class TestVerify:
         assert code == 0 and out.endswith("OK: 0 failing check(s)\n")
         assert apply_op.call_count <= 150
 
+    def test_a_check_above_its_tol_fails_verify(self, capsys):
+        # the two-slit fringes measured against visibility 0 read about 1
+        rows = scenarios._CATALOG["two_slit"]
+        flat = (("fringe_visibility_1", 1e-9, lambda t: scenarios._vis_gap(t, 0.0, {})),)
+        with mock.patch.dict(scenarios._CATALOG, {"two_slit": flat + rows[1:]}):
+            code, out, _ = run_cli(capsys, "verify", "two_slit")
+        assert code == 1
+        assert out == (
+            "FAIL two_slit.fringe_visibility_1: measured 1.000e+00 (tol 1e-09)\n"
+            "PASS two_slit.pattern_is_1_plus_cos: measured 8.882e-16 (tol 1e-10)\n"
+            "FAILED: 1 failing check(s)\n"
+        )
+
     def test_unknown_name_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
@@ -296,6 +309,7 @@ class TestSample:
         (["--pairs", "D_s,D_p", "--given", "nosuch"],
          "--given 'nosuch' is no outcome of D_p; its outcomes: +, -"),
         (["--pairs", "D_s,D_s"], "--pairs needs two different detectors, got 'D_s' twice"),
+        (["--pairs", "D_s,D_p", "--format", "jsonl"], "--format is for the event log; --pairs writes CSV"),
     ])
     def test_bad_sample_arguments_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(

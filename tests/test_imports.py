@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/qesim", "tests", "scripts") for p in (ROOT / d).glob("*.py"))
+FILES = sorted(
+    p for d in ("src/qesim", "tests", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:

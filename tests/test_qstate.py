@@ -160,8 +160,10 @@ class TestGlobalPhase:
 
 
 def test_array_holders_compare_by_identity():
-    # dataclass equality over an ndarray field would raise instead of answering
+    # dataclass equality over an ndarray field, or hash() over a dict field
+    # (a CHOICE's alternatives), would raise instead of answering
     circuit = scenarios.build("mz_two_bs").circuit
+    walborn = scenarios.build("walborn").circuit
     op = circuit.stages[0].op
     state = evolve(circuit, {})
     stack = evolve_rows(circuit, 2, {}, {})
@@ -172,6 +174,8 @@ def test_array_holders_compare_by_identity():
         (change, BasisChange("a", np.eye(2), ("x", "y"))),
         (op, scenarios.build("mz_two_bs").circuit.stages[0].op),
         (circuit, scenarios.build("mz_two_bs").circuit),
+        (walborn, scenarios.build("walborn").circuit),
+        (walborn.find_choice("p_pol"), scenarios.build("walborn").circuit.find_choice("p_pol")),
     ]:
         assert obj == obj and not obj != obj
         assert obj != twin and not obj == twin
