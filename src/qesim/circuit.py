@@ -8,10 +8,11 @@ have alone; ``evolve`` is its stack of one.  Filters post-select: each row
 is renormalized and its pass probability accumulates in its weight.
 Detection is ideal projective measurement in each detector's declared basis;
 a screen detector measures the far-field position distribution of a
-two-label path dof.  ``compare_marginals`` instead keeps the absorbed
-branches, as a stack whose rows split in two at each filter, so the
-full-ensemble marginal of an untouched subsystem can be compared across
-delayed-choice settings.
+two-label path dof, and its bin axis goes after every dof axis.
+``compare_marginals`` instead keeps the absorbed branches, as a stack whose
+rows split in two at each filter and are post-selected by the rule
+``apply_op`` uses, so the full-ensemble marginal of an untouched subsystem
+can be compared across delayed-choice settings.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .qstate import (
     StateVector,
     ValidationError,
     _axis,
-    _normalize_rows,
-    _weight,
     contract,
     rebase,
 )
@@ -148,6 +147,8 @@ class Circuit:
                     raise ValidationError(
                         f"detector {spec.name!r} references unknown dof {dn!r}"
                     )
+            if spec.screen_of is not None and spec.name in names - {spec.screen_of}:
+                raise ValidationError(f"screen {spec.name!r} is named like another dof")
         _detector_names(self.stages)
 
     def choice_names(self) -> list[str]:
@@ -210,6 +211,8 @@ def evolve_rows(
     validate_settings(c, settings)
     if any(len(m) != n for m in stacks.values()):
         raise ContractError(f"evolve_rows needs {n} matrices in each stack")
+    if stacks and not stacks.keys() <= {id(s) for s in _walk(c.stages) if isinstance(s, Apply)}:
+        raise ContractError("evolve_rows got matrices for a stage that is not an Apply of this circuit")
     if sources is None:
         sources = StateStack(c.dofs, c.source.tensor_view()[None].repeat(n, axis=0),
                              np.full(n, c.source.weight), np.zeros(n, dtype=bool))
@@ -227,8 +230,8 @@ def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndar
     tensors of the branches and their weights, which sum to the source's.
 
     A unitary acts by ``apply_op``.  At a filter every row splits into its
-    pass branch, then its absorbed branch, each settled and normalized as
-    ``apply_op`` does a row; a branch ``_settle`` finds blocked is dropped.
+    pass branch, then its absorbed branch, each post-selected as ``apply_op``
+    does a row; a branch that ``elements._post_select`` blocks is dropped.
     """
     validate_settings(c, settings)
     t, weights = c.source.tensor_view()[None], np.array([c.source.weight])
@@ -238,11 +241,8 @@ def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndar
         elif isinstance(s, Apply):
             passed = el._act(t, c.dofs, s.op)
             flat = np.stack([passed, t - passed], axis=1).reshape(2 * len(t), c.source.dim)
-            pass_prob = el._settle(flat)
-            kept = pass_prob >= el.ALL_BLOCKED_EPS
-            flat = flat[kept]
-            weights = np.array([_weight(w) for w in (np.repeat(weights, 2) * pass_prob)[kept]])
-            _normalize_rows(flat, np.zeros(len(flat), dtype=bool))
+            weights, blocked = el._post_select(flat, np.repeat(weights, 2))
+            flat, weights = flat[~blocked], weights[~blocked]
             t = flat.reshape((len(flat),) + c.source.dims)
     return t, weights
 
@@ -271,40 +271,29 @@ def _born(dofs, t: np.ndarray, weights, detectors):
     the states) over ``dofs`` in the detectors' bases, weighted by
     ``weights[i]``: the axes, their labels, the probabilities as one C-ordered
     stack, and each state's mass, which is 0 where it has no amplitude."""
-    dof_axis = {d.name: i for i, d in enumerate(dofs)}
+    held = [d.name for d in dofs]  # what each axis of t after axis 0 holds: a dof or a screen
     labels_of = {d.name: d.labels for d in dofs}
-    n_dofs = len(dofs)
-    screens = [s for s in detectors if s.screen_of is not None]
-    # contract each screen's path axis against its bin-phase matrix; the new
-    # bin axis is appended at the end, so earlier axes keep their meaning
-    for spec in screens:
-        ax = dof_axis[spec.screen_of]
-        if len(labels_of[spec.screen_of]) != 2:
-            raise ValidationError("screen path dof must have 2 labels")
-        t = np.moveaxis(contract(t, _screen_matrix(spec.geometry)[None], (ax + 1,)), ax + 1, -1)
-        for name in list(dof_axis):
-            if dof_axis[name] > ax:
-                dof_axis[name] -= 1
-        del dof_axis[spec.screen_of]
-
-    n_plain = n_dofs - len(screens)
-    screen_axis = {spec.name: n_plain + i for i, spec in enumerate(screens)}
-    axis_info: list[tuple[str, tuple[str, ...], int]] = []  # name, labels, axis
+    # contract each screen's path axis against its bin-phase matrix and move
+    # the new bin axis to the end: the axis order sets the Born sum's last bits
     for spec in detectors:
         if spec.screen_of is not None:
-            axis_info.append((spec.name, spec.geometry.bin_labels, screen_axis[spec.name]))
-        else:
-            for dn, _basis in spec.measured:
-                axis_info.append((dn, labels_of[dn], dof_axis[dn]))
+            if len(labels_of[spec.screen_of]) != 2:
+                raise ValidationError("screen path dof must have 2 labels")
+            ax = held.index(spec.screen_of)
+            t = np.moveaxis(contract(t, _screen_matrix(spec.geometry)[None], (ax + 1,)), ax + 1, -1)
+            del held[ax]
+            held.append(spec.name)
+            labels_of[spec.name] = spec.geometry.bin_labels
 
+    axis_of = {name: i for i, name in enumerate(held)}
+    axes = tuple(name for spec in detectors for name in spec.axis_names())
+    labels = tuple(labels_of[name] for name in axes)
+    keep = [axis_of[name] for name in axes]
     probs = np.abs(t) ** 2
-    keep = [ax for _, _, ax in axis_info]
     drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in keep)
     p = probs.sum(axis=drop) if drop else probs
     if keep:
         p = np.transpose(p, [0] + [i + 1 for i in np.argsort(np.argsort(keep))])
-    axes = tuple(name for name, _, _ in axis_info)
-    labels = tuple(labels for _, labels, _ in axis_info)
     totals = p.sum(axis=tuple(range(1, p.ndim)))
     weights = np.asarray(weights, dtype=float)
     # each state's weight over its total, unless that is 0 and so is every probability

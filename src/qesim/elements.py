@@ -126,33 +126,32 @@ def apply_op(stack: StateStack, op: ElementOp, matrices: np.ndarray | None = Non
     """Apply an element to each state of a stack, with the bytes each would
     get alone: ``op.matrix`` to every row or, given ``matrices`` of op's
     shape stacked, ``matrices[i]`` to row i.  Unitaries rotate amplitudes;
-    filters project, renormalize, and fold each row's pass probability into
-    its weight.  A row a filter removes (essentially) all probability mass
-    from is marked blocked, with amplitudes and weight 0, and stays blocked.
+    filters project and post-select, and a row they block stays blocked.
     """
     n = len(stack.amps)
     flat = _act(stack.amps, stack.dofs, op, matrices).reshape(n, stack.dim)
     weights, blocked = stack.weights, stack.blocked
     if op.kind == FILTER:
         # a row blocked before is all 0 and so is blocked again
-        pass_prob = _settle(flat)
-        blocked = blocked | (pass_prob < ALL_BLOCKED_EPS)
-        weights = np.array([0.0 if b else _weight(w) for w, b in zip((weights * pass_prob).tolist(), blocked.tolist())])
-    _normalize_rows(flat, blocked)
+        weights, blocked = _post_select(flat, weights)
+    else:
+        _normalize_rows(flat, blocked)
     return StateStack(stack.dofs, flat.reshape(stack.amps.shape), weights, blocked)
 
 
-def _settle(flat: np.ndarray) -> np.ndarray:
-    """Settle each row of ``flat`` after a filter, in place, and return the
-    rows' pass probabilities: a row whose pass probability is below
-    ALL_BLOCKED_EPS is blocked and set to 0, every other is divided by the
-    square root of it.  Each row's pass probability is its own ``np.vdot``,
-    whose rounding no stacked form shares."""
+def _post_select(flat: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Post-select each row of ``flat`` after a filter, in place, and return
+    the rows' new weights and which rows are blocked: a row whose pass
+    probability is below ALL_BLOCKED_EPS gets amplitudes and weight 0; every
+    other is normalized, and its weight times that probability clamped.  Each
+    row's pass probability is its own ``np.vdot``, which no stacked form rounds alike."""
     pass_prob = np.array([np.vdot(row, row).real for row in flat])
     blocked = pass_prob < ALL_BLOCKED_EPS
     flat[blocked] = 0.0
     flat[~blocked] /= np.sqrt(pass_prob[~blocked])[:, None]
-    return pass_prob
+    weights = np.array([0.0 if b else _weight(w) for w, b in zip((weights * pass_prob).tolist(), blocked.tolist())])
+    _normalize_rows(flat, blocked)
+    return weights, blocked
 
 
 # -- constructors ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Timestamped detection events and coincidence counting.
 
 Each shot samples one joint outcome from the active detectors' Born
-distribution via a cell table; every detector then logs an event at
+distribution via a cell table; every detector then logs its part of that
+outcome, the labels along its own axes, at
 
     t = shot * period + delay (all in ns),
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -200,34 +202,33 @@ def generate_events(
     dist = joint_distribution(c, settings)
     specs = c.detectors(settings)
 
-    keys = list(dist.outcomes)
     # survive is a left-to-right sum, the last entry of the running sum:
     # np.sum adds in another order and can move the residual threshold
     cdf = np.cumsum(dist.probs.ravel())
-    survive = cdf[-1] if len(keys) else 0.0
+    survive = cdf[-1] if dist.probs.size else 0.0
     if survive < dist.total_mass - 1e-9 or dist.total_mass > 1 + 1e-9:
         raise ValidationError("inconsistent distribution mass")
-    # residual outcome (pick == len(keys)): the particle never reached the detectors
+    # residual outcome (pick == probs.size): the particle never reached the detectors
     if survive < 1.0 - 1e-12:
         cdf = np.append(cdf, 1.0)
     cdf[-1] = 1.0
     picks = _draw(cdf, rng_for(seed).random(shots))
-    survivors = np.flatnonzero(picks < len(keys))
+    survivors = np.flatnonzero(picks < dist.probs.size)
     picks = picks[survivors]
 
-    # one block of rows per detector, in shot order; labels are indexed, and
-    # the joint axes split among detectors, in declaration order
-    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    # one block of rows per detector, in shot order; the joint axes split among
+    # detectors in declaration order, and each labels its axes' outcomes in C order
+    shape = dist.probs.shape
+    index = np.unravel_index(np.arange(dist.probs.size), shape)
+    labels: list[tuple[str, tuple[str, ...]]] = []
     parts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     pos = 0
     for spec in specs:
         span = slice(pos, pos + len(spec.axis_names()))
         pos = span.stop
         offset = delays.get(spec.name, spec.time_offset)
-        label_of_key = np.array(
-            [index.setdefault((spec.name, k[span]), len(index)) for k in keys],
-            dtype=np.int32,
-        )
+        label_of_key = (np.ravel_multi_index(index[span], shape[span]) + len(labels)).astype(np.int32)
+        labels += [(spec.name, k) for k in product(*dist.labels[span])]
         parts[spec.name] = (survivors * period + offset, label_of_key[picks])
     del picks
     names = sorted(parts)
@@ -243,7 +244,7 @@ def generate_events(
     shot = shot[order]
     time = time[order]
     label = label[order]
-    return EventLog(seed, shots, shot, time, label, index)
+    return EventLog(seed, shots, shot, time, label, labels)
 
 
 class Coincidences:

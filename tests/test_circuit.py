@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesim import circuit, elements as el
+from qesim import circuit, elements as el, qstate
 from qesim import scenarios
 from qesim.circuit import (
     AllBlocked,
@@ -256,7 +256,7 @@ class TestNormalizeRows:
         rows = [scaled(b, x) for b in edge_bases(k) for x in EDGE_NORMS]
         flat = np.array(rows + [np.zeros(k)] * 2, dtype=complex)
         blocked = [False] * len(rows) + [True] * 2
-        circuit._normalize_rows(flat, blocked)
+        qstate._normalize_rows(flat, blocked)
         for row, got in zip(rows, flat):
             assert got.tobytes() == _unit(row.copy()).tobytes()
         assert not flat[len(rows):].any()
@@ -275,5 +275,5 @@ class TestNormalizeRows:
                 _unit(row.copy())
             flat = np.array([scaled(base, 1.0), row, scaled(base, 1 - 2e-9)])
             with pytest.raises(ValidationError) as got:
-                circuit._normalize_rows(flat, [False, False, False])
+                qstate._normalize_rows(flat, [False, False, False])
             assert str(got.value) == str(want.value)

@@ -183,6 +183,16 @@ class TestDiagnostics:
         assert [str(d) for d in res.diagnostics] == [f"5:1: error: {m}" for m in want]
 
 
+def test_screen_named_like_another_dof_is_a_compile_error():
+    # its bin axis would share the name of the pol axis
+    res = edl.compile_text(TWO_DOFS + "DETECT pol : screen arm\nDETECT D : pol basis=path\n")
+    assert [str(d) for d in res.diagnostics] == [
+        "1:1: error: circuit assembly failed: screen 'pol' is named like another dof"
+    ]
+    res = edl.compile_text(TWO_DOFS + "DETECT arm : screen arm\nDETECT D : pol basis=path\n")
+    assert res.ok and joint_distribution(res.circuit).axes == ("arm", "pol")
+
+
 class TestBases:
     TEXT = TWO_DOFS + (
         "STAGE b : bs arm t r\nSTAGE q : qwp pol 30\n"
@@ -581,6 +591,19 @@ class TestRows:
             evolve_rows(c, 1, {}, {"mask": "open"}, stack_of(other.dofs, [other]))
         with pytest.raises(circuit.ContractError, match=r"needs 3 matrices in each stack"):
             evolve_rows(c, 3, {0: np.zeros((2, 2, 2))}, {"mask": "open"})
+
+    def test_rows_of_another_circuit_are_rejected(self):
+        # a bound circuit's phase stage is a new Apply, which would evolve
+        # every row with its own matrix if the rows' key were ignored
+        template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
+        rows = template.rows("phi", [0.0, math.pi])
+        for c in (template.bind(phi=1.0), edl.compile_text(golden_text("mz_two_bs")).circuit):
+            with pytest.raises(circuit.ContractError, match="not an Apply of this circuit"):
+                evolve_rows(c, 2, rows)
+            with pytest.raises(circuit.ContractError, match="not an Apply of this circuit"):
+                list(joint_probs(c, 2, rows))
+        ((_, _, p, _, _),) = joint_probs(template.circuit, 2, rows)
+        assert np.allclose(p, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     @pytest.mark.parametrize(
         "name,settings", [("mz_two_bs", {}), ("sg_loop", {"mask": "keep_top"})]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim import events, scenarios
+from qesim import edl, events, scenarios
 from qesim.circuit import joint_distribution
 from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.measure import rng_for
@@ -205,11 +205,31 @@ def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None,
     return EventLog(seed, shots, shot[order], time[order], label[order], index)
 
 
-#: every catalog circuit under every combination of choice alternatives
+#: three detectors, the middle one measuring two dofs, one of them in pm45:
+#: its axes are neither the first nor a single one
+THREE_DETECTORS = edl.compile_text("""\
+EXPERIMENT three_detectors
+DOF a : x y
+DOF b : p q r
+DOF c : h v
+DOF d : u w
+SOURCE 1+0i |a=x, b=p, c=h, d=u> ; 0+1i |a=y, b=q, c=v, d=w> ; 2+0i |a=x, b=r, c=v, d=u> ; 1-1i |a=y, b=p, c=h, d=w>
+STAGE q : qwp c 30
+STAGE s : bs a x y
+CHOICE f : open {
+} | polarizer {
+    STAGE p : pol c 20
+}
+DETECT A : a basis=path
+DETECT M : b basis=path, c basis=pm45
+DETECT Z : d basis=circular
+""").circuit
+
+#: every catalog circuit, and THREE_DETECTORS, under every combination of
+#: choice alternatives
 TARGETS = [
     (circuit, chosen)
-    for name in scenarios.list_names()
-    for circuit in [scenarios.build(name).circuit]
+    for circuit in [scenarios.build(name).circuit for name in scenarios.list_names()] + [THREE_DETECTORS]
     for chosen in all_settings(circuit)
 ]
 

@@ -1,4 +1,6 @@
-"""Every name an import binds is used in its module or listed in its ``__all__``."""
+"""Every name an import binds is used in its module or listed in its
+``__all__``, and each ``src/qesim`` module uses no other module's private
+names but those listed in ``PRIVATE_USES``."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,54 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: each ``src/qesim`` module's uses of another qesim module's ``_``-prefixed
+#: names, as ``module._name``; a module not listed uses none
+PRIVATE_USES = {
+    "circuit": {"elements._act", "elements._post_select", "qstate._axis", "screen._screen_matrix"},
+    "elements": {"qstate._axis", "qstate._normalize_rows", "qstate._weight"},
+    "scenarios": {"qstate._phase_deviation"},
+    "cli": {"measure._csv_rows"},
+    "screen": {"measure._csv_rows"},
+}
+
+
+def qesim_module(node: ast.ImportFrom) -> str | None:
+    """The qesim module an import reads from: "" for the package itself,
+    None for a module outside it."""
+    if node.level:
+        return node.module or ""
+    if node.module == "qesim" or node.module.startswith("qesim."):
+        return node.module[len("qesim."):]
+    return None
+
+
+def private_uses(source: str) -> set[str]:
+    """``module._name`` for each private name of another qesim module that
+    ``source`` imports by name or reads as an attribute of the module."""
+    tree = ast.parse(source)
+    modules, uses = {}, set()  # modules: local name -> the qesim module it binds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (module := qesim_module(node)) is not None:
+            for a in node.names:
+                if not module:
+                    modules[a.asname or a.name] = a.name
+                elif a.name.startswith("_"):
+                    uses.add(f"{module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                uses.add(f"{modules[node.value.id]}.{node.attr}")
+    return uses
+
+
+def test_scan_finds_private_uses():
+    source = "from . import a as b, c\nfrom .d import _e, f\nfrom qesim.g import _h\nb._i(c.j, c.__doc__)\n"
+    assert private_uses(source) == {"a._i", "d._e", "g._h"}
+    assert private_uses("from qesim import k\nk._l\nimport m\nm._n\n") == {"k._l"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/qesim").glob("*.py")), ids=lambda p: p.stem)
+def test_private_uses_are_the_listed_ones(path):
+    assert private_uses(path.read_text(encoding="utf-8")) == PRIVATE_USES.get(path.stem, set())
