@@ -415,11 +415,18 @@ CASES = {
 }
 
 
-#: a million shots, written through --out; recorded from the one-string
-#: writer, which built the whole log as one string before writing it
+#: a million shots, written through --out; the event logs were recorded from
+#: the one-string writer, which built the whole log as one string before
+#: writing it, and the pair CSV from the writer that formatted each block of
+#: rows with one ``%`` operation
+MILLION_ARGV = "sample walborn_delayed -n 1000000 --setting p_pol=absent --seed 0"
 MILLION = {
-    "jsonl": "188a8da01d74d8a36d467ab81740ec46e06fbccec9e75d8c8e0c2f66c09fe82d",
-    "csv": "3507998be8e0294f881a3b888a59e662b1fdef64983f039267f99a8563712b84",
+    "jsonl": ("--format jsonl", "188a8da01d74d8a36d467ab81740ec46e06fbccec9e75d8c8e0c2f66c09fe82d"),
+    "csv": ("--format csv", "3507998be8e0294f881a3b888a59e662b1fdef64983f039267f99a8563712b84"),
+    "pairs": (
+        "--pairs D_s,D_p --offset D_p=1e9",
+        "63cc173b3cd6afd939be79b758b93295784e35d666a377332005f866106934d2",
+    ),
 }
 
 
@@ -440,17 +447,17 @@ def test_sample_output_pinned(case, capsys, tmp_path, monkeypatch):
     assert sha256(captured.err) == err_sha
 
 
-@pytest.mark.parametrize("fmt", sorted(MILLION))
-def test_million_shots_pinned(fmt, capsys, tmp_path):
-    path = tmp_path / f"log.{fmt}"
-    argv = "sample walborn_delayed -n 1000000 --setting p_pol=absent --seed 0 --format"
-    assert main(argv.split() + [fmt, "--out", str(path)]) == 0
+@pytest.mark.parametrize("case", sorted(MILLION))
+def test_million_shots_pinned(case, capsys, tmp_path):
+    path = tmp_path / "out"
+    flags, sha = MILLION[case]
+    assert main(f"{MILLION_ARGV} {flags}".split() + ["--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
-    assert digest.hexdigest() == MILLION[fmt]
+    assert digest.hexdigest() == sha
 
 
 def test_pattern_csv_pinned():
