@@ -20,20 +20,22 @@ per event; ``DetectionEvent`` objects are built only when a caller asks for
 ``EventLog.events``; its rows are merged from one block per detector by a
 stable sort on time.  Its writers, and that of ``Coincidences``, format a
 range of rows, so that ``blocks`` can write a log of any length
-``BLOCK_ROWS`` rows at a time and never holds the whole text.
+``BLOCK_ROWS`` rows at a time and never holds the whole text.  A block is one
+array of 0xFF-padded rows (uint64 words for JSON, bytes for CSV) of numbers from
+``measure`` and per-label tables; one ``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
 from .circuit import Circuit, joint_distribution
-from .measure import rng_for
+from .measure import _PAD, _byte_rows, _g12, _int_words, rng_for
 from .qstate import ValidationError
 from .screen import DEFAULT_GEOMETRY, Pattern, SlitGeometry, pattern_from_bin_probs
 
@@ -45,11 +47,10 @@ DEFAULT_WINDOW_NS = 1e3
 BLOCK_ROWS = 2**14
 #: equal cells of [0, 1) in the table that ``_draw`` reads outcomes from
 DRAW_CELLS = 2**14
-#: sizes below which a whole float's ``repr`` (JSON) and ``%.12g`` (CSV) give
-#: the digits of its int: ``repr`` turns to exponents at 1e16 > 2**53, and 12
-#: significant digits hold every int below 1e12
+#: size below which a whole float's ``repr`` is its int and ``.0`` (1e16 has an exponent)
 JSON_WHOLE_BOUND = 2**53
-CSV_WHOLE_BOUND = 1e12
+#: the literal words of a JSON line before the shot and before the time
+_KEYS = b'{"shot":' + b',"t":'.ljust(8, _PAD)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,9 @@ class EventLog:
         self.time = np.asarray(time, dtype=np.float64)
         self.label = np.asarray(label, dtype=np.int32)
         self.labels: tuple[tuple[str, tuple[str, ...]], ...] = tuple(labels)
+        if not len(self.shot) == len(self.time) == len(self.label):
+            raise ValidationError("shot, time and label columns differ in length")
+        _check_index("label", self.label, len(self.labels))
         if not np.isfinite(self.time).all():
             raise ValidationError("event times must be finite")
 
@@ -97,62 +101,57 @@ class EventLog:
 
     @cached_property
     def _jsonl_tails(self) -> np.ndarray:
-        """Each label's JSON line after the time, indexed like ``labels``."""
-        return _table(
-            f',"det":{json.dumps(det)},"outcome":'
-            f'{json.dumps(list(outcome), separators=(",", ":"))}}}\n'
-            for det, outcome in self.labels
-        )
+        """Each label's JSON line after the time, as words: row ``2 * k`` is
+        label ``k``'s, and row ``2 * k + 1`` the same after ``.0``."""
+        dumps = cache(json.dumps)
+        tails = [f',"det":{dumps(det)},"outcome":[{",".join(map(dumps, outcome))}]}}\n'.encode()
+                 for det, outcome in self.labels]
+        return _words(t for tail in tails for t in (tail, b".0" + tail))
 
     @cached_property
     def _csv_tails(self) -> np.ndarray:
-        return _table(f",{det},{'|'.join(outcome)}\n" for det, outcome in self.labels)
+        return _words((f",{det},{'|'.join(outcome)}\n".encode() for det, outcome in self.labels), 1)
 
     def to_jsonl(self, lo: int = 0, hi: int | None = None) -> str:
         """JSON lines of rows ``[lo, hi)``."""
-        # repr(float) is how json.dumps writes a finite float
-        t_fmt, times = _times(self.time[lo:hi], "%d.0", JSON_WHOLE_BOUND, "%r")
-        return _format(
-            '{"shot":%d,"t":' + t_fmt + "%s",
-            self.shot[lo:hi].tolist(), times, self._jsonl_tails[self.label[lo:hi]].tolist(),
-        )
+        t = self.time[lo:hi]
+        # json.dumps writes repr(t): for a whole t below the bound, but -0.0, its int and ".0"
+        ints = np.where(np.abs(t) < JSON_WHOLE_BOUND, t, 0).astype(np.int64)
+        whole = (ints == t) & (np.signbit(t) == (ints < 0))
+        slow = np.flatnonzero(~whole)
+        texts = [b"%r" % x for x in t[slow].tolist()]
+        time = _int_words(ints, -(-max(map(len, texts), default=0) // 8))
+        time[slow] = _byte_rows(texts, time.shape[1] * 8).view("<u8")
+        keys = np.broadcast_to(np.frombuffer(_KEYS, "<u8"), (len(t), 2))
+        tails = self._jsonl_tails[2 * self.label[lo:hi] + whole]
+        return _lines(keys[:, :1], _int_words(self.shot[lo:hi]), keys[:, 1:], time, tails)
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of rows ``[lo, hi)``, after the header when ``lo == 0``."""
-        t_fmt, times = _times(self.time[lo:hi], "%d", CSV_WHOLE_BOUND, "%.12g")
-        body = _format(
-            "%d," + t_fmt + "%s",
-            self.shot[lo:hi].tolist(), times, self._csv_tails[self.label[lo:hi]].tolist(),
-        )
+        body = _lines(*_csv_cells(self, slice(lo, hi), self._csv_tails[self.label[lo:hi]]))
         return "shot,t,det,outcome\n" + body if lo == 0 else body
 
 
-def _table(texts) -> np.ndarray:
-    """Strings as an object array, so that a label column picks them at once."""
-    return np.array(list(texts), dtype=object)
+def _check_index(name: str, index: np.ndarray, n: int) -> None:
+    if index.size and not 0 <= index.min() <= index.max() < n:
+        raise ValidationError(f"{name} indices must lie in [0, {n})")
 
 
-def _times(t: np.ndarray, whole_fmt: str, bound: float, fmt: str) -> tuple[str, list]:
-    """The format and values of one block of times.  When every time is a
-    whole number of ns below ``bound`` in size and none is -0.0, ``whole_fmt``
-    writes the ints with the same bytes as ``fmt`` writes the floats, and is
-    faster; otherwise ``fmt`` and the floats."""
-    if not (t.size == 0 or np.abs(t).max() < bound):
-        return fmt, t.tolist()
-    ints = t.astype(np.int64)
-    if (ints == t).all() and (np.signbit(t) == (ints < 0)).all():
-        return whole_fmt, ints.tolist()
-    return fmt, t.tolist()
+def _words(texts, size: int = 8) -> np.ndarray:
+    """Byte strings as 0xFF-padded rows of little-endian words of ``size`` bytes."""
+    texts = list(texts)
+    return _byte_rows(texts, -(-max(map(len, texts), default=1) // size) * size).view(f"<u{size}")
 
 
-def _format(row_fmt: str, *columns: list) -> str:
-    """Rows of ``row_fmt``, one per entry of the equally long ``columns``,
-    formatted by one % operation over the flat cell list."""
-    n = len(columns[0])
-    cells = [None] * (n * len(columns))
-    for i, column in enumerate(columns):
-        cells[i :: len(columns)] = column
-    return (row_fmt * n) % tuple(cells)
+def _csv_cells(log: EventLog, rows, tails: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shots, a comma and ``%.12g`` times of ``rows`` of ``log``, then the byte rows ``tails``."""
+    comma = np.broadcast_to(np.uint8(ord(",")), (len(tails), 1))
+    return _int_words(log.shot[rows]).view(np.uint8), comma, _g12(log.time[rows]), tails
+
+
+def _lines(*fields: np.ndarray) -> str:
+    """The text of rows of words, or of bytes, side by side, without the padding."""
+    return np.hstack(fields).tobytes().translate(None, _PAD).decode()
 
 
 def blocks(write, rows: int):
@@ -253,25 +252,25 @@ class Coincidences:
 
     def __init__(self, log: EventLog, a: np.ndarray, b: np.ndarray):
         self.log, self.a, self.b = log, a, b
+        if len(a) != len(b):
+            raise ValidationError("pair columns a and b differ in length")
+        for rows in (a, b):
+            _check_index("pair row", rows, len(log))
 
     def __len__(self) -> int:
         return len(self.a)
 
     @cached_property
     def _outcomes(self) -> np.ndarray:
-        return _table(f",{'|'.join(o)}" for _, o in self.log.labels)
+        """Each label's outcome cell as bytes: row ``2 * k`` is label ``k``'s
+        as side ``a``, and row ``2 * k + 1`` as side ``b``."""
+        return _words((f",{'|'.join(o)}{end}".encode() for _, o in self.log.labels for end in ",\n"), 1)
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""
-        log = self.log
-        a, b = self.a[lo:hi], self.b[lo:hi]
-        ta_fmt, ta = _times(log.time[a], "%d", CSV_WHOLE_BOUND, "%.12g")
-        tb_fmt, tb = _times(log.time[b], "%d", CSV_WHOLE_BOUND, "%.12g")
-        body = _format(
-            "%d," + ta_fmt + "%s,%d," + tb_fmt + "%s\n",
-            log.shot[a].tolist(), ta, self._outcomes[log.label[a]].tolist(),
-            log.shot[b].tolist(), tb, self._outcomes[log.label[b]].tolist(),
-        )
+        log, a, b = self.log, self.a[lo:hi], self.b[lo:hi]
+        body = _lines(*_csv_cells(log, a, self._outcomes[2 * log.label[a]]),
+                      *_csv_cells(log, b, self._outcomes[2 * log.label[b] + 1]))
         return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
 
 

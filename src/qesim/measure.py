@@ -4,7 +4,8 @@ package's seeded random generator, and the ``%.12g`` writer of its CSVs.
 The generator is numpy's PCG64 with explicit seed threading; its identity is
 part of the external contract so event logs are portable.  ``_csv_rows``
 writes the number cells of the ``run``, ``sweep`` and screen CSVs with the
-bytes of CPython's ``"%.12g" % x``, from numpy byte rows.
+bytes of CPython's ``"%.12g" % x``, from numpy byte rows; ``_int_words``
+writes ``"%d" % n`` as rows of uint64 words, for the event writers.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
-# -- %.12g as byte rows -----------------------------------------------------------
+# -- %.12g and %d as byte rows ----------------------------------------------------
 
 #: the padding byte of byte rows; it never occurs in UTF-8, so one
 #: ``bytes.translate`` drops it before ``decode``
@@ -194,10 +195,10 @@ _LITERALS = np.frombuffer(_PAD + b".0-e+", np.uint8)
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of ``_g12``, made on its first call rather than on import:
+def _tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_g12`` and ``_int_words``, made on first call, not on import:
 
-    - the four ASCII digits of 0..9999, read as one uint32 each;
+    - the four ASCII digits of 0..9999, read as one little-endian uint32 each;
     - the trailing zero digits of 0..9999 written with four digits: a zero
       units digit counts 1, and so on while the next digit up is zero too;
     - for each layout key, the source column of each byte of the cell.
@@ -208,9 +209,12 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one, and ``digits`` counts the digits left when trailing zeros are
     dropped.  Byte 0 of the cell is the sign, bytes 1..17 the digits and
     point, bytes 18..21 the exponent.  Source columns 0..11 are the digits,
-    12..17 the padding, point, 0, minus, e and plus of ``_LITERALS``."""
+    12..17 the padding, point, 0, minus, e and plus of ``_LITERALS``;
+    - for ``_int_words``: the four digits in the low and in the high half of
+      a uint64 word; 10**1..10**19; and for k = 0..9 the word whose first k
+      bytes (at most 8) are 0xFF, and the word that XORs byte k - 1 to ``-``."""
     digit = np.arange(10, dtype=np.uint8)
-    digits4 = (np.stack(np.broadcast_arrays(*np.ix_(*[digit] * 4)), -1) + ord("0")).view(np.uint32)
+    digits4 = (np.stack(np.broadcast_arrays(*np.ix_(*[digit] * 4)), -1) + ord("0")).view("<u4")
     zero = (digit == 0).astype(np.uint8)
     zeros4 = zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))
     form, digits, neg = (a[..., None] for a in np.ix_(np.arange(18), np.arange(1, 13), [0, 1]))
@@ -227,7 +231,12 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     col = np.where(c == 0, np.where(neg, 15, 12), col)
     exponent = np.where((c == 19) & (form == 16), 15, c - 2)
     col = np.where(c >= 18, np.where(fixed, 12, exponent), col)
-    return digits4.ravel(), zeros4.ravel(), col.reshape(-1, _CELL)
+    k, j = np.ix_(np.arange(10), np.arange(8))
+    pads, minus = (np.where(m, v, 0).astype(np.uint8).view("<u8").ravel()
+                   for m, v in ((j < k, 0xFF), (j == k - 1, 0xFF ^ ord("-"))))
+    words4 = digits4.ravel().astype("<u8") << np.array([[0], [32]], np.uint64)
+    pow10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+    return digits4.ravel(), zeros4.ravel(), col.reshape(-1, _CELL), words4, pow10, pads, minus
 
 
 def _g12(v: np.ndarray) -> np.ndarray:
@@ -240,7 +249,7 @@ def _g12(v: np.ndarray) -> np.ndarray:
     values whose scaled product ends in exactly .5, values that no power up
     to 1e22 scales into [1e11, 1e12) and non-finite values are written by
     ``%`` instead."""
-    digits4, zeros4, layouts = _tables()
+    digits4, zeros4, layouts = _tables()[:3]
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
@@ -273,6 +282,28 @@ def _g12(v: np.ndarray) -> np.ndarray:
     slow = np.flatnonzero(~fast)
     if slow.size:
         out[slow] = _byte_rows((b"%.12g" % value for value in v[slow].tolist()), _CELL)
+    return out
+
+
+def _int_words(v: np.ndarray, words: int = 1) -> np.ndarray:
+    """``"%d" % value`` for each int64 of the 1-D ``v``, right-aligned after
+    0xFF bytes in ``w`` little-endian uint64 words per row: the fewest that
+    hold every value, and at least ``words``.  The magnitude, a uint64 so that
+    -2**63 has one, is cut into groups of eight and then four digits; the
+    bytes before the first digit are 0xFF, the last of them ``-`` if negative."""
+    words4, pow10, pads, minus = _tables()[3:]
+    neg = v < 0
+    m = np.abs(v).view(np.uint64)  # np.abs(-2**63) wraps to -2**63, which is 2**63 as uint64
+    digits = np.searchsorted(pow10, m, side="right") + 1
+    w = max(words, -(-int(np.max(digits + neg, initial=1)) // 8))
+    out = np.empty((len(v), w), "<u8")
+    for k in range(w - 1, -1, -1):
+        eight = m - (m := m // 10**8) * 10**8  # // by a constant is much faster than divmod
+        hi = eight // 10**4
+        lead = 8 * (w - k) - digits  # bytes before the digits, from the start of word k
+        out[:, k] = words4[0].take(hi) | words4[1].take(eight - hi * 10**4) | pads.take(lead, mode="clip")
+        if neg.any():
+            out[:, k] ^= minus.take(lead, mode="clip") * neg
     return out
 
 

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from qesim import scenarios
-from qesim.events import coincidences, conditioned_histogram, generate_events
+from qesim.events import Coincidences, EventLog, coincidences, conditioned_histogram, generate_events
 from qesim.qstate import ValidationError
 from qesim.screen import fringe_visibility
 
@@ -122,3 +123,44 @@ class TestConditionedHistogram:
         pairs = coincidences(log, "D_s", "D_p")
         with pytest.raises(ValidationError):
             conditioned_histogram(pairs, ("no_such_outcome",))
+
+
+TWO_LABELS = [("D", ("x",)), ("E", ("y",))]
+
+
+class TestColumnsAreChecked:
+    """A log or a pair list whose columns disagree raises, rather than being
+    written with rows cut short or labels read from the end of the table."""
+
+    @pytest.mark.parametrize("shot, time, label", [
+        ([7, 8], [1.0], [0, 1]),
+        ([7], [1.0, 2.0], [0]),
+        ([7, 8], [1.0, 2.0], [0]),
+    ], ids=["short_time", "short_shot", "short_label"])
+    def test_columns_of_unequal_length_are_rejected(self, shot, time, label):
+        with pytest.raises(ValidationError, match="differ in length"):
+            EventLog(0, 2, shot, time, label, TWO_LABELS)
+
+    @pytest.mark.parametrize("label", [-1, 2, 2**31 - 1], ids=repr)
+    def test_a_label_outside_the_table_is_rejected(self, label):
+        with pytest.raises(ValidationError, match=r"label indices must lie in \[0, 2\)"):
+            EventLog(0, 1, [7], [1.0], [label], TWO_LABELS)
+
+    def test_labels_at_both_ends_of_the_table_are_kept(self):
+        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        assert log.to_csv() == "shot,t,det,outcome\n7,1,D,x\n8,2,E,y\n"
+
+    def test_pair_columns_of_unequal_length_are_rejected(self):
+        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        with pytest.raises(ValidationError, match="differ in length"):
+            Coincidences(log, np.array([0, 1]), np.array([1]))
+
+    @pytest.mark.parametrize("a, b", [([-1], [1]), ([0], [2]), ([0, 1], [1, -2])], ids=repr)
+    def test_a_pair_row_outside_the_log_is_rejected(self, a, b):
+        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        with pytest.raises(ValidationError, match=r"pair row indices must lie in \[0, 2\)"):
+            Coincidences(log, np.array(a), np.array(b))
+
+    def test_an_empty_pair_list_of_an_empty_log_is_accepted(self):
+        log = EventLog(0, 0, [], [], [], TWO_LABELS)
+        assert len(Coincidences(log, np.zeros(0, int), np.zeros(0, int))) == 0

@@ -48,6 +48,7 @@ PRIVATE_USES = {
     "elements": {"qstate._axis", "qstate._normalize_rows", "qstate._weight"},
     "scenarios": {"qstate._phase_deviation"},
     "cli": {"measure._csv_rows"},
+    "events": {"measure._PAD", "measure._byte_rows", "measure._g12", "measure._int_words"},
     "screen": {"measure._csv_rows"},
 }
 

@@ -18,6 +18,7 @@ and labels and whatever the labels hold.
 """
 
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -143,6 +144,29 @@ def test_edge_times_match_one_string_writers(case, block):
     assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
 
 
+# shots where the int writer changes its digit count or its number of 8-byte
+# words: each side of 10, 10**8 and 10**16, both ends of int64, and negative
+# values whose sign takes one more word
+BOUNDARY_SHOTS = [
+    0, 9, 10, 99999999, 10**8, 10**16 - 1, 10**16, 2**63 - 1,
+    -1, -(10**8), -(2**63), -99999999, -(10**16 - 1),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 2**14])
+def test_word_boundary_shots_match_one_string_writers(block):
+    # each next to a small shot; the times are whole, with the digit counts of
+    # the shots: as floats, and clamped into the range JSON writes as ints
+    shot = [s for b in BOUNDARY_SHOTS for s in (b, 3)]
+    time = [t for b in BOUNDARY_SHOTS for t in (float(b), float(min(max(b, 1 - 2**53), 2**53 - 1)))]
+    labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
+    log = EventLog(0, len(shot), shot, time, [k % 2 for k in range(len(shot))], labels)
+    assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
+    assert written(log.to_csv, len(log), block) == reference_csv(log)
+    pairs = Coincidences(log, np.arange(len(log)), np.arange(len(log))[::-1].copy())
+    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+
+
 def test_empty_log_writes_block_zero():
     log = EventLog(0, 0, [], [], [], [("D", ("x",))])
     assert list(events.blocks(log.to_jsonl, len(log))) == [""]
@@ -161,15 +185,17 @@ def test_zero_shots_through_the_cli(capsys, flags, expected):
 
 
 def test_real_log_times_are_written_as_ints():
-    # the shot period and the declared delays are whole ns, so every block
-    # of a sampled log takes the int path of both formats
+    # the shot period and the declared delays are whole ns, so every time of
+    # a sampled log is written with the digits of its int: in JSON after them
+    # ".0", as repr writes a whole float
     log = events.generate_events(
         scenarios.build("walborn_delayed").circuit, {"p_pol": "absent"}, shots=3000, seed=1
     )
-    for lo in range(0, len(log), 1000):
-        t = log.time[lo:lo + 1000]
-        assert events._times(t, "%d.0", events.JSON_WHOLE_BOUND, "%r")[0] == "%d.0"
-        assert events._times(t, "%d", events.CSV_WHOLE_BOUND, "%.12g")[0] == "%d"
+    json_times = re.findall(r'"t":([^,]*),', "".join(events.blocks(log.to_jsonl, len(log))))
+    csv_times = [row.split(",")[1] for row in "".join(events.blocks(log.to_csv, len(log))).splitlines()[1:]]
+    assert len(json_times) == len(csv_times) == len(log) == 6000
+    assert all(re.fullmatch(r"-?\d+\.0", t) for t in json_times)
+    assert all(t.isdigit() for t in csv_times)
 
 
 # label text that a format string would read as directives or cell breaks
