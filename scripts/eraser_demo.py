@@ -13,7 +13,7 @@ def main() -> int:
         st = evolve(sc.circuit, {"eraser": setting})
         pat = pattern_from_state(st, "slit")
         print(
-            f"eraser={setting:8s} weight={st.weight:.4f} "
+            f"eraser={setting:8s} weight={st.weights[0]:.4f} "
             f"visibility={fringe_visibility(pat):.4f}"
         )
     return 0

@@ -4,10 +4,10 @@ from .qstate import (
     BasisChange,
     CompositionError,
     Dof,
+    StateStack,
     StateVector,
     ValidationError,
     global_phase_deviation,
-    inner,
     rebase,
 )
 
@@ -15,10 +15,10 @@ __all__ = [
     "BasisChange",
     "CompositionError",
     "Dof",
+    "StateStack",
     "StateVector",
     "ValidationError",
     "global_phase_deviation",
-    "inner",
     "rebase",
 ]
 

@@ -8,7 +8,9 @@ have alone; ``evolve`` is its stack of one.  Filters post-select: each row
 is renormalized and its pass probability accumulates in its weight.
 Detection is ideal projective measurement in each detector's declared basis;
 a screen detector measures the far-field position distribution of a
-two-label path dof, and its bin axis goes after every dof axis.
+two-label path dof, and its bin axis goes after every dof axis.  ``_born``
+is the one Born step, over a stack: ``distribution_from_state`` (a stack of
+one), ``joint_probs`` and ``compare_marginals`` all call it.
 ``compare_marginals`` instead keeps the absorbed branches, as a stack whose
 rows split in two at each filter and are post-selected by the rule
 ``apply_op`` uses, so the full-ensemble marginal of an untouched subsystem
@@ -24,13 +26,12 @@ import numpy as np
 from . import elements as el
 from .measure import OutcomeDistribution, check_probs, total_variation
 from .qstate import (
-    AllBlocked,
-    BasisChange,
     Dof,
     StateStack,
     StateVector,
     ValidationError,
     _axis,
+    _one,
     contract,
     rebase,
 )
@@ -191,10 +192,10 @@ def validate_settings(c: Circuit, settings: dict[str, str]) -> None:
             )
 
 
-def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateVector | AllBlocked:
+def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateStack:
     """Pre-measurement state after all active Apply stages (Detects are
-    inert): the one row of ``evolve_rows``."""
-    return evolve_rows(c, 1, {}, settings).state(0)
+    inert): ``evolve_rows``' stack of one row."""
+    return evolve_rows(c, 1, {}, settings)
 
 
 def evolve_rows(
@@ -225,9 +226,9 @@ def evolve_rows(
     return stack
 
 
-def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """``evolve`` keeping both outcomes of every filter: the stacked amplitude
-    tensors of the branches and their weights, which sum to the source's.
+def _branches(c: Circuit, settings: dict[str, str]) -> StateStack:
+    """``evolve`` keeping both outcomes of every filter: the stack of the
+    branches, whose weights sum to the source's.
 
     A unitary acts by ``apply_op``.  At a filter every row splits into its
     pass branch, then its absorbed branch, each post-selected as ``apply_op``
@@ -244,35 +245,29 @@ def _branches(c: Circuit, settings: dict[str, str]) -> tuple[np.ndarray, np.ndar
             weights, blocked = el._post_select(flat, np.repeat(weights, 2))
             flat, weights = flat[~blocked], weights[~blocked]
             t = flat.reshape((len(flat),) + c.source.dims)
-    return t, weights
+    return StateStack(c.dofs, t, weights, np.zeros(len(t), dtype=bool))
 
 
-def _basis_changes(dofs, detectors) -> list[BasisChange]:
-    """The basis changes the detectors' measurements need; ValidationError if
-    two detectors measure one dof."""
+def _born(stack: StateStack, detectors):
+    """The one Born step: joint probabilities of each state of the stack in
+    the detectors' bases, each weighted by its weight.  Returns the axes,
+    their labels, the probabilities as one C-ordered stack (axis 0 counts the
+    states), and each state's mass, which is 0 where it has no amplitude.
+    ValidationError if two detectors measure one dof."""
     seen: set[str] = set()
     for spec in detectors:
         for dn in spec.measured_dofs():
             if dn in seen:
                 raise ValidationError(f"dof {dn!r} measured by two detectors")
             seen.add(dn)
-    changes = []
     for spec in detectors:
-        if spec.screen_of is None:
-            for dn, basis in spec.measured:
-                change = el.basis_change(basis, dofs[_axis(dofs, dn)])
-                if change is not None:
-                    changes.append(change)
-    return changes
-
-
-def _born(dofs, t: np.ndarray, weights, detectors):
-    """Joint Born probabilities of each state of the stack ``t`` (axis 0 counts
-    the states) over ``dofs`` in the detectors' bases, weighted by
-    ``weights[i]``: the axes, their labels, the probabilities as one C-ordered
-    stack, and each state's mass, which is 0 where it has no amplitude."""
-    held = [d.name for d in dofs]  # what each axis of t after axis 0 holds: a dof or a screen
-    labels_of = {d.name: d.labels for d in dofs}
+        for dn, basis in spec.measured:  # a screen measures none
+            change = el.basis_change(basis, stack.dofs[_axis(stack.dofs, dn)])
+            if change is not None:
+                stack = rebase(stack, change)
+    t = stack.amps
+    held = [d.name for d in stack.dofs]  # what each axis of t after axis 0 holds: a dof or a screen
+    labels_of = {d.name: d.labels for d in stack.dofs}
     # contract each screen's path axis against its bin-phase matrix and move
     # the new bin axis to the end: the axis order sets the Born sum's last bits
     for spec in detectors:
@@ -295,21 +290,19 @@ def _born(dofs, t: np.ndarray, weights, detectors):
     if keep:
         p = np.transpose(p, [0] + [i + 1 for i in np.argsort(np.argsort(keep))])
     totals = p.sum(axis=tuple(range(1, p.ndim)))
-    weights = np.asarray(weights, dtype=float)
     # each state's weight over its total, unless that is 0 and so is every probability
-    scale = weights / np.where(totals > 0, totals, 1.0)
-    masses = np.where(totals > 0, weights, 0.0)
+    scale = stack.weights / np.where(totals > 0, totals, 1.0)
+    masses = np.where(totals > 0, stack.weights, 0.0)
     p = p * scale.reshape((-1,) + (1,) * (p.ndim - 1))
     return axes, labels, np.ascontiguousarray(p), masses
 
 
 def distribution_from_state(
-    state: StateVector, detectors: list[DetectorSpec]
+    state: StateStack, detectors: list[DetectorSpec]
 ) -> OutcomeDistribution:
-    """Joint Born distribution over the detectors' declared measurements."""
-    for change in _basis_changes(state.dofs, detectors):
-        state = rebase(state, change)
-    axes, labels, p, masses = _born(state.dofs, state.tensor_view()[None], (state.weight,), detectors)
+    """Joint Born distribution of a stack of one state over the detectors'
+    declared measurements."""
+    axes, labels, p, masses = _born(_one(state), detectors)
     return OutcomeDistribution(axes, labels, p[0], float(masses[0]))
 
 
@@ -327,7 +320,7 @@ def joint_distribution(
     settings = settings or {}
     state = evolve(c, settings)
     specs = _active_detectors(c, settings)
-    if isinstance(state, AllBlocked):
+    if state.blocked[0]:
         # no outcomes, mass 0
         axes = tuple(axis for spec in specs for axis in spec.axis_names())
         return OutcomeDistribution(axes, ((),) * len(axes), np.zeros((0,) * len(axes)), 0.0)
@@ -351,12 +344,7 @@ def joint_probs(c: Circuit, n: int, stacks: dict, settings: dict[str, str] | Non
     for start in range(0, n, per):
         m = min(per, n - start)
         stack = evolve_rows(c, m, {k: v[start:start + m] for k, v in stacks.items()}, settings)
-        dofs = list(stack.dofs)
-        for change in _basis_changes(stack.dofs, specs):
-            # ``rebase`` of every state of the stack, as one unitary step
-            stack = el.apply_op(stack, el.ElementOp(el.UNITARY, (change.dof,), change.matrix))
-            dofs[_axis(dofs, change.dof)] = Dof(change.dof, change.new_labels)
-        axes, labels, p, masses = _born(dofs, stack.amps, stack.weights, specs)
+        axes, labels, p, masses = _born(stack, specs)
         check_probs(axes, labels, p, masses)
         yield axes, labels, p, masses, stack.blocked
 
@@ -399,9 +387,9 @@ def compare_marginals(
                 f"detector {ax!r} measures dofs; only screens and dofs can be compared"
             )
         else:
-            d = c.source.dof(ax)  # raises CompositionError for unknown names
+            _axis(c.dofs, ax)  # raises CompositionError for unknown names
             probes.append(DetectorSpec(name=f"_probe_{ax}", measured=((ax, "path"),)))
-            subset_dofs.add(d.name)
+            subset_dofs.add(ax)
 
     for alt_stages in choice.alternatives.values():
         touched = {
@@ -416,11 +404,10 @@ def compare_marginals(
     base = dict(base_settings or {})
     mixtures: list[OutcomeDistribution] = []
     for alt in choice.alternatives:
-        t, weights = _branches(c, {**base, choice_name: alt})
-        if not len(t):
+        branches = _branches(c, {**base, choice_name: alt})
+        if not len(branches.amps):
             raise ContractError("all branches blocked; marginal undefined")
-        _basis_changes(c.dofs, probes)  # probes need none, but two may not measure one dof
-        axes, labels, p, masses = _born(c.dofs, t, weights, probes)
+        axes, labels, p, masses = _born(branches, probes)
         check_probs(axes, labels, p, masses)
         # each branch's probabilities added to the sum of those before it
         acc = np.cumsum(p, axis=0)[-1]

@@ -69,6 +69,8 @@ class ElementOp:
             raise ValidationError(f"unknown element kind {self.kind!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("element matrix must be square")
+        if len(set(self.target_dofs)) != len(self.target_dofs):
+            raise ValidationError(f"element targets a dof twice: {list(self.target_dofs)}")
         if self.condition is not None and self.condition[0] in self.target_dofs:
             raise ValidationError("condition dof cannot also be a target dof")
         if rejected(self.kind, m[None])[0]:

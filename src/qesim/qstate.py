@@ -3,8 +3,9 @@
 States live on an ordered list of degrees of freedom (dofs), each with a
 small set of named basis labels.  Amplitudes are stored dense over the full
 product basis in canonical order (C order over dof positions, label order
-within each dof), always normalized; survival probability through filters is
-tracked separately as ``weight``.
+within each dof), always normalized; filter survival is a separate weight.
+``StateVector`` is the validated input (a circuit's source, a check's
+target); every state past it is a row of a ``StateStack``.
 """
 
 from __future__ import annotations
@@ -106,11 +107,9 @@ class StateVector:
         object.__setattr__(self, "amps", a)
         object.__setattr__(self, "weight", _weight(self.weight))
 
-    # -- construction helpers -------------------------------------------------
-
     @staticmethod
     def from_amplitudes(dofs, mapping, weight: float = 1.0) -> "StateVector":
-        """Build a state from a {label tuple: amplitude} mapping (normalized)."""
+        """Build a state from a {label tuple: amplitude} mapping, normalized."""
         dofs = tuple(dofs)
         dims = tuple(d.dim for d in dofs)
         a = np.zeros(math.prod(dims), dtype=complex)
@@ -122,16 +121,16 @@ class StateVector:
                 tuple(d.index(l) for d, l in zip(dofs, labels)), dims
             )
             a[idx] += amp
-        norm = np.linalg.norm(a)
-        if norm < 1e-15:
-            raise ValidationError("amplitudes are not normalizable (all zero)")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if not 1e-150 < norm < math.inf:
+            # squares under- or overflowed: scale the real and imaginary parts first
+            if not a.any() or not np.isfinite(a).all():
+                raise ValidationError("amplitudes are not normalizable (all zero or not finite)")
+            parts = a.view(np.float64)
+            a = (parts / np.abs(parts).max()).view(complex)
+            norm = np.linalg.norm(a)
         return StateVector(dofs, a / norm, weight)
-
-    @staticmethod
-    def basis_state(dofs, labels, weight: float = 1.0) -> "StateVector":
-        return StateVector.from_amplitudes(dofs, {tuple(labels): 1.0}, weight)
-
-    # -- structure ------------------------------------------------------------
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -141,35 +140,8 @@ class StateVector:
     def dim(self) -> int:
         return math.prod(self.dims)
 
-    def dof(self, name: str) -> Dof:
-        for d in self.dofs:
-            if d.name == name:
-                return d
-        raise CompositionError(f"no dof named {name!r}")
-
-    def axis(self, name: str) -> int:
-        return _axis(self.dofs, name)
-
     def tensor_view(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
-
-    def amplitude(self, labels) -> complex:
-        labels = (labels,) if isinstance(labels, str) else tuple(labels)
-        idx = np.ravel_multi_index(
-            tuple(d.index(l) for d, l in zip(self.dofs, labels)), self.dims
-        )
-        return complex(self.amps[idx])
-
-    def same_space(self, other: "StateVector") -> bool:
-        return self.dofs == other.dofs
-
-
-@dataclass(frozen=True)
-class AllBlocked:
-    """Degenerate evolution result: every branch was absorbed by filters."""
-
-    dofs: tuple[Dof, ...]
-    weight: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +159,12 @@ class StateStack:
     def dim(self) -> int:
         return math.prod(self.amps.shape[1:])
 
-    def state(self, i: int) -> StateVector | AllBlocked:
-        """Row i as a state, with the same bytes; AllBlocked if it is blocked."""
-        if self.blocked[i]:
-            return AllBlocked(self.dofs)
-        return StateVector(self.dofs, self.amps[i], self.weights[i])
+
+def _one(stack: StateStack) -> StateStack:
+    """``stack``; ValidationError unless it holds exactly one state."""
+    if len(stack.amps) != 1:
+        raise ValidationError(f"expected a stack of one state, got {len(stack.amps)}")
+    return stack
 
 
 def _unit(a: np.ndarray) -> np.ndarray:
@@ -219,10 +192,7 @@ def _normalize_rows(flat: np.ndarray, blocked) -> None:
         re = np.ascontiguousarray(flat).view(np.float64)
         unsure = unsure & (np.abs(np.einsum("ij,ij->i", re, re) - 1.0) > 2 * margin)
     for i in unsure.nonzero()[0]:
-        row = flat[i]
-        a = _unit(row)
-        if a is not row:
-            flat[i] = a
+        flat[i] = _unit(flat[i])
 
 
 def _weight(w: float) -> float:
@@ -241,13 +211,6 @@ def _axis(dofs, name: str) -> int:
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> over the joint basis; spaces must match exactly."""
-    if not a.same_space(b):
-        raise CompositionError("inner product requires identical spaces")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
@@ -272,30 +235,28 @@ def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     return out.transpose(sorted(range(t.ndim), key=perm.__getitem__))
 
 
-def rebase(s: StateVector, change: BasisChange) -> StateVector:
-    """Express the same physical state in a new basis for one dof."""
-    ax = s.axis(change.dof)
-    old = s.dofs[ax]
+def rebase(stack: StateStack, change: BasisChange) -> StateStack:
+    """Express every state of the stack in a new basis for one dof."""
+    ax = _axis(stack.dofs, change.dof)
+    old = stack.dofs[ax]
     if change.matrix.shape[0] != old.dim:
         raise ValidationError(
             f"basis change dimension {change.matrix.shape[0]} != dof dim {old.dim}"
         )
-    dofs = list(s.dofs)
+    dofs = list(stack.dofs)
     dofs[ax] = Dof(old.name, change.new_labels)
-    new = contract(s.tensor_view()[None], change.matrix[None], (ax + 1,))[0]
-    return StateVector(tuple(dofs), new, s.weight)
+    # the reshape copies contract's transposed view; return the rows it fixed
+    flat = contract(stack.amps, change.matrix[None], (ax + 1,)).reshape(len(stack.amps), stack.dim)
+    _normalize_rows(flat, stack.blocked)
+    return StateStack(tuple(dofs), flat.reshape(stack.amps.shape), stack.weights, stack.blocked)
 
 
-def global_phase_deviation(a: StateVector, b: StateVector) -> float:
-    """min over unit phases c of max_k |a_k - c*b_k|, with c fixed from the
-    largest-magnitude component of b (deterministic and numerically stable)."""
-    if not a.same_space(b):
-        raise CompositionError("comparison requires identical spaces")
-    return _phase_deviation(a.amps, b.amps)
-
-
-def _phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """``global_phase_deviation`` of two amplitude arrays of one shape."""
+def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """min over unit phases c of max_k |a_k - c*b_k| for two amplitude arrays
+    of one shape, with c fixed from the largest-magnitude component of b
+    (deterministic and numerically stable)."""
+    if a.shape != b.shape:
+        raise CompositionError(f"comparison requires one shape, got {a.shape} and {b.shape}")
     k = int(np.argmax(np.abs(b)))
     c = a.flat[k] / b.flat[k]
     if abs(c) < 1e-15:

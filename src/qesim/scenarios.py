@@ -31,7 +31,6 @@ import numpy as np
 from . import edl
 from . import elements as el
 from .circuit import (
-    Apply,
     Circuit,
     compare_marginals,
     evolve,
@@ -45,7 +44,6 @@ from .qstate import (
     StateStack,
     StateVector,
     ValidationError,
-    _phase_deviation,
     global_phase_deviation,
     rebase,
 )
@@ -91,12 +89,16 @@ class Scenario:
 PHI_GRID = tuple(2 * math.pi * k / 64 for k in range(64))
 
 
-def _state(circ: Circuit, settings: dict[str, str] | None = None) -> StateVector:
-    """``evolve``'s state; a blocked evolution raises."""
-    st = evolve(circ, settings)
-    if not isinstance(st, StateVector):
+def _unblocked(stack: StateStack) -> StateStack:
+    """``stack``; ValidationError if a row of it is blocked."""
+    if stack.blocked.any():
         raise ValidationError("evolution unexpectedly blocked")
-    return st
+    return stack
+
+
+def _state(circ: Circuit, settings: dict[str, str] | None = None) -> StateStack:
+    """``evolve``'s stack of one; a blocked evolution raises."""
+    return _unblocked(evolve(circ, settings))
 
 
 def _vis_gap(template: edl.Template, target: float, *settings: dict[str, str]) -> float:
@@ -130,13 +132,13 @@ def _phi_grid_gap(template: edl.Template, want: Callable[[float], dict[str, floa
 
 def _weight_gap(template: edl.Template, want: float, settings: dict[str, str]) -> float:
     """|weight - want| of the state after ``evolve`` under ``settings``."""
-    return abs(_state(template.circuit, settings).weight - want)
+    return abs(_state(template.circuit, settings).weights[0] - want)
 
 
-def _state_gap(st: StateVector, amps: dict) -> float:
-    """Global-phase deviation of ``st`` from the state with amplitudes
-    ``amps`` (normalized) over ``st``'s own dofs."""
-    return global_phase_deviation(st, StateVector.from_amplitudes(st.dofs, amps))
+def _state_gap(st: StateStack, amps: dict) -> float:
+    """Global-phase deviation of the state of the stack of one ``st`` from
+    the state with amplitudes ``amps`` (normalized) over ``st``'s own dofs."""
+    return global_phase_deviation(st.amps[0], StateVector.from_amplitudes(st.dofs, amps).tensor_view())
 
 
 def _pattern_gap(a: Pattern, b: Pattern) -> float:
@@ -155,9 +157,9 @@ def _bin_pattern(d: OutcomeDistribution) -> Pattern:
     return pattern_from_bin_probs(dict(zip(d.labels[0], d.probs.tolist())), DEFAULT_GEOMETRY)
 
 
-def _filtered(st: StateVector, op: el.ElementOp) -> StateVector:
-    """``st`` after the one filter ``op``: ``evolve`` of a one-stage circuit."""
-    return _state(Circuit(st.dofs, st, (Apply(op),)))
+def _filtered(st: StateStack, op: el.ElementOp) -> StateStack:
+    """``st`` after the one filter ``op``; a blocked row raises."""
+    return _unblocked(el.apply_op(st, op))
 
 
 # -- plain checks ---------------------------------------------------------------
@@ -171,9 +173,7 @@ def _one_plus_cos_dev(template: edl.Template) -> float:
 
 def _regrouped_dev(template: edl.Template) -> float:
     t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
-    stack = evolve_rows(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID))
-    if any(stack.blocked):
-        raise ValidationError("evolution unexpectedly blocked")
+    stack = _unblocked(evolve_rows(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID)))
     arm = stack.dofs[0]
     worst = 0.0
     for ph, amps in zip(PHI_GRID, stack.amps):
@@ -203,21 +203,19 @@ def _loop_runs(circ: Circuit, top_label: str, seed: int, n: int, *masks: str):
     for row in amps:
         row /= np.linalg.norm(row)
     sources = StateStack(circ.dofs, amps, np.ones(n), np.zeros(n, dtype=bool))
-    outs = [evolve_rows(circ, n, {}, {"mask": mask}, sources) for mask in masks]
-    if any(out.blocked.any() for out in outs):
-        raise ValidationError("evolution unexpectedly blocked")
+    outs = [_unblocked(evolve_rows(circ, n, {}, {"mask": mask}, sources)) for mask in masks]
     return vs, sources, outs
 
 
 def _analyzer_random_dev(template: edl.Template) -> float:
     _, sources, (outs,) = _loop_runs(template.circuit, "U", 20260824, 100, "open")
-    return max(map(_phase_deviation, outs.amps, sources.amps))
+    return max(map(global_phase_deviation, outs.amps, sources.amps))
 
 
 def _blocked_lower_dev(template: edl.Template) -> float:
     # |45> with the lower (h-tagged) channel masked: pure |v> out, weight 1/2
     out = _state(template.circuit, {"mask": "block_L"})
-    return max(_state_gap(out, {("v", "U"): 1.0}), abs(out.weight - 0.5))
+    return max(_state_gap(out, {("v", "U"): 1.0}), abs(out.weights[0] - 0.5))
 
 
 def _sg_fidelity_dev(template: edl.Template) -> float:
@@ -231,11 +229,11 @@ def _sg_masked_dev(template: edl.Template) -> float:
     vs, _, outs = _loop_runs(circ, "top", 20260826, 20, *keep)
     worst = 0.0
     for i, (stack, spin_label) in enumerate(zip(outs, keep.values())):
-        want = StateVector.basis_state(circ.dofs, (spin_label, "top"))
+        want = StateVector.from_amplitudes(circ.dofs, {(spin_label, "top"): 1.0})
         for v, out, weight in zip(vs, stack.amps, stack.weights):
             worst = max(
                 worst,
-                _phase_deviation(out, want.tensor_view()),
+                global_phase_deviation(out, want.tensor_view()),
                 abs(weight - abs(v[i]) ** 2),
             )
     return worst
@@ -250,21 +248,21 @@ def _eraser_parts(template: edl.Template) -> tuple[Pattern, list[Pattern], list[
     return (
         pattern_from_state(marked, "slit"),
         [pattern_from_state(plus, "slit"), pattern_from_state(minus, "slit")],
-        [plus.weight / marked.weight, minus.weight / marked.weight],
+        [plus.weights[0] / marked.weights[0], minus.weights[0] / marked.weights[0]],
     )
 
 
-def _post_slit(template: edl.Template, pm: bool = False) -> StateVector:
+def _post_slit(template: edl.Template, pm: bool = False) -> StateStack:
     """Walborn's state before the p-polarizer choice, with the s polarization
     in circular (L/R) labels, or with ``pm`` both polarizations in +/-
     (diagonal) labels."""
     circ = template.circuit
-    st = _state(replace(circ, stages=circ.stages[:3]))
-    st = rebase(st, el.basis_change("circular", st.dof("spol")))
+    _, spol, ppol = circ.dofs
+    st = rebase(_state(replace(circ, stages=circ.stages[:3])), el.basis_change("circular", spol))
     if pm:
         lr_to_pm = np.conj(np.array([[(1 - 1j) / 2, (1 + 1j) / 2], [(1 + 1j) / 2, (1 - 1j) / 2]]))
         st = rebase(st, BasisChange("spol", lr_to_pm, ("+", "-")))
-        st = rebase(st, el.basis_change("pm45", st.dof("ppol")))
+        st = rebase(st, el.basis_change("pm45", ppol))
     return st
 
 
@@ -346,7 +344,7 @@ _CATALOG: dict[str, tuple[tuple[str, float, Callable[[edl.Template], float]], ..
     ),
     "analyzer_loop": (
         ("identity_on_45", 1e-10, lambda t: global_phase_deviation(
-            _state(t.circuit, {"mask": "open"}), t.circuit.source
+            _state(t.circuit, {"mask": "open"}).amps[0], t.circuit.source.tensor_view()
         )),
         ("identity_on_random", 1e-10, _analyzer_random_dev),
         ("blocked_lower_gives_v", 1e-10, _blocked_lower_dev),

@@ -3,7 +3,8 @@
 Small-angle model: each slit contributes an equal-envelope plane wave with
 relative phase delta(x) = 2 pi d x / (lambda L); the single-slit diffraction
 envelope is ignored.  Intensities are normalized so a fully incoherent (flat)
-pattern sits at 1.
+pattern sits at 1.  A pattern is read from a stack of one state, as
+``circuit.evolve`` returns it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .measure import _csv_rows
-from .qstate import StateVector, ValidationError
+from .qstate import StateStack, ValidationError, _axis, _one
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,15 @@ class SlitGeometry:
     bins: int = 256
 
     def __post_init__(self):
-        if min(self.slit_separation, self.wavelength, self.screen_distance) <= 0:
-            raise ValidationError("geometry lengths must be positive")
+        lengths = (self.slit_separation, self.wavelength, self.screen_distance)
+        # NaN fails every comparison, so each test asks for what is valid
+        if not all(0 < v < math.inf for v in lengths):
+            raise ValidationError("geometry lengths must be positive and finite")
         if self.bins < 2:
             raise ValidationError("need at least 2 bins")
-        if self.x_range[1] <= self.x_range[0]:
-            raise ValidationError("empty x range")
+        lo, hi = self.x_range
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError("x range must be finite and not empty")
 
     def bin_centers(self) -> np.ndarray:
         lo, hi = self.x_range
@@ -90,13 +94,14 @@ def _screen_matrix(geometry: SlitGeometry) -> np.ndarray:
 
 
 def intensity_profile(
-    s: StateVector, path_dof: str, geometry: SlitGeometry
+    s: StateStack, path_dof: str, geometry: SlitGeometry
 ) -> np.ndarray:
-    """Unnormalized I(x) over bin centers, other dofs Born-marginalized."""
-    ax = s.axis(path_dof)
+    """Unnormalized I(x) over bin centers of a stack of one state, other dofs
+    Born-marginalized."""
+    ax = _axis(s.dofs, path_dof)
     if s.dofs[ax].dim != 2:
         raise ValidationError("screen path dof must have exactly 2 labels")
-    a1, a2 = np.moveaxis(s.tensor_view(), ax, 0).reshape(2, -1, 1)
+    a1, a2 = np.moveaxis(_one(s).amps[0], ax, 0).reshape(2, -1, 1)
     e1, e2 = _screen_matrix(geometry).T
     # one row per residual basis state, summed in that order; elementwise,
     # since qstate.contract (a matmul) rounds differently and changes verify
@@ -104,9 +109,10 @@ def intensity_profile(
 
 
 def pattern_from_state(
-    s: StateVector, path_dof: str, geometry: SlitGeometry = DEFAULT_GEOMETRY
+    s: StateStack, path_dof: str, geometry: SlitGeometry = DEFAULT_GEOMETRY
 ) -> Pattern:
-    """Interference pattern of a state on the screen, flat baseline at 1."""
+    """Interference pattern of a stack of one state on the screen, flat
+    baseline at 1."""
     # baseline: the incoherent (cross-term-free) intensity, which is the
     # squared norm of the state = 1 per bin
     return Pattern(geometry, intensity_profile(s, path_dof, geometry))

@@ -7,8 +7,9 @@ which built one tuple-keyed dict entry per outcome and had
 loops of ``measure.marginal`` and ``measure.conditional``, and
 ``reference_intensity`` the earlier per-branch loop of
 ``screen.intensity_profile``.  They stay here as the definition of what the
-array code computes, bit for bit.  Detector bases are applied with the
-earlier ``qstate.rebase``, kept in ``test_kernel_oracle``.
+array code computes, bit for bit, on a stack of one state.  Detector bases
+are applied with the earlier single-state ``qstate.rebase``, kept in
+``test_kernel_oracle``.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from qesim.circuit import DetectorSpec, distribution_from_state
 from qesim.measure import NULL_EPS, ConditioningError, conditional, marginal
 from qesim.qstate import Dof, StateVector
 from qesim.screen import DEFAULT_GEOMETRY, SlitGeometry, intensity_profile
-from test_kernel_oracle import reference_rebase
+from test_kernel_oracle import axis, dof, reference_rebase, stack_of
 
 
 def reference_screen_matrix(geometry):
@@ -34,7 +35,7 @@ def reference_distribution(state, detectors):
     for spec in detectors:
         if spec.screen_of is None:
             for dn, basis in spec.measured:
-                change = el.basis_change(basis, state.dof(dn))
+                change = el.basis_change(basis, dof(state, dn))
                 if change is not None:
                     state = reference_rebase(state, change)
 
@@ -60,7 +61,7 @@ def reference_distribution(state, detectors):
             axis_info.append((spec.name, labels, screen_axis[spec.name]))
         else:
             for dn, _basis in spec.measured:
-                axis_info.append((dn, state.dof(dn).labels, dof_axis[dn]))
+                axis_info.append((dn, dof(state, dn).labels, dof_axis[dn]))
 
     probs = np.abs(t) ** 2
     keep = [ax for _, _, ax in axis_info]
@@ -104,7 +105,7 @@ def reference_conditional(axes, outcomes, given):
 
 
 def reference_intensity(s, path_dof, geometry):
-    t = np.moveaxis(s.tensor_view(), s.axis(path_dof), 0).reshape(2, -1)
+    t = np.moveaxis(s.tensor_view(), axis(s, path_dof), 0).reshape(2, -1)
     e1, e2 = reference_screen_matrix(geometry).T
     total = np.zeros(geometry.bins)
     for i in range(t.shape[1]):
@@ -146,14 +147,14 @@ def measurements(draw):
     measured = names[: draw(st.integers(1, len(names)))]
     detectors, plain = [], []
     for name in measured:
-        dof = s.dof(name)
-        if dof.dim == 2 and draw(st.integers(0, 3)) == 0:
+        d = dof(s, name)
+        if d.dim == 2 and draw(st.integers(0, 3)) == 0:
             detectors.append(DetectorSpec(f"S_{name}", screen_of=name, geometry=draw(GEOMETRIES)))
             continue
-        bases = ("path", "pm45", "circular") if dof.dim == 2 else ("path",)
+        bases = ("path", "pm45", "circular") if d.dim == 2 else ("path",)
         plain.append((name, draw(st.sampled_from(bases))))
     # two default screens and three 3-level dofs would make 1.8M outcomes
-    size = np.prod([s.dof(name).dim for name, _ in plain], dtype=float)
+    size = np.prod([dof(s, name).dim for name, _ in plain], dtype=float)
     assume(size * np.prod([d.geometry.bins for d in detectors], dtype=float) <= 70_000)
     while plain:
         k = draw(st.integers(1, len(plain)))
@@ -167,7 +168,7 @@ def measurements(draw):
 def test_distribution_matches_dict_building_reference(case):
     s, detectors = case
     axes, outcomes, mass = reference_distribution(s, detectors)
-    d = distribution_from_state(s, detectors)
+    d = distribution_from_state(stack_of([s], [False]), detectors)
     assert d.axes == axes
     assert list(d.outcomes.items()) == list(outcomes.items())
     assert d.total_mass == mass
@@ -178,7 +179,7 @@ def test_distribution_matches_dict_building_reference(case):
 def test_marginal_and_conditional_match_dict_loops(case, data):
     s, detectors = case
     axes, outcomes, _ = reference_distribution(s, detectors)
-    d = distribution_from_state(s, detectors)
+    d = distribution_from_state(stack_of([s], [False]), detectors)
     subset = data.draw(st.permutations(axes))[: data.draw(st.integers(1, len(axes)))]
     assert marginal(d, subset).outcomes == reference_marginal(axes, outcomes, subset)
 
@@ -200,5 +201,5 @@ def test_intensity_profile_matches_branch_loop(s, geometry, data):
     two_level = [d.name for d in s.dofs if d.dim == 2]
     assume(two_level)
     path = data.draw(st.sampled_from(two_level))
-    got = intensity_profile(s, path, geometry)
+    got = intensity_profile(stack_of([s], [False]), path, geometry)
     assert np.array_equal(got, reference_intensity(s, path, geometry))

@@ -6,7 +6,6 @@ import pytest
 from qesim import circuit, elements as el, qstate
 from qesim import scenarios
 from qesim.circuit import (
-    AllBlocked,
     Apply,
     Choice,
     Circuit,
@@ -14,7 +13,9 @@ from qesim.circuit import (
     Detect,
     DetectorSpec,
     compare_marginals,
+    distribution_from_state,
     evolve,
+    evolve_rows,
     joint_distribution,
     validate_settings,
 )
@@ -25,10 +26,14 @@ ARM = Dof("arm", ("t", "r"))
 POL = Dof("pol", ("v", "h"))
 
 
+def basis_state(dofs, labels):
+    return StateVector.from_amplitudes(dofs, {labels: 1.0})
+
+
 def mz(phi=0.0):
     return Circuit(
         (ARM,),
-        StateVector.basis_state((ARM,), ("t",)),
+        basis_state((ARM,), ("t",)),
         (
             Apply(el.beam_splitter(ARM, "t", "r")),
             Apply(el.phase_shifter(ARM, "t", phi)),
@@ -63,13 +68,13 @@ def masked_loop():
 class TestValidation:
     def test_source_space_must_match(self):
         with pytest.raises(ValidationError):
-            Circuit((ARM,), StateVector.basis_state((POL,), ("v",)), ())
+            Circuit((ARM,), basis_state((POL,), ("v",)), ())
 
     def test_detector_must_reference_known_dof(self):
         with pytest.raises(ValidationError):
             Circuit(
                 (ARM,),
-                StateVector.basis_state((ARM,), ("t",)),
+                basis_state((ARM,), ("t",)),
                 (Detect(DetectorSpec("D", measured=(("ghost", "path"),))),),
             )
 
@@ -97,17 +102,18 @@ class TestEvolve:
         phi = 1.1
         st = evolve(mz(phi))
         e = np.exp(1j * phi)
-        assert abs(st.amplitude(("t",)) - (e - 1) / 2) < 1e-12
-        assert abs(st.amplitude(("r",)) - 1j * (e + 1) / 2) < 1e-12
+        assert st.amps.shape == (1, 2)
+        assert abs(st.amps[0, ARM.index("t")] - (e - 1) / 2) < 1e-12
+        assert abs(st.amps[0, ARM.index("r")] - 1j * (e + 1) / 2) < 1e-12
 
     def test_filter_updates_weight(self):
         st = evolve(masked_loop(), {"mask": "closed"})
-        assert abs(st.weight - 0.5) < 1e-12
+        assert abs(st.weights[0] - 0.5) < 1e-12
 
     def test_all_blocked_result(self):
         st = evolve(masked_loop(), {"mask": "both"})
-        assert isinstance(st, AllBlocked)
-        assert st.weight == 0.0
+        assert st.blocked.tolist() == [True]
+        assert st.weights[0] == 0.0 and not st.amps.any()
 
 
 class TestJointDistribution:
@@ -125,8 +131,16 @@ class TestJointDistribution:
         d = joint_distribution(masked_loop(), {"mask": "both"})
         assert d.total_mass == 0.0 and not d.outcomes
 
+    def test_distribution_from_state_takes_a_stack_of_one(self):
+        detectors = mz().detectors()
+        d = distribution_from_state(evolve(mz(1.1)), detectors)
+        assert abs(d.prob(("r",)) - math.cos(0.55) ** 2) < 1e-12
+        for n in (0, 2):
+            with pytest.raises(ValidationError, match=f"expected a stack of one state, got {n}"):
+                distribution_from_state(evolve_rows(mz(1.1), n, {}), detectors)
+
     def test_requires_a_detector(self):
-        c = Circuit((ARM,), StateVector.basis_state((ARM,), ("t",)), ())
+        c = Circuit((ARM,), basis_state((ARM,), ("t",)), ())
         with pytest.raises(ContractError):
             joint_distribution(c)
 
@@ -177,7 +191,7 @@ class TestCompareMarginals:
         slit = Dof("slit", ("s1", "s2"))
         c = Circuit(
             (slit,),
-            StateVector.basis_state((slit,), ("s1",)),
+            basis_state((slit,), ("s1",)),
             (
                 Apply(el.splitter(slit)),
                 Choice(
@@ -202,7 +216,7 @@ class TestCompareMarginals:
         def circuit(alt_a):
             return Circuit(
                 (slit,),
-                StateVector.basis_state((slit,), ("s1",)),
+                basis_state((slit,), ("s1",)),
                 (Apply(el.splitter(slit)), Choice("outer", {"a": alt_a, "b": (count,)})),
             )
 

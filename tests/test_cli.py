@@ -424,3 +424,18 @@ class TestCatalogMatchesGoldenFile:
         argv = ("--steps", "9", "--start", "0.3")
         by_name = run_cli(capsys, "sweep", name, *argv)
         assert run_cli(capsys, "sweep", self.path(name), *argv) == by_name
+
+
+
+@pytest.mark.parametrize("dofs, stage", [
+    ("DOF pol : v h\nDOF chan : U L\nSOURCE 1+0i |pol=v, chan=U>\n", "STAGE an : analyzer pol pol"),
+    ("DOF pol : a b c\nDOF chan : t m b\nSOURCE 1+0i |pol=a, chan=t>\n", "STAGE an : sg pol pol"),
+])
+def test_element_on_one_dof_twice_is_a_compile_error(capsys, tmp_path, dofs, stage):
+    # it used to compile and then fail in evolution with a numpy traceback
+    path = tmp_path / "twice.edl"
+    path.write_text(f"EXPERIMENT twice\n{dofs}{stage}\nDETECT D : pol basis=path\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1 and out == ""
+    assert err == ("qesim: cannot compile experiment 'twice':\n"
+                   "5:1: error: stage 'an': element targets a dof twice: ['pol', 'pol']\n")

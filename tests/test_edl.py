@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qesim import circuit, edl, elements as el
 from qesim.circuit import (
-    AllBlocked,
     Apply,
     Choice,
     Circuit,
@@ -120,13 +119,26 @@ class TestCompiler:
         res = edl.compile_text(MINIMAL)
         assert res.ok
         st = evolve(res.circuit)
-        assert abs(abs(st.amplitude(("t",))) ** 2 - 0.5) < 1e-12
+        assert abs(abs(st.amps[0, st.dofs[0].index("t")]) ** 2 - 0.5) < 1e-12
 
     def test_source_is_normalized(self):
         text = MINIMAL.replace("1+0i |arm=t>", "3+0i |arm=t> ; 4+0i |arm=r>")
         res = edl.compile_text(text)
         assert res.ok
-        assert abs(res.circuit.source.amplitude(("t",)) - 0.6) < 1e-12
+        source = res.circuit.source
+        assert abs(source.amps[source.dofs[0].index("t")] - 0.6) < 1e-12
+
+    @pytest.mark.parametrize("amp", ["1e-20+0i", "1e-200+0i", "1e200+0i"])
+    def test_tiny_and_huge_sources_are_normalized(self, amp):
+        text = MINIMAL.replace("1+0i |arm=t>", f"{amp} |arm=t> ; {amp} |arm=r>")
+        res = edl.compile_text(text)
+        assert res.ok, res.diagnostics
+        assert np.allclose(res.circuit.source.amps, [2**-0.5] * 2, rtol=0, atol=1e-15)
+
+    def test_all_zero_source_is_a_compile_error(self):
+        res = edl.compile_text(MINIMAL.replace("1+0i |arm=t>", "0+0i |arm=t>"))
+        assert not res.ok
+        assert "bad source: amplitudes are not normalizable (all zero" in str(res.diagnostics[0])
 
     def test_unknown_dof_reported(self):
         res = edl.compile_text(MINIMAL.replace("bs arm t r", "bs ghost t r"))
@@ -176,11 +188,17 @@ class TestDiagnostics:
         ("STAGE s : bs arm t x", ["stage 's': dof 'arm' has no label 'x'"]),
         ("STAGE s : sg arm pol", ["stage 's': stern_gerlach needs 3-dim spin and path dofs"]),
         ("DETECT D : arm basis=polar", ["unknown basis 'polar'"]),
+        ("STAGE s : analyzer pol pol", ["stage 's': element targets a dof twice: ['pol', 'pol']"]),
     ])
     def test_bad_line(self, line, want):
         res = edl.compile_text(TWO_DOFS + line + "\nDETECT E : pol basis=path\n")
         assert not res.ok
         assert [str(d) for d in res.diagnostics] == [f"5:1: error: {m}" for m in want]
+
+    def test_stern_gerlach_on_one_dof(self):
+        text = "EXPERIMENT x\nDOF s : a b c\nDOF p : t m b\nSOURCE 1+0i |s=a, p=t>\nSTAGE g : sg s s\n"
+        res = edl.compile_text(text + "DETECT D : s basis=path\n")
+        assert [str(d) for d in res.diagnostics] == ["5:1: error: stage 'g': element targets a dof twice: ['s', 's']"]
 
 
 def test_screen_named_like_another_dof_is_a_compile_error():
@@ -487,7 +505,7 @@ def assert_rows_match_bind(doc, data):
         stack = evolve_rows(template.circuit, len(values), template.rows(name, values), settings)
         for i, v in enumerate(values):
             state = reference_evolve(template.bind(**{name: v}), settings)
-            assert stack.blocked[i] == isinstance(state, AllBlocked)
+            assert stack.blocked[i] == (state is None)
             if not stack.blocked[i]:
                 assert stack.amps[i].tobytes() == state.tensor_view().tobytes()
                 assert stack.weights[i] == state.weight
@@ -539,15 +557,14 @@ def assert_sources_match_evolve(template, data, extra=()):
         stack = evolve_rows(c, m, stacks, settings, sources)
         assert stack.amps.shape == (m,) + c.source.dims
         for i, circ in enumerate(circuits):
-            state = reference_evolve(replace(circ, source=sources.state(i)), settings)
-            assert stack.blocked[i] == isinstance(state, AllBlocked), settings
-            assert stack.weights[i] == state.weight, settings
+            source = StateVector(c.dofs, sources.amps[i], sources.weights[i])
+            state = reference_evolve(replace(circ, source=source), settings)
+            assert stack.blocked[i] == (state is None), settings
             if stack.blocked[i]:
-                assert not stack.amps[i].any()
-                assert stack.state(i) == state
+                assert not stack.amps[i].any() and stack.weights[i] == 0.0
             else:
                 assert stack.amps[i].tobytes() == state.tensor_view().tobytes(), settings
-                assert stack.state(i).amps.tobytes() == state.amps.tobytes()
+                assert stack.weights[i] == state.weight, settings
 
 
 class TestRows:
@@ -574,7 +591,7 @@ class TestRows:
         template = edl.build_template(edl.parse(golden_text(name)).document)
         # the spin plus state alone, which keep_mid and keep_bot block entirely
         dofs = template.circuit.dofs
-        plus = StateVector.basis_state(dofs, (dofs[0].labels[0], dofs[1].labels[0]))
+        plus = StateVector.from_amplitudes(dofs, {(dofs[0].labels[0], dofs[1].labels[0]): 1.0})
         assert_sources_match_evolve(template, data, extra=[plus])
 
     @given(text=sweep_documents(), data=st.data())
@@ -586,7 +603,7 @@ class TestRows:
         c = edl.compile_text(golden_text("analyzer_loop")).circuit
         with pytest.raises(circuit.ContractError, match=r"one source per row \(2\)"):
             evolve_rows(c, 2, {}, {"mask": "open"}, stack_of(c.dofs, [c.source]))
-        other = StateVector.basis_state((Dof("arm", ("t", "r")),), ("t",))
+        other = StateVector.from_amplitudes((Dof("arm", ("t", "r")),), {("t",): 1.0})
         with pytest.raises(circuit.ContractError, match=r"one source per row \(1\), each over the circuit.s dofs"):
             evolve_rows(c, 1, {}, {"mask": "open"}, stack_of(other.dofs, [other]))
         with pytest.raises(circuit.ContractError, match=r"needs 3 matrices in each stack"):
@@ -681,9 +698,9 @@ class TestFormatter:
                 ]
             for s in settings_sets:
                 sa, sb = evolve(a, dict(s)), evolve(b, dict(s))
-                if isinstance(sa, StateVector):
-                    assert global_phase_deviation(sa, sb) < 1e-12
-                    assert abs(sa.weight - sb.weight) < 1e-12
+                assert not sa.blocked.any() and not sb.blocked.any()
+                assert global_phase_deviation(sa.amps[0], sb.amps[0]) < 1e-12
+                assert abs(sa.weights[0] - sb.weights[0]) < 1e-12
 
     def test_canonical_complex_rendering(self):
         res = edl.parse(MINIMAL.replace("1+0i", "1"))

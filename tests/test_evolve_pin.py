@@ -44,13 +44,11 @@ def digest(*parts) -> str:
 
 
 def evolved(circuit, settings):
-    """``evolve``'s amplitudes, weight and blocked flag.  ``evolve`` returned
-    a state, with flat amplitudes and one weight, before it returned a stack
-    of one; no catalog case is blocked."""
+    """The amplitudes, weight and blocked flag of ``evolve``'s one row.  The
+    state ``evolve`` returned when they were recorded held the same
+    amplitudes flat, in the same C order; no catalog case is blocked."""
     st = evolve(circuit, settings)
-    if hasattr(st, "weights"):
-        return st.amps[0], st.weights[0], bool(st.blocked[0])
-    return st.amps, st.weight, False
+    return st.amps[0], st.weights[0], bool(st.blocked[0])
 
 
 EVOLVED = {

@@ -2,14 +2,16 @@
 
 ``reference_transform`` and ``reference_rebase`` are the earlier
 ``elements._transform`` (transpose, reshape, ``@``, with a conditioned
-element transforming one column block) and ``qstate.rebase`` (``moveaxis``
-plus ``tensordot``).  ``reference_apply_op`` and ``reference_evolve`` are the
-earlier single-state ``elements.apply_op``, which raised ``AllBlockedError``
-when a filter absorbed everything, and ``circuit.evolve``, one such step per
-Apply stage.  They stay here as the definition of what the shared
-contraction and the stacked step compute, bit for bit: ``elements._act`` on
-a stack of one state, ``elements.apply_op`` on every row of a stack,
-``circuit.evolve`` and ``evolve_rows``, and ``qstate.rebase``.
+element transforming one column block) and the single-state
+``qstate.rebase`` (``moveaxis`` plus ``tensordot``).  ``reference_apply_op``
+and ``reference_evolve`` are the earlier single-state ``elements.apply_op``,
+which raised ``AllBlockedError`` when a filter absorbed everything, and
+``circuit.evolve``, one such step per Apply stage, which returned a state
+(``None`` here where it returned ``AllBlocked``).  They stay here as the
+definition of what the shared contraction and the stacked steps compute, bit
+for bit: ``elements._act`` on a stack of one state, ``elements.apply_op``
+and ``qstate.rebase`` on every row of a stack, ``circuit.evolve`` and
+``evolve_rows``.
 """
 
 import math
@@ -20,16 +22,25 @@ from hypothesis import strategies as st
 
 from qesim import elements as el
 from qesim.circuit import Apply, _walk, validate_settings
-from qesim.qstate import AllBlocked, BasisChange, Dof, StateStack, StateVector, ValidationError, rebase
+from qesim.qstate import BasisChange, Dof, StateStack, StateVector, ValidationError, _axis, rebase
 
 
 class AllBlockedError(RuntimeError):
     """Every branch of the state was removed by a filter."""
 
 
+def axis(state, name):
+    """The position of the dof named ``name`` in ``state.dofs``."""
+    return _axis(state.dofs, name)
+
+
+def dof(state, name):
+    return state.dofs[axis(state, name)]
+
+
 def reference_transform(state, op):
     dims = state.dims
-    axes = [state.axis(n) for n in op.target_dofs]
+    axes = [axis(state, n) for n in op.target_dofs]
     k = int(np.prod([dims[a] for a in axes]))
     if op.matrix.shape[0] != k:
         raise ValidationError(
@@ -44,7 +55,7 @@ def reference_transform(state, op):
         t = op.matrix @ t
     else:
         cond_dof, cond_label = op.condition
-        cax = state.axis(cond_dof)
+        cax = axis(state, cond_dof)
         ci = state.dofs[cax].index(cond_label)
         rest_dims = [dims[i] for i in rest_axes]
         pos = rest_axes.index(cax)
@@ -72,8 +83,8 @@ def reference_apply_op(state, op):
 
 
 def reference_evolve(c, settings=None):
-    """``reference_apply_op`` on one state per active Apply stage;
-    AllBlocked once a filter absorbs everything."""
+    """``reference_apply_op`` on one state per active Apply stage; None once
+    a filter absorbs everything."""
     settings = settings or {}
     validate_settings(c, settings)
     state = c.source
@@ -82,12 +93,12 @@ def reference_evolve(c, settings=None):
             try:
                 state = reference_apply_op(state, s.op)
             except AllBlockedError:
-                return AllBlocked(c.dofs)
+                return None
     return state
 
 
 def reference_rebase(s, change):
-    ax = s.axis(change.dof)
+    ax = axis(s, change.dof)
     old = s.dofs[ax]
     t = np.moveaxis(s.tensor_view(), ax, 0)
     new = np.moveaxis(np.tensordot(change.matrix, t, axes=([1], [0])), 0, ax)
@@ -153,9 +164,9 @@ def ops(draw):
     others = names[len(targets):]
     condition = None
     if others and draw(st.booleans()):
-        cd = s.dof(draw(st.sampled_from(others)))
+        cd = dof(s, draw(st.sampled_from(others)))
         condition = (cd.name, draw(st.sampled_from(cd.labels)))
-    k = int(np.prod([s.dof(n).dim for n in targets]))
+    k = int(np.prod([dof(s, n).dim for n in targets]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from([el.UNITARY, el.FILTER]))
     return s, el.ElementOp(kind, targets, random_matrix(rng, kind, k), condition)
@@ -191,19 +202,16 @@ def outcome(fn, *args):
         return AllBlockedError
 
 
-def applied(s, op):
-    """``apply_op`` on the stack of ``s`` alone: its row, or AllBlockedError."""
-    got = el.apply_op(stack_of([s], [False]), op).state(0)
-    return AllBlockedError if isinstance(got, AllBlocked) else got
-
-
-def assert_same_state(got, want):
+def assert_same_row(got, i, want):
+    """Row i of the stack ``got`` has the bytes of the state ``want``, or is
+    blocked where ``want`` is AllBlockedError."""
+    assert bool(got.blocked[i]) == (want is AllBlockedError)
     if want is AllBlockedError:
-        assert got is AllBlockedError
-        return
-    assert got.dofs == want.dofs
-    assert np.array_equal(got.amps, want.amps)
-    assert got.weight == want.weight
+        assert not got.amps[i].any() and got.weights[i] == 0.0
+    else:
+        assert got.dofs == want.dofs
+        assert got.amps[i].tobytes() == want.tensor_view().tobytes()
+        assert got.weights[i] == want.weight
 
 
 @given(ops())
@@ -212,7 +220,7 @@ def test_apply_op_matches_transpose_reference(case):
     s, op = case
     raw = el._act(s.tensor_view()[None], s.dofs, op)[0].reshape(-1)
     assert np.array_equal(raw, reference_transform(s, op))
-    assert_same_state(applied(s, op), outcome(reference_apply_op, s, op))
+    assert_same_row(el.apply_op(stack_of([s], [False]), op), 0, outcome(reference_apply_op, s, op))
 
 
 @given(stacks())
@@ -223,23 +231,30 @@ def test_apply_op_on_a_stack_matches_the_reference_row_by_row(case):
     assert got.dofs == rows[0].dofs and got.amps.shape == (len(rows),) + rows[0].dims
     for i, (row, b) in enumerate(zip(rows, blocked)):
         row_op = op if matrices is None else el.ElementOp(op.kind, op.target_dofs, matrices[i], op.condition)
-        want = AllBlockedError if b else outcome(reference_apply_op, row, row_op)
-        assert bool(got.blocked[i]) == (want is AllBlockedError)
-        if want is AllBlockedError:
-            assert not got.amps[i].any() and got.weights[i] == 0.0
-        else:
-            assert got.amps[i].tobytes() == want.tensor_view().tobytes()
-            assert got.weights[i] == want.weight
+        assert_same_row(got, i, AllBlockedError if b else outcome(reference_apply_op, row, row_op))
 
 
 @given(states(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_rebase_matches_tensordot_reference(s, data):
-    dof = s.dof(data.draw(st.sampled_from([d.name for d in s.dofs])))
+    d = dof(s, data.draw(st.sampled_from([d.name for d in s.dofs])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    labels = tuple(f"n{j}" for j in range(dof.dim))
-    change = BasisChange(dof.name, random_unitary(rng, dof.dim), labels)
-    assert_same_state(rebase(s, change), reference_rebase(s, change))
+    labels = tuple(f"n{j}" for j in range(d.dim))
+    change = BasisChange(d.name, random_unitary(rng, d.dim), labels)
+    assert_same_row(rebase(stack_of([s], [False]), change), 0, reference_rebase(s, change))
+
+
+@given(stacks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rebase_on_a_stack_matches_the_reference_row_by_row(case, data):
+    rows, blocked, _, _ = case
+    d = dof(rows[0], data.draw(st.sampled_from([d.name for d in rows[0].dofs])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    change = BasisChange(d.name, random_unitary(rng, d.dim), tuple(f"n{j}" for j in range(d.dim)))
+    got = rebase(stack_of(rows, blocked), change)
+    assert got.amps.flags.c_contiguous
+    for i, (row, b) in enumerate(zip(rows, blocked)):
+        assert_same_row(got, i, AllBlockedError if b else reference_rebase(row, change))
 
 
 def test_named_bases_match_tensordot_reference():
@@ -249,5 +264,5 @@ def test_named_bases_match_tensordot_reference():
     s = StateVector(dofs, v / np.linalg.norm(v), 0.5)
     for name in ("a", "c"):
         for basis in ("pm45", "circular"):
-            change = el.basis_change(basis, s.dof(name))
-            assert_same_state(rebase(s, change), reference_rebase(s, change))
+            change = el.basis_change(basis, dof(s, name))
+            assert_same_row(rebase(stack_of([s], [False]), change), 0, reference_rebase(s, change))

@@ -35,7 +35,7 @@ from qesim.circuit import (
 )
 from qesim.measure import OutcomeDistribution, total_variation
 from qesim.qstate import Dof, StateVector
-from test_kernel_oracle import reference_apply_op
+from test_kernel_oracle import dof, reference_apply_op, stack_of
 
 SLIT = Dof("slit", ("s1", "s2"))
 POL = Dof("pol", ("h", "v"))
@@ -91,7 +91,7 @@ def reference_compare_marginals(c, axis_subset, choice_name, base_settings=None)
                 f"detector {ax!r} measures dofs; only screens and dofs can be compared"
             )
         else:
-            d = c.source.dof(ax)
+            d = dof(c.source, ax)
             probes.append(DetectorSpec(name=f"_probe_{ax}", measured=((ax, "path"),)))
             subset_dofs.add(d.name)
 
@@ -111,7 +111,7 @@ def reference_compare_marginals(c, axis_subset, choice_name, base_settings=None)
         settings_ = {**base, choice_name: alt}
         dist, acc, mass = None, 0.0, 0.0
         for branch in reference_branched_evolve(c, settings_):
-            dist = distribution_from_state(branch, probes)
+            dist = distribution_from_state(stack_of([branch], [False]), probes)
             acc = acc + dist.probs
             mass += dist.total_mass
         if dist is None:
@@ -224,9 +224,10 @@ def test_branch_stack_matches_reference(case):
     c, _, base = case
     for alt in c.find_choice("c").alternatives:
         want = reference_branched_evolve(c, {**base, "c": alt})
-        t, weights = _branches(c, {**base, "c": alt})
-        assert len(t) == len(weights) == len(want)
-        for amps, weight, branch in zip(t, weights, want):
+        branches = _branches(c, {**base, "c": alt})
+        assert len(branches.amps) == len(branches.weights) == len(want)
+        assert branches.dofs == c.dofs and not branches.blocked.any()
+        for amps, weight, branch in zip(branches.amps, branches.weights, want):
             assert amps.tobytes() == branch.tensor_view().tobytes()
             assert weight == branch.weight
 
@@ -243,7 +244,7 @@ def test_all_blocked_alternative_matches_reference(case):
 
 
 def test_all_blocked_alternative_raises():
-    c = Circuit(DOFS, StateVector.basis_state(DOFS, ("s1", "h", "t")), (
+    c = Circuit(DOFS, StateVector.from_amplitudes(DOFS, {("s1", "h", "t"): 1.0}), (
         Apply(el.splitter(SLIT)),
         Apply(el.beam_splitter(ARM, "t", "r")),
         Choice("c", {"open": (), "masked": (Apply(el.blocker(ARM, "r")),)}),

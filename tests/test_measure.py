@@ -17,6 +17,7 @@ from qesim.measure import (
     total_variation,
 )
 from qesim.qstate import Dof, StateVector
+from test_kernel_oracle import stack_of
 
 A = Dof("a", ("a0", "a1"))
 B = Dof("b", ("b0", "b1", "b2"))
@@ -32,7 +33,7 @@ def born(s, measured):
     """The Born distribution of ``s`` over ``measured`` (dof, basis) pairs,
     one detector per dof; unmeasured dofs are summed out."""
     return distribution_from_state(
-        s, [DetectorSpec(f"D_{dof}", measured=((dof, basis),)) for dof, basis in measured]
+        stack_of([s], [False]), [DetectorSpec(f"D_{dof}", measured=((dof, basis),)) for dof, basis in measured]
     )
 
 
@@ -121,7 +122,7 @@ class TestConditional:
         assert c.axes == ("b",)
 
     def test_conditioning_on_null_outcome_raises(self):
-        s = StateVector.basis_state((A,), ("a0",))
+        s = StateVector.from_amplitudes((A,), {("a0",): 1.0})
         d = born(s, [("a", "path")])
         with pytest.raises(ConditioningError):
             conditional(d, ("a", "a1"))

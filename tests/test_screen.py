@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesim.qstate import Dof, StateVector, ValidationError
+from qesim.qstate import Dof, StateStack, StateVector, ValidationError
 from qesim.screen import (
     DEFAULT_GEOMETRY,
     Pattern,
@@ -13,9 +13,15 @@ from qesim.screen import (
     pattern_from_state,
     sum_patterns,
 )
+from test_kernel_oracle import stack_of
 
 SLIT = Dof("slit", ("s1", "s2"))
 POL = Dof("pol", ("v", "h"))
+
+
+def one(dofs, amps):
+    """The stack of the one state with amplitudes ``amps`` (normalized)."""
+    return stack_of([StateVector.from_amplitudes(dofs, amps)], [False])
 
 
 class TestGeometry:
@@ -32,43 +38,57 @@ class TestGeometry:
         with pytest.raises(ValidationError):
             SlitGeometry(bins=1)
 
+    @pytest.mark.parametrize("bad", [
+        {"slit_separation": math.nan}, {"wavelength": math.inf}, {"screen_distance": -math.inf},
+        {"x_range": (0.0, math.nan)}, {"x_range": (math.nan, 0.0)}, {"x_range": (-math.inf, 0.0)},
+        {"x_range": (0.0, math.inf)}, {"x_range": (0.01, 0.01)},
+    ])
+    def test_non_finite_geometry_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            SlitGeometry(**bad)
+
     def test_bin_labels_are_stable(self):
         assert DEFAULT_GEOMETRY.bin_label(7) == "bin007"
 
 
 class TestPatterns:
     def test_coherent_pattern_is_one_plus_cos(self):
-        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit")
         expect = 1 + np.cos(DEFAULT_GEOMETRY.delta(DEFAULT_GEOMETRY.bin_centers()))
         assert np.max(np.abs(np.array(p.intensities) - expect)) < 1e-12
 
     def test_marked_pattern_is_flat(self):
         # which-slit marking on an auxiliary dof removes the cross term
-        s = StateVector.from_amplitudes(
+        s = one(
             (SLIT, POL), {("s1", "v"): 1, ("s2", "h"): 1}
         )
         p = pattern_from_state(s, "slit")
         assert np.max(np.abs(np.array(p.intensities) - 1.0)) < 1e-12
 
     def test_relative_phase_shifts_fringes(self):
-        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1j})
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1j})
         p = pattern_from_state(s, "slit")
         expect = 1 + np.sin(DEFAULT_GEOMETRY.delta(DEFAULT_GEOMETRY.bin_centers()))
         assert np.max(np.abs(np.array(p.intensities) - expect)) < 1e-12
 
     def test_csv_round_shape(self):
-        p = pattern_from_state(
-            StateVector.basis_state((SLIT,), ("s1",)), "slit"
-        )
+        p = pattern_from_state(one((SLIT,), {("s1",): 1.0}), "slit")
         lines = p.to_csv().strip().split("\n")
         assert lines[0] == "x,intensity"
         assert len(lines) == DEFAULT_GEOMETRY.bins + 1
 
 
+    def test_pattern_reads_a_stack_of_one(self):
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
+        two = StateStack(s.dofs, s.amps.repeat(2, axis=0), s.weights.repeat(2), s.blocked.repeat(2))
+        with pytest.raises(ValidationError, match="expected a stack of one state, got 2"):
+            pattern_from_state(two, "slit")
+
+
 class TestVisibility:
     def test_full_visibility(self):
-        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit")
         assert abs(fringe_visibility(p) - 1.0) < 1e-12
 
@@ -78,7 +98,7 @@ class TestVisibility:
 
     def test_partial_visibility(self):
         # amplitudes sqrt(3)/2 and 1/2 give coherence 2*(sqrt(3)/4) = sin(60)
-        s = StateVector.from_amplitudes(
+        s = one(
             (SLIT,), {("s1",): math.sqrt(3) / 2, ("s2",): 0.5}
         )
         p = pattern_from_state(s, "slit")
@@ -87,12 +107,12 @@ class TestVisibility:
     def test_fitted_visibility_ignores_bin_placement(self):
         # a grid whose bins miss the extrema still reports visibility 1
         g = SlitGeometry(bins=17, x_range=(-0.0173, 0.0191))
-        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit", g)
         assert abs(fringe_visibility(p) - 1.0) < 1e-9
 
     def test_fit_uses_the_patterns_own_geometry(self):
-        s = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
+        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit", SlitGeometry(slit_separation=80e-6))
         assert abs(fringe_visibility(p) - 1.0) < 1e-9
 
@@ -113,8 +133,8 @@ class TestVisibility:
 
 class TestPatternAlgebra:
     def test_fringe_plus_antifringe_is_flat(self):
-        a = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): 1})
-        b = StateVector.from_amplitudes((SLIT,), {("s1",): 1, ("s2",): -1})
+        a = one((SLIT,), {("s1",): 1, ("s2",): 1})
+        b = one((SLIT,), {("s1",): 1, ("s2",): -1})
         total = sum_patterns(
             pattern_from_state(a, "slit"), pattern_from_state(b, "slit"), (0.5, 0.5)
         )
