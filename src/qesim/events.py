@@ -17,10 +17,12 @@ a delayed eraser's pairs are recovered.
 
 An ``EventLog`` keeps its events as parallel numpy columns, not one object
 per event; ``DetectionEvent`` objects are built only when a caller asks for
-``EventLog.events``; its rows are merged from one block per detector by a
-stable sort on time.  Its writers, and that of ``Coincidences``, format a
-range of rows, so that ``blocks`` can write a log of any length
-``BLOCK_ROWS`` rows at a time and never holds the whole text.  A block is one
+``EventLog.events``.  ``generate_events`` draws shots and merges the
+detectors' rows ``BLOCK_ROWS`` shots at a time, ``coincidences`` pairs A's
+events and ``conditioned_histogram`` counts pairs in blocks as well, so what
+grows with the shot count is their results.  The log's writers, and that of
+``Coincidences``, format a range of rows, so that ``blocks`` can write a log
+of any length ``BLOCK_ROWS`` rows at a time and never holds the whole text.  A block is one
 array of 0xFF-padded rows (uint64 words for JSON, bytes for CSV) of numbers from
 ``measure`` and per-label tables; one ``bytes.translate`` drops the padding.
 """
@@ -43,9 +45,9 @@ from .screen import DEFAULT_GEOMETRY, Pattern, SlitGeometry, pattern_from_bin_pr
 DEFAULT_PERIOD_NS = 1e6
 DEFAULT_WINDOW_NS = 1e3
 
-#: rows formatted and written at a time by ``blocks``
+#: shots drawn and merged, rows paired or counted, and rows written by ``blocks``, at a time
 BLOCK_ROWS = 2**14
-#: equal cells of [0, 1) in the table that ``_draw`` reads outcomes from
+#: equal cells of [0, 1) in the table that ``_drawer`` reads outcomes from
 DRAW_CELLS = 2**14
 #: size below which a whole float's ``repr`` is its int and ``.0`` (1e16 has an exponent)
 JSON_WHOLE_BOUND = 2**53
@@ -67,7 +69,7 @@ class EventLog:
     Row ``i`` is shot ``shot[i]`` registered at ``time[i]`` (ns) with
     ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
     each pair once.  ``generate_events`` stores rows in (time, detector name,
-    shot) order: a stable sort on time of per-detector blocks in name order.
+    shot) order.
     """
 
     def __init__(self, seed: int, shots: int, shot, time, label, labels):
@@ -91,10 +93,9 @@ class EventLog:
             for s, t, k in zip(self.shot.tolist(), self.time.tolist(), self.label.tolist())
         )
 
-    def _rows(self, detector: str) -> np.ndarray:
-        """Row indices of one detector's events, in stored order."""
-        mine = np.array([det == detector for det, _ in self.labels], dtype=bool)
-        return np.flatnonzero(mine[self.label])
+    def _mine(self, detector: str) -> np.ndarray:
+        """Whether each label is one of ``detector``'s."""
+        return np.array([det == detector for det, _ in self.labels], dtype=bool)
 
     def __len__(self) -> int:
         return len(self.shot)
@@ -158,23 +159,33 @@ def blocks(write, rows: int):
     """The text pieces ``write(lo, hi)`` of consecutive blocks of
     ``BLOCK_ROWS`` rows, each formatted when the previous one has been taken.
     There is always block 0, so an empty table still writes its header."""
+    return (write(lo, hi) for lo, hi in _spans(max(rows, 1)))
+
+
+def _spans(n: int):
+    """``(lo, hi)`` of consecutive blocks of ``BLOCK_ROWS`` of ``n`` rows."""
     step = BLOCK_ROWS
-    return (write(lo, lo + step) for lo in range(0, max(rows, 1), step))
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` for ``u`` in [0, 1) from ``Generator.random``.
-    ``u * DRAW_CELLS`` scales by a power of two, so the cell, its floor, is exact.  The CDF
-    does not decrease (entries above 1 before its final 1.0 compare as 1.0 does), so where
-    count(cdf <= a cell's lower edge) == count(cdf < its upper edge), that is the pick."""
+def _drawer(cdf: np.ndarray):
+    """A function giving ``np.searchsorted(cdf, u, side="right")`` for ``u`` in [0, 1) from
+    ``Generator.random``, from a table of cells built once.  ``u * DRAW_CELLS`` scales by a
+    power of two, so the cell, its floor, is exact.  The CDF does not decrease (entries above
+    1 before its final 1.0 compare as 1.0 does), so where count(cdf <= a cell's lower edge)
+    == count(cdf < its upper edge), that is the pick."""
     edges = np.arange(DRAW_CELLS + 1) / DRAW_CELLS
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     unsure = lo != np.searchsorted(cdf, edges[1:], side="left")
-    cell = (u * DRAW_CELLS).astype(np.intp)
-    picks = lo[cell]
-    searched = np.flatnonzero(unsure[cell])
-    picks[searched] = np.searchsorted(cdf, u[searched], side="right")
-    return picks
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        cell = (u * DRAW_CELLS).astype(np.intp)
+        picks = lo[cell]
+        searched = np.flatnonzero(unsure[cell])
+        picks[searched] = np.searchsorted(cdf, u[searched], side="right")
+        return picks
+
+    return draw
 
 
 def generate_events(
@@ -211,38 +222,56 @@ def generate_events(
     if survive < 1.0 - 1e-12:
         cdf = np.append(cdf, 1.0)
     cdf[-1] = 1.0
-    picks = _draw(cdf, rng_for(seed).random(shots))
-    survivors = np.flatnonzero(picks < dist.probs.size)
-    picks = picks[survivors]
+    # one compact outcome index per shot, drawn block by block from one stream
+    draw, rng, size = _drawer(cdf), rng_for(seed), dist.probs.size
+    outcome = np.empty(shots, np.min_scalar_type(size))
+    for lo, hi in _spans(shots):
+        outcome[lo:hi] = draw(rng.random(hi - lo))
 
-    # one block of rows per detector, in shot order; the joint axes split among
-    # detectors in declaration order, and each labels its axes' outcomes in C order
+    # each detector logs its surviving shots at shot * period + its delay; the joint
+    # axes split among detectors in declaration order, and each labels its axes'
+    # outcomes in C order
     shape = dist.probs.shape
-    index = np.unravel_index(np.arange(dist.probs.size), shape)
+    index = np.unravel_index(np.arange(size), shape)
     labels: list[tuple[str, tuple[str, ...]]] = []
-    parts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    dets = []
     pos = 0
     for spec in specs:
         span = slice(pos, pos + len(spec.axis_names()))
         pos = span.stop
-        offset = delays.get(spec.name, spec.time_offset)
         label_of_key = (np.ravel_multi_index(index[span], shape[span]) + len(labels)).astype(np.int32)
         labels += [(spec.name, k) for k in product(*dist.labels[span])]
-        parts[spec.name] = (survivors * period + offset, label_of_key[picks])
-    del picks
-    names = sorted(parts)
-    shot = np.tile(survivors, len(names))
-    time = np.concatenate([parts[name][0] for name in names])
-    label = np.concatenate([parts[name][1] for name in names])
-    del survivors, parts
+        dets.append((spec.name, delays.get(spec.name, spec.time_offset), label_of_key))
+    dets.sort(key=lambda d: d[0])
+    rows = np.count_nonzero(outcome < size) * len(dets)
+    shot, time, label = np.empty(rows, np.int64), np.empty(rows), np.empty(rows, np.int32)
 
-    # blocks in name order, a block's times monotone in its shots, names distinct
-    # (Circuit checks): a stable sort on time leaves rows in (time, name, shot) order
-    order = np.argsort(time, kind="stable")
-    # reorder one column at a time, so that only one old column is alive
-    shot = shot[order]
-    time = time[order]
-    label = label[order]
+    # merge block by block.  With period > 0 a detector's times rise with its shots,
+    # so no row still to come is earlier than the horizon, the least time of shot hi;
+    # rows below it are final, and rows at it wait, as a later row of an earlier name
+    # may tie with them.  With period <= 0 every row waits for the last block.
+    # Pending shots are in shot order, so a stable sort on time of the detectors'
+    # rows in name order leaves them in (time, name, shot) order
+    pending = [np.empty(0, np.intp)] * len(dets)
+    done = 0
+    for lo, hi in _spans(shots):
+        new = lo + np.flatnonzero(outcome[lo:hi] < size)
+        horizon = min(hi * period + offset for _, offset, _ in dets) if period > 0 else None
+        parts = []
+        for k, (_, offset, label_of_key) in enumerate(dets):
+            s = np.concatenate([pending[k], new])
+            t = s * period + offset
+            cut = len(s) if hi == shots else 0 if horizon is None else np.searchsorted(t, horizon)
+            # take, as indexing by a small int type, is 3x slower; the indices are in range
+            parts.append((s[:cut], t[:cut], label_of_key.take(outcome[s[:cut]], mode="clip")))
+            pending[k] = s[cut:]
+        parts = [np.concatenate(p) for p in zip(*parts)]
+        order = np.argsort(parts[1], kind="stable")
+        end = done + len(order)
+        for column, part in zip((shot, time, label), parts):
+            # mode "clip" writes straight into out; the default buffers the result
+            np.take(part, order, out=column[done:end], mode="clip")
+        done = end
     return EventLog(seed, shots, shot, time, label, labels)
 
 
@@ -274,12 +303,15 @@ class Coincidences:
         return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
 
 
-def _shifted(log: EventLog, detector: str, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """One detector's rows and compensated times, sorted by that time."""
-    rows = log._rows(detector)
+def _shifted(log: EventLog, detector: str, offset: float, lo: int = 0, hi: int | None = None):
+    """One detector's rows among rows ``[lo, hi)`` of ``log`` and their
+    compensated times, sorted by that time unless they are in order already."""
+    rows = lo + np.flatnonzero(log._mine(detector)[log.label[lo:hi]])
     t = log.time[rows] - offset
-    order = np.argsort(t, kind="stable")
-    return rows[order], t[order]
+    if (t[1:] < t[:-1]).any():
+        order = np.argsort(t, kind="stable")
+        rows, t = rows[order], t[order]
+    return rows, t
 
 
 def _greedy(ta: list[float], tb: list[float], window: float) -> tuple[list[int], list[int]]:
@@ -318,19 +350,32 @@ def coincidences(
     offsets = offsets or {}
     if not all(np.isfinite(v) for v in offsets.values()):
         raise ValidationError("offsets must be finite")
-    rows_a, ta = _shifted(log, det_a, offsets.get(det_a, 0.0))
+    off_a = offsets.get(det_a, 0.0)
     rows_b, tb = _shifted(log, det_b, offsets.get(det_b, 0.0))
-    # each A event's first candidate: the earliest B event not before t - window
-    first = np.searchsorted(tb, ta - window, side="left")
-    hit = first < len(tb)
-    hit[hit] = np.abs(tb[first[hit]] - ta[hit]) <= window
-    if (hit[:-1] & (first[1:] == first[:-1])).any():
-        # an A event took the candidate of the next one, which must then look
-        # further on; only a window of half the event spacing or more does this
-        pa, pb = _greedy(ta.tolist(), tb.tolist(), window)
-    else:
-        pa, pb = np.flatnonzero(hit), first[hit]
-    return Coincidences(log, rows_a[pa], rows_b[pb])
+    n_a = np.count_nonzero(log._mine(det_a)[log.label])
+    a, b = np.empty((2, min(n_a, len(rows_b))), rows_b.dtype)
+    pairs, edge = 0, (-1, False)
+    # in a log in time order, as generate_events writes it, each detector's rows are
+    # in time order: A's are paired block by block, those of any other log whole
+    in_order = (log.time[1:] >= log.time[:-1]).all()
+    for lo, hi in _spans(len(log)) if in_order else [(0, len(log))]:
+        rows, ta = _shifted(log, det_a, off_a, lo, hi)
+        if not len(rows):
+            continue
+        # each A event's first candidate: the earliest B event not before t - window
+        first = np.searchsorted(tb, ta - window, side="left")
+        hit = first < len(tb)
+        hit[hit] = np.abs(tb[first[hit]] - ta[hit]) <= window
+        if (hit[:-1] & (first[1:] == first[:-1])).any() or edge == (first[0], True):
+            # an A event took the candidate of the next one, which must then look
+            # further on; only a window of half the event spacing or more does this
+            rows, ta = _shifted(log, det_a, off_a)
+            pa, pb = _greedy(ta.tolist(), tb.tolist(), window)
+            return Coincidences(log, rows[pa], rows_b[pb])
+        end = pairs + np.count_nonzero(hit)
+        a[pairs:end], b[pairs:end] = rows[hit], rows_b[first[hit]]
+        pairs, edge = end, (first[-1], hit[-1])
+    return Coincidences(log, a[:pairs], b[:pairs])
 
 
 def conditioned_histogram(
@@ -343,12 +388,12 @@ def conditioned_histogram(
     screen-bin outcomes."""
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
-    labels = pairs.log.labels
-    a = pairs.log.label[pairs.a]
-    if partner_outcome is not None:
-        wanted = np.array([outcome == partner_outcome for _, outcome in labels], dtype=bool)
-        a = a[wanted[pairs.log.label[pairs.b]]]
-    counts = np.bincount(a, minlength=len(labels))
+    labels, label = pairs.log.labels, pairs.log.label
+    wanted = np.array([partner_outcome in (None, outcome) for _, outcome in labels], dtype=bool)
+    counts = np.zeros(len(labels), np.intp)
+    for lo, hi in _spans(len(pairs)):
+        a = label[pairs.a[lo:hi]]
+        counts += np.bincount(a[wanted[label[pairs.b[lo:hi]]]], minlength=len(labels))
     used = np.flatnonzero(counts).tolist()
     if any(len(labels[k][1]) != 1 for k in used):
         raise ValidationError("screen events must carry a single bin label")

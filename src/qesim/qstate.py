@@ -169,9 +169,9 @@ def _one(stack: StateStack) -> StateStack:
 
 def _unit(a: np.ndarray) -> np.ndarray:
     """``a`` itself, or ``a`` over its norm when that is off 1 by more than
-    NORM_TOL; ValidationError when it is off by more than 1e-9."""
+    NORM_TOL; ValidationError when it is NaN or off by more than 1e-9."""
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValidationError(f"amplitudes not normalized (norm={norm})")
     return a / norm if abs(norm - 1.0) > NORM_TOL else a
 
@@ -190,7 +190,7 @@ def _normalize_rows(flat: np.ndarray, blocked) -> None:
     unsure = ~np.asarray(blocked, dtype=bool)
     if margin > 0:
         re = np.ascontiguousarray(flat).view(np.float64)
-        unsure = unsure & (np.abs(np.einsum("ij,ij->i", re, re) - 1.0) > 2 * margin)
+        unsure = unsure & ~(np.abs(np.einsum("ij,ij->i", re, re) - 1.0) <= 2 * margin)
     for i in unsure.nonzero()[0]:
         flat[i] = _unit(flat[i])
 
@@ -254,10 +254,12 @@ def rebase(stack: StateStack, change: BasisChange) -> StateStack:
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """min over unit phases c of max_k |a_k - c*b_k| for two amplitude arrays
     of one shape, with c fixed from the largest-magnitude component of b
-    (deterministic and numerically stable)."""
+    (deterministic and numerically stable); max |a_k| when b is all zero."""
     if a.shape != b.shape:
         raise CompositionError(f"comparison requires one shape, got {a.shape} and {b.shape}")
     k = int(np.argmax(np.abs(b)))
+    if b.flat[k] == 0:
+        return float(np.max(np.abs(a)))
     c = a.flat[k] / b.flat[k]
     if abs(c) < 1e-15:
         return float(np.max(np.abs(a - b)))

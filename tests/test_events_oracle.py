@@ -9,6 +9,8 @@ the whole CDF for every shot and ordered rows by a lexsort on (time, detector
 name, shot); ``events.generate_events`` must give the same columns, to the bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from qesim import edl, events, scenarios
 from qesim.circuit import joint_distribution
+from qesim.cli import main
 from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.measure import rng_for
 from qesim.qstate import ValidationError
@@ -289,4 +292,102 @@ def test_draw_matches_searchsorted(name):
     inner = cdf[(cdf >= 0.0) & (cdf < 1.0)]
     u = np.concatenate([[0.0], EDGES, [1 - 2**-53], UNIFORM, around(inner)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(events._draw(cdf, u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(events._drawer(cdf)(u), np.searchsorted(cdf, u, side="right"))
+
+
+#: block sizes at which a log of up to 300 shots crosses many block edges
+SMALL_BLOCKS = [1, 5]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(TARGETS),
+    shots=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+    period=st.sampled_from([events.DEFAULT_PERIOD_NS, 0.0, -PERIOD, 1.5]),
+    data=st.data(),
+)
+def test_generate_events_matches_reference_across_blocks(block, target, shots, seed, period, data):
+    with mock.patch.object(events, "BLOCK_ROWS", block):
+        test_generate_events_matches_reference.hypothesis.inner_test(target, shots, seed, period, data)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@settings(max_examples=100, deadline=None)
+@given(
+    log=logs(),
+    dets=st.sampled_from([("D_s", "D_p"), ("D_p", "D_s")]),
+    window=WINDOWS,
+    offsets=st.dictionaries(st.sampled_from(["D_s", "D_p"]), NS),
+)
+def test_coincidences_match_reference_across_blocks(block, log, dets, window, offsets):
+    with mock.patch.object(events, "BLOCK_ROWS", block):
+        test_coincidences_match_reference.hypothesis.inner_test(log, dets, window, offsets)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@settings(max_examples=50, deadline=None)
+@given(
+    log=logs(),
+    window=WINDOWS,
+    partner=st.sampled_from([None, "+", ("-",), ("no_such_outcome",)]),
+    swap=st.booleans(),
+)
+def test_conditioned_histogram_matches_dict_count_across_blocks(block, log, window, partner, swap):
+    with mock.patch.object(events, "BLOCK_ROWS", block):
+        test_conditioned_histogram_matches_dict_count.hypothesis.inner_test(log, window, partner, swap)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [7])
+@pytest.mark.parametrize("delays", [{"D_s": PERIOD}, {"D_p": -PERIOD}, {"D_p": 1e9}])
+def test_rows_at_the_horizon_wait_for_an_earlier_name(block, delays):
+    # with the first two delays, D_s's row of the last shot of a block ties with
+    # D_p's row of the next shot, which must come first: D_p sorts before D_s;
+    # the third is walborn_delayed's, whose D_p rows come 1000 shots late
+    with mock.patch.object(events, "BLOCK_ROWS", block):
+        got = events.generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
+    want = reference_generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
+    assert np.array_equal(got.time, want.time)
+    assert np.array_equal(got.shot, want.shot)
+    assert np.array_equal(got.label, want.label)
+
+
+def test_collision_at_a_block_edge_runs_the_fallback(monkeypatch):
+    # a window of 2.5 periods makes A events take each other's candidates; a
+    # block of one log row holds one A event at most, so every collision lies
+    # across a block edge
+    calls = []
+    real = events._greedy
+    monkeypatch.setattr(events, "_greedy", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(events, "BLOCK_ROWS", 1)
+    log = events.generate_events(WALBORN, {"p_pol": "absent"}, shots=20, seed=3)
+    pairs = coincidences(log, "D_s", "D_p", window=2.5 * PERIOD)
+    assert calls
+    assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", 2.5 * PERIOD, {})
+
+
+SAMPLE = "sample walborn_delayed -n 3000 --setting p_pol=absent --seed 5"
+
+
+@pytest.mark.parametrize("flags", [
+    "--format jsonl",
+    "--format csv",
+    "--pairs D_s,D_p --offset D_p=1e9",
+    "--pairs D_s,D_p --offset D_p=1e9 --given +",
+])
+def test_sample_bytes_do_not_depend_on_the_block_size(flags, capsys):
+    outputs = []
+    for block in (events.BLOCK_ROWS, 7):
+        with mock.patch.object(events, "BLOCK_ROWS", block):
+            assert main(f"{SAMPLE} {flags}".split()) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("\n") > 256
+
+
+def test_chunked_draws_are_one_stream():
+    whole = rng_for(11).random(6 * 16384 + 1000)
+    rng = rng_for(11)
+    chunks = [rng.random(16384) for _ in range(6)] + [rng.random(1000)]
+    assert np.array_equal(np.concatenate(chunks), whole)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from qesim import scenarios
 from qesim.circuit import evolve, evolve_rows
+from qesim.elements import apply_op, beam_splitter
 from qesim.qstate import (
     BasisChange,
     CompositionError,
     Dof,
+    StateStack,
     StateVector,
     ValidationError,
     contract,
@@ -91,6 +93,17 @@ class TestStateVector:
         with pytest.raises(ValidationError, match="not normalizable"):
             StateVector.from_amplitudes(AB[:1], amps)
 
+    def test_a_nan_amplitude_is_rejected(self):
+        with pytest.raises(ValidationError, match="not normalized"):
+            StateVector(AB[:1], np.array([math.nan, 0]))
+
+    def test_apply_op_rejects_a_nan_row(self):
+        # row 1 is NaN; row 0 is a unit state, and row 2 is blocked
+        amps = np.array([[1, 0], [math.nan, 0], [0, 0]], dtype=complex)
+        stack = StateStack(AB[:1], amps, np.array([1.0, 1.0, 0.0]), np.array([False, False, True]))
+        with pytest.raises(ValidationError, match="not normalized"):
+            apply_op(stack, beam_splitter(AB[0], "a0", "a1"))
+
     def test_duplicate_dof_names_rejected(self):
         with pytest.raises(CompositionError):
             StateVector((Dof("x", ("0", "1")), Dof("x", ("2", "3"))), np.eye(4)[0])
@@ -168,6 +181,12 @@ class TestGlobalPhase:
         a = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): 1}).amps
         b = StateVector.from_amplitudes(d, {("a0",): 1, ("a1",): -1}).amps
         assert not global_phase_deviation(a, b) < 1e-10
+
+    def test_an_all_zero_b_gives_the_largest_magnitude_of_a(self):
+        # |a_k - c * 0| is |a_k| for every phase c; no 0/0, so no RuntimeWarning
+        a = np.array([0.6, -0.8j])
+        assert global_phase_deviation(a, np.zeros(2, complex)) == 0.8
+        assert global_phase_deviation(np.zeros(2, complex), np.zeros(2, complex)) == 0.0
 
     def test_comparison_requires_one_shape(self):
         with pytest.raises(CompositionError):
