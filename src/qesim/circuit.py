@@ -35,7 +35,7 @@ from .qstate import (
     contract,
     rebase,
 )
-from .screen import DEFAULT_GEOMETRY, SlitGeometry, _screen_matrix
+from .screen import BIN_LABELS, SCREEN_MATRIX
 
 #: the most amplitudes ``joint_probs`` evolves at once, unless one row alone
 #: holds more
@@ -59,7 +59,6 @@ class DetectorSpec:
     name: str
     measured: tuple[tuple[str, str], ...] = ()
     screen_of: str | None = None
-    geometry: SlitGeometry = DEFAULT_GEOMETRY
     time_offset: float = 0.0
 
     def __post_init__(self):
@@ -275,10 +274,10 @@ def _born(stack: StateStack, detectors):
             if len(labels_of[spec.screen_of]) != 2:
                 raise ValidationError("screen path dof must have 2 labels")
             ax = held.index(spec.screen_of)
-            t = np.moveaxis(contract(t, _screen_matrix(spec.geometry)[None], (ax + 1,)), ax + 1, -1)
+            t = np.moveaxis(contract(t, SCREEN_MATRIX[None], (ax + 1,)), ax + 1, -1)
             del held[ax]
             held.append(spec.name)
-            labels_of[spec.name] = spec.geometry.bin_labels
+            labels_of[spec.name] = BIN_LABELS
 
     axis_of = {name: i for i, name in enumerate(held)}
     axes = tuple(name for spec in detectors for name in spec.axis_names())

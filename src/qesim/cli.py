@@ -30,7 +30,7 @@ from . import edl, events, scenarios
 from .circuit import ContractError, joint_distribution, joint_probs, validate_settings
 from .measure import ConditioningError, _csv_rows, marginal
 from .qstate import CompositionError, ValidationError
-from .screen import fringe_visibility
+from .screen import BINS, fringe_visibility
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
                 vals = (
                     marginal(dist, [spec.name]).probs.tolist()
                     if dist.probs.size
-                    else [0.0] * spec.geometry.bins
+                    else [0.0] * BINS
                 )
                 sys.stderr.write(f"-- {spec.name} --\n" + _ascii_pattern(vals))
     return 0
@@ -220,7 +220,8 @@ def cmd_sample(args) -> int:
     settings = _parse_kv(args.setting, "--setting")
     seed = _seed(args)
     validate_settings(circuit, settings)
-    active = [s.name for s in circuit.detectors(settings)]
+    specs = {s.name: s for s in circuit.detectors(settings)}
+    active = list(specs)
     delays = _parse_delays(args.delay, "--delay", active)
     offsets = _parse_delays(args.offset, "--offset", active)
     if args.pairs is None:
@@ -238,6 +239,8 @@ def cmd_sample(args) -> int:
         _check_detectors((det_a, det_b), "--pairs", active)
         if det_a == det_b:
             raise CliError(f"--pairs needs two different detectors, got {det_a!r} twice", USAGE_ERROR)
+        if args.given is not None and specs[det_a].screen_of is None:
+            raise CliError(f"--given needs a screen detector as A; {det_a!r} is not a screen", USAGE_ERROR)
         if args.format is not None:
             raise CliError("--format is for the event log; --pairs writes CSV", USAGE_ERROR)
     log = events.generate_events(

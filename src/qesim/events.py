@@ -4,7 +4,7 @@ Each shot samples one joint outcome from the active detectors' Born
 distribution via a cell table; every detector then logs its part of that
 outcome, the labels along its own axes, at
 
-    t = shot * period + delay (all in ns),
+    t = shot * PERIOD_NS + delay (all in ns),
 
 where the delay is the one the caller gives for that detector, else the
 detector's declared ``time_offset``: an explicit delay replaces the declared
@@ -39,10 +39,10 @@ import numpy as np
 from .circuit import Circuit, joint_distribution
 from .measure import _PAD, _byte_rows, _g12, _int_words, rng_for
 from .qstate import ValidationError
-from .screen import DEFAULT_GEOMETRY, Pattern, SlitGeometry, pattern_from_bin_probs
+from .screen import BIN_LABELS, Pattern, pattern_from_bin_probs
 
-#: default shot spacing and coincidence window, in nanoseconds
-DEFAULT_PERIOD_NS = 1e6
+#: shot spacing and default coincidence window, in nanoseconds
+PERIOD_NS = 1e6
 DEFAULT_WINDOW_NS = 1e3
 
 #: shots drawn and merged, rows paired or counted, and rows written by ``blocks``, at a time
@@ -194,13 +194,12 @@ def generate_events(
     shots: int = 1000,
     seed: int = 0,
     delays: dict[str, float] | None = None,
-    period: float = DEFAULT_PERIOD_NS,
 ) -> EventLog:
     """Sample per-shot joint outcomes and emit one event per detector.
 
     Shots whose particle was absorbed by a filter produce no events.  The
     outcome sequence depends only on (circuit, settings, shots, seed); delays
-    and period affect timestamps alone.  ``delays`` (ns) maps detector names
+    affect timestamps alone.  ``delays`` (ns) maps detector names
     to delays that replace their declared ``time_offset``.
     """
     if shots < 0:
@@ -228,7 +227,7 @@ def generate_events(
     for lo, hi in _spans(shots):
         outcome[lo:hi] = draw(rng.random(hi - lo))
 
-    # each detector logs its surviving shots at shot * period + its delay; the joint
+    # each detector logs its surviving shots at shot * PERIOD_NS + its delay; the joint
     # axes split among detectors in declaration order, and each labels its axes'
     # outcomes in C order
     shape = dist.probs.shape
@@ -246,22 +245,22 @@ def generate_events(
     rows = np.count_nonzero(outcome < size) * len(dets)
     shot, time, label = np.empty(rows, np.int64), np.empty(rows), np.empty(rows, np.int32)
 
-    # merge block by block.  With period > 0 a detector's times rise with its shots,
-    # so no row still to come is earlier than the horizon, the least time of shot hi;
-    # rows below it are final, and rows at it wait, as a later row of an earlier name
-    # may tie with them.  With period <= 0 every row waits for the last block.
+    # merge block by block.  A detector's times rise with its shots, so no row
+    # still to come is earlier than the horizon, the least time of shot hi; rows
+    # below it are final, and rows at it wait, as a later row of an earlier name
+    # may tie with them.
     # Pending shots are in shot order, so a stable sort on time of the detectors'
     # rows in name order leaves them in (time, name, shot) order
     pending = [np.empty(0, np.intp)] * len(dets)
     done = 0
     for lo, hi in _spans(shots):
         new = lo + np.flatnonzero(outcome[lo:hi] < size)
-        horizon = min(hi * period + offset for _, offset, _ in dets) if period > 0 else None
+        horizon = min(hi * PERIOD_NS + offset for _, offset, _ in dets)
         parts = []
         for k, (_, offset, label_of_key) in enumerate(dets):
             s = np.concatenate([pending[k], new])
-            t = s * period + offset
-            cut = len(s) if hi == shots else 0 if horizon is None else np.searchsorted(t, horizon)
+            t = s * PERIOD_NS + offset
+            cut = len(s) if hi == shots else np.searchsorted(t, horizon)
             # take, as indexing by a small int type, is 3x slower; the indices are in range
             parts.append((s[:cut], t[:cut], label_of_key.take(outcome[s[:cut]], mode="clip")))
             pending[k] = s[cut:]
@@ -381,11 +380,10 @@ def coincidences(
 def conditioned_histogram(
     pairs: Coincidences,
     partner_outcome: tuple[str, ...] | str | None = None,
-    geometry: SlitGeometry = DEFAULT_GEOMETRY,
 ) -> Pattern:
     """Screen pattern from the ``a`` side of pairs, optionally keeping only
-    pairs whose ``b`` outcome matches.  The ``a`` events must carry single
-    screen-bin outcomes."""
+    pairs whose ``b`` outcome matches.  Each counted ``a`` event must carry
+    one screen-bin label."""
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
     labels, label = pairs.log.labels, pairs.log.label
@@ -395,8 +393,8 @@ def conditioned_histogram(
         a = label[pairs.a[lo:hi]]
         counts += np.bincount(a[wanted[label[pairs.b[lo:hi]]]], minlength=len(labels))
     used = np.flatnonzero(counts).tolist()
-    if any(len(labels[k][1]) != 1 for k in used):
+    if any(len(labels[k][1]) != 1 or labels[k][1][0] not in BIN_LABELS for k in used):
         raise ValidationError("screen events must carry a single bin label")
     if not used:
         raise ValidationError("no pairs satisfy the condition")
-    return pattern_from_bin_probs({labels[k][1][0]: float(counts[k]) for k in used}, geometry)
+    return pattern_from_bin_probs({labels[k][1][0]: float(counts[k]) for k in used})

@@ -48,7 +48,7 @@ from .qstate import (
     rebase,
 )
 from .screen import (
-    DEFAULT_GEOMETRY,
+    DELTA,
     Pattern,
     pattern_from_bin_probs,
     fringe_visibility,
@@ -154,7 +154,7 @@ def _sum_gap(whole: Pattern, parts: list[Pattern], weights: list[float]) -> floa
 
 def _bin_pattern(d: OutcomeDistribution) -> Pattern:
     """The screen pattern of a distribution over one screen's bins."""
-    return pattern_from_bin_probs(dict(zip(d.labels[0], d.probs.tolist())), DEFAULT_GEOMETRY)
+    return pattern_from_bin_probs(dict(zip(d.labels[0], d.probs.tolist())))
 
 
 def _filtered(st: StateStack, op: el.ElementOp) -> StateStack:
@@ -167,7 +167,7 @@ def _filtered(st: StateStack, op: el.ElementOp) -> StateStack:
 
 def _one_plus_cos_dev(template: edl.Template) -> float:
     pat = pattern_from_state(_state(template.circuit), "slit")
-    expect = 1 + np.cos(pat.geometry.delta(pat.geometry.bin_centers()))
+    expect = 1 + np.cos(DELTA)
     return float(np.max(np.abs(pat.intensities - expect)))
 
 

@@ -21,13 +21,12 @@ from qesim import elements as el
 from qesim.circuit import DetectorSpec, distribution_from_state
 from qesim.measure import NULL_EPS, ConditioningError, conditional, marginal
 from qesim.qstate import Dof, StateVector
-from qesim.screen import DEFAULT_GEOMETRY, SlitGeometry, intensity_profile
+from qesim.screen import BIN_LABELS, BINS, DELTA, intensity_profile
 from test_kernel_oracle import axis, dof, reference_rebase, stack_of
 
 
-def reference_screen_matrix(geometry):
-    delta = geometry.delta(geometry.bin_centers())
-    return np.stack([np.exp(1j * delta / 2), np.exp(-1j * delta / 2)], axis=1)
+def reference_screen_matrix():
+    return np.stack([np.exp(1j * DELTA / 2), np.exp(-1j * DELTA / 2)], axis=1)
 
 
 def reference_distribution(state, detectors):
@@ -45,7 +44,7 @@ def reference_distribution(state, detectors):
     screens = [s for s in detectors if s.screen_of is not None]
     for spec in screens:
         ax = dof_axis[spec.screen_of]
-        m = reference_screen_matrix(spec.geometry)
+        m = reference_screen_matrix()
         t = np.moveaxis(np.tensordot(m, np.moveaxis(t, ax, 0), axes=([1], [0])), 0, -1)
         for name in list(dof_axis):
             if dof_axis[name] > ax:
@@ -57,8 +56,7 @@ def reference_distribution(state, detectors):
     axis_info = []
     for spec in detectors:
         if spec.screen_of is not None:
-            labels = tuple(spec.geometry.bin_label(i) for i in range(spec.geometry.bins))
-            axis_info.append((spec.name, labels, screen_axis[spec.name]))
+            axis_info.append((spec.name, BIN_LABELS, screen_axis[spec.name]))
         else:
             for dn, _basis in spec.measured:
                 axis_info.append((dn, dof(state, dn).labels, dof_axis[dn]))
@@ -104,18 +102,13 @@ def reference_conditional(axes, outcomes, given):
     return out
 
 
-def reference_intensity(s, path_dof, geometry):
+def reference_intensity(s, path_dof):
     t = np.moveaxis(s.tensor_view(), axis(s, path_dof), 0).reshape(2, -1)
-    e1, e2 = reference_screen_matrix(geometry).T
-    total = np.zeros(geometry.bins)
+    e1, e2 = reference_screen_matrix().T
+    total = np.zeros(BINS)
     for i in range(t.shape[1]):
         total += np.abs(complex(t[0, i]) * e1 + complex(t[1, i]) * e2) ** 2
     return total
-
-
-GEOMETRIES = st.one_of(
-    st.just(DEFAULT_GEOMETRY), st.integers(2, 40).map(lambda n: SlitGeometry(bins=n))
-)
 
 
 @st.composite
@@ -149,13 +142,13 @@ def measurements(draw):
     for name in measured:
         d = dof(s, name)
         if d.dim == 2 and draw(st.integers(0, 3)) == 0:
-            detectors.append(DetectorSpec(f"S_{name}", screen_of=name, geometry=draw(GEOMETRIES)))
+            detectors.append(DetectorSpec(f"S_{name}", screen_of=name))
             continue
         bases = ("path", "pm45", "circular") if d.dim == 2 else ("path",)
         plain.append((name, draw(st.sampled_from(bases))))
-    # two default screens and three 3-level dofs would make 1.8M outcomes
+    # two screens and three 3-level dofs would make 1.8M outcomes
     size = np.prod([dof(s, name).dim for name, _ in plain], dtype=float)
-    assume(size * np.prod([d.geometry.bins for d in detectors], dtype=float) <= 70_000)
+    assume(size * float(BINS) ** len(detectors) <= 70_000)
     while plain:
         k = draw(st.integers(1, len(plain)))
         detectors.append(DetectorSpec(f"D{len(detectors)}", measured=tuple(plain[:k])))
@@ -195,11 +188,11 @@ def test_marginal_and_conditional_match_dict_loops(case, data):
         assert {k: p for k, p in got.items() if p != 0.0} == want
 
 
-@given(states(), GEOMETRIES, st.data())
+@given(states(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_intensity_profile_matches_branch_loop(s, geometry, data):
+def test_intensity_profile_matches_branch_loop(s, data):
     two_level = [d.name for d in s.dofs if d.dim == 2]
     assume(two_level)
     path = data.draw(st.sampled_from(two_level))
-    got = intensity_profile(stack_of([s], [False]), path, geometry)
-    assert np.array_equal(got, reference_intensity(s, path, geometry))
+    got = intensity_profile(stack_of([s], [False]), path)
+    assert np.array_equal(got, reference_intensity(s, path))

@@ -3,19 +3,16 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import qesim
-from qesim import cli, elements as el, scenarios
-from qesim.circuit import Detect
+from qesim import elements as el, events, scenarios
 from qesim.cli import main
 from qesim.measure import OutcomeDistribution
 from qesim.qstate import ValidationError
-from qesim.screen import SlitGeometry
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qesim", "golden")
 
@@ -82,22 +79,11 @@ class TestRun:
         run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_ascii_bins_follow_the_detector_geometry(self, capsys, monkeypatch):
-        # EDL cannot declare a geometry, so a circuit whose screen has 32 bins
-        # is put in place of the compiled file
-        template = scenarios.build("walborn").template
-        circuit = template.circuit
-        stages = tuple(
-            Detect(replace(s.spec, geometry=SlitGeometry(bins=32)))
-            if isinstance(s, Detect) and s.spec.screen_of else s
-            for s in circuit.stages
-        )
-        circuit = replace(circuit, stages=stages)
-        monkeypatch.setattr(cli, "_load_target", lambda target: replace(template, circuit=circuit))
+    def test_ascii_bins_follow_the_detector_geometry(self, capsys):
         code, _, err = run_cli(capsys, "run", "walborn", "--setting", "p_pol=absent", "--ascii")
         assert code == 0
         lines = err.splitlines()
-        assert lines[0] == "-- D_s --" and len(lines) == 1 + 32
+        assert lines[0] == "-- D_s --" and len(lines) == 1 + 256
         assert max(map(len, lines[1:])) == 60
 
     def test_ascii_of_all_blocked_screen_is_empty(self, capsys, tmp_path):
@@ -329,6 +315,16 @@ class TestSample:
         )
         assert code == 1 and out == ""
         assert err == "qesim: no pairs satisfy the condition\n"
+
+    def test_given_needs_a_screen_as_a(self, capsys):
+        # D_p measures polarisation: its events are no screen bins to histogram
+        with mock.patch.object(events, "generate_events", side_effect=AssertionError("sampled")):
+            code, out, err = run_cli(
+                capsys, "sample", "walborn", "-n", "1000", "--setting", "p_pol=absent",
+                "--pairs", "D_p,D_s", "--given", "bin000",
+            )
+        assert code == 2 and out == ""
+        assert err == "qesim: --given needs a screen detector as A; 'D_p' is not a screen\n"
 
     def test_duplicate_detector_name_fails(self, capsys, tmp_path):
         # two detectors named D_s under one setting would log indistinguishable events

@@ -124,6 +124,14 @@ class TestConditionedHistogram:
         with pytest.raises(ValidationError):
             conditioned_histogram(pairs, ("no_such_outcome",))
 
+    def test_a_side_without_bin_labels_rejected(self):
+        # D_p's outcomes are polarisations, one label each but no screen bin
+        pairs = coincidences(walborn_log(shots=10), "D_p", "D_s")
+        _, first_bin = pairs.log.labels[pairs.log.label[pairs.b[0]]]
+        for given in (None, first_bin):
+            with pytest.raises(ValidationError, match="single bin label"):
+                conditioned_histogram(pairs, given)
+
 
 TWO_LABELS = [("D", ("x",)), ("E", ("y",))]
 

@@ -4,7 +4,9 @@
 implementations, which walked ``DetectionEvent`` objects one by one.  They
 stay here as the definition of what ``events.coincidences`` and
 ``events.conditioned_histogram`` compute; a pair is named by the log rows of
-its two events.  ``reference_generate_events`` is the generator that searched
+its two events.  ``reference_histogram`` also rejects a counted ``a`` outcome
+that is no screen bin, where the earlier loop counted nothing for it and
+reported an all-zero histogram.  ``reference_generate_events`` is the generator that searched
 the whole CDF for every shot and ordered rows by a lexsort on (time, detector
 name, shot); ``events.generate_events`` must give the same columns, to the bit.
 """
@@ -22,11 +24,11 @@ from qesim.cli import main
 from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.measure import rng_for
 from qesim.qstate import ValidationError
-from qesim.screen import DEFAULT_GEOMETRY, pattern_from_bin_probs
+from qesim.screen import BIN_LABELS, pattern_from_bin_probs
 from test_edl import all_settings
 
 WALBORN = scenarios.build("walborn").circuit
-PERIOD = events.DEFAULT_PERIOD_NS
+PERIOD = events.PERIOD_NS
 
 
 def reference_coincidences(log, det_a, det_b, window, offsets):
@@ -57,7 +59,7 @@ def row_pairs(pairs):
     return list(zip(pairs.a.tolist(), pairs.b.tolist()))
 
 
-def reference_histogram(log, pairs, partner_outcome, geometry=DEFAULT_GEOMETRY):
+def reference_histogram(log, pairs, partner_outcome):
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
     counts = {}
@@ -65,18 +67,18 @@ def reference_histogram(log, pairs, partner_outcome, geometry=DEFAULT_GEOMETRY):
         a, b = log.events[ia], log.events[ib]
         if partner_outcome is not None and b.outcome != partner_outcome:
             continue
-        if len(a.outcome) != 1:
+        if len(a.outcome) != 1 or a.outcome[0] not in BIN_LABELS:
             raise ValidationError("screen events must carry a single bin label")
         key = a.outcome[0]
         counts[key] = counts.get(key, 0.0) + 1.0
     if not counts:
         raise ValidationError("no pairs satisfy the condition")
-    return pattern_from_bin_probs(counts, geometry)
+    return pattern_from_bin_probs(counts)
 
 
 def pattern_key(result):
-    """An error message as it is, a pattern as its geometry and bytes."""
-    return result if isinstance(result, str) else (result.geometry, result.intensities.tobytes())
+    """An error message as it is, a pattern as its bytes."""
+    return result if isinstance(result, str) else result.intensities.tobytes()
 
 
 def outcome_of(fn, *args):
@@ -145,8 +147,8 @@ def test_coincidences_match_reference(log, dets, window, offsets):
 def test_conditioned_histogram_matches_dict_count(log, window, partner, swap):
     dets = ("D_p", "D_s") if swap else ("D_s", "D_p")
     pairs = coincidences(log, *dets, window=window)
-    # swapped, the A side carries polarisation outcomes: with partner None
-    # that is still one label per event, so both versions accept it
+    # swapped, the A side carries polarisation outcomes: one label per event,
+    # but no bin label, so both versions reject any pair they count
     assert pattern_key(outcome_of(conditioned_histogram, pairs, partner)) == pattern_key(
         outcome_of(reference_histogram, log, row_pairs(pairs), partner)
     )
@@ -163,8 +165,7 @@ def test_fallback_runs_only_when_candidates_collide(monkeypatch, window, sequent
     assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", window, {})
 
 
-def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None,
-                              period=events.DEFAULT_PERIOD_NS):
+def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None):
     if shots < 0:
         raise ValidationError("shots must be >= 0")
     settings = settings or {}
@@ -196,7 +197,7 @@ def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None,
             dtype=np.int32,
         )
         shot_parts.append(survivors)
-        time_parts.append(survivors * period + offset)
+        time_parts.append(survivors * PERIOD + offset)
         label_parts.append(label_of_key[picks])
     shot = np.concatenate(shot_parts)
     time = np.concatenate(time_parts)
@@ -242,15 +243,14 @@ TARGETS = [
     target=st.sampled_from(TARGETS),
     shots=st.integers(0, 300),
     seed=st.integers(0, 2**64 - 1),
-    period=st.sampled_from([events.DEFAULT_PERIOD_NS, 0.0, -PERIOD, 1.5]),
     data=st.data(),
 )
-def test_generate_events_matches_reference(target, shots, seed, period, data):
+def test_generate_events_matches_reference(target, shots, seed, data):
     circuit, chosen = target
     active = [spec.name for spec in circuit.detectors(chosen)]
     delays = data.draw(st.dictionaries(st.sampled_from(active), NS))
-    got = events.generate_events(circuit, chosen, shots, seed, delays, period)
-    want = reference_generate_events(circuit, chosen, shots, seed, delays, period)
+    got = events.generate_events(circuit, chosen, shots, seed, delays)
+    want = reference_generate_events(circuit, chosen, shots, seed, delays)
     assert np.array_equal(got.shot, want.shot)
     assert np.array_equal(got.time, want.time)
     assert np.array_equal(got.label, want.label)
@@ -305,12 +305,11 @@ SMALL_BLOCKS = [1, 5]
     target=st.sampled_from(TARGETS),
     shots=st.integers(0, 300),
     seed=st.integers(0, 2**64 - 1),
-    period=st.sampled_from([events.DEFAULT_PERIOD_NS, 0.0, -PERIOD, 1.5]),
     data=st.data(),
 )
-def test_generate_events_matches_reference_across_blocks(block, target, shots, seed, period, data):
+def test_generate_events_matches_reference_across_blocks(block, target, shots, seed, data):
     with mock.patch.object(events, "BLOCK_ROWS", block):
-        test_generate_events_matches_reference.hypothesis.inner_test(target, shots, seed, period, data)
+        test_generate_events_matches_reference.hypothesis.inner_test(target, shots, seed, data)
 
 
 @pytest.mark.parametrize("block", SMALL_BLOCKS)

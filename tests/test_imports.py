@@ -44,7 +44,7 @@ def test_every_import_is_used(path):
 #: each ``src/qesim`` module's uses of another qesim module's ``_``-prefixed
 #: names, as ``module._name``; a module not listed uses none
 PRIVATE_USES = {
-    "circuit": {"elements._act", "elements._post_select", "qstate._axis", "qstate._one", "screen._screen_matrix"},
+    "circuit": {"elements._act", "elements._post_select", "qstate._axis", "qstate._one"},
     "elements": {"qstate._axis", "qstate._normalize_rows", "qstate._weight"},
     "cli": {"measure._csv_rows"},
     "events": {"measure._PAD", "measure._byte_rows", "measure._g12", "measure._int_words"},

@@ -27,7 +27,7 @@ from hypothesis.extra import numpy as hnp
 
 from qesim import events, measure
 from qesim.measure import OutcomeDistribution
-from qesim.screen import Pattern, SlitGeometry
+from qesim.screen import BIN_CENTERS, BINS, Pattern
 
 
 def reference_sweep_csv(cells):
@@ -35,9 +35,9 @@ def reference_sweep_csv(cells):
     return (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def reference_pattern_csv(pattern):
+def reference_pattern_csv(xs, values):
     lines = ["x,intensity"]
-    for x, v in zip(pattern.geometry.bin_centers().tolist(), pattern.intensities.tolist()):
+    for x, v in zip(xs.tolist(), values.tolist()):
         lines.append(f"{x:.12g},{v:.12g}")
     return "\n".join(lines) + "\n"
 
@@ -111,9 +111,17 @@ def test_sweep_rows_match_row_template(cells, chunk):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), bins=st.integers(2, 40))
 def test_pattern_csv_matches_line_writer(data, bins):
+    # the rows Pattern.to_csv writes, on the bin grid of a screen of `bins` bins
     values = data.draw(hnp.arrays(np.float64, bins, elements=st.floats(0, 1e300)))
-    pattern = Pattern(SlitGeometry(bins=bins), values)
-    assert pattern.to_csv() == reference_pattern_csv(pattern)
+    xs = -0.02 + 0.04 / bins * (np.arange(bins) + 0.5)
+    text = "x,intensity\n" + measure._csv_rows(np.column_stack([xs, values]))
+    assert text == reference_pattern_csv(xs, values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(values=hnp.arrays(np.float64, BINS, elements=st.floats(0, 1e300)))
+def test_screen_pattern_csv_matches_line_writer(values):
+    assert Pattern(values).to_csv() == reference_pattern_csv(BIN_CENTERS, values)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 2**14])

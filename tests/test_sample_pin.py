@@ -36,8 +36,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from qesim import measure
 from qesim.cli import main
-from qesim.screen import Pattern, SlitGeometry
 
 
 def chain_edl(n: int) -> str:
@@ -463,5 +463,8 @@ def test_million_shots_pinned(case, capsys, tmp_path):
 def test_pattern_csv_pinned():
     intensities = 10.0 ** np.linspace(-40, 20, 64) * 1.2345678901234567
     intensities[::9] = 0.0
-    text = Pattern(SlitGeometry(bins=64), intensities).to_csv()
+    # the x column of a 64-bin screen over (-0.02, 0.02), as a pattern's
+    # to_csv wrote it when a screen's bin count could be set
+    x = -0.02 + 0.04 / 64 * (np.arange(64) + 0.5)
+    text = "x,intensity\n" + measure._csv_rows(np.column_stack([x, intensities]))
     assert sha256(text) == "4a765c11f4ae48678d7feca1c8a390a4fd0150747334f22aa1406380ed7d64fe"

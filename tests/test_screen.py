@@ -5,9 +5,10 @@ import pytest
 
 from qesim.qstate import Dof, StateStack, StateVector, ValidationError
 from qesim.screen import (
-    DEFAULT_GEOMETRY,
+    BIN_LABELS,
+    BINS,
+    DELTA,
     Pattern,
-    SlitGeometry,
     fringe_visibility,
     pattern_from_bin_probs,
     pattern_from_state,
@@ -26,36 +27,21 @@ def one(dofs, amps):
 
 class TestGeometry:
     def test_delta_is_linear_in_x(self):
-        g = DEFAULT_GEOMETRY
-        x = np.array([0.0, 1e-3, 2e-3])
-        d = g.delta(x)
-        assert d[0] == 0.0
-        assert abs(d[2] - 2 * d[1]) < 1e-12
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValidationError):
-            SlitGeometry(slit_separation=-1)
-        with pytest.raises(ValidationError):
-            SlitGeometry(bins=1)
-
-    @pytest.mark.parametrize("bad", [
-        {"slit_separation": math.nan}, {"wavelength": math.inf}, {"screen_distance": -math.inf},
-        {"x_range": (0.0, math.nan)}, {"x_range": (math.nan, 0.0)}, {"x_range": (-math.inf, 0.0)},
-        {"x_range": (0.0, math.inf)}, {"x_range": (0.01, 0.01)},
-    ])
-    def test_non_finite_geometry_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            SlitGeometry(**bad)
+        # equal bins centered on x = 0: equal phase steps, odd about the middle
+        steps = np.diff(DELTA)
+        assert np.ptp(steps) < 1e-12 * steps[0]
+        assert np.max(np.abs(DELTA + DELTA[::-1])) < 1e-12
 
     def test_bin_labels_are_stable(self):
-        assert DEFAULT_GEOMETRY.bin_label(7) == "bin007"
+        assert len(BIN_LABELS) == BINS
+        assert BIN_LABELS[7] == "bin007"
 
 
 class TestPatterns:
     def test_coherent_pattern_is_one_plus_cos(self):
         s = one((SLIT,), {("s1",): 1, ("s2",): 1})
         p = pattern_from_state(s, "slit")
-        expect = 1 + np.cos(DEFAULT_GEOMETRY.delta(DEFAULT_GEOMETRY.bin_centers()))
+        expect = 1 + np.cos(DELTA)
         assert np.max(np.abs(np.array(p.intensities) - expect)) < 1e-12
 
     def test_marked_pattern_is_flat(self):
@@ -69,14 +55,14 @@ class TestPatterns:
     def test_relative_phase_shifts_fringes(self):
         s = one((SLIT,), {("s1",): 1, ("s2",): 1j})
         p = pattern_from_state(s, "slit")
-        expect = 1 + np.sin(DEFAULT_GEOMETRY.delta(DEFAULT_GEOMETRY.bin_centers()))
+        expect = 1 + np.sin(DELTA)
         assert np.max(np.abs(np.array(p.intensities) - expect)) < 1e-12
 
     def test_csv_round_shape(self):
         p = pattern_from_state(one((SLIT,), {("s1",): 1.0}), "slit")
         lines = p.to_csv().strip().split("\n")
         assert lines[0] == "x,intensity"
-        assert len(lines) == DEFAULT_GEOMETRY.bins + 1
+        assert len(lines) == BINS + 1
 
 
     def test_pattern_reads_a_stack_of_one(self):
@@ -93,7 +79,7 @@ class TestVisibility:
         assert abs(fringe_visibility(p) - 1.0) < 1e-12
 
     def test_zero_visibility(self):
-        p = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
+        p = Pattern(np.ones(BINS))
         assert fringe_visibility(p) < 1e-12
 
     def test_partial_visibility(self):
@@ -105,28 +91,24 @@ class TestVisibility:
         assert abs(fringe_visibility(p) - math.sin(math.pi / 3)) < 1e-12
 
     def test_fitted_visibility_ignores_bin_placement(self):
-        # a grid whose bins miss the extrema still reports visibility 1
-        g = SlitGeometry(bins=17, x_range=(-0.0173, 0.0191))
-        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
-        p = pattern_from_state(s, "slit", g)
-        assert abs(fringe_visibility(p) - 1.0) < 1e-9
-
-    def test_fit_uses_the_patterns_own_geometry(self):
-        s = one((SLIT,), {("s1",): 1, ("s2",): 1})
-        p = pattern_from_state(s, "slit", SlitGeometry(slit_separation=80e-6))
+        # fringes shifted so that no bin center sits on an extremum still
+        # report visibility 1, though the largest bin is below 2
+        s = one((SLIT,), {("s1",): 1, ("s2",): np.exp(0.37j)})
+        p = pattern_from_state(s, "slit")
+        assert p.intensities.max() < 2 - 1e-6
         assert abs(fringe_visibility(p) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
     def test_non_finite_or_negative_intensity_rejected(self, bad):
-        v = np.ones(DEFAULT_GEOMETRY.bins)
+        v = np.ones(BINS)
         v[7] = bad
         with pytest.raises(ValidationError, match="finite and non-negative"):
-            Pattern(DEFAULT_GEOMETRY, v)
+            Pattern(v)
 
     def test_intensities_are_one_read_only_value_per_bin(self):
         with pytest.raises(ValidationError, match="expected 256 intensities"):
-            Pattern(DEFAULT_GEOMETRY, np.ones(255))
-        p = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
+            Pattern(np.ones(255))
+        p = Pattern(np.ones(BINS))
         with pytest.raises(ValueError):
             p.intensities[0] = 2.0
 
@@ -141,15 +123,7 @@ class TestPatternAlgebra:
         assert np.max(np.abs(np.array(total.intensities) - 1.0)) < 1e-12
 
     def test_histogram_normalization(self):
-        g = SlitGeometry(bins=4)
         p = pattern_from_bin_probs(
-            {g.bin_label(i): c for i, c in enumerate([2.0, 4.0, 2.0, 0.0])}, g
+            {BIN_LABELS[i]: c for i, c in enumerate([2.0, 4.0, 2.0, 0.0])}
         )
-        assert abs(sum(p.intensities) / g.bins - 1.0) < 1e-12
-
-    def test_grid_mismatch_rejected(self):
-        g = SlitGeometry(bins=8)
-        a = Pattern(g, np.ones(8))
-        b = Pattern(DEFAULT_GEOMETRY, np.ones(DEFAULT_GEOMETRY.bins))
-        with pytest.raises(ValidationError):
-            sum_patterns(a, b)
+        assert abs(sum(p.intensities) / BINS - 1.0) < 1e-12

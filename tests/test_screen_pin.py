@@ -4,9 +4,10 @@ two-slit, Wheeler and one-photon eraser circuits.
 Each pin is the SHA-256 of an array's dtype, shape and C-ordered bytes: the
 bin centers, the bin-phase matrix the Born step contracts a path axis with,
 and ``pattern_from_state(evolve(...), "slit").intensities``.  They were
-recorded while the geometry was still a settable ``SlitGeometry``; a change
-to the bin grid, the phases or the elementwise screen sum shows up here in
-the last bit.
+recorded while the geometry was still a settable ``SlitGeometry`` (then read
+as ``DEFAULT_GEOMETRY.bin_centers()`` and ``_screen_matrix(DEFAULT_GEOMETRY)``);
+a change to the bin grid, the phases or the elementwise screen sum shows up
+here in the last bit.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 from qesim import scenarios
 from qesim.circuit import evolve
-from qesim.screen import DEFAULT_GEOMETRY, _screen_matrix, pattern_from_state
+from qesim.screen import BIN_CENTERS, SCREEN_MATRIX, pattern_from_state
 
 
 def digest(a: np.ndarray) -> str:
@@ -28,13 +29,13 @@ def digest(a: np.ndarray) -> str:
 
 
 def test_bin_centers_bytes():
-    assert digest(DEFAULT_GEOMETRY.bin_centers()) == (
+    assert digest(BIN_CENTERS) == (
         "df1e0c4f8b2b99007541bef916d060f3f50085fe61bf78041fa0b2508bee6ef5"
     )
 
 
 def test_screen_matrix_bytes():
-    assert digest(_screen_matrix(DEFAULT_GEOMETRY)) == (
+    assert digest(SCREEN_MATRIX) == (
         "071b44a75f557689fd5dd1af209cfa2a43fbd995c2842953c1b812170c8fbede"
     )
 
