@@ -156,6 +156,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.names or scenarios.list_names()
+    for name in names:
+        if name not in scenarios.list_names() and (name.endswith(".edl") or os.path.isfile(name)):
+            raise CliError(f"verify takes catalog scenario names, not the file {name!r}:"
+                           " checks declared in .edl files are not supported yet", USAGE_ERROR)
     failures = 0
     for name in names:
         try:

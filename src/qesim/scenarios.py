@@ -4,13 +4,13 @@ expected properties.
 Each circuit is defined once, by ``golden/<name>.edl``, whose header comment
 describes it; this module adds only the checks, as one table: ``_CATALOG``
 holds (check name, tol, measurement) rows per scenario, and a check passes iff
-its measurement of the scenario's compiled template is <= tol.  Most rows
-restate a claim of the paper through a few shared measurements: ``_vis_gap``
-(marking the path flattens a screen's fringes, erasure restores them),
-``_prob_gap`` and ``_phi_grid_gap`` (a Mach-Zehnder port follows
-cos^2(phi/2)), ``_weight_gap``, and ``compare_marginals`` (a marginal does not
-depend on a later choice).  The amplitude-algebra and random-input loop checks
-are plain functions.
+its measurement of the scenario's ``_Shared`` store (which computes what several
+checks read once per scenario) is <= tol.  Most rows restate a claim of the
+paper through a few shared measurements: ``_vis_gap`` (marking the path
+flattens a screen's fringes, erasure restores them), ``_prob_gap`` and
+``_phi_grid_gap`` (a Mach-Zehnder port follows cos^2(phi/2)), ``_weight_gap``,
+and ``compare_marginals`` (a marginal does not depend on a later choice).  The
+amplitude-algebra and random-input loop checks are plain functions.
 
 Detector naming for the interferometers: D1 is the port in line with the
 transmitted arm, D2 the port in line with the reflected arm; with the
@@ -89,6 +89,26 @@ class Scenario:
 PHI_GRID = tuple(2 * math.pi * k / 64 for k in range(64))
 
 
+class _Shared:
+    """One scenario's store of the results its checks share: ``store(fn,
+    *args)`` is ``fn(store, *args)``, computed on first use, with its arrays (a
+    StateStack's, a dict's values; a Pattern's already are) made read-only so
+    that no check can change another's input.  Each Scenario's checks hold one."""
+
+    def __init__(self, template: edl.Template):
+        self.template, self.circuit, self._results = template, template.circuit, {}
+
+    def __call__(self, fn, *args):
+        key = (fn, repr(args))
+        if key not in self._results:
+            result = self._results[key] = fn(self, *args)
+            arrays = (result.amps, result.weights, result.blocked) if isinstance(result, StateStack) \
+                else result.values() if isinstance(result, dict) else ()
+            for a in arrays:
+                a.flags.writeable = False
+        return self._results[key]
+
+
 def _unblocked(stack: StateStack) -> StateStack:
     """``stack``; ValidationError if a row of it is blocked."""
     if stack.blocked.any():
@@ -96,31 +116,36 @@ def _unblocked(stack: StateStack) -> StateStack:
     return stack
 
 
-def _state(circ: Circuit, settings: dict[str, str] | None = None) -> StateStack:
-    """``evolve``'s stack of one; a blocked evolution raises."""
-    return _unblocked(evolve(circ, settings))
+def _state(s: _Shared, settings: dict[str, str]) -> StateStack:
+    """``evolve``'s stack of one under ``settings``; a blocked evolution raises."""
+    return _unblocked(evolve(s.circuit, settings))
 
 
-def _vis_gap(template: edl.Template, target: float, *settings: dict[str, str]) -> float:
+def _phi_rows(s: _Shared) -> dict[int, np.ndarray]:
+    """The matrices of the circuit's stages at each step of ``PHI_GRID``."""
+    return s.template.rows("phi", PHI_GRID)
+
+
+def _vis_gap(s: _Shared, target: float, *settings: dict[str, str]) -> float:
     """|target - fitted visibility| of the ``slit`` screen after ``evolve``,
     the worst over ``settings``."""
     return max(
-        abs(target - fringe_visibility(pattern_from_state(_state(template.circuit, s), "slit")))
-        for s in settings
+        abs(target - fringe_visibility(pattern_from_state(s(_state, x), "slit")))
+        for x in settings
     )
 
 
-def _prob_gap(template: edl.Template, want: dict[str, float], settings=None, **params) -> float:
+def _prob_gap(s: _Shared, want: dict[str, float], settings=None, **params) -> float:
     """The largest |P(label) - want[label]| of the circuit's one-axis
     distribution under ``settings``, with ``params`` bound."""
-    d = joint_distribution(template.bind(**params), settings)
+    d = joint_distribution(s.template.bind(**params), settings)
     return max(abs(d.prob(label) - p) for label, p in want.items())
 
 
-def _phi_grid_gap(template: edl.Template, want: Callable[[float], dict[str, float]]) -> float:
+def _phi_grid_gap(s: _Shared, want: Callable[[float], dict[str, float]]) -> float:
     """``_prob_gap`` at each step of ``PHI_GRID``, the worst, from one batched
     evolution; ``want(phi)`` gives that step's targets."""
-    blocks = list(joint_probs(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID)))
+    blocks = list(joint_probs(s.circuit, len(PHI_GRID), s(_phi_rows)))
     labels = blocks[0][1][0]
     rows = np.concatenate([p for _, _, p, _, _ in blocks]).tolist()
     return max(
@@ -130,9 +155,9 @@ def _phi_grid_gap(template: edl.Template, want: Callable[[float], dict[str, floa
     )
 
 
-def _weight_gap(template: edl.Template, want: float, settings: dict[str, str]) -> float:
+def _weight_gap(s: _Shared, want: float, settings: dict[str, str]) -> float:
     """|weight - want| of the state after ``evolve`` under ``settings``."""
-    return abs(_state(template.circuit, settings).weights[0] - want)
+    return abs(s(_state, settings).weights[0] - want)
 
 
 def _state_gap(st: StateStack, amps: dict) -> float:
@@ -165,15 +190,15 @@ def _filtered(st: StateStack, op: el.ElementOp) -> StateStack:
 # -- plain checks ---------------------------------------------------------------
 
 
-def _one_plus_cos_dev(template: edl.Template) -> float:
-    pat = pattern_from_state(_state(template.circuit), "slit")
+def _one_plus_cos_dev(s: _Shared) -> float:
+    pat = pattern_from_state(s(_state, {}), "slit")
     expect = 1 + np.cos(DELTA)
     return float(np.max(np.abs(pat.intensities - expect)))
 
 
-def _regrouped_dev(template: edl.Template) -> float:
+def _regrouped_dev(s: _Shared) -> float:
     t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
-    stack = _unblocked(evolve_rows(template.circuit, len(PHI_GRID), template.rows("phi", PHI_GRID)))
+    stack = _unblocked(evolve_rows(s.circuit, len(PHI_GRID), s(_phi_rows)))
     arm = stack.dofs[0]
     worst = 0.0
     for ph, amps in zip(PHI_GRID, stack.amps):
@@ -193,11 +218,9 @@ def _loop_runs(circ: Circuit, top_label: str, seed: int, n: int, *masks: str):
     ``seed``; the stack of sources that holds each in ``top_label`` of the
     second dof, row by row over its own norm; and that stack evolved under
     each ``mask`` setting.  A blocked row raises."""
-    rng = rng_for(seed)
-    vs = []
-    for _ in range(n):
-        v = rng.normal(size=circ.dofs[0].dim) + 1j * rng.normal(size=circ.dofs[0].dim)
-        vs.append(v / np.linalg.norm(v))
+    # one draw of the stream that a real then an imaginary draw per vector reads
+    parts = rng_for(seed).normal(size=(n, 2, circ.dofs[0].dim))
+    vs = [v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]]
     amps = np.zeros((n, *(d.dim for d in circ.dofs)), dtype=complex)
     amps[:, :, circ.dofs[1].index(top_label)] = vs
     for row in amps:
@@ -207,24 +230,24 @@ def _loop_runs(circ: Circuit, top_label: str, seed: int, n: int, *masks: str):
     return vs, sources, outs
 
 
-def _analyzer_random_dev(template: edl.Template) -> float:
-    _, sources, (outs,) = _loop_runs(template.circuit, "U", 20260824, 100, "open")
+def _analyzer_random_dev(s: _Shared) -> float:
+    _, sources, (outs,) = _loop_runs(s.circuit, "U", 20260824, 100, "open")
     return max(map(global_phase_deviation, outs.amps, sources.amps))
 
 
-def _blocked_lower_dev(template: edl.Template) -> float:
+def _blocked_lower_dev(s: _Shared) -> float:
     # |45> with the lower (h-tagged) channel masked: pure |v> out, weight 1/2
-    out = _state(template.circuit, {"mask": "block_L"})
+    out = s(_state, {"mask": "block_L"})
     return max(_state_gap(out, {("v", "U"): 1.0}), abs(out.weights[0] - 0.5))
 
 
-def _sg_fidelity_dev(template: edl.Template) -> float:
-    _, sources, (outs,) = _loop_runs(template.circuit, "top", 20260825, 100, "open")
-    return max(abs(1.0 - abs(np.vdot(s, out)) ** 2) for s, out in zip(sources.amps, outs.amps))
+def _sg_fidelity_dev(s: _Shared) -> float:
+    _, sources, (outs,) = _loop_runs(s.circuit, "top", 20260825, 100, "open")
+    return max(abs(1.0 - abs(np.vdot(v, out)) ** 2) for v, out in zip(sources.amps, outs.amps))
 
 
-def _sg_masked_dev(template: edl.Template) -> float:
-    circ = template.circuit
+def _sg_masked_dev(s: _Shared) -> float:
+    circ = s.circuit
     keep = {"keep_top": "plus", "keep_mid": "zero", "keep_bot": "minus"}
     vs, _, outs = _loop_runs(circ, "top", 20260826, 20, *keep)
     worst = 0.0
@@ -239,12 +262,10 @@ def _sg_masked_dev(template: edl.Template) -> float:
     return worst
 
 
-def _eraser_parts(template: edl.Template) -> tuple[Pattern, list[Pattern], list[float]]:
+def _eraser_parts(s: _Shared) -> tuple[Pattern, list[Pattern], list[float]]:
     """The one-photon eraser's marked screen pattern, and its fringe and
     antifringe with each one's share of the marked weight."""
-    marked, plus, minus = (
-        _state(template.circuit, {"eraser": s}) for s in ("absent", "plus45", "minus45")
-    )
+    marked, plus, minus = (s(_state, {"eraser": x}) for x in ("absent", "plus45", "minus45"))
     return (
         pattern_from_state(marked, "slit"),
         [pattern_from_state(plus, "slit"), pattern_from_state(minus, "slit")],
@@ -252,37 +273,37 @@ def _eraser_parts(template: edl.Template) -> tuple[Pattern, list[Pattern], list[
     )
 
 
-def _post_slit(template: edl.Template, pm: bool = False) -> StateStack:
+def _post_slit(s: _Shared, pm: bool) -> StateStack:
     """Walborn's state before the p-polarizer choice, with the s polarization
     in circular (L/R) labels, or with ``pm`` both polarizations in +/-
     (diagonal) labels."""
-    circ = template.circuit
+    circ = s.circuit
     _, spol, ppol = circ.dofs
-    st = rebase(_state(replace(circ, stages=circ.stages[:3])), el.basis_change("circular", spol))
-    if pm:
-        lr_to_pm = np.conj(np.array([[(1 - 1j) / 2, (1 + 1j) / 2], [(1 + 1j) / 2, (1 - 1j) / 2]]))
-        st = rebase(st, BasisChange("spol", lr_to_pm, ("+", "-")))
-        st = rebase(st, el.basis_change("pm45", ppol))
-    return st
+    if not pm:
+        st = _unblocked(evolve(replace(circ, stages=circ.stages[:3])))
+        return rebase(st, el.basis_change("circular", spol))
+    lr_to_pm = np.conj(np.array([[(1 - 1j) / 2, (1 + 1j) / 2], [(1 + 1j) / 2, (1 - 1j) / 2]]))
+    st = rebase(s(_post_slit, False), BasisChange("spol", lr_to_pm, ("+", "-")))
+    return rebase(st, el.basis_change("pm45", ppol))
 
 
-def _p_conditioned(template: edl.Template) -> tuple[Pattern, list[Pattern], list[float]]:
+def _p_conditioned(s: _Shared) -> tuple[Pattern, tuple[Pattern, ...], tuple[float, ...]]:
     """Walborn with no p polarizer, from one joint distribution: the D_s
     pattern, and for each ppol outcome (+, -) the D_s pattern given it and
     its probability."""
-    d = joint_distribution(template.circuit, {"p_pol": "absent"})
+    d = joint_distribution(s.circuit, {"p_pol": "absent"})
     p_marginal = marginal(d, ["ppol"])
     return (
         _bin_pattern(marginal(d, ["D_s"])),
-        [_bin_pattern(conditional(d, ("ppol", o))) for o in ("+", "-")],
-        [p_marginal.prob(o) for o in ("+", "-")],
+        tuple(_bin_pattern(conditional(d, ("ppol", o))) for o in ("+", "-")),
+        tuple(p_marginal.prob(o) for o in ("+", "-")),
     )
 
 
-def _polarizer_before_ds_dev(template: edl.Template) -> float:
+def _polarizer_before_ds_dev(s: _Shared) -> float:
     # selecting +/- on the p photon or directly on the s photon picks out
     # the same fringe/antifringe at the screen
-    st = _post_slit(template, pm=True)
+    st = s(_post_slit, True)
     worst = 0.0
     for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
         via_p = _filtered(st, el.ElementOp(el.FILTER, ("ppol",), proj))
@@ -295,56 +316,56 @@ def _polarizer_before_ds_dev(template: edl.Template) -> float:
 # -- catalog --------------------------------------------------------------------
 
 _WALBORN = (
-    ("four_term_state", 1e-10, lambda t: _state_gap(_post_slit(t), {
+    ("four_term_state", 1e-10, lambda s: _state_gap(s(_post_slit, False), {
         ("s1", "L", "y"): 0.5,
         ("s1", "R", "x"): 0.5j,
         ("s2", "R", "y"): 0.5,
         ("s2", "L", "x"): -0.5j,
     })),
-    ("pm_basis_rewrite", 1e-10, lambda t: _state_gap(_post_slit(t, pm=True), {
+    ("pm_basis_rewrite", 1e-10, lambda s: _state_gap(s(_post_slit, True), {
         ("s1", "+", "+"): 0.5,
         ("s2", "+", "+"): -0.5j,
         ("s1", "-", "-"): 0.5j,
         ("s2", "-", "-"): -0.5,
     })),
-    ("conditioned_on_p_x", 1e-10, lambda t: _state_gap(
-        _filtered(_post_slit(t), el.linear_polarizer(t.circuit.dofs[2], 0.0)),
+    ("conditioned_on_p_x", 1e-10, lambda s: _state_gap(
+        _filtered(s(_post_slit, False), el.linear_polarizer(s.circuit.dofs[2], 0.0)),
         {("s1", "R", "x"): 1j, ("s2", "L", "x"): -1j},
     )),
-    ("conditioned_visibility_1", 1e-9, lambda t: max(
-        abs(1.0 - fringe_visibility(pat)) for pat in _p_conditioned(t)[1]
+    ("conditioned_visibility_1", 1e-9, lambda s: max(
+        abs(1.0 - fringe_visibility(pat)) for pat in s(_p_conditioned)[1]
     )),
-    ("unconditioned_flat", 1e-9, lambda t: _vis_gap(t, 0.0, {"p_pol": "absent"})),
-    ("fringe_plus_antifringe_total", 1e-10, lambda t: _sum_gap(*_p_conditioned(t))),
+    ("unconditioned_flat", 1e-9, lambda s: _vis_gap(s, 0.0, {"p_pol": "absent"})),
+    ("fringe_plus_antifringe_total", 1e-10, lambda s: _sum_gap(*s(_p_conditioned))),
     ("polarizer_before_ds_same_selection", 1e-10, _polarizer_before_ds_dev),
-    ("s_marginal_invariance", 1e-10, lambda t: compare_marginals(t.circuit, ["D_s"], "p_pol")),
+    ("s_marginal_invariance", 1e-10, lambda s: compare_marginals(s.circuit, ["D_s"], "p_pol")),
 )
 
 #: Scenario name -> its checks, as (name after the prefix, tol, measurement).
-_CATALOG: dict[str, tuple[tuple[str, float, Callable[[edl.Template], float]], ...]] = {
+_CATALOG: dict[str, tuple[tuple[str, float, Callable[[_Shared], float]], ...]] = {
     "two_slit": (
-        ("fringe_visibility_1", 1e-9, lambda t: _vis_gap(t, 1.0, {})),
+        ("fringe_visibility_1", 1e-9, lambda s: _vis_gap(s, 1.0, {})),
         ("pattern_is_1_plus_cos", 1e-10, _one_plus_cos_dev),
     ),
     "wheeler": (
-        ("screen_in_interference", 1e-9, lambda t: _vis_gap(t, 1.0, {"screen": "in"})),
-        ("screen_out_50_50", 1e-12, lambda t: _prob_gap(t, {"s1": 0.5, "s2": 0.5}, {"screen": "out"})),
-        ("marginal_invariance", 1e-10, lambda t: compare_marginals(t.circuit, ["slit"], "screen")),
+        ("screen_in_interference", 1e-9, lambda s: _vis_gap(s, 1.0, {"screen": "in"})),
+        ("screen_out_50_50", 1e-12, lambda s: _prob_gap(s, {"s1": 0.5, "s2": 0.5}, {"screen": "out"})),
+        ("marginal_invariance", 1e-10, lambda s: compare_marginals(s.circuit, ["slit"], "screen")),
     ),
     "mz_one_bs": (
-        ("half_half_all_phi", 1e-12, lambda t: _phi_grid_gap(t, lambda phi: {"t": 0.5, "r": 0.5})),
+        ("half_half_all_phi", 1e-12, lambda s: _phi_grid_gap(s, lambda phi: {"t": 0.5, "r": 0.5})),
     ),
     "mz_two_bs": (
-        ("p_d2_cos2_half_phi", 1e-10, lambda t: _phi_grid_gap(t, lambda phi: {"r": math.cos(phi / 2) ** 2})),
-        ("phi0_single_port", 1e-12, lambda t: _prob_gap(t, {"r": 1.0}, phi=0.0)),
+        ("p_d2_cos2_half_phi", 1e-10, lambda s: _phi_grid_gap(s, lambda phi: {"r": math.cos(phi / 2) ** 2})),
+        ("phi0_single_port", 1e-12, lambda s: _prob_gap(s, {"r": 1.0}, phi=0.0)),
         ("regrouped_amplitudes", 1e-12, _regrouped_dev),
     ),
     "mz_recombine_single_detector": (
-        ("phi0_detector_prob_1", 1e-12, lambda t: _prob_gap(t, {"t": 1.0}, phi=0.0)),
+        ("phi0_detector_prob_1", 1e-12, lambda s: _prob_gap(s, {"t": 1.0}, phi=0.0)),
     ),
     "analyzer_loop": (
-        ("identity_on_45", 1e-10, lambda t: global_phase_deviation(
-            _state(t.circuit, {"mask": "open"}).amps[0], t.circuit.source.tensor_view()
+        ("identity_on_45", 1e-10, lambda s: global_phase_deviation(
+            s(_state, {"mask": "open"}).amps[0], s.circuit.source.tensor_view()
         )),
         ("identity_on_random", 1e-10, _analyzer_random_dev),
         ("blocked_lower_gives_v", 1e-10, _blocked_lower_dev),
@@ -354,10 +375,10 @@ _CATALOG: dict[str, tuple[tuple[str, float, Callable[[edl.Template], float]], ..
         ("masked_gives_eigenstate", 1e-12, _sg_masked_dev),
     ),
     "one_photon_eraser": (
-        ("marked_pattern_flat", 1e-9, lambda t: _vis_gap(t, 0.0, {"eraser": "absent"})),
-        ("erased_visibility_1", 1e-9, lambda t: _vis_gap(t, 1.0, {"eraser": "plus45"}, {"eraser": "minus45"})),
-        ("fringe_plus_antifringe_flat", 1e-10, lambda t: _sum_gap(*_eraser_parts(t))),
-        ("marked_weight_half", 1e-12, lambda t: _weight_gap(t, 0.5, {"eraser": "absent"})),
+        ("marked_pattern_flat", 1e-9, lambda s: _vis_gap(s, 0.0, {"eraser": "absent"})),
+        ("erased_visibility_1", 1e-9, lambda s: _vis_gap(s, 1.0, {"eraser": "plus45"}, {"eraser": "minus45"})),
+        ("fringe_plus_antifringe_flat", 1e-10, lambda s: _sum_gap(*_eraser_parts(s))),
+        ("marked_weight_half", 1e-12, lambda s: _weight_gap(s, 0.5, {"eraser": "absent"})),
     ),
     "walborn": _WALBORN,
     "walborn_delayed": _WALBORN,
@@ -386,8 +407,9 @@ def build(name: str, **params) -> Scenario:
     template = edl.build_template(document(name))
     circ = template.bind(**params)
     prefix = _PREFIX.get(name, name)
+    shared = _Shared(template)
     checks = tuple(
-        Check(f"{prefix}.{check}", tol, functools.partial(measure, template))
+        Check(f"{prefix}.{check}", tol, functools.partial(measure, shared))
         for check, tol, measure in _CATALOG[name]
     )
     return Scenario(name, circ, checks, template)

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import qesim
-from qesim import elements as el, events, scenarios
+from qesim import circuit, elements as el, events, scenarios
 from qesim.cli import main
 from qesim.measure import OutcomeDistribution
 from qesim.qstate import ValidationError
@@ -106,11 +106,17 @@ class TestVerify:
 
     def test_loop_checks_evolve_their_inputs_stacked(self, capsys):
         # the random-input loop checks run one stacked evolution per setting;
-        # one ``evolve`` per input would make about 750 ``apply_op`` calls
-        with mock.patch.object(el, "apply_op", wraps=el.apply_op) as apply_op:
+        # one ``evolve`` per input would make about 750 ``apply_op`` calls.
+        # A scenario's checks share each evolved state (137 and 37 calls
+        # when each check evolved its own)
+        evolve_rows = mock.Mock(wraps=circuit.evolve_rows)
+        with mock.patch.object(el, "apply_op", wraps=el.apply_op) as apply_op, \
+                mock.patch.object(circuit, "evolve_rows", evolve_rows), \
+                mock.patch.object(scenarios, "evolve_rows", evolve_rows):
             code, out, _ = run_cli(capsys, "verify")
         assert code == 0 and out.endswith("OK: 0 failing check(s)\n")
-        assert apply_op.call_count <= 150
+        assert apply_op.call_count <= 110
+        assert evolve_rows.call_count <= 24
 
     def test_a_check_above_its_tol_fails_verify(self, capsys):
         # the two-slit fringes measured against visibility 0 read about 1
@@ -129,6 +135,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
         assert err.startswith("qesim: unknown scenario 'bogus'; valid names: two_slit, ")
+
+    @pytest.mark.parametrize("path", [os.path.join(GOLDEN_DIR, "two_slit.edl"), "missing.edl"])
+    def test_a_file_is_usage_error(self, capsys, path):
+        code, out, err = run_cli(capsys, "verify", "two_slit", path)
+        assert code == 2 and out == ""
+        assert err == (
+            f"qesim: verify takes catalog scenario names, not the file {path!r}:"
+            " checks declared in .edl files are not supported yet\n"
+        )
 
 
 def counted(cls):

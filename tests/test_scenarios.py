@@ -1,4 +1,6 @@
 import math
+import weakref
+from unittest import mock
 
 import pytest
 
@@ -58,30 +60,33 @@ def test_expected_properties_hold(name):
         assert ok, f"{chk.name}: measured {value:.3e} > tol {chk.tol:g}"
 
 
+def shared(name: str) -> scenarios._Shared:
+    """A new store of the results that scenario ``name``'s checks share."""
+    return scenarios._Shared(scenarios.build(name).template)
+
+
 class TestMeasurementsReportViolations:
     """Each shared measurement reads far above any tol where the paper says
     the property does not hold, so a passing check is not one that cannot fail."""
 
     def test_visibility_gap_of_the_marked_screen(self):
         # which-path marking leaves no fringes for erasure to restore
-        template = scenarios.build("one_photon_eraser").template
-        assert scenarios._vis_gap(template, 1.0, {"eraser": "absent"}) > 1 - 1e-9
-        assert scenarios._vis_gap(template, 0.0, {"eraser": "plus45"}) > 1 - 1e-9
+        eraser = shared("one_photon_eraser")
+        assert scenarios._vis_gap(eraser, 1.0, {"eraser": "absent"}) > 1 - 1e-9
+        assert scenarios._vis_gap(eraser, 0.0, {"eraser": "plus45"}) > 1 - 1e-9
 
     def test_probability_gap_off_the_bright_port(self):
         # at phi = pi the two-splitter interferometer sends everything to t
-        template = scenarios.build("mz_two_bs").template
-        assert scenarios._prob_gap(template, {"r": 1.0}, phi=math.pi) == 1.0
+        assert scenarios._prob_gap(shared("mz_two_bs"), {"r": 1.0}, phi=math.pi) == 1.0
 
     def test_phi_grid_gap_of_a_two_splitter_interferometer(self):
         # only without the second splitter is each port 1/2 at every phi
-        template = scenarios.build("mz_two_bs").template
-        assert scenarios._phi_grid_gap(template, lambda phi: {"t": 0.5, "r": 0.5}) == 0.5
+        assert scenarios._phi_grid_gap(shared("mz_two_bs"), lambda phi: {"t": 0.5, "r": 0.5}) == 0.5
 
     def test_weight_gap_after_the_eraser(self):
         # the +45 eraser passes half of the marked half
-        template = scenarios.build("one_photon_eraser").template
-        assert abs(scenarios._weight_gap(template, 0.5, {"eraser": "plus45"}) - 0.25) < 1e-12
+        eraser = shared("one_photon_eraser")
+        assert abs(scenarios._weight_gap(eraser, 0.5, {"eraser": "plus45"}) - 0.25) < 1e-12
 
     def test_marginal_gap_for_a_choice_before_the_coupling(self):
         # a choice made before the analyzer ties pol to chan is a cause of
@@ -93,3 +98,42 @@ class TestMeasurementsReportViolations:
             "STAGE tag : analyzer pol chan\nDETECT D : chan basis=path\n"
         ).circuit
         assert abs(compare_marginals(circuit, ["chan"], "plate") - 0.5) < 1e-12
+
+
+class TestSharedResults:
+    """A scenario's checks read one store of the results they share."""
+
+    @pytest.mark.parametrize("name, fn, args", [
+        ("one_photon_eraser", scenarios._state, ({"eraser": "absent"},)),
+        ("walborn", scenarios._post_slit, (True,)),
+        ("mz_two_bs", scenarios._phi_rows, ()),
+    ])
+    def test_a_check_that_writes_into_a_shared_result_raises(self, name, fn, args):
+        # a check that zeroed what it read would hand the next check a
+        # corrupt input; the stored arrays refuse the write
+        def overwrite(s):
+            result = s(fn, *args)
+            for a in result.values() if isinstance(result, dict) else (result.amps, result.weights):
+                a[...] = 0
+            return 0.0
+
+        rows = scenarios._CATALOG[name]
+        with mock.patch.dict(scenarios._CATALOG, {name: (("overwrite", 0.0, overwrite),) + rows}):
+            writer, *checks = scenarios.build(name).expectations
+        with pytest.raises(ValueError, match="read-only"):
+            writer.run()
+        assert all(chk.run()[1] for chk in checks)
+
+    def test_each_result_is_computed_once_per_store(self):
+        eraser = shared("one_photon_eraser")
+        first = eraser(scenarios._state, {"eraser": "plus45"})
+        assert eraser(scenarios._state, {"eraser": "plus45"}) is first
+        assert shared("one_photon_eraser")(scenarios._state, {"eraser": "plus45"}) is not first
+
+    def test_the_store_goes_with_its_scenario(self):
+        sc = scenarios.build("walborn")
+        assert all([chk.run()[1] for chk in sc.expectations])
+        store = weakref.ref(sc.expectations[0].measured.args[0])
+        assert isinstance(store(), scenarios._Shared)
+        del sc
+        assert store() is None
