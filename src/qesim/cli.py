@@ -18,6 +18,7 @@ All file outputs are byte-deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -118,11 +119,11 @@ def _emit(pieces, out_path: str | None) -> None:
             f.writelines(pieces)
 
 
-def _ascii_pattern(values, width: int = 60) -> str:
+def _ascii_pattern(values) -> str:
     peak = max(values) or 1.0
     lines = []
     for v in values:
-        n = int(round(width * v / peak))
+        n = int(round(60 * v / peak))
         lines.append("#" * n)
     return "\n".join(lines) + "\n"
 
@@ -131,7 +132,7 @@ def _ascii_pattern(values, width: int = 60) -> str:
 
 
 def cmd_run(args) -> int:
-    circuit = _load_target(args.target).bind()
+    circuit = _load_target(args.target).circuit
     settings = _parse_kv(args.setting, "--setting")
     dist = joint_distribution(circuit, settings)
     if args.format == "json":
@@ -220,7 +221,7 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     if args.shots < 0:
         raise CliError("--shots must be >= 0", USAGE_ERROR)
-    circuit = _load_target(args.target).bind()
+    circuit = _load_target(args.target).circuit
     settings = _parse_kv(args.setting, "--setting")
     seed = _seed(args)
     validate_settings(circuit, settings)
@@ -279,17 +280,14 @@ def cmd_sample(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qesim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, shots=False):
+    def common(sp):
         sp.add_argument("--setting", action="append", default=[], metavar="NAME=ALT")
         sp.add_argument("--out", default=None, metavar="PATH")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-        if shots:
-            sp.add_argument("-n", "--shots", type=int, default=10000)
 
     sp = sub.add_parser("run", help="detector probabilities for one setting")
     sp.add_argument("target")
@@ -322,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--offset", action="append", default=[], metavar="DET=NS")
     sp.add_argument("--given", default=None, metavar="OUTCOME",
                     help="with --pairs: histogram A outcomes where B matches")
-    common(sp, seed=True, shots=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("-n", "--shots", type=int, default=10000)
     sp.set_defaults(fn=cmd_sample)
     return p
 

@@ -37,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .circuit import Circuit, joint_distribution
-from .measure import _PAD, _byte_rows, _g12, _int_words, rng_for
+from .measure import _PAD, _byte_rows, _g12, _int_words, _lines, rng_for
 from .qstate import ValidationError
 from .screen import BIN_LABELS, Pattern, pattern_from_bin_probs
 
@@ -72,8 +72,7 @@ class EventLog:
     shot) order.
     """
 
-    def __init__(self, seed: int, shots: int, shot, time, label, labels):
-        self.seed = seed
+    def __init__(self, shots: int, shot, time, label, labels):
         self.shots = shots
         self.shot = np.asarray(shot, dtype=np.int64)
         self.time = np.asarray(time, dtype=np.float64)
@@ -148,11 +147,6 @@ def _csv_cells(log: EventLog, rows, tails: np.ndarray) -> tuple[np.ndarray, ...]
     """Shots, a comma and ``%.12g`` times of ``rows`` of ``log``, then the byte rows ``tails``."""
     comma = np.broadcast_to(np.uint8(ord(",")), (len(tails), 1))
     return _int_words(log.shot[rows]).view(np.uint8), comma, _g12(log.time[rows]), tails
-
-
-def _lines(*fields: np.ndarray) -> str:
-    """The text of rows of words, or of bytes, side by side, without the padding."""
-    return np.hstack(fields).tobytes().translate(None, _PAD).decode()
 
 
 def blocks(write, rows: int):
@@ -271,7 +265,7 @@ def generate_events(
             # mode "clip" writes straight into out; the default buffers the result
             np.take(part, order, out=column[done:end], mode="clip")
         done = end
-    return EventLog(seed, shots, shot, time, label, labels)
+    return EventLog(shots, shot, time, label, labels)
 
 
 class Coincidences:
@@ -346,6 +340,9 @@ def coincidences(
         raise ValidationError("window must be >= 0")
     if det_a == det_b:
         raise ValidationError(f"cannot pair detector {det_a!r} with itself")
+    for det in (det_a, det_b):
+        if not log._mine(det).any():
+            raise ValidationError(f"no detector {det!r} in the log")
     offsets = offsets or {}
     if not all(np.isfinite(v) for v in offsets.values()):
         raise ValidationError("offsets must be finite")

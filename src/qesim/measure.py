@@ -36,7 +36,8 @@ class OutcomeDistribution:
     the outcome labelled ``labels[i][j]``.  ``total_mass`` is the summed
     probability, which is below 1 when filters removed part of the ensemble.
     When every branch was absorbed there are no outcomes: each label tuple is
-    empty and ``total_mass`` is 0.
+    empty, ``total_mass`` is 0 and ``prob`` is 0.0; else ``prob`` of labels
+    that name no outcome raises ValidationError.
     """
 
     axes: tuple[str, ...]
@@ -60,6 +61,8 @@ class OutcomeDistribution:
 
     def prob(self, labels) -> float:
         labels = (labels,) if isinstance(labels, str) else tuple(labels)
+        if labels not in self.outcomes and (self.probs.size or len(labels) != len(self.axes)):
+            raise ValidationError(f"no outcome {labels} over axes {self.axes}")
         return self.outcomes.get(labels, 0.0)
 
     def axis(self, name: str) -> int:
@@ -172,9 +175,9 @@ def total_variation(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
     return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """The package-wide generator: PCG64 seeded via SeedSequence(seed, stream)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
+def rng_for(seed: int) -> np.random.Generator:
+    """The package-wide generator: PCG64 seeded via SeedSequence((seed, 0))."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
 
 
 # -- %.12g and %d as byte rows ----------------------------------------------------
@@ -316,21 +319,20 @@ def _byte_rows(texts, width: int | None = None) -> np.ndarray:
     return np.frombuffer(rows, np.uint8).reshape(len(texts), width)
 
 
+def _lines(*fields: np.ndarray) -> str:
+    """The text of rows of words, or of bytes, side by side, without the padding."""
+    return np.hstack(fields).tobytes().translate(None, _PAD).decode()
+
+
 def _csv_rows(cells: np.ndarray, *lead: np.ndarray) -> str:
     """One line per row of the 2-D float array ``cells``: the row of each
     byte-row array of ``lead``, then the row's cells as ``%.12g``, separated
     by commas."""
     n, m = cells.shape
-    start = sum(a.shape[1] for a in lead)
-    out = np.empty((n, start + m * (_CELL + 1)), np.uint8)
-    i = 0
-    for a in lead:
-        out[:, i : i + a.shape[1]] = a
-        i += a.shape[1]
-    body = out[:, start:].reshape(n, m, _CELL + 1)
+    body = np.empty((n, m, _CELL + 1), np.uint8)
     step = max(_CHUNK // m, 1)
     for lo in range(0, n, step):
         body[lo : lo + step, :, :-1] = _g12(cells[lo : lo + step].ravel()).reshape(-1, m, _CELL)
     body[:, :, -1] = ord(",")
     body[:, -1, -1] = ord("\n")
-    return out.tobytes().translate(None, _PAD).decode()
+    return _lines(*lead, body.reshape(n, -1))

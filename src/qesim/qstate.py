@@ -73,11 +73,11 @@ class BasisChange:
             raise ValidationError("basis-change matrix is not unitary")
 
 
-def is_unitary(m: np.ndarray, tol: float = NORM_TOL):
-    """Whether every entry of M^dag M - I is below ``tol``; over a stack of
-    matrices (the last two axes), one bool per matrix."""
+def is_unitary(m: np.ndarray):
+    """Whether every entry of M^dag M - I is below ``NORM_TOL``; over a stack
+    of matrices (the last two axes), one bool per matrix."""
     m = np.asarray(m, dtype=complex)
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1)) < tol
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1)) < NORM_TOL
 
 
 @dataclass(frozen=True, eq=False)

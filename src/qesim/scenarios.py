@@ -79,7 +79,7 @@ class Check:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    circuit: Circuit
+    circuit: Circuit  # the golden file at its PARAM defaults
     expectations: tuple[Check, ...]
     template: edl.Template  # the compiled golden file, to bind other PARAM values
 
@@ -400,16 +400,14 @@ def document(name: str) -> edl.Document:
     return edl.load_document(os.path.join(_GOLDEN_DIR, f"{name}.edl"))
 
 
-def build(name: str, **params) -> Scenario:
-    """Compile the scenario's golden file once and bind ``params`` (radians);
-    an undeclared one raises ValidationError.  The checks measure the template
-    as compiled: a PARAM they vary (``PHI_GRID``, phi = 0) they bind themselves."""
+def build(name: str) -> Scenario:
+    """Compile the scenario's golden file once, at its PARAM defaults; bind
+    others with ``build(name).template.bind(phi=...)``, as the checks do."""
     template = edl.build_template(document(name))
-    circ = template.bind(**params)
     prefix = _PREFIX.get(name, name)
     shared = _Shared(template)
     checks = tuple(
         Check(f"{prefix}.{check}", tol, functools.partial(measure, shared))
         for check, tol, measure in _CATALOG[name]
     )
-    return Scenario(name, circ, checks, template)
+    return Scenario(name, template.circuit, checks, template)

@@ -60,9 +60,8 @@ class Pattern:
         return "x,intensity\n" + _csv_rows(cells)
 
 
-def intensity_profile(s: StateStack, path_dof: str) -> np.ndarray:
-    """Unnormalized I(x) over bin centers of a stack of one state, other dofs
-    Born-marginalized."""
+def pattern_from_state(s: StateStack, path_dof: str) -> Pattern:
+    """Interference pattern of a stack of one state, other dofs Born-marginalized."""
     ax = _axis(s.dofs, path_dof)
     if s.dofs[ax].dim != 2:
         raise ValidationError("screen path dof must have exactly 2 labels")
@@ -70,15 +69,7 @@ def intensity_profile(s: StateStack, path_dof: str) -> np.ndarray:
     e1, e2 = SCREEN_MATRIX.T
     # one row per residual basis state, summed in that order; elementwise,
     # since qstate.contract (a matmul) rounds differently and changes verify
-    return (np.abs(a1 * e1 + a2 * e2) ** 2).sum(axis=0)
-
-
-def pattern_from_state(s: StateStack, path_dof: str) -> Pattern:
-    """Interference pattern of a stack of one state on the screen, flat
-    baseline at 1."""
-    # baseline: the incoherent (cross-term-free) intensity, which is the
-    # squared norm of the state = 1 per bin
-    return Pattern(intensity_profile(s, path_dof))
+    return Pattern((np.abs(a1 * e1 + a2 * e2) ** 2).sum(axis=0))
 
 
 def pattern_from_bin_probs(probs: dict[str, float]) -> Pattern:

@@ -220,7 +220,7 @@ def test_criterion_9_infrastructure(capsys):
         el.recombiner(arm, "t"),
         el.splitter(arm),
     ]
-    unitary_ok = all(is_unitary(op.matrix, 1e-12) for op in unitaries)
+    unitary_ok = all(is_unitary(op.matrix) for op in unitaries)
 
     ok = fuzz_ok and rt_ok and repro_ok and unitary_ok
     _report(capsys, 9, "infrastructure", ok,

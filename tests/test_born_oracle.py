@@ -6,7 +6,7 @@ which built one tuple-keyed dict entry per outcome and had
 ``reference_marginal`` and ``reference_conditional`` are the earlier dict
 loops of ``measure.marginal`` and ``measure.conditional``, and
 ``reference_intensity`` the earlier per-branch loop of
-``screen.intensity_profile``.  They stay here as the definition of what the
+``screen.pattern_from_state``.  They stay here as the definition of what the
 array code computes, bit for bit, on a stack of one state.  Detector bases
 are applied with the earlier single-state ``qstate.rebase``, kept in
 ``test_kernel_oracle``.
@@ -21,7 +21,7 @@ from qesim import elements as el
 from qesim.circuit import DetectorSpec, distribution_from_state
 from qesim.measure import NULL_EPS, ConditioningError, conditional, marginal
 from qesim.qstate import Dof, StateVector
-from qesim.screen import BIN_LABELS, BINS, DELTA, intensity_profile
+from qesim.screen import BIN_LABELS, BINS, DELTA, pattern_from_state
 from test_kernel_oracle import axis, dof, reference_rebase, stack_of
 
 
@@ -190,9 +190,9 @@ def test_marginal_and_conditional_match_dict_loops(case, data):
 
 @given(states(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_intensity_profile_matches_branch_loop(s, data):
+def test_pattern_from_state_matches_branch_loop(s, data):
     two_level = [d.name for d in s.dofs if d.dim == 2]
     assume(two_level)
     path = data.draw(st.sampled_from(two_level))
-    got = intensity_profile(stack_of([s], [False]), path)
+    got = pattern_from_state(stack_of([s], [False]), path).intensities
     assert np.array_equal(got, reference_intensity(s, path))

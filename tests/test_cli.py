@@ -10,7 +10,7 @@ import pytest
 
 import qesim
 from qesim import circuit, elements as el, events, scenarios
-from qesim.cli import main
+from qesim.cli import build_parser, main
 from qesim.measure import OutcomeDistribution
 from qesim.qstate import ValidationError
 
@@ -450,3 +450,44 @@ def test_element_on_one_dof_twice_is_a_compile_error(capsys, tmp_path, dofs, sta
     assert code == 1 and out == ""
     assert err == ("qesim: cannot compile experiment 'twice':\n"
                    "5:1: error: stage 'an': element targets a dof twice: ['pol', 'pol']\n")
+
+
+class TestOneParser:
+    """``main`` parses with one parser per process, which must hold no value
+    of an earlier call."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_append_flags_start_empty_on_every_call(self, capsys):
+        base = ("sample", "walborn_delayed", "-n", "50", "--seed", "2", "--setting", "p_pol=absent")
+        marked = (*base, "--delay", "D_p=7")
+        paired = (*marked, "--pairs", "D_s,D_p", "--offset", "D_p=7")
+        first = [run_cli(capsys, *argv) for argv in (base, marked, paired)]
+        # a value kept from the call before would be given twice: a usage error
+        again = [run_cli(capsys, *argv) for argv in (paired, marked, base)][::-1]
+        assert [code for code, _, _ in first] == [0, 0, 0]
+        assert again == first
+        args = build_parser().parse_args(["sample", "walborn_delayed"])
+        assert (args.setting, args.delay, args.offset) == ([], [], [])
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["verify"], ["sweep"], ["sample"]])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, command):
+        fresh = build_parser.__wrapped__()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main([*command, "--help"])
+            assert e.value.code == 0
+            got = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                fresh.parse_args([*command, "--help"])
+            assert got == capsys.readouterr().out
+
+    def test_usage_error_after_a_good_call_exits_2(self, capsys):
+        assert run_cli(capsys, "verify", "two_slit")[0] == 0
+        with pytest.raises(SystemExit) as e:
+            main(["sample", "walborn_delayed", "--no-such-flag"])
+        assert e.value.code == 2
+        code, _, err = run_cli(capsys, "sample", "walborn_delayed", "--setting", "p_pol=absent",
+                               "--given", "+")
+        assert code == 2 and "--given needs --pairs" in err

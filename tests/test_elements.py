@@ -33,7 +33,7 @@ def all_unitary_elements():
 class TestElementOp:
     def test_every_unitary_element_is_unitary(self):
         for op in all_unitary_elements():
-            assert is_unitary(op.matrix, 1e-12), op.name
+            assert is_unitary(op.matrix), op.name
 
     def test_filters_are_projectors(self):
         for op in (el.linear_polarizer(POL, 0.3), el.blocker(ARM, "t")):

@@ -107,6 +107,21 @@ class TestCoincidences:
         with pytest.raises(ValidationError, match="cannot pair detector 'D_s' with itself"):
             coincidences(walborn_log(shots=2), "D_s", "D_s")
 
+    @pytest.mark.parametrize("det_a, det_b", [("D_s", "D_x"), ("D_x", "D_p")])
+    def test_a_detector_not_in_the_log_is_rejected(self, det_a, det_b):
+        # it used to pair nothing and return 0 pairs
+        circuit = scenarios.build("walborn_delayed").circuit
+        log = generate_events(circuit, {"p_pol": "absent"}, shots=20, seed=1)
+        with pytest.raises(ValidationError, match="no detector 'D_x' in the log"):
+            coincidences(log, det_a, det_b)
+
+    def test_offsets_may_name_any_detector(self):
+        # scripts/walborn_demo.py passes every declared delay, paired or not
+        log = walborn_log(shots=20)
+        plain = coincidences(log, "D_s", "D_p")
+        extra = coincidences(log, "D_s", "D_p", offsets={"D_x": 5.0})
+        assert (extra.a.tolist(), extra.b.tolist()) == (plain.a.tolist(), plain.b.tolist())
+
 
 class TestConditionedHistogram:
     def test_conditioned_fringes_and_flat_total(self):
@@ -147,28 +162,28 @@ class TestColumnsAreChecked:
     ], ids=["short_time", "short_shot", "short_label"])
     def test_columns_of_unequal_length_are_rejected(self, shot, time, label):
         with pytest.raises(ValidationError, match="differ in length"):
-            EventLog(0, 2, shot, time, label, TWO_LABELS)
+            EventLog(2, shot, time, label, TWO_LABELS)
 
     @pytest.mark.parametrize("label", [-1, 2, 2**31 - 1], ids=repr)
     def test_a_label_outside_the_table_is_rejected(self, label):
         with pytest.raises(ValidationError, match=r"label indices must lie in \[0, 2\)"):
-            EventLog(0, 1, [7], [1.0], [label], TWO_LABELS)
+            EventLog(1, [7], [1.0], [label], TWO_LABELS)
 
     def test_labels_at_both_ends_of_the_table_are_kept(self):
-        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
         assert log.to_csv() == "shot,t,det,outcome\n7,1,D,x\n8,2,E,y\n"
 
     def test_pair_columns_of_unequal_length_are_rejected(self):
-        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
         with pytest.raises(ValidationError, match="differ in length"):
             Coincidences(log, np.array([0, 1]), np.array([1]))
 
     @pytest.mark.parametrize("a, b", [([-1], [1]), ([0], [2]), ([0, 1], [1, -2])], ids=repr)
     def test_a_pair_row_outside_the_log_is_rejected(self, a, b):
-        log = EventLog(0, 2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
         with pytest.raises(ValidationError, match=r"pair row indices must lie in \[0, 2\)"):
             Coincidences(log, np.array(a), np.array(b))
 
     def test_an_empty_pair_list_of_an_empty_log_is_accepted(self):
-        log = EventLog(0, 0, [], [], [], TWO_LABELS)
+        log = EventLog(0, [], [], [], TWO_LABELS)
         assert len(Coincidences(log, np.zeros(0, int), np.zeros(0, int))) == 0

@@ -114,9 +114,7 @@ def logs(draw):
     if draw(st.booleans()):
         # the same events in another row order: pairing must sort by time itself
         order = draw(st.permutations(range(len(log.shot))))
-        log = EventLog(
-            log.seed, log.shots, log.shot[order], log.time[order], log.label[order], log.labels
-        )
+        log = EventLog(log.shots, log.shot[order], log.time[order], log.label[order], log.labels)
     return log
 
 
@@ -206,7 +204,7 @@ def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None)
     names = sorted({det for det, _ in index})
     name_rank = np.array([names.index(det) for det, _ in index], dtype=np.int32)
     order = np.lexsort((shot, name_rank[label], time))
-    return EventLog(seed, shots, shot[order], time[order], label[order], index)
+    return EventLog(shots, shot[order], time[order], label[order], index)
 
 
 #: three detectors, the middle one measuring two dofs, one of them in pm45:

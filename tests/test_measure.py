@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim.circuit import Circuit, Detect, DetectorSpec, distribution_from_state
+from qesim import scenarios
+from qesim.circuit import Circuit, Detect, DetectorSpec, distribution_from_state, joint_distribution
 from qesim.events import generate_events
 from qesim.measure import (
     ConditioningError,
@@ -76,6 +77,25 @@ class TestOutcomeDistribution:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution(("a",), (("a0", "a1"),), [[0.5, 0.5]], 1.0)
+
+    def test_prob_of_a_label_tuple_of_the_wrong_arity_raises(self):
+        # it used to answer 0.0
+        d = joint_distribution(scenarios.build("mz_two_bs").circuit)
+        with pytest.raises(ValidationError, match=r"no outcome \('t', 'r'\) over axes \('arm',\)"):
+            d.prob(("t", "r"))
+
+    def test_prob_of_a_label_the_axis_does_not_have_raises(self):
+        # it used to answer 0.0
+        d = joint_distribution(scenarios.build("mz_two_bs").circuit)
+        assert d.prob("t") + d.prob(("r",)) == pytest.approx(1.0)
+        with pytest.raises(ValidationError, match=r"no outcome \('x',\) over axes \('arm',\)"):
+            d.prob("x")
+
+    def test_prob_of_the_all_absorbed_distribution_is_zero(self):
+        d = OutcomeDistribution(("a", "b"), ((), ()), np.zeros((0, 0)), 0.0)
+        assert d.prob(("a0", "b0")) == 0.0
+        with pytest.raises(ValidationError):
+            d.prob("a0")
 
     def test_renormalized(self):
         d = OutcomeDistribution(("a",), (("a0",),), [0.25], 0.25)
@@ -168,7 +188,9 @@ class TestSampling:
             assert abs(counts.get(k, 0) - shots * p) < 5 * sigma
 
     def test_rng_streams_are_independent_named_algorithm(self):
-        a = rng_for(7, 0).random(4)
-        b = rng_for(7, 1).random(4)
+        a = rng_for(7).random(4)
+        b = rng_for(8).random(4)
         assert not np.allclose(a, b)
-        assert np.allclose(a, rng_for(7, 0).random(4))
+        assert np.allclose(a, rng_for(7).random(4))
+        pcg64 = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 0))))
+        assert np.array_equal(a, pcg64.random(4))

@@ -11,7 +11,11 @@ circuit under every setting:
 - each detector's outcome counts over ``SHOTS`` shots match ``n p`` by a
   chi-square test, where ``p`` is the detector's marginal of
   ``joint_distribution`` and one more cell counts the absorbed shots.  An
-  outcome of probability 0 must never be drawn.
+  outcome of probability 0 must never be drawn;
+- ``coincidences`` and ``qesim sample --pairs --given`` pair a delayed
+  eraser's events as a plain dict of one detector's events keyed by shot
+  does, under a window below half the shot period, where the greedy
+  earliest-first scan can only pair each event with its one candidate.
 
 The chi-square threshold was fixed before the first run: a false alarm
 anywhere in the family of ``len(COUNT_TESTS)`` tests (one per circuit,
@@ -21,13 +25,15 @@ that the chi-square law holds for each cell.
 """
 
 import math
+from collections import Counter
 from functools import cache
 
 import numpy as np
 import pytest
 
-from qesim import events, scenarios
+from qesim import cli, events, scenarios
 from qesim.circuit import evolve, joint_distribution
+from qesim.screen import fringe_visibility, pattern_from_bin_probs
 from test_edl import all_settings
 
 SHOTS = 200_000
@@ -168,3 +174,63 @@ def test_detector_counts_follow_the_born_probabilities(index, detector):
     if len(c) > 1:
         stat = float(((c - e) ** 2 / e).sum())
         assert chi2_sf(stat, len(c) - 1) >= FAMILY_ALPHA / len(COUNT_TESTS), (stat, len(c) - 1)
+
+
+#: the pairing window: below half the shot period, so each event has at most
+#: one partner within it
+PAIR_WINDOW = 0.3 * events.PERIOD_NS
+#: how many shots apart the brute force looks for a partner: more than any
+#: offset below is off by
+PAIR_SPAN = 5
+PAIR_CASES = [
+    (p_pol, seed, offsets)
+    for p_pol in ("absent", "plus45")
+    for seed in (1, 2)
+    for offsets in (
+        {"D_p": 1e9},  # the declared delay of D_p: each pair is one shot
+        {"D_p": 1e9 - 3 * events.PERIOD_NS},  # a wrong offset: A's shot is 3 after B's
+        {"D_s": 2.5e5, "D_p": 1e9},  # both compensated, A's within the window
+    )
+]
+
+
+def brute_force_pairs(log, offsets: dict[str, float]) -> list[tuple[int, int]]:
+    """(row of D_s, row of D_p) pairs in D_s's time order: each D_s event
+    looks up the D_p events of the ``PAIR_SPAN`` shots around its own in a
+    dict keyed by shot and takes the one whose compensated time lies within
+    ``PAIR_WINDOW`` of its compensated time."""
+    a_events, b_by_shot = [], {}
+    for row, (shot, t, k) in enumerate(zip(log.shot.tolist(), log.time.tolist(), log.label.tolist())):
+        det = log.labels[k][0]
+        t -= offsets.get(det, 0.0)
+        if det == "D_s":
+            a_events.append((row, shot, t))
+        else:
+            b_by_shot[shot] = (row, t)
+    pairs = []
+    for row, shot, t in a_events:
+        for other in range(shot - PAIR_SPAN, shot + PAIR_SPAN + 1):
+            if other in b_by_shot and abs(b_by_shot[other][1] - t) <= PAIR_WINDOW:
+                pairs.append((row, b_by_shot[other][0]))
+    return pairs
+
+
+@pytest.mark.parametrize("p_pol, seed, offsets", PAIR_CASES, ids=map(str, PAIR_CASES))
+def test_pairing_matches_a_dict_keyed_by_shot(capsys, p_pol, seed, offsets):
+    circuit = scenarios.build("walborn_delayed").circuit
+    log = events.generate_events(circuit, {"p_pol": p_pol}, 2000, seed=seed)
+    want = brute_force_pairs(log, offsets)
+    assert len(want) > 500
+    got = events.coincidences(log, "D_s", "D_p", window=PAIR_WINDOW, offsets=offsets)
+    assert list(zip(got.a.tolist(), got.b.tolist())) == want
+
+    outcome = [log.labels[k][1] for k in log.label.tolist()]
+    plus = Counter(outcome[a][0] for a, b in want if outcome[b] == ("+",))
+    pattern = pattern_from_bin_probs({label: float(n) for label, n in plus.items()})
+    argv = ["sample", "walborn_delayed", "-n", "2000", "--seed", str(seed),
+            "--setting", f"p_pol={p_pol}", "--pairs", "D_s,D_p", "--window", repr(PAIR_WINDOW),
+            *(f"--offset={det}={value!r}" for det, value in offsets.items()), "--given", "+"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == pattern.to_csv()
+    assert err == f"{len(want)} pairs, fitted visibility {fringe_visibility(pattern):.4f}\n"

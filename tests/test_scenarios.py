@@ -48,8 +48,7 @@ class TestCatalog:
         assert offsets("walborn") == {"D_s": 0.0, "D_p": 0.0}
 
     def test_mz_accepts_phi_parameter(self):
-        sc = scenarios.build("mz_two_bs", phi=math.pi)
-        d = joint_distribution(sc.circuit)
+        d = joint_distribution(scenarios.build("mz_two_bs").template.bind(phi=math.pi))
         assert abs(d.prob(("t",)) - 1.0) < 1e-10
 
 

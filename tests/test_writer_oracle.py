@@ -101,7 +101,7 @@ def logs(draw):
     n = len(time)
     shot = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
     label = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
-    return EventLog(0, n, shot, time, label, labels)
+    return EventLog(n, shot, time, label, labels)
 
 
 @settings(max_examples=400, deadline=None)
@@ -137,7 +137,7 @@ EDGE_TIMES = [
 def test_edge_times_match_one_string_writers(case, block):
     time = [1e6, 2e6] + case + [3e6 + 1e9] * 5 + [1.5, 2.0, 3.0]
     labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
-    log = EventLog(0, len(time), range(len(time)), time, [k % 2 for k in range(len(time))], labels)
+    log = EventLog(len(time), range(len(time)), time, [k % 2 for k in range(len(time))], labels)
     assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
     assert written(log.to_csv, len(log), block) == reference_csv(log)
     pairs = Coincidences(log, np.arange(len(log) - 1), np.arange(1, len(log)))
@@ -160,7 +160,7 @@ def test_word_boundary_shots_match_one_string_writers(block):
     shot = [s for b in BOUNDARY_SHOTS for s in (b, 3)]
     time = [t for b in BOUNDARY_SHOTS for t in (float(b), float(min(max(b, 1 - 2**53), 2**53 - 1)))]
     labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
-    log = EventLog(0, len(shot), shot, time, [k % 2 for k in range(len(shot))], labels)
+    log = EventLog(len(shot), shot, time, [k % 2 for k in range(len(shot))], labels)
     assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
     assert written(log.to_csv, len(log), block) == reference_csv(log)
     pairs = Coincidences(log, np.arange(len(log)), np.arange(len(log))[::-1].copy())
@@ -168,7 +168,7 @@ def test_word_boundary_shots_match_one_string_writers(block):
 
 
 def test_empty_log_writes_block_zero():
-    log = EventLog(0, 0, [], [], [], [("D", ("x",))])
+    log = EventLog(0, [], [], [], [("D", ("x",))])
     assert list(events.blocks(log.to_jsonl, len(log))) == [""]
     assert list(events.blocks(log.to_csv, len(log))) == ["shot,t,det,outcome\n"]
 
