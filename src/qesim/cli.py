@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
             USAGE_ERROR,
         )
     settings = _parse_kv(args.setting, "--setting")
-    # every step in one batched evolution, with the bytes of one bind and
+    # every step in one batched evolution, with the bytes of one compile and
     # joint_distribution per step; an all-blocked step's probabilities are 0
     keys, probs = [], []
     for _axes, labels, p, _masses, blocked in joint_probs(

@@ -26,10 +26,11 @@ Amplitudes are complex literals of the form ``a+bi``; the source is
 normalized by the compiler.  Angle arguments are numbers in degrees or the
 name of a ``PARAM``.  A ``PARAM`` declares a parameter with its default
 value in radians; an angle naming it receives a bound value as it is, with no
-conversion.  ``Template.bind`` binds new values, rebuilding only the stages
-that name them.  ``delay=NS`` sets the detector's ``time_offset``: its events
-are logged NS nanoseconds after the shot.  ``ELEMENTS`` lists the element
-keywords with their arguments, ``elements.BASIS_NAMES`` the detector bases.
+conversion.  ``compile_document(doc, params)`` binds other values, and
+``Template.rows`` builds the stages naming one PARAM for many.  ``delay=NS``
+sets the detector's ``time_offset``: its events are logged NS nanoseconds
+after the shot.  ``ELEMENTS`` lists the element keywords with their
+arguments, ``elements.BASIS_NAMES`` the detector bases.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class ParseResult:
 
 @dataclass(frozen=True)
 class Template:
-    """A compiled document (or None and the diagnostics) to ``bind`` PARAMs to."""
+    """A compiled document (or None and the diagnostics), and the stages of it
+    that name a PARAM, which ``rows`` builds for many values at once."""
 
     circuit: Circuit | None
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
@@ -132,24 +134,19 @@ class Template:
             d.severity == ERROR for d in self.diagnostics
         )
 
-    def bind(self, **params) -> Circuit:
-        """``circuit`` with ``params`` (radians) bound: the stages whose angle names
-        one are rebuilt and every other object is shared.  An invalid binding
-        raises the ValidationError that ``compile_document`` would report."""
-        ops = self._rebuilt(params)
-        return replace(self.circuit, stages=_rebound(self.circuit.stages, ops)) if ops else self.circuit
-
     def rows(self, name: str, values) -> dict[int, np.ndarray]:
         """For each Apply of ``circuit`` whose angle names PARAM ``name``, keyed
-        by its id, the stack of the matrices ``bind`` builds it with at each of
-        ``values`` (radians), to the bit: the rows of ``circuit.evolve_rows``
-        and ``circuit.joint_probs``.  The first value ``bind`` rejects
-        raises what ``bind`` of it raises."""
-        if not self.ok or name not in self.params:
-            self._rebuilt({name: 0.0})  # raises
+        by its id, the stack of the matrices ``compile_document`` builds it with
+        at each of ``values`` (radians), to the bit: the rows of
+        ``circuit.evolve_rows`` and ``circuit.joint_probs``.  The first value a
+        compile rejects raises what ``build_template`` of it raises."""
+        if not self.ok:
+            raise _failure("document", self.diagnostics)
+        if name not in self.params:
+            build_template(self.doc, {**self.params, name: 0.0})  # raises
         values, dofs = np.array(values, dtype=float), {d.name: d for d in self.circuit.dofs}
         stacks, suspect = {}, ~np.isfinite(values)
-        angles = np.where(suspect, 0.0, values)  # bind rejects each value not finite, below
+        angles = np.where(suspect, 0.0, values)  # a compile rejects each value not finite, below
         for s, a in self.lazy:
             kinds = ELEMENTS[s.keyword][1]
             if (ANGLE, name) in zip(kinds, s.args):
@@ -159,28 +156,8 @@ class Template:
                 suspect |= el.rejected(a.op.kind, stacks[id(a)])
         # a matrix ElementOp rejects, or an angle that is not finite
         for v in values[suspect] if stacks else ():
-            self._rebuilt({name: v})
+            build_template(self.doc, {**self.params, name: v})
         return stacks
-
-    def _rebuilt(self, params: dict) -> dict[int, el.ElementOp]:
-        if not self.ok:
-            raise _failure("document", self.diagnostics)
-        c = _Compiler(self.doc, {**self.params, **params})
-        c.dofs = {d.name: d for d in self.circuit.dofs}
-        ops = {id(a): c.build_element(s) for s, a in self.lazy if not params.keys().isdisjoint(s.args)}
-        if c.diags:
-            raise _failure(f"experiment {self.doc.name!r}", c.diags)
-        return ops
-
-
-def _rebound(stages: tuple, ops: dict) -> tuple:
-    """``stages`` with the op of each Apply whose id keys ``ops`` replaced."""
-    return tuple(
-        Apply(ops[id(s)]) if id(s) in ops
-        else Choice(s.name, {a: _rebound(alt, ops) for a, alt in s.alternatives.items()})
-        if isinstance(s, Choice) else s
-        for s in stages
-    )
 
 
 # -- lexical helpers ------------------------------------------------------------
@@ -708,17 +685,22 @@ def _failure(what: str, diagnostics: list[ParseDiagnostic]) -> ValidationError:
 
 
 def load_document(path: str) -> Document:
-    """Parse a file, raising ValidationError with all diagnostics on failure."""
-    with open(path, "r", encoding="utf-8") as f:
-        parsed = parse(f.read())
+    """Parse a UTF-8 file, raising ValidationError with all diagnostics on failure."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        parsed = parse(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot read {path}: byte {e.start} is not UTF-8") from None
     if not parsed.ok:
         raise _failure(path, parsed.diagnostics)
     return parsed.document
 
 
-def build_template(doc: Document) -> Template:
-    """``compile_document`` at the PARAM defaults; ValidationError on failure."""
-    template = compile_document(doc)
+def build_template(doc: Document, params: dict[str, float] | None = None) -> Template:
+    """``compile_document`` of ``doc`` with ``params`` bound, each other PARAM
+    at its default; ValidationError on failure."""
+    template = compile_document(doc, params)
     if not template.ok:
         raise _failure(f"experiment {doc.name!r}", template.diagnostics)
     return template

@@ -81,7 +81,7 @@ class Scenario:
     name: str
     circuit: Circuit  # the golden file at its PARAM defaults
     expectations: tuple[Check, ...]
-    template: edl.Template  # the compiled golden file, to bind other PARAM values
+    template: edl.Template  # the compiled golden file, whose ``rows`` sweep a PARAM
 
 
 # -- shared measurements --------------------------------------------------------
@@ -135,10 +135,10 @@ def _vis_gap(s: _Shared, target: float, *settings: dict[str, str]) -> float:
     )
 
 
-def _prob_gap(s: _Shared, want: dict[str, float], settings=None, **params) -> float:
-    """The largest |P(label) - want[label]| of the circuit's one-axis
-    distribution under ``settings``, with ``params`` bound."""
-    d = joint_distribution(s.template.bind(**params), settings)
+def _prob_gap(s: _Shared, want: dict[str, float], settings=None) -> float:
+    """The largest |P(label) - want[label]| of the golden circuit's one-axis
+    distribution under ``settings``."""
+    d = joint_distribution(s.circuit, settings)
     return max(abs(d.prob(label) - p) for label, p in want.items())
 
 
@@ -357,11 +357,11 @@ _CATALOG: dict[str, tuple[tuple[str, float, Callable[[_Shared], float]], ...]] =
     ),
     "mz_two_bs": (
         ("p_d2_cos2_half_phi", 1e-10, lambda s: _phi_grid_gap(s, lambda phi: {"r": math.cos(phi / 2) ** 2})),
-        ("phi0_single_port", 1e-12, lambda s: _prob_gap(s, {"r": 1.0}, phi=0.0)),
+        ("phi0_single_port", 1e-12, lambda s: _prob_gap(s, {"r": 1.0})),
         ("regrouped_amplitudes", 1e-12, _regrouped_dev),
     ),
     "mz_recombine_single_detector": (
-        ("phi0_detector_prob_1", 1e-12, lambda s: _prob_gap(s, {"t": 1.0}, phi=0.0)),
+        ("phi0_detector_prob_1", 1e-12, lambda s: _prob_gap(s, {"t": 1.0})),
     ),
     "analyzer_loop": (
         ("identity_on_45", 1e-10, lambda s: global_phase_deviation(
@@ -401,8 +401,8 @@ def document(name: str) -> edl.Document:
 
 
 def build(name: str) -> Scenario:
-    """Compile the scenario's golden file once, at its PARAM defaults; bind
-    others with ``build(name).template.bind(phi=...)``, as the checks do."""
+    """Compile the scenario's golden file once, at its PARAM defaults; other
+    values compile with ``edl.build_template(document(name), {"phi": ...})``."""
     template = edl.build_template(document(name))
     prefix = _PREFIX.get(name, name)
     shared = _Shared(template)

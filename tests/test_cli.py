@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qesim
-from qesim import circuit, elements as el, events, scenarios
+from qesim import circuit, edl, elements as el, events, scenarios
 from qesim.cli import build_parser, main
 from qesim.measure import OutcomeDistribution
 from qesim.qstate import ValidationError
@@ -167,7 +171,7 @@ class TestSweep:
     def test_rows_raise_what_bind_of_the_first_bad_value_raises(self):
         template = scenarios.build("mz_two_bs").template
         with pytest.raises(ValidationError) as want:
-            template.bind(phi=math.nan)
+            edl.build_template(template.doc, {**template.params, "phi": math.nan})
         with pytest.raises(ValidationError) as got:
             template.rows("phi", [0.0, 1.0, math.nan, 2.0])
         assert "stage 'shift'" in str(want.value) and str(got.value) == str(want.value)
@@ -393,6 +397,39 @@ def test_no_detector_is_a_one_line_error(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert code == 1 and out == ""
     assert err == "qesim: circuit has no Detect stage under these settings\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep"], ["sample", "-n", "5"]])
+def test_a_file_that_is_not_utf8_is_a_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.edl"
+    path.write_bytes(b"EXPERIMENT caf\xe9\n" + NO_DETECTOR.encode())
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"qesim: cannot read {path}: byte 14 is not UTF-8\n"
+
+
+GOLDEN_BYTES = [Path(p).read_bytes() for p in sorted(Path(GOLDEN_DIR).glob("*.edl"))]
+
+
+@st.composite
+def edl_bytes(draw):
+    """Any bytes, or a golden file with a few of its bytes replaced by any
+    bytes or by encoded text."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = draw(st.sampled_from(GOLDEN_BYTES))
+    at = draw(st.integers(0, len(data)))
+    spliced = draw(st.one_of(st.binary(max_size=8), st.text(max_size=8).map(str.encode)))
+    return data[:at] + spliced + data[at + draw(st.integers(0, 8)):]
+
+
+@given(data=edl_bytes())
+@settings(max_examples=200, deadline=None)
+def test_run_of_any_file_bytes_exits_0_1_or_2(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.edl"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", str(path)]) in (0, 1, 2)
 
 
 def _all_settings(name):

@@ -48,8 +48,14 @@ class TestCatalog:
         assert offsets("walborn") == {"D_s": 0.0, "D_p": 0.0}
 
     def test_mz_accepts_phi_parameter(self):
-        d = joint_distribution(scenarios.build("mz_two_bs").template.bind(phi=math.pi))
+        d = joint_distribution(edl.build_template(scenarios.document("mz_two_bs"), {"phi": math.pi}).circuit)
         assert abs(d.prob(("t",)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["mz_two_bs", "mz_recombine_single_detector"])
+def test_phi0_checks_read_the_golden_default(name):
+    # their phi0 checks measure the golden circuit, which must be at phi = 0
+    assert dict(scenarios.document(name).params)["phi"] == 0.0
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
@@ -75,8 +81,8 @@ class TestMeasurementsReportViolations:
         assert scenarios._vis_gap(eraser, 0.0, {"eraser": "plus45"}) > 1 - 1e-9
 
     def test_probability_gap_off_the_bright_port(self):
-        # at phi = pi the two-splitter interferometer sends everything to t
-        assert scenarios._prob_gap(shared("mz_two_bs"), {"r": 1.0}, phi=math.pi) == 1.0
+        # at phi = 0 the two-splitter interferometer sends nothing to t
+        assert scenarios._prob_gap(shared("mz_two_bs"), {"t": 1.0}) == 1.0
 
     def test_phi_grid_gap_of_a_two_splitter_interferometer(self):
         # only without the second splitter is each port 1/2 at every phi
