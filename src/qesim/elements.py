@@ -145,13 +145,13 @@ def _post_select(flat: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     """Post-select each row of ``flat`` after a filter, in place, and return
     the rows' new weights and which rows are blocked: a row whose pass
     probability is below ALL_BLOCKED_EPS gets amplitudes and weight 0; every
-    other is normalized, and its weight times that probability clamped.  Each
-    row's pass probability is its own ``np.vdot``, which no stacked form rounds alike."""
-    pass_prob = np.array([np.vdot(row, row).real for row in flat])
+    other is normalized, and its weight times that probability clamped.  The
+    probabilities are one ``np.vecdot``, which calls ``np.vdot``'s BLAS dot per row."""
+    pass_prob = np.vecdot(flat, flat).real
     blocked = pass_prob < ALL_BLOCKED_EPS
     flat[blocked] = 0.0
     flat[~blocked] /= np.sqrt(pass_prob[~blocked])[:, None]
-    weights = np.array([0.0 if b else _weight(w) for w, b in zip((weights * pass_prob).tolist(), blocked.tolist())])
+    weights = _weight(np.where(blocked, 0.0, weights * pass_prob))
     _normalize_rows(flat, blocked)
     return weights, blocked
 

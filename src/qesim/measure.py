@@ -135,6 +135,8 @@ def check_probs(axes, labels, p: np.ndarray, masses) -> None:
 def marginal(d: OutcomeDistribution, axis_subset) -> OutcomeDistribution:
     """Sum out every axis not in ``axis_subset`` (order follows the subset)."""
     axis_subset = [axis_subset] if isinstance(axis_subset, str) else list(axis_subset)
+    if twice := [a for a in axis_subset if axis_subset.count(a) > 1]:
+        raise ValidationError(f"axis {twice[0]!r} is named twice in {axis_subset}")
     keep = [d.axis(a) for a in axis_subset]
     drop = [i for i in range(len(d.axes)) if i not in keep]
     shape = [d.probs.shape[i] for i in keep]
@@ -150,11 +152,13 @@ def marginal(d: OutcomeDistribution, axis_subset) -> OutcomeDistribution:
 
 def conditional(d: OutcomeDistribution, given: tuple[str, str]) -> OutcomeDistribution:
     """Condition on one axis carrying one label; renormalize to mass 1.
-    Outcomes below ``NULL_EPS`` become exactly 0."""
+    Outcomes below ``NULL_EPS`` become exactly 0; a label the axis lacks raises."""
     axis_name, label = given
     i = d.axis(axis_name)
     labels = d.labels[i]
-    sub = np.take(d.probs, labels.index(label), axis=i) if label in labels else np.zeros(0)
+    if labels and label not in labels:
+        raise ValidationError(f"axis {axis_name!r} has no label {label!r}; its labels: {', '.join(labels)}")
+    sub = np.take(d.probs, labels.index(label), axis=i) if labels else np.zeros(0)
     # left to right in C order, as a loop over the outcomes adds them
     mass = float(np.cumsum(sub)[-1]) if sub.size else 0.0
     if mass < NULL_EPS:

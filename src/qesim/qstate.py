@@ -105,7 +105,7 @@ class StateVector:
         a = _unit(a).copy()
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "weight", _weight(self.weight))
+        object.__setattr__(self, "weight", float(_weight(self.weight)))
 
     @staticmethod
     def from_amplitudes(dofs, mapping, weight: float = 1.0) -> "StateVector":
@@ -176,31 +176,35 @@ def _unit(a: np.ndarray) -> np.ndarray:
     return a / norm if abs(norm - 1.0) > NORM_TOL else a
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``x`` (axis 0 counts them), to the bit of
+    ``np.linalg.norm``: both dot the row's strided real and imaginary views
+    with one BLAS kernel (a contiguous copy of a view would take another)."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
 def _normalize_rows(flat: np.ndarray, blocked) -> None:
-    """Check and renormalize each unblocked row of ``flat`` in place, as
-    ``StateVector`` does its amplitudes.
-
-    One vectorised pass sums the squares of each row's real parts.  For k
-    amplitudes that sum is within a factor 1 +- 2k * 2**-53 of the squared
-    norm, and ``_unit``'s norm within (k + 3) * 2**-54 of the norm, so a row
-    whose sum is within 2 * (NORM_TOL - (k + 4) * 2**-52) of 1 is one
-    ``_unit`` leaves as it is.  Every other row goes through ``_unit``: every
-    row, without the pass, when that margin is not positive (k > 4499)."""
-    margin = NORM_TOL - (flat.shape[1] + 4) * 2.0**-52
-    unsure = ~np.asarray(blocked, dtype=bool)
-    if margin > 0:
-        re = np.ascontiguousarray(flat).view(np.float64)
-        unsure = unsure & ~(np.abs(np.einsum("ij,ij->i", re, re) - 1.0) <= 2 * margin)
-    for i in unsure.nonzero()[0]:
-        flat[i] = _unit(flat[i])
+    """Check and renormalize each unblocked row of ``flat`` in place, with the
+    bytes and the error ``_unit`` gives the row."""
+    norms = row_norms(flat)
+    dev = np.abs(norms - 1.0)
+    dev[blocked] = 0.0
+    worst = dev.max(initial=0.0)
+    if not worst <= 1e-9:
+        raise ValidationError(f"amplitudes not normalized (norm={norms[~(dev <= 1e-9)].tolist()[0]})")
+    if worst > NORM_TOL:
+        np.divide(flat, norms[:, None], out=flat, where=(dev > NORM_TOL)[:, None])
 
 
-def _weight(w: float) -> float:
-    """A survival weight clamped into [0, 1]; ValidationError when it lies
-    outside by more than NORM_TOL."""
-    if not (-NORM_TOL <= w <= 1.0 + NORM_TOL):
-        raise ValidationError(f"weight {w} outside [0, 1]")
-    return float(min(max(w, 0.0), 1.0))
+def _weight(w):
+    """Survival weights clamped into [0, 1] as ``min(max(w, 0.0), 1.0)``
+    does, elementwise; ValidationError for the first outside by more than NORM_TOL."""
+    w = np.asarray(w, dtype=float)
+    ok = (-NORM_TOL <= w) & (w <= 1.0 + NORM_TOL)
+    if not ok.all():
+        raise ValidationError(f"weight {w[~ok].tolist()[0]} outside [0, 1]")
+    return np.where(w < 0.0, 0.0, np.where(w > 1.0, 1.0, w))
 
 
 def _axis(dofs, name: str) -> int:
@@ -252,16 +256,22 @@ def rebase(stack: StateStack, change: BasisChange) -> StateStack:
 
 
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """min over unit phases c of max_k |a_k - c*b_k| for two amplitude arrays
-    of one shape, with c fixed from the largest-magnitude component of b
-    (deterministic and numerically stable); max |a_k| when b is all zero."""
+    """``phase_deviations`` of two amplitude arrays of one shape, as stacks of one."""
+    return float(phase_deviations(a[None], b[None])[0])
+
+
+def phase_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of the stacks ``a`` and ``b`` of one shape (axis 0 counts rows),
+    min over unit phases c of max_k |a_k - c*b_k|, c fixed by b's first
+    largest-magnitude component; max |a_k| if b is all zero, max |a_k - b_k|
+    if |c| < 1e-15.  |c| is ``np.hypot``, as ``abs`` of one complex is."""
     if a.shape != b.shape:
-        raise CompositionError(f"comparison requires one shape, got {a.shape} and {b.shape}")
-    k = int(np.argmax(np.abs(b)))
-    if b.flat[k] == 0:
-        return float(np.max(np.abs(a)))
-    c = a.flat[k] / b.flat[k]
-    if abs(c) < 1e-15:
-        return float(np.max(np.abs(a - b)))
-    c = c / abs(c)
-    return float(np.max(np.abs(a - c * b)))
+        raise CompositionError(f"comparison requires stacks of one shape, got {a.shape} and {b.shape}")
+    n, d = len(a), math.prod(a.shape[1:])
+    a, b = a.reshape(n, d), b.reshape(n, d)
+    rows, k = np.arange(n), np.abs(b).argmax(axis=1)
+    c = np.divide(a[rows, k], b[rows, k], out=np.zeros(n, complex), where=b[rows, k] != 0)
+    r = np.hypot(c.real, c.imag)
+    # c = 1 where |c| < 1e-15, and where b is all zero, which c then leaves 0
+    c = np.divide(c, r, out=np.ones(n, complex), where=~(r < 1e-15))
+    return np.abs(a - c[:, None] * b).max(axis=1)

@@ -45,7 +45,9 @@ from .qstate import (
     StateVector,
     ValidationError,
     global_phase_deviation,
+    phase_deviations,
     rebase,
+    row_norms,
 )
 from .screen import (
     DELTA,
@@ -161,9 +163,10 @@ def _weight_gap(s: _Shared, want: float, settings: dict[str, str]) -> float:
 
 
 def _state_gap(st: StateStack, amps: dict) -> float:
-    """Global-phase deviation of the state of the stack of one ``st`` from
-    the state with amplitudes ``amps`` (normalized) over ``st``'s own dofs."""
-    return global_phase_deviation(st.amps[0], StateVector.from_amplitudes(st.dofs, amps).tensor_view())
+    """The worst global-phase deviation of a row of ``st`` from the state with
+    amplitudes ``amps`` (normalized) over ``st``'s own dofs."""
+    want = StateVector.from_amplitudes(st.dofs, amps).tensor_view()
+    return float(phase_deviations(st.amps, np.broadcast_to(want, st.amps.shape)).max())
 
 
 def _pattern_gap(a: Pattern, b: Pattern) -> float:
@@ -200,31 +203,32 @@ def _regrouped_dev(s: _Shared) -> float:
     t_amp, r_amp = 1 / math.sqrt(2), 1j / math.sqrt(2)
     stack = _unblocked(evolve_rows(s.circuit, len(PHI_GRID), s(_phi_rows)))
     arm = stack.dofs[0]
-    worst = 0.0
-    for ph, amps in zip(PHI_GRID, stack.amps):
-        e = np.exp(1j * ph)
-        port_t = t_amp * e * t_amp + r_amp * r_amp  # histories T1T2 + R1R2
-        port_r = t_amp * e * r_amp + r_amp * t_amp  # histories T1R2 + R1T2
-        worst = max(
-            worst,
-            abs(complex(amps[arm.index("t")]) - port_t),
-            abs(complex(amps[arm.index("r")]) - port_r),
-        )
-    return worst
+    e = np.exp(1j * np.array(PHI_GRID))
+    port_t = t_amp * e * t_amp + r_amp * r_amp  # histories T1T2 + R1R2
+    port_r = t_amp * e * r_amp + r_amp * t_amp  # histories T1R2 + R1T2
+    gap = np.concatenate([stack.amps[:, arm.index("t")] - port_t, stack.amps[:, arm.index("r")] - port_r])
+    return float(np.hypot(gap.real, gap.imag).max())  # hypot rounds as abs() of one complex
+
+
+def _abs_squared(z: np.ndarray) -> np.ndarray:
+    """``abs(z) ** 2`` of each complex, to the bit of that on one numpy scalar,
+    which calls C's ``hypot`` and ``pow``; ``np.abs`` and ``**`` round otherwise."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def _loop_runs(circ: Circuit, top_label: str, seed: int, n: int, *masks: str):
     """``n`` random unit vectors over ``circ``'s first dof, drawn from
-    ``seed``; the stack of sources that holds each in ``top_label`` of the
-    second dof, row by row over its own norm; and that stack evolved under
-    each ``mask`` setting.  A blocked row raises."""
+    ``seed``, as rows; the stack of sources that holds each in ``top_label`` of
+    the second dof, each row again over its own norm (``row_norms``, with the
+    bytes of ``np.linalg.norm`` per row); and that stack evolved under each
+    ``mask`` setting.  A blocked row raises."""
     # one draw of the stream that a real then an imaginary draw per vector reads
     parts = rng_for(seed).normal(size=(n, 2, circ.dofs[0].dim))
-    vs = [v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]]
+    vs = parts[:, 0] + 1j * parts[:, 1]
+    vs /= row_norms(vs)[:, None]
     amps = np.zeros((n, *(d.dim for d in circ.dofs)), dtype=complex)
     amps[:, :, circ.dofs[1].index(top_label)] = vs
-    for row in amps:
-        row /= np.linalg.norm(row)
+    amps /= row_norms(amps)[:, None, None]
     sources = StateStack(circ.dofs, amps, np.ones(n), np.zeros(n, dtype=bool))
     outs = [_unblocked(evolve_rows(circ, n, {}, {"mask": mask}, sources)) for mask in masks]
     return vs, sources, outs
@@ -232,7 +236,7 @@ def _loop_runs(circ: Circuit, top_label: str, seed: int, n: int, *masks: str):
 
 def _analyzer_random_dev(s: _Shared) -> float:
     _, sources, (outs,) = _loop_runs(s.circuit, "U", 20260824, 100, "open")
-    return max(map(global_phase_deviation, outs.amps, sources.amps))
+    return float(phase_deviations(outs.amps, sources.amps).max())
 
 
 def _blocked_lower_dev(s: _Shared) -> float:
@@ -243,23 +247,18 @@ def _blocked_lower_dev(s: _Shared) -> float:
 
 def _sg_fidelity_dev(s: _Shared) -> float:
     _, sources, (outs,) = _loop_runs(s.circuit, "top", 20260825, 100, "open")
-    return max(abs(1.0 - abs(np.vdot(v, out)) ** 2) for v, out in zip(sources.amps, outs.amps))
+    overlaps = np.vecdot(sources.amps.reshape(100, -1), outs.amps.reshape(100, -1))
+    return float(np.abs(1.0 - _abs_squared(overlaps)).max())
 
 
 def _sg_masked_dev(s: _Shared) -> float:
-    circ = s.circuit
     keep = {"keep_top": "plus", "keep_mid": "zero", "keep_bot": "minus"}
-    vs, _, outs = _loop_runs(circ, "top", 20260826, 20, *keep)
-    worst = 0.0
+    vs, _, outs = _loop_runs(s.circuit, "top", 20260826, 20, *keep)
+    gaps = []
     for i, (stack, spin_label) in enumerate(zip(outs, keep.values())):
-        want = StateVector.from_amplitudes(circ.dofs, {(spin_label, "top"): 1.0})
-        for v, out, weight in zip(vs, stack.amps, stack.weights):
-            worst = max(
-                worst,
-                global_phase_deviation(out, want.tensor_view()),
-                abs(weight - abs(v[i]) ** 2),
-            )
-    return worst
+        gaps.append(_state_gap(stack, {(spin_label, "top"): 1.0}))
+        gaps.append(np.abs(stack.weights - _abs_squared(vs[:, i])).max())
+    return float(np.max(gaps))
 
 
 def _eraser_parts(s: _Shared) -> tuple[Pattern, list[Pattern], list[float]]:

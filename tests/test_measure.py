@@ -147,6 +147,28 @@ class TestConditional:
         with pytest.raises(ConditioningError):
             conditional(d, ("a", "a1"))
 
+    def test_conditioning_on_a_label_the_axis_does_not_have_raises(self):
+        # it used to raise ConditioningError: P(ppol=zz) = 0
+        d = joint_distribution(scenarios.build("walborn").circuit, {"p_pol": "absent"})
+        with pytest.raises(ValidationError, match=r"^axis 'ppol' has no label 'zz'; its labels: \+, -$"):
+            conditional(d, ("ppol", "zz"))
+
+    def test_conditioning_the_all_absorbed_distribution_raises_conditioning_error(self):
+        # its label tuples are empty, so no label is missing: P(a=a0) is 0, as prob says
+        d = OutcomeDistribution(("a", "b"), ((), ()), np.zeros((0, 0)), 0.0)
+        with pytest.raises(ConditioningError, match=r"P\(a=a0\) = 0"):
+            conditional(d, ("a", "a0"))
+
+
+class TestMarginal:
+    def test_a_repeated_axis_raises(self):
+        # numpy's transpose used to raise a bare ValueError: axes don't match array
+        d = joint_distribution(scenarios.build("walborn").circuit, {"p_pol": "absent"})
+        with pytest.raises(ValidationError, match="axis 'ppol' is named twice"):
+            marginal(d, ["ppol", "ppol"])
+        with pytest.raises(ValidationError, match="axis 'ppol' is named twice"):
+            marginal(d, ["ppol", "D_s", "ppol"])
+
 
 class TestTotalVariation:
     def test_identical_distributions(self):
