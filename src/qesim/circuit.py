@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .measure import OutcomeDistribution, check_probs, total_variation
+from .measure import OutcomeDistribution, check_probs, total_variation, worst
 from .qstate import (
     Dof,
     StateStack,
@@ -412,8 +412,5 @@ def compare_marginals(
         acc = np.cumsum(p, axis=0)[-1]
         mixtures.append(OutcomeDistribution(axes, labels, acc, sum(masses.tolist())))
 
-    worst = 0.0
-    for i in range(len(mixtures)):
-        for j in range(i + 1, len(mixtures)):
-            worst = max(worst, total_variation(mixtures[i], mixtures[j]))
-    return worst
+    return worst(total_variation(mixtures[i], mixtures[j])
+                 for i in range(len(mixtures)) for j in range(i + 1, len(mixtures)))

@@ -15,16 +15,21 @@ search pairs two detectors' events greedily in time order inside a window,
 optionally after subtracting per-detector compensation offsets — which is how
 a delayed eraser's pairs are recovered.
 
-An ``EventLog`` keeps its events as parallel numpy columns, not one object
-per event; ``DetectionEvent`` objects are built only when a caller asks for
-``EventLog.events``.  ``generate_events`` draws shots and merges the
-detectors' rows ``BLOCK_ROWS`` shots at a time, ``coincidences`` pairs A's
-events and ``conditioned_histogram`` counts pairs in blocks as well, so what
-grows with the shot count is their results.  The log's writers, and that of
-``Coincidences``, format a range of rows, so that ``blocks`` can write a log
-of any length ``BLOCK_ROWS`` rows at a time and never holds the whole text.  A block is one
-array of 0xFF-padded rows (uint64 words for JSON, bytes for CSV) of numbers from
-``measure`` and per-label tables; one ``bytes.translate`` drops the padding.
+``generate_events`` draws the shots ``BLOCK_ROWS`` at a time and keeps each
+detector's events as one run: its surviving shots, their times and label
+indices, in shot order and so in time order.  ``coincidences`` pairs A's run
+block by block against B's compensated times, and ``conditioned_histogram``
+counts the pairs block by block; both read the runs, so nothing merges the
+detectors' events for them.  The time-ordered log, in (time, detector name,
+shot) order, is a view: ``EventLog.shot``, ``.time``, ``.label`` and
+``.events`` build it on first access, and the writers take it block by block
+as they write, so a log is never held twice.  The next ``n`` rows are among
+each run's next ``n`` events, so one stable sort of those merges them.  The
+writers, and that of ``Coincidences``, format a range of rows, so that
+``blocks`` can write a log of any length ``BLOCK_ROWS`` rows at a time and
+never holds the whole text.  A block of text is one array of 0xFF-padded rows
+(uint64 words for JSON, bytes for CSV) of numbers from ``measure`` and
+per-label tables; one ``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,26 +69,107 @@ class DetectionEvent:
     outcome: tuple[str, ...]
 
 
-class EventLog:
-    """Detection events as three parallel columns.
+class _Run(NamedTuple):
+    """Events as three parallel columns: shots, times (ns) and label indices."""
 
-    Row ``i`` is shot ``shot[i]`` registered at ``time[i]`` (ns) with
-    ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
-    each pair once.  ``generate_events`` stores rows in (time, detector name,
-    shot) order.
+    shot: np.ndarray
+    time: np.ndarray
+    label: np.ndarray
+
+
+def _part(run: _Run, index) -> _Run:
+    return _Run(*(column[index] for column in run))
+
+
+class EventLog:
+    """Detection events, as one run per detector and as three parallel columns.
+
+    Row ``i`` of the columns is shot ``shot[i]`` registered at ``time[i]`` (ns)
+    with ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
+    each pair once.  Each detector's events are also one run, in time order
+    (ties in row order), which pairing and counting read.  A log built from
+    columns keeps them and splits them into runs once.  A log from
+    ``generate_events`` holds only its runs: its rows are their merge in (time,
+    detector name, shot) order, built on first access of the columns, or merged
+    a range at a time by writers that go through the rows in order from row 0.
     """
 
     def __init__(self, shots: int, shot, time, label, labels):
         self.shots = shots
-        self.shot = np.asarray(shot, dtype=np.int64)
-        self.time = np.asarray(time, dtype=np.float64)
-        self.label = np.asarray(label, dtype=np.int32)
         self.labels: tuple[tuple[str, tuple[str, ...]], ...] = tuple(labels)
-        if not len(self.shot) == len(self.time) == len(self.label):
+        self._columns = columns = _Run(np.asarray(shot, dtype=np.int64),
+                                       np.asarray(time, dtype=np.float64),
+                                       np.asarray(label, dtype=np.int32))
+        if not len(columns.shot) == len(columns.time) == len(columns.label):
             raise ValidationError("shot, time and label columns differ in length")
-        _check_index("label", self.label, len(self.labels))
-        if not np.isfinite(self.time).all():
+        _check_index("label", columns.label, len(self.labels))
+        if not np.isfinite(columns.time).all():
             raise ValidationError("event times must be finite")
+        names = sorted({det for det, _ in self.labels})
+        det = np.array([names.index(d) for d, _ in self.labels], np.intp)[columns.label]
+        # a stable sort on (detector, time): each detector's rows in time order, ties in row order
+        rows = np.split(np.lexsort((columns.time, det)),
+                        np.cumsum(np.bincount(det, minlength=len(names)))[:-1])
+        self._rows_of = dict(zip(names, rows))
+        self._runs = {name: _part(columns, r) for name, r in self._rows_of.items()}
+
+    @classmethod
+    def _of_runs(cls, shots: int, labels, runs: dict[str, _Run]) -> EventLog:
+        """The log of ``runs``, in name order, each in shot order and so in time order."""
+        log = cls.__new__(cls)
+        log.shots, log.labels, log._runs = shots, tuple(labels), runs
+        return log
+
+    shot = property(lambda self: self._columns.shot)
+    time = property(lambda self: self._columns.time)
+    label = property(lambda self: self._columns.label)
+
+    @cached_property
+    def _columns(self) -> _Run:
+        return self._merge([0] * len(self._runs), len(self))[0]
+
+    @cached_property
+    def _rows_of(self) -> dict[str, np.ndarray]:
+        """Each run's rows: before an event come its run's earlier events, and
+        those of every other run earlier in time, or as early and of an earlier name."""
+        return {det: sum((other.time.searchsorted(run.time, "right" if name < det else "left")
+                          for name, other in self._runs.items() if name != det), np.arange(len(run.time)))
+                for det, run in self._runs.items()}
+
+    def _merge(self, taken: list[int], n: int) -> tuple[_Run, np.ndarray]:
+        """The ``n`` rows that follow the first ``taken[k]`` events of each run
+        ``k`` in (time, name, shot) order, and how many of them each run gives.
+        Some events, ``m`` or all that are left of each run, are ``n`` or more in
+        all, so the ``n``-th row is no later than the latest of them: the rows
+        are among each run's next ``n`` events no later than that, and a stable
+        sort on time of those, each run's in shot order and the runs in name
+        order, leaves them in (time, name, shot) order."""
+        runs = list(self._runs.values())
+        m = -(-n // len(runs))
+        if sum(min(m, len(run.time) - t) for run, t in zip(runs, taken)) < n:
+            m = n
+        last = max((run.time[min(t + m, len(run.time)) - 1]
+                    for run, t in zip(runs, taken) if t < len(run.time)), default=np.inf)
+        parts = [_part(run, slice(t, t + run.time[t:t + n].searchsorted(last, "right")))
+                 for run, t in zip(runs, taken)]
+        block = _Run(*map(np.concatenate, zip(*parts)))
+        order = np.argsort(block.time, kind="stable")[:n]
+        ends = np.cumsum([len(part.time) for part in parts])
+        rows = _Run(*(column.take(order) for column in block))
+        return rows, np.diff([np.count_nonzero(order < end) for end in ends], prepend=0)
+
+    def _slice(self, lo: int, hi: int | None) -> _Run:
+        """Rows ``[lo, hi)``.  Until the columns are built, calls that go through
+        the rows in order from row 0 merge each range as it is asked for, so
+        that writing a log never holds it twice."""
+        lo, hi, _ = slice(lo, hi).indices(len(self))
+        hi = max(lo, hi)
+        at, taken = self.__dict__.get("_cursor", (0, [0] * len(self._runs)))
+        if "_columns" in self.__dict__ or lo != at:
+            return _part(self._columns, slice(lo, hi))
+        rows, counts = self._merge(taken, hi - lo)
+        self._cursor = (hi, [t + c for t, c in zip(taken, counts.tolist())])
+        return rows
 
     @cached_property
     def events(self) -> tuple[DetectionEvent, ...]:
@@ -92,12 +179,8 @@ class EventLog:
             for s, t, k in zip(self.shot.tolist(), self.time.tolist(), self.label.tolist())
         )
 
-    def _mine(self, detector: str) -> np.ndarray:
-        """Whether each label is one of ``detector``'s."""
-        return np.array([det == detector for det, _ in self.labels], dtype=bool)
-
     def __len__(self) -> int:
-        return len(self.shot)
+        return sum(len(run.time) for run in self._runs.values())
 
     @cached_property
     def _jsonl_tails(self) -> np.ndarray:
@@ -114,7 +197,7 @@ class EventLog:
 
     def to_jsonl(self, lo: int = 0, hi: int | None = None) -> str:
         """JSON lines of rows ``[lo, hi)``."""
-        t = self.time[lo:hi]
+        shot, t, label = self._slice(lo, hi)
         # json.dumps writes repr(t): for a whole t below the bound, but -0.0, its int and ".0"
         ints = np.where(np.abs(t) < JSON_WHOLE_BOUND, t, 0).astype(np.int64)
         whole = (ints == t) & (np.signbit(t) == (ints < 0))
@@ -123,12 +206,13 @@ class EventLog:
         time = _int_words(ints, -(-max(map(len, texts), default=0) // 8))
         time[slow] = _byte_rows(texts, time.shape[1] * 8).view("<u8")
         keys = np.broadcast_to(np.frombuffer(_KEYS, "<u8"), (len(t), 2))
-        tails = self._jsonl_tails[2 * self.label[lo:hi] + whole]
-        return _lines(keys[:, :1], _int_words(self.shot[lo:hi]), keys[:, 1:], time, tails)
+        tails = self._jsonl_tails[2 * label + whole]
+        return _lines(keys[:, :1], _int_words(shot), keys[:, 1:], time, tails)
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of rows ``[lo, hi)``, after the header when ``lo == 0``."""
-        body = _lines(*_csv_cells(self, slice(lo, hi), self._csv_tails[self.label[lo:hi]]))
+        rows = self._slice(lo, hi)
+        body = _lines(*_csv_cells(rows, self._csv_tails[rows.label]))
         return "shot,t,det,outcome\n" + body if lo == 0 else body
 
 
@@ -143,10 +227,10 @@ def _words(texts, size: int = 8) -> np.ndarray:
     return _byte_rows(texts, -(-max(map(len, texts), default=1) // size) * size).view(f"<u{size}")
 
 
-def _csv_cells(log: EventLog, rows, tails: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Shots, a comma and ``%.12g`` times of ``rows`` of ``log``, then the byte rows ``tails``."""
+def _csv_cells(rows: _Run, tails: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shots, a comma and ``%.12g`` times of ``rows``, then the byte rows ``tails``."""
     comma = np.broadcast_to(np.uint8(ord(",")), (len(tails), 1))
-    return _int_words(log.shot[rows]).view(np.uint8), comma, _g12(log.time[rows]), tails
+    return _int_words(rows.shot).view(np.uint8), comma, _g12(rows.time), tails
 
 
 def blocks(write, rows: int):
@@ -221,51 +305,33 @@ def generate_events(
     for lo, hi in _spans(shots):
         outcome[lo:hi] = draw(rng.random(hi - lo))
 
-    # each detector logs its surviving shots at shot * PERIOD_NS + its delay; the joint
-    # axes split among detectors in declaration order, and each labels its axes'
-    # outcomes in C order
+    # each detector logs each surviving shot at shot * PERIOD_NS + its delay, so in
+    # shot order its events are in time order; the joint axes split among detectors
+    # in declaration order, and each labels its axes' outcomes in C order
     shape = dist.probs.shape
     index = np.unravel_index(np.arange(size), shape)
     labels: list[tuple[str, tuple[str, ...]]] = []
-    dets = []
+    runs = {}
+    shot = np.flatnonzero(outcome < size)
+    picks = outcome[shot]
     pos = 0
     for spec in specs:
         span = slice(pos, pos + len(spec.axis_names()))
         pos = span.stop
         label_of_key = (np.ravel_multi_index(index[span], shape[span]) + len(labels)).astype(np.int32)
         labels += [(spec.name, k) for k in product(*dist.labels[span])]
-        dets.append((spec.name, delays.get(spec.name, spec.time_offset), label_of_key))
-    dets.sort(key=lambda d: d[0])
-    rows = np.count_nonzero(outcome < size) * len(dets)
-    shot, time, label = np.empty(rows, np.int64), np.empty(rows), np.empty(rows, np.int32)
-
-    # merge block by block.  A detector's times rise with its shots, so no row
-    # still to come is earlier than the horizon, the least time of shot hi; rows
-    # below it are final, and rows at it wait, as a later row of an earlier name
-    # may tie with them.
-    # Pending shots are in shot order, so a stable sort on time of the detectors'
-    # rows in name order leaves them in (time, name, shot) order
-    pending = [np.empty(0, np.intp)] * len(dets)
-    done = 0
-    for lo, hi in _spans(shots):
-        new = lo + np.flatnonzero(outcome[lo:hi] < size)
-        horizon = min(hi * PERIOD_NS + offset for _, offset, _ in dets)
-        parts = []
-        for k, (_, offset, label_of_key) in enumerate(dets):
-            s = np.concatenate([pending[k], new])
-            t = s * PERIOD_NS + offset
-            cut = len(s) if hi == shots else np.searchsorted(t, horizon)
-            # take, as indexing by a small int type, is 3x slower; the indices are in range
-            parts.append((s[:cut], t[:cut], label_of_key.take(outcome[s[:cut]], mode="clip")))
-            pending[k] = s[cut:]
-        parts = [np.concatenate(p) for p in zip(*parts)]
-        order = np.argsort(parts[1], kind="stable")
-        end = done + len(order)
-        for column, part in zip((shot, time, label), parts):
-            # mode "clip" writes straight into out; the default buffers the result
-            np.take(part, order, out=column[done:end], mode="clip")
-        done = end
-    return EventLog(shots, shot, time, label, labels)
+        time = shot * PERIOD_NS
+        time += delays.get(spec.name, spec.time_offset)
+        if not np.isfinite(time).all():
+            raise ValidationError("event times must be finite")
+        label = np.empty(len(shot), np.int32)
+        for lo, hi in _spans(len(shot)):
+            # take, as indexing by a small int type, is 3x slower, but it copies the
+            # index as intp, so a block at a time; mode "clip" writes straight into out
+            # (the default buffers the result), and the indices are in range
+            np.take(label_of_key, picks[lo:hi], out=label[lo:hi], mode="clip")
+        runs[spec.name] = _Run(shot, time, label)
+    return EventLog._of_runs(shots, labels, dict(sorted(runs.items())))
 
 
 class Coincidences:
@@ -273,14 +339,30 @@ class Coincidences:
     ``b[i]`` of ``log``."""
 
     def __init__(self, log: EventLog, a: np.ndarray, b: np.ndarray):
-        self.log, self.a, self.b = log, a, b
         if len(a) != len(b):
             raise ValidationError("pair columns a and b differ in length")
         for rows in (a, b):
             _check_index("pair row", rows, len(log))
+        # each side: the events (here the log's columns), its indices into them, and their run's name
+        self.log, self._sides = log, ((log._columns, a, None), (log._columns, b, None))
+
+    @classmethod
+    def _of_runs(cls, log: EventLog, det_a: str, a, det_b: str, b) -> Coincidences:
+        """Pairs of events ``a`` of ``det_a``'s run and ``b`` of ``det_b``'s."""
+        pairs = cls.__new__(cls)
+        pairs.log, pairs._sides = log, tuple((log._runs[det], np.asarray(index, np.intp), det)
+                                             for det, index in ((det_a, a), (det_b, b)))
+        return pairs
+
+    def _rows(self, side: int) -> np.ndarray:
+        _, index, det = self._sides[side]
+        return index if det is None else self.log._rows_of[det][index]
+
+    a = property(lambda self: self._rows(0))
+    b = property(lambda self: self._rows(1))
 
     def __len__(self) -> int:
-        return len(self.a)
+        return len(self._sides[0][1])
 
     @cached_property
     def _outcomes(self) -> np.ndarray:
@@ -290,21 +372,10 @@ class Coincidences:
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""
-        log, a, b = self.log, self.a[lo:hi], self.b[lo:hi]
-        body = _lines(*_csv_cells(log, a, self._outcomes[2 * log.label[a]]),
-                      *_csv_cells(log, b, self._outcomes[2 * log.label[b] + 1]))
+        a, b = (_part(run, index[lo:hi]) for run, index, _ in self._sides)
+        body = _lines(*_csv_cells(a, self._outcomes[2 * a.label]),
+                      *_csv_cells(b, self._outcomes[2 * b.label + 1]))
         return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
-
-
-def _shifted(log: EventLog, detector: str, offset: float, lo: int = 0, hi: int | None = None):
-    """One detector's rows among rows ``[lo, hi)`` of ``log`` and their
-    compensated times, sorted by that time unless they are in order already."""
-    rows = lo + np.flatnonzero(log._mine(detector)[log.label[lo:hi]])
-    t = log.time[rows] - offset
-    if (t[1:] < t[:-1]).any():
-        order = np.argsort(t, kind="stable")
-        rows, t = rows[order], t[order]
-    return rows, t
 
 
 def _greedy(ta: list[float], tb: list[float], window: float) -> tuple[list[int], list[int]]:
@@ -341,23 +412,19 @@ def coincidences(
     if det_a == det_b:
         raise ValidationError(f"cannot pair detector {det_a!r} with itself")
     for det in (det_a, det_b):
-        if not log._mine(det).any():
+        if det not in log._runs:
             raise ValidationError(f"no detector {det!r} in the log")
     offsets = offsets or {}
     if not all(np.isfinite(v) for v in offsets.values()):
         raise ValidationError("offsets must be finite")
-    off_a = offsets.get(det_a, 0.0)
-    rows_b, tb = _shifted(log, det_b, offsets.get(det_b, 0.0))
-    n_a = np.count_nonzero(log._mine(det_a)[log.label])
-    a, b = np.empty((2, min(n_a, len(rows_b))), rows_b.dtype)
+    time_a, off_a = log._runs[det_a].time, offsets.get(det_a, 0.0)
+    tb = log._runs[det_b].time - offsets.get(det_b, 0.0)
+    a, b = np.empty((2, min(len(time_a), len(tb))), np.intp)
     pairs, edge = 0, (-1, False)
-    # in a log in time order, as generate_events writes it, each detector's rows are
-    # in time order: A's are paired block by block, those of any other log whole
-    in_order = (log.time[1:] >= log.time[:-1]).all()
-    for lo, hi in _spans(len(log)) if in_order else [(0, len(log))]:
-        rows, ta = _shifted(log, det_a, off_a, lo, hi)
-        if not len(rows):
-            continue
+    # each run is in time order, and so are its compensated times: A's run is
+    # paired block by block
+    for lo, hi in _spans(len(time_a)):
+        ta = time_a[lo:hi] - off_a
         # each A event's first candidate: the earliest B event not before t - window
         first = np.searchsorted(tb, ta - window, side="left")
         hit = first < len(tb)
@@ -365,13 +432,12 @@ def coincidences(
         if (hit[:-1] & (first[1:] == first[:-1])).any() or edge == (first[0], True):
             # an A event took the candidate of the next one, which must then look
             # further on; only a window of half the event spacing or more does this
-            rows, ta = _shifted(log, det_a, off_a)
-            pa, pb = _greedy(ta.tolist(), tb.tolist(), window)
-            return Coincidences(log, rows[pa], rows_b[pb])
+            a, b = _greedy((time_a - off_a).tolist(), tb.tolist(), window)
+            return Coincidences._of_runs(log, det_a, a, det_b, b)
         end = pairs + np.count_nonzero(hit)
-        a[pairs:end], b[pairs:end] = rows[hit], rows_b[first[hit]]
+        a[pairs:end], b[pairs:end] = np.arange(lo, hi)[hit], first[hit]
         pairs, edge = end, (first[-1], hit[-1])
-    return Coincidences(log, a[:pairs], b[:pairs])
+    return Coincidences._of_runs(log, det_a, a[:pairs], det_b, b[:pairs])
 
 
 def conditioned_histogram(
@@ -383,12 +449,12 @@ def conditioned_histogram(
     one screen-bin label."""
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
-    labels, label = pairs.log.labels, pairs.log.label
+    labels = pairs.log.labels
+    (run_a, a, _), (run_b, b, _) = pairs._sides
     wanted = np.array([partner_outcome in (None, outcome) for _, outcome in labels], dtype=bool)
     counts = np.zeros(len(labels), np.intp)
     for lo, hi in _spans(len(pairs)):
-        a = label[pairs.a[lo:hi]]
-        counts += np.bincount(a[wanted[label[pairs.b[lo:hi]]]], minlength=len(labels))
+        counts += np.bincount(run_a.label[a[lo:hi]][wanted[run_b.label[b[lo:hi]]]], minlength=len(labels))
     used = np.flatnonzero(counts).tolist()
     if any(len(labels[k][1]) != 1 or labels[k][1][0] not in BIN_LABELS for k in used):
         raise ValidationError("screen events must carry a single bin label")

@@ -179,6 +179,13 @@ def total_variation(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
     return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
+def worst(gaps) -> float:
+    """The largest of ``gaps`` (each >= 0), 0.0 for none, and NaN if any is
+    NaN: Python's ``max`` keeps an earlier value over a later NaN, so a NaN
+    would pass a check."""
+    return float(np.max([0.0, *gaps]))
+
+
 def rng_for(seed: int) -> np.random.Generator:
     """The package-wide generator: PCG64 seeded via SeedSequence((seed, 0))."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))

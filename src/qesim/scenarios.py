@@ -38,7 +38,7 @@ from .circuit import (
     joint_distribution,
     joint_probs,
 )
-from .measure import OutcomeDistribution, conditional, marginal, rng_for
+from .measure import OutcomeDistribution, conditional, marginal, rng_for, worst
 from .qstate import (
     BasisChange,
     StateStack,
@@ -131,7 +131,7 @@ def _phi_rows(s: _Shared) -> dict[int, np.ndarray]:
 def _vis_gap(s: _Shared, target: float, *settings: dict[str, str]) -> float:
     """|target - fitted visibility| of the ``slit`` screen after ``evolve``,
     the worst over ``settings``."""
-    return max(
+    return worst(
         abs(target - fringe_visibility(pattern_from_state(s(_state, x), "slit")))
         for x in settings
     )
@@ -141,7 +141,7 @@ def _prob_gap(s: _Shared, want: dict[str, float], settings=None) -> float:
     """The largest |P(label) - want[label]| of the golden circuit's one-axis
     distribution under ``settings``."""
     d = joint_distribution(s.circuit, settings)
-    return max(abs(d.prob(label) - p) for label, p in want.items())
+    return worst(abs(d.prob(label) - p) for label, p in want.items())
 
 
 def _phi_grid_gap(s: _Shared, want: Callable[[float], dict[str, float]]) -> float:
@@ -150,7 +150,7 @@ def _phi_grid_gap(s: _Shared, want: Callable[[float], dict[str, float]]) -> floa
     blocks = list(joint_probs(s.circuit, len(PHI_GRID), s(_phi_rows)))
     labels = blocks[0][1][0]
     rows = np.concatenate([p for _, _, p, _, _ in blocks]).tolist()
-    return max(
+    return worst(
         abs(row[labels.index(label)] - p)
         for phi, row in zip(PHI_GRID, rows)
         for label, p in want(phi).items()
@@ -242,7 +242,7 @@ def _analyzer_random_dev(s: _Shared) -> float:
 def _blocked_lower_dev(s: _Shared) -> float:
     # |45> with the lower (h-tagged) channel masked: pure |v> out, weight 1/2
     out = s(_state, {"mask": "block_L"})
-    return max(_state_gap(out, {("v", "U"): 1.0}), abs(out.weights[0] - 0.5))
+    return worst([_state_gap(out, {("v", "U"): 1.0}), abs(out.weights[0] - 0.5)])
 
 
 def _sg_fidelity_dev(s: _Shared) -> float:
@@ -303,13 +303,12 @@ def _polarizer_before_ds_dev(s: _Shared) -> float:
     # selecting +/- on the p photon or directly on the s photon picks out
     # the same fringe/antifringe at the screen
     st = s(_post_slit, True)
-    worst = 0.0
+    gaps = []
     for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
         via_p = _filtered(st, el.ElementOp(el.FILTER, ("ppol",), proj))
         via_s = _filtered(st, el.ElementOp(el.FILTER, ("spol",), proj))
-        gap = _pattern_gap(pattern_from_state(via_p, "slit"), pattern_from_state(via_s, "slit"))
-        worst = max(worst, gap)
-    return worst
+        gaps.append(_pattern_gap(pattern_from_state(via_p, "slit"), pattern_from_state(via_s, "slit")))
+    return worst(gaps)
 
 
 # -- catalog --------------------------------------------------------------------
@@ -331,7 +330,7 @@ _WALBORN = (
         _filtered(s(_post_slit, False), el.linear_polarizer(s.circuit.dofs[2], 0.0)),
         {("s1", "R", "x"): 1j, ("s2", "L", "x"): -1j},
     )),
-    ("conditioned_visibility_1", 1e-9, lambda s: max(
+    ("conditioned_visibility_1", 1e-9, lambda s: worst(
         abs(1.0 - fringe_visibility(pat)) for pat in s(_p_conditioned)[1]
     )),
     ("unconditioned_flat", 1e-9, lambda s: _vis_gap(s, 0.0, {"p_pol": "absent"})),

@@ -3,9 +3,11 @@
 ``tracemalloc`` counts the bytes Python allocates, numpy's arrays included,
 and those counts repeat exactly from run to run.  Sampling and pairing run in
 blocks of ``events.BLOCK_ROWS``, so what grows with the shot count is the
-result alone: the log's three columns (20 B per event, two events per shot
-here) and the two row columns of the pairs (16 B per pair).  The blocks, and
-the one detector's rows and times that pairing keeps whole, come on top.
+result alone: each detector's run (the surviving shots, 8 B per shot and
+shared by the runs, and 12 B per event of times and labels, two events per
+shot here) and the two index columns of the pairs (16 B per pair).  The
+blocks, and the B detector's compensated times that pairing keeps whole,
+come on top.
 """
 
 import tracemalloc
@@ -15,8 +17,8 @@ from qesim import events, scenarios
 SHOTS = 200_000
 #: peak bytes per shot of generate_events, and of generate_events then
 #: coincidences then conditioned_histogram
-GENERATE_BOUND = 64
-PIPELINE_BOUND = 90
+GENERATE_BOUND = 46
+PIPELINE_BOUND = 72
 
 
 def test_event_pipeline_working_memory():

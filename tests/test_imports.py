@@ -1,8 +1,13 @@
 """Every name an import binds is used in its module or listed in its
-``__all__``, and each ``src/qesim`` module uses no other module's private
-names but those listed in ``PRIVATE_USES``."""
+``__all__``, each ``src/qesim`` module uses no other module's private
+names but those listed in ``PRIVATE_USES``, and importing the CLI does no
+work that a command would do."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +95,29 @@ def test_scan_finds_private_uses():
 @pytest.mark.parametrize("path", sorted((ROOT / "src/qesim").glob("*.py")), ids=lambda p: p.stem)
 def test_private_uses_are_the_listed_ones(path):
     assert private_uses(path.read_text(encoding="utf-8")) == PRIVATE_USES.get(path.stem, set())
+
+
+#: run in a fresh interpreter: what ``import qesim.cli`` loads and computes
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import qesim.cli
+from qesim import cli, measure, scenarios
+print(json.dumps({
+    "modules": sorted(set(sys.modules) - before),
+    "cached": {f.__qualname__: f.cache_info().currsize
+               for f in (measure._tables, cli.build_parser, scenarios.document)},
+}))
+"""
+
+
+def test_importing_the_cli_fills_no_cache_and_loads_only_numpy():
+    # work done at import is paid by every process, whatever it then runs
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["cached"] == {"_tables": 0, "build_parser": 0, "document": 0}
+    tops = {name.split(".")[0] for name in probe["modules"]}
+    assert {"numpy", "qesim"} <= tops
+    assert tops - {"numpy", "qesim"} <= set(sys.stdlib_module_names)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from qesim import edl, scenarios
+from qesim import circuit, edl, scenarios
 from qesim.circuit import compare_marginals, joint_distribution
+from qesim.measure import OutcomeDistribution
 
 EXPECTED_NAMES = [
     "two_slit",
@@ -142,3 +145,58 @@ class TestSharedResults:
         assert isinstance(store(), scenarios._Shared)
         del sc
         assert store() is None
+
+
+def nan_on_call(fn, call):
+    """``fn``, but NaN for its call number ``call`` (the first is 0)."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == call + 1 else fn(*args, **kwargs)
+
+    return patched
+
+
+def nan_in_last_probability(fn):
+    """``joint_probs``, with each block's last probability NaN."""
+    def patched(*args, **kwargs):
+        for axes, labels, p, masses, blocked in fn(*args, **kwargs):
+            p = p.copy()
+            p.flat[-1] = math.nan
+            yield axes, labels, p, masses, blocked
+
+    return patched
+
+
+def nan_weights(fn):
+    """``_state``, with NaN weights."""
+    def patched(*args):
+        out = fn(*args)
+        return dataclasses.replace(out, weights=np.full_like(out.weights, math.nan))
+
+    return patched
+
+
+@pytest.mark.parametrize("scenario, check, owner, name, patch", [
+    # _vis_gap: the second setting's visibility
+    ("one_photon_eraser", "erased_visibility_1", scenarios, "fringe_visibility", lambda f: nan_on_call(f, 1)),
+    # _prob_gap: the second label's probability
+    ("wheeler", "screen_out_50_50", OutcomeDistribution, "prob", lambda f: nan_on_call(f, 1)),
+    # _phi_grid_gap: the last probability of the phi grid
+    ("mz_one_bs", "half_half_all_phi", scenarios, "joint_probs", nan_in_last_probability),
+    # _polarizer_before_ds_dev: the second projector's gap
+    ("walborn", "polarizer_before_ds_same_selection", scenarios, "_pattern_gap", lambda f: nan_on_call(f, 1)),
+    # the conditioned_visibility_1 lambda: the second ppol outcome's visibility
+    ("walborn", "conditioned_visibility_1", scenarios, "fringe_visibility", lambda f: nan_on_call(f, 1)),
+    # compare_marginals: the second of three pairs of p_pol alternatives
+    ("walborn", "s_marginal_invariance", circuit, "total_variation", lambda f: nan_on_call(f, 1)),
+    # _blocked_lower_dev: the weight gap after the state gap
+    ("analyzer_loop", "blocked_lower_gives_v", scenarios, "_state", nan_weights),
+])
+def test_a_nan_measurement_fails_its_check(scenario, check, owner, name, patch):
+    # Python's max keeps an earlier value over a later NaN; a check must not
+    with mock.patch.object(owner, name, patch(getattr(owner, name))):
+        (chk,) = [c for c in scenarios.build(scenario).expectations if c.name.endswith(f".{check}")]
+        value, ok = chk.run()
+    assert math.isnan(value) and not ok
