@@ -82,43 +82,21 @@ def _part(run: _Run, index) -> _Run:
 
 
 class EventLog:
-    """Detection events, as one run per detector and as three parallel columns.
+    """Detection events, as one run per detector.
 
-    Row ``i`` of the columns is shot ``shot[i]`` registered at ``time[i]`` (ns)
-    with ``labels[label[i]]``, a (detector name, outcome) pair; ``labels`` holds
-    each pair once.  Each detector's events are also one run, in time order
-    (ties in row order), which pairing and counting read.  A log built from
-    columns keeps them and splits them into runs once.  A log from
-    ``generate_events`` holds only its runs: its rows are their merge in (time,
-    detector name, shot) order, built on first access of the columns, or merged
-    a range at a time by writers that go through the rows in order from row 0.
+    ``labels`` holds each (detector name, outcome) pair once.  ``runs`` maps
+    each detector's name, in name order, to its events: their shots, times
+    (ns) and indices into ``labels``, in time order.  Pairing and counting read
+    the runs.  The log's rows are their merge in (time, detector name, place
+    in the run) order: the ``shot``, ``time`` and ``label`` columns build it on
+    first access, and writers that go through the rows in order from row 0
+    merge it a range at a time.
     """
 
-    def __init__(self, shots: int, shot, time, label, labels):
+    def __init__(self, shots: int, labels, runs: dict[str, _Run]):
         self.shots = shots
         self.labels: tuple[tuple[str, tuple[str, ...]], ...] = tuple(labels)
-        self._columns = columns = _Run(np.asarray(shot, dtype=np.int64),
-                                       np.asarray(time, dtype=np.float64),
-                                       np.asarray(label, dtype=np.int32))
-        if not len(columns.shot) == len(columns.time) == len(columns.label):
-            raise ValidationError("shot, time and label columns differ in length")
-        _check_index("label", columns.label, len(self.labels))
-        if not np.isfinite(columns.time).all():
-            raise ValidationError("event times must be finite")
-        names = sorted({det for det, _ in self.labels})
-        det = np.array([names.index(d) for d, _ in self.labels], np.intp)[columns.label]
-        # a stable sort on (detector, time): each detector's rows in time order, ties in row order
-        rows = np.split(np.lexsort((columns.time, det)),
-                        np.cumsum(np.bincount(det, minlength=len(names)))[:-1])
-        self._rows_of = dict(zip(names, rows))
-        self._runs = {name: _part(columns, r) for name, r in self._rows_of.items()}
-
-    @classmethod
-    def _of_runs(cls, shots: int, labels, runs: dict[str, _Run]) -> EventLog:
-        """The log of ``runs``, in name order, each in shot order and so in time order."""
-        log = cls.__new__(cls)
-        log.shots, log.labels, log._runs = shots, tuple(labels), runs
-        return log
+        self._runs = runs
 
     shot = property(lambda self: self._columns.shot)
     time = property(lambda self: self._columns.time)
@@ -128,22 +106,14 @@ class EventLog:
     def _columns(self) -> _Run:
         return self._merge([0] * len(self._runs), len(self))[0]
 
-    @cached_property
-    def _rows_of(self) -> dict[str, np.ndarray]:
-        """Each run's rows: before an event come its run's earlier events, and
-        those of every other run earlier in time, or as early and of an earlier name."""
-        return {det: sum((other.time.searchsorted(run.time, "right" if name < det else "left")
-                          for name, other in self._runs.items() if name != det), np.arange(len(run.time)))
-                for det, run in self._runs.items()}
-
     def _merge(self, taken: list[int], n: int) -> tuple[_Run, np.ndarray]:
         """The ``n`` rows that follow the first ``taken[k]`` events of each run
-        ``k`` in (time, name, shot) order, and how many of them each run gives.
-        Some events, ``m`` or all that are left of each run, are ``n`` or more in
-        all, so the ``n``-th row is no later than the latest of them: the rows
-        are among each run's next ``n`` events no later than that, and a stable
-        sort on time of those, each run's in shot order and the runs in name
-        order, leaves them in (time, name, shot) order."""
+        ``k`` in (time, name, place in the run) order, and how many of them each
+        run gives.  Some events, ``m`` or all that are left of each run, are
+        ``n`` or more in all, so the ``n``-th row is no later than the latest of
+        them: the rows are among each run's next ``n`` events no later than
+        that, and a stable sort on time of those, each run's in its order and the
+        runs in name order, leaves them in (time, name, place in the run) order."""
         runs = list(self._runs.values())
         m = -(-n // len(runs))
         if sum(min(m, len(run.time) - t) for run, t in zip(runs, taken)) < n:
@@ -214,11 +184,6 @@ class EventLog:
         rows = self._slice(lo, hi)
         body = _lines(*_csv_cells(rows, self._csv_tails[rows.label]))
         return "shot,t,det,outcome\n" + body if lo == 0 else body
-
-
-def _check_index(name: str, index: np.ndarray, n: int) -> None:
-    if index.size and not 0 <= index.min() <= index.max() < n:
-        raise ValidationError(f"{name} indices must lie in [0, {n})")
 
 
 def _words(texts, size: int = 8) -> np.ndarray:
@@ -331,35 +296,17 @@ def generate_events(
             # (the default buffers the result), and the indices are in range
             np.take(label_of_key, picks[lo:hi], out=label[lo:hi], mode="clip")
         runs[spec.name] = _Run(shot, time, label)
-    return EventLog._of_runs(shots, labels, dict(sorted(runs.items())))
+    return EventLog(shots, labels, dict(sorted(runs.items())))
 
 
 class Coincidences:
-    """Pairs found by ``coincidences``: pair ``i`` joins rows ``a[i]`` and
-    ``b[i]`` of ``log``."""
+    """Pairs found by ``coincidences``: pair ``i`` joins event ``a[i]`` of
+    ``det_a``'s run in ``log`` with event ``b[i]`` of ``det_b``'s."""
 
-    def __init__(self, log: EventLog, a: np.ndarray, b: np.ndarray):
-        if len(a) != len(b):
-            raise ValidationError("pair columns a and b differ in length")
-        for rows in (a, b):
-            _check_index("pair row", rows, len(log))
-        # each side: the events (here the log's columns), its indices into them, and their run's name
-        self.log, self._sides = log, ((log._columns, a, None), (log._columns, b, None))
-
-    @classmethod
-    def _of_runs(cls, log: EventLog, det_a: str, a, det_b: str, b) -> Coincidences:
-        """Pairs of events ``a`` of ``det_a``'s run and ``b`` of ``det_b``'s."""
-        pairs = cls.__new__(cls)
-        pairs.log, pairs._sides = log, tuple((log._runs[det], np.asarray(index, np.intp), det)
-                                             for det, index in ((det_a, a), (det_b, b)))
-        return pairs
-
-    def _rows(self, side: int) -> np.ndarray:
-        _, index, det = self._sides[side]
-        return index if det is None else self.log._rows_of[det][index]
-
-    a = property(lambda self: self._rows(0))
-    b = property(lambda self: self._rows(1))
+    def __init__(self, log: EventLog, det_a: str, a, det_b: str, b):
+        # each side: its run and the indices of its events in that run
+        self.log, self._sides = log, tuple((log._runs[det], np.asarray(index, np.intp))
+                                           for det, index in ((det_a, a), (det_b, b)))
 
     def __len__(self) -> int:
         return len(self._sides[0][1])
@@ -372,7 +319,7 @@ class Coincidences:
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""
-        a, b = (_part(run, index[lo:hi]) for run, index, _ in self._sides)
+        a, b = (_part(run, index[lo:hi]) for run, index in self._sides)
         body = _lines(*_csv_cells(a, self._outcomes[2 * a.label]),
                       *_csv_cells(b, self._outcomes[2 * b.label + 1]))
         return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
@@ -433,11 +380,11 @@ def coincidences(
             # an A event took the candidate of the next one, which must then look
             # further on; only a window of half the event spacing or more does this
             a, b = _greedy((time_a - off_a).tolist(), tb.tolist(), window)
-            return Coincidences._of_runs(log, det_a, a, det_b, b)
+            return Coincidences(log, det_a, a, det_b, b)
         end = pairs + np.count_nonzero(hit)
         a[pairs:end], b[pairs:end] = np.arange(lo, hi)[hit], first[hit]
         pairs, edge = end, (first[-1], hit[-1])
-    return Coincidences._of_runs(log, det_a, a[:pairs], det_b, b[:pairs])
+    return Coincidences(log, det_a, a[:pairs], det_b, b[:pairs])
 
 
 def conditioned_histogram(
@@ -450,7 +397,7 @@ def conditioned_histogram(
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
     labels = pairs.log.labels
-    (run_a, a, _), (run_b, b, _) = pairs._sides
+    (run_a, a), (run_b, b) = pairs._sides
     wanted = np.array([partner_outcome in (None, outcome) for _, outcome in labels], dtype=bool)
     counts = np.zeros(len(labels), np.intp)
     for lo, hi in _spans(len(pairs)):

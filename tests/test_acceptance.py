@@ -17,6 +17,7 @@ from qesim import edl, elements as el, events, scenarios
 from qesim.circuit import compare_marginals, evolve, joint_distribution
 from qesim.qstate import global_phase_deviation, is_unitary
 from qesim.screen import fringe_visibility
+from test_events_oracle import pair_shots
 
 GOLDEN = sorted(
     glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl"))
@@ -134,8 +135,9 @@ def test_criterion_8_delayed_erasure_sampling(capsys):
 
     dist = joint_distribution(sc.circuit, {"p_pol": "absent"})
     counts: dict[tuple[str, ...], int] = {}
-    for i, j in zip(pairs.a.tolist(), pairs.b.tolist()):
-        key = log.events[i].outcome + log.events[j].outcome
+    outcome = {(e.detector, e.shot): e.outcome for e in log.events}
+    for sa, sb in pair_shots(pairs):
+        key = outcome["D_s", sa] + outcome["D_p", sb]
         counts[key] = counts.get(key, 0) + 1
     sigma_ok = True
     for k, prob in dist.outcomes.items():

@@ -1,9 +1,10 @@
 """A generated log keeps each detector's events as one run, and its
 time-ordered columns are a view.
 
-The same events given as columns, in time order or in any other row order,
-must pair, write and count exactly as the generated log does; and pairing,
-counting and streamed writing must never build the generated log's columns.
+The same events given as columns to ``log_of_columns``, in time order or in
+any other row order, must give the same runs, and pair, write and count
+exactly as the generated log does; and pairing, counting and streamed writing
+must never build the generated log's columns.
 """
 
 from unittest import mock
@@ -17,7 +18,7 @@ from qesim import events, scenarios
 from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.qstate import ValidationError
 from test_edl import all_settings
-from test_events_oracle import THREE_DETECTORS
+from test_events_oracle import THREE_DETECTORS, log_of_columns, pair_shots
 
 PERIOD = events.PERIOD_NS
 
@@ -77,10 +78,11 @@ def test_runs_pair_write_and_count_as_their_columns(case, shots, seed, block, wi
         generated = events.generate_events(circuit, chosen, shots, seed, delays)
         streamed = events.generate_events(circuit, chosen, shots, seed, delays)
         jsonl = written(streamed.to_jsonl, len(streamed))
-        rebuilt = EventLog(generated.shots, generated.shot, generated.time, generated.label, generated.labels)
+        rebuilt = log_of_columns(generated.shots, generated.shot, generated.time, generated.label,
+                                 generated.labels)
         order = np.array(data.draw(st.permutations(range(len(rebuilt)))), dtype=np.intp)
-        permuted = EventLog(rebuilt.shots, rebuilt.shot[order], rebuilt.time[order],
-                            rebuilt.label[order], rebuilt.labels)
+        permuted = log_of_columns(rebuilt.shots, rebuilt.shot[order], rebuilt.time[order],
+                                  rebuilt.label[order], rebuilt.labels)
         assert "_columns" not in vars(streamed)
         assert jsonl == written(rebuilt.to_jsonl, len(rebuilt))
 
@@ -89,12 +91,13 @@ def test_runs_pair_write_and_count_as_their_columns(case, shots, seed, block, wi
         results = []
         for log in (generated, rebuilt, permuted):
             pairs = coincidences(log, det_a, det_b, window=window, offsets=offsets)
-            results.append((pairs, written(pairs.to_csv, len(pairs)), histogram(pairs, partner)))
-    (gen, *texts), (col, *col_texts), (per, *per_texts) = results
-    assert texts == col_texts == per_texts
-    assert np.array_equal(gen.a, col.a) and np.array_equal(gen.b, col.b)
-    # rows of the permuted log name the rebuilt log's rows through the permutation
-    assert np.array_equal(order[per.a], gen.a) and np.array_equal(order[per.b], gen.b)
+            results.append((written(log.to_jsonl, len(log)), written(log.to_csv, len(log)), pair_shots(pairs),
+                            written(pairs.to_csv, len(pairs)), histogram(pairs, partner)))
+    assert results[0] == results[1] == results[2]
+    for log in (rebuilt, permuted):
+        assert generated.labels == log.labels and list(generated._runs) == list(log._runs)
+        for run, other in zip(generated._runs.values(), log._runs.values()):
+            assert all(map(np.array_equal, run, other))
 
 
 def test_pairing_counting_and_writing_build_no_columns(monkeypatch):
@@ -109,18 +112,16 @@ def test_pairing_counting_and_writing_build_no_columns(monkeypatch):
         conditioned_histogram(pairs, "+")
         written(pairs.to_csv, len(pairs))
     assert len(pairs) == 3000
-    assert not {"_columns", "_rows_of"} & set(vars(log))
+    assert "_columns" not in vars(log)
     # the writers merge as they go, block by block, and hold no columns either
     assert written(log.to_csv, len(log)).count("\n") == 6001
     assert "_columns" not in vars(log)
 
 
 @pytest.mark.parametrize("delays", [{}, {"D_p": 1e9}, {"D_s": PERIOD}, {"D_p": -2.5 * PERIOD}])
-def test_pair_rows_are_rows_of_the_time_ordered_log(delays):
+def test_pairs_join_events_of_the_time_ordered_log(delays):
     log = events.generate_events(scenarios.build("walborn").circuit, {"p_pol": "absent"}, 500, 2, delays)
     pairs = coincidences(log, "D_s", "D_p", offsets=delays)
-    events_ = log.events
+    logged = {(e.detector, e.shot) for e in log.events}
     assert len(pairs) == 500
-    assert all(events_[i].detector == "D_s" and events_[j].detector == "D_p"
-               and events_[i].shot == events_[j].shot
-               for i, j in zip(pairs.a.tolist(), pairs.b.tolist()))
+    assert all(("D_s", sa) in logged and ("D_p", sb) in logged and sa == sb for sa, sb in pair_shots(pairs))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qesim import scenarios
-from qesim.events import Coincidences, EventLog, coincidences, conditioned_histogram, generate_events
+from qesim.events import Coincidences, EventLog, _Run, coincidences, conditioned_histogram, generate_events
 from qesim.qstate import ValidationError
 from qesim.screen import fringe_visibility
+from test_events_oracle import pair_shots
 
 
 def walborn_log(shots=2000, seed=5, delays=None):
@@ -18,11 +19,6 @@ def walborn_log(shots=2000, seed=5, delays=None):
 
 def events_of(log, detector):
     return [e for e in log.events if e.detector == detector]
-
-
-def event_pairs(pairs):
-    events = pairs.log.events
-    return [(events[i], events[j]) for i, j in zip(pairs.a.tolist(), pairs.b.tolist())]
 
 
 class TestGeneration:
@@ -78,12 +74,12 @@ class TestCoincidences:
         log = walborn_log(shots=500)
         pairs = coincidences(log, "D_s", "D_p")
         assert len(pairs) == 500
-        assert all(a.shot == b.shot for a, b in event_pairs(pairs))
+        assert all(sa == sb for sa, sb in pair_shots(pairs))
 
     def test_each_event_used_once(self):
         log = walborn_log(shots=300)
         pairs = coincidences(log, "D_s", "D_p")
-        assert len({(b.shot, b.detector) for _, b in event_pairs(pairs)}) == len(pairs)
+        assert len({sb for _, sb in pair_shots(pairs)}) == len(pairs)
 
     def test_delay_defeats_naive_window(self):
         # a delay much larger than the window and incommensurate with the
@@ -96,7 +92,7 @@ class TestCoincidences:
         log = walborn_log(shots=200, delays={"D_p": delay})
         pairs = coincidences(log, "D_s", "D_p", offsets={"D_p": delay})
         assert len(pairs) == 200
-        assert all(a.shot == b.shot for a, b in event_pairs(pairs))
+        assert all(sa == sb for sa, sb in pair_shots(pairs))
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValidationError):
@@ -120,7 +116,7 @@ class TestCoincidences:
         log = walborn_log(shots=20)
         plain = coincidences(log, "D_s", "D_p")
         extra = coincidences(log, "D_s", "D_p", offsets={"D_x": 5.0})
-        assert (extra.a.tolist(), extra.b.tolist()) == (plain.a.tolist(), plain.b.tolist())
+        assert pair_shots(extra) == pair_shots(plain)
 
 
 class TestConditionedHistogram:
@@ -141,8 +137,9 @@ class TestConditionedHistogram:
 
     def test_a_side_without_bin_labels_rejected(self):
         # D_p's outcomes are polarisations, one label each but no screen bin
-        pairs = coincidences(walborn_log(shots=10), "D_p", "D_s")
-        _, first_bin = pairs.log.labels[pairs.log.label[pairs.b[0]]]
+        log = walborn_log(shots=10)
+        pairs = coincidences(log, "D_p", "D_s")
+        first_bin = next(e.outcome for e in events_of(log, "D_s") if e.shot == pair_shots(pairs)[0][1])
         for given in (None, first_bin):
             with pytest.raises(ValidationError, match="single bin label"):
                 conditioned_histogram(pairs, given)
@@ -151,39 +148,22 @@ class TestConditionedHistogram:
 TWO_LABELS = [("D", ("x",)), ("E", ("y",))]
 
 
-class TestColumnsAreChecked:
-    """A log or a pair list whose columns disagree raises, rather than being
-    written with rows cut short or labels read from the end of the table."""
+def run(shot, time, label):
+    return _Run(np.array(shot, np.int64), np.array(time, np.float64), np.array(label, np.int32))
 
-    @pytest.mark.parametrize("shot, time, label", [
-        ([7, 8], [1.0], [0, 1]),
-        ([7], [1.0, 2.0], [0]),
-        ([7, 8], [1.0, 2.0], [0]),
-    ], ids=["short_time", "short_shot", "short_label"])
-    def test_columns_of_unequal_length_are_rejected(self, shot, time, label):
-        with pytest.raises(ValidationError, match="differ in length"):
-            EventLog(2, shot, time, label, TWO_LABELS)
 
-    @pytest.mark.parametrize("label", [-1, 2, 2**31 - 1], ids=repr)
-    def test_a_label_outside_the_table_is_rejected(self, label):
-        with pytest.raises(ValidationError, match=r"label indices must lie in \[0, 2\)"):
-            EventLog(1, [7], [1.0], [label], TWO_LABELS)
-
+class TestLogsOfRuns:
     def test_labels_at_both_ends_of_the_table_are_kept(self):
-        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
+        log = EventLog(2, TWO_LABELS, {"D": run([7], [1.0], [0]), "E": run([8], [2.0], [1])})
         assert log.to_csv() == "shot,t,det,outcome\n7,1,D,x\n8,2,E,y\n"
 
-    def test_pair_columns_of_unequal_length_are_rejected(self):
-        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
-        with pytest.raises(ValidationError, match="differ in length"):
-            Coincidences(log, np.array([0, 1]), np.array([1]))
-
-    @pytest.mark.parametrize("a, b", [([-1], [1]), ([0], [2]), ([0, 1], [1, -2])], ids=repr)
-    def test_a_pair_row_outside_the_log_is_rejected(self, a, b):
-        log = EventLog(2, [7, 8], [1.0, 2.0], [0, 1], TWO_LABELS)
-        with pytest.raises(ValidationError, match=r"pair row indices must lie in \[0, 2\)"):
-            Coincidences(log, np.array(a), np.array(b))
-
     def test_an_empty_pair_list_of_an_empty_log_is_accepted(self):
-        log = EventLog(0, [], [], [], TWO_LABELS)
-        assert len(Coincidences(log, np.zeros(0, int), np.zeros(0, int))) == 0
+        log = EventLog(0, TWO_LABELS, {"D": run([], [], []), "E": run([], [], [])})
+        assert len(Coincidences(log, "D", [], "E", [])) == 0
+
+
+@pytest.mark.parametrize("delay", [np.inf, -np.inf, np.nan], ids=repr)
+def test_event_times_must_be_finite(delay):
+    circuit = scenarios.build("walborn_delayed").circuit
+    with pytest.raises(ValidationError, match="event times must be finite"):
+        generate_events(circuit, {"p_pol": "absent"}, shots=5, delays={"D_p": delay})

@@ -3,12 +3,18 @@
 ``reference_coincidences`` and ``reference_histogram`` are the earlier
 implementations, which walked ``DetectionEvent`` objects one by one.  They
 stay here as the definition of what ``events.coincidences`` and
-``events.conditioned_histogram`` compute; a pair is named by the log rows of
-its two events.  ``reference_histogram`` also rejects a counted ``a`` outcome
+``events.conditioned_histogram`` compute.  A generated log holds one event per
+detector per shot, so a pair is named by the shots of its two events
+(``pair_shots``).  ``reference_histogram`` also rejects a counted ``a`` outcome
 that is no screen bin, where the earlier loop counted nothing for it and
 reported an all-zero histogram.  ``reference_generate_events`` is the generator that searched
-the whole CDF for every shot and ordered rows by a lexsort on (time, detector
-name, shot); ``events.generate_events`` must give the same columns, to the bit.
+the whole CDF for every shot, and ``time_ordered`` orders a log's rows by a
+lexsort on (time, detector name, shot); ``events.generate_events`` must give
+the same rows, to the bit.
+
+``log_of_columns`` is the earlier column constructor of ``EventLog``: it
+splits shot, time and label columns, in any row order, into one run per
+detector by a stable sort on (detector, time).
 """
 
 from unittest import mock
@@ -21,7 +27,7 @@ from hypothesis import strategies as st
 from qesim import edl, events, scenarios
 from qesim.circuit import joint_distribution
 from qesim.cli import main
-from qesim.events import EventLog, coincidences, conditioned_histogram
+from qesim.events import EventLog, _Run, coincidences, conditioned_histogram
 from qesim.measure import rng_for
 from qesim.qstate import ValidationError
 from qesim.screen import BIN_LABELS, pattern_from_bin_probs
@@ -29,6 +35,46 @@ from test_edl import all_settings
 
 WALBORN = scenarios.build("walborn").circuit
 PERIOD = events.PERIOD_NS
+
+
+def log_of_columns(shots, shot, time, label, labels):
+    """The log of the events of rows ``shot[i]``, ``time[i]``, ``labels[label[i]]``."""
+    labels = tuple(labels)
+    columns = _Run(np.asarray(shot, dtype=np.int64),
+                   np.asarray(time, dtype=np.float64),
+                   np.asarray(label, dtype=np.int32))
+    if not len(columns.shot) == len(columns.time) == len(columns.label):
+        raise ValidationError("shot, time and label columns differ in length")
+    if columns.label.size and not 0 <= columns.label.min() <= columns.label.max() < len(labels):
+        raise ValidationError(f"label indices must lie in [0, {len(labels)})")
+    if not np.isfinite(columns.time).all():
+        raise ValidationError("event times must be finite")
+    names = sorted({det for det, _ in labels})
+    det = np.array([names.index(d) for d, _ in labels], np.intp)[columns.label]
+    # a stable sort on (detector, time): each detector's rows in time order, ties in row order
+    rows = np.split(np.lexsort((columns.time, det)),
+                    np.cumsum(np.bincount(det, minlength=len(names)))[:-1])
+    return EventLog(shots, labels, {name: _Run(*(column[r] for column in columns))
+                                    for name, r in zip(names, rows)})
+
+
+def time_ordered(log):
+    """The rows that a generated log's merge must give: its runs' events by
+    one lexsort on (time, detector name, shot)."""
+    runs = [log._runs[name] for name in sorted(log._runs)]
+    shot, time, label = (np.concatenate(column) for column in zip(*runs))
+    rank = np.repeat(np.arange(len(runs)), [len(run.time) for run in runs])
+    return _Run(*(column[np.lexsort((shot, rank, time))] for column in (shot, time, label)))
+
+
+def pair_shots(pairs):
+    """(shot of a, shot of b) for each pair, in pairing order."""
+    return list(zip(*(run.shot[index].tolist() for run, index in pairs._sides)))
+
+
+def shots_of_rows(log, row_pairs):
+    """(shot of a, shot of b) for each pair of log rows."""
+    return [(log.events[ia].shot, log.events[ib].shot) for ia, ib in row_pairs]
 
 
 def reference_coincidences(log, det_a, det_b, window, offsets):
@@ -55,16 +101,14 @@ def reference_coincidences(log, det_a, det_b, window, offsets):
     return pairs
 
 
-def row_pairs(pairs):
-    return list(zip(pairs.a.tolist(), pairs.b.tolist()))
-
-
-def reference_histogram(log, pairs, partner_outcome):
+def reference_histogram(log, dets, pairs, partner_outcome):
+    """The pattern of ``pairs``, (shot of a, shot of b) of detectors ``dets``."""
     if isinstance(partner_outcome, str):
         partner_outcome = (partner_outcome,)
+    event = {(e.detector, e.shot): e for e in log.events}
     counts = {}
-    for ia, ib in pairs:
-        a, b = log.events[ia], log.events[ib]
+    for sa, sb in pairs:
+        a, b = event[dets[0], sa], event[dets[1], sb]
         if partner_outcome is not None and b.outcome != partner_outcome:
             continue
         if len(a.outcome) != 1 or a.outcome[0] not in BIN_LABELS:
@@ -112,9 +156,9 @@ def logs(draw):
         delays={"D_s": draw(NS), "D_p": draw(NS)},
     )
     if draw(st.booleans()):
-        # the same events in another row order: pairing must sort by time itself
+        # the same events as columns in another row order, which the log must not keep
         order = draw(st.permutations(range(len(log.shot))))
-        log = EventLog(log.shots, log.shot[order], log.time[order], log.label[order], log.labels)
+        log = log_of_columns(log.shots, log.shot[order], log.time[order], log.label[order], log.labels)
     return log
 
 
@@ -131,8 +175,8 @@ def test_coincidences_match_reference(log, dets, window, offsets):
         with pytest.raises(ValidationError, match="with itself"):
             coincidences(log, *dets, window=window, offsets=offsets)
         return
-    got = row_pairs(coincidences(log, *dets, window=window, offsets=offsets))
-    assert got == reference_coincidences(log, *dets, window, offsets)
+    got = pair_shots(coincidences(log, *dets, window=window, offsets=offsets))
+    assert got == shots_of_rows(log, reference_coincidences(log, *dets, window, offsets))
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,7 +192,7 @@ def test_conditioned_histogram_matches_dict_count(log, window, partner, swap):
     # swapped, the A side carries polarisation outcomes: one label per event,
     # but no bin label, so both versions reject any pair they count
     assert pattern_key(outcome_of(conditioned_histogram, pairs, partner)) == pattern_key(
-        outcome_of(reference_histogram, log, row_pairs(pairs), partner)
+        outcome_of(reference_histogram, log, dets, pair_shots(pairs), partner)
     )
 
 
@@ -160,7 +204,7 @@ def test_fallback_runs_only_when_candidates_collide(monkeypatch, window, sequent
     log = events.generate_events(WALBORN, {"p_pol": "absent"}, shots=200, seed=3)
     pairs = coincidences(log, "D_s", "D_p", window=window)
     assert bool(calls) == sequential
-    assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", window, {})
+    assert pair_shots(pairs) == shots_of_rows(log, reference_coincidences(log, "D_s", "D_p", window, {}))
 
 
 def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None):
@@ -200,11 +244,7 @@ def reference_generate_events(c, settings=None, shots=1000, seed=0, delays=None)
     shot = np.concatenate(shot_parts)
     time = np.concatenate(time_parts)
     label = np.concatenate(label_parts)
-
-    names = sorted({det for det, _ in index})
-    name_rank = np.array([names.index(det) for det, _ in index], dtype=np.int32)
-    order = np.lexsort((shot, name_rank[label], time))
-    return EventLog(shots, shot[order], time[order], label[order], index)
+    return log_of_columns(shots, shot, time, label, index)
 
 
 #: three detectors, the middle one measuring two dofs, one of them in pm45:
@@ -249,9 +289,10 @@ def test_generate_events_matches_reference(target, shots, seed, data):
     delays = data.draw(st.dictionaries(st.sampled_from(active), NS))
     got = events.generate_events(circuit, chosen, shots, seed, delays)
     want = reference_generate_events(circuit, chosen, shots, seed, delays)
-    assert np.array_equal(got.shot, want.shot)
-    assert np.array_equal(got.time, want.time)
-    assert np.array_equal(got.label, want.label)
+    rows = time_ordered(want)
+    assert np.array_equal(got.shot, rows.shot)
+    assert np.array_equal(got.time, rows.time)
+    assert np.array_equal(got.label, rows.label)
     assert got.labels == want.labels
 
 
@@ -345,9 +386,10 @@ def test_rows_at_the_horizon_wait_for_an_earlier_name(block, delays):
     with mock.patch.object(events, "BLOCK_ROWS", block):
         got = events.generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
     want = reference_generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
-    assert np.array_equal(got.time, want.time)
-    assert np.array_equal(got.shot, want.shot)
-    assert np.array_equal(got.label, want.label)
+    rows = time_ordered(want)
+    assert np.array_equal(got.time, rows.time)
+    assert np.array_equal(got.shot, rows.shot)
+    assert np.array_equal(got.label, rows.label)
 
 
 def test_collision_at_a_block_edge_runs_the_fallback(monkeypatch):
@@ -361,7 +403,7 @@ def test_collision_at_a_block_edge_runs_the_fallback(monkeypatch):
     log = events.generate_events(WALBORN, {"p_pol": "absent"}, shots=20, seed=3)
     pairs = coincidences(log, "D_s", "D_p", window=2.5 * PERIOD)
     assert calls
-    assert row_pairs(pairs) == reference_coincidences(log, "D_s", "D_p", 2.5 * PERIOD, {})
+    assert pair_shots(pairs) == shots_of_rows(log, reference_coincidences(log, "D_s", "D_p", 2.5 * PERIOD, {}))
 
 
 SAMPLE = "sample walborn_delayed -n 3000 --setting p_pol=absent --seed 5"

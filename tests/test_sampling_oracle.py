@@ -35,6 +35,7 @@ from qesim import cli, events, scenarios
 from qesim.circuit import evolve, joint_distribution
 from qesim.screen import fringe_visibility, pattern_from_bin_probs
 from test_edl import all_settings
+from test_events_oracle import pair_shots
 
 SHOTS = 200_000
 FAMILY_ALPHA = 1e-6
@@ -195,23 +196,23 @@ PAIR_CASES = [
 
 
 def brute_force_pairs(log, offsets: dict[str, float]) -> list[tuple[int, int]]:
-    """(row of D_s, row of D_p) pairs in D_s's time order: each D_s event
+    """(shot of D_s, shot of D_p) pairs in D_s's time order: each D_s event
     looks up the D_p events of the ``PAIR_SPAN`` shots around its own in a
     dict keyed by shot and takes the one whose compensated time lies within
     ``PAIR_WINDOW`` of its compensated time."""
     a_events, b_by_shot = [], {}
-    for row, (shot, t, k) in enumerate(zip(log.shot.tolist(), log.time.tolist(), log.label.tolist())):
+    for shot, t, k in zip(log.shot.tolist(), log.time.tolist(), log.label.tolist()):
         det = log.labels[k][0]
         t -= offsets.get(det, 0.0)
         if det == "D_s":
-            a_events.append((row, shot, t))
+            a_events.append((shot, t))
         else:
-            b_by_shot[shot] = (row, t)
+            b_by_shot[shot] = t
     pairs = []
-    for row, shot, t in a_events:
+    for shot, t in a_events:
         for other in range(shot - PAIR_SPAN, shot + PAIR_SPAN + 1):
-            if other in b_by_shot and abs(b_by_shot[other][1] - t) <= PAIR_WINDOW:
-                pairs.append((row, b_by_shot[other][0]))
+            if other in b_by_shot and abs(b_by_shot[other] - t) <= PAIR_WINDOW:
+                pairs.append((shot, other))
     return pairs
 
 
@@ -222,10 +223,10 @@ def test_pairing_matches_a_dict_keyed_by_shot(capsys, p_pol, seed, offsets):
     want = brute_force_pairs(log, offsets)
     assert len(want) > 500
     got = events.coincidences(log, "D_s", "D_p", window=PAIR_WINDOW, offsets=offsets)
-    assert list(zip(got.a.tolist(), got.b.tolist())) == want
+    assert pair_shots(got) == want
 
-    outcome = [log.labels[k][1] for k in log.label.tolist()]
-    plus = Counter(outcome[a][0] for a, b in want if outcome[b] == ("+",))
+    outcome = {(e.detector, e.shot): e.outcome for e in log.events}
+    plus = Counter(outcome["D_s", a][0] for a, b in want if outcome["D_p", b] == ("+",))
     pattern = pattern_from_bin_probs({label: float(n) for label, n in plus.items()})
     argv = ["sample", "walborn_delayed", "-n", "2000", "--seed", str(seed),
             "--setting", f"p_pol={p_pol}", "--pairs", "D_s,D_p", "--window", repr(PAIR_WINDOW),

@@ -8,7 +8,9 @@ string.  They stay here as the definition of the bytes that ``events.blocks``
 over the block writers must give, whatever the block size and whatever the
 times: whole ns (which a block may write as ints), fractional, negative,
 -0.0, subnormal, and sizes on both sides of the bounds below which a whole
-float is written with the digits of its int.
+float is written with the digits of its int.  The logs are built from
+columns by ``log_of_columns``, with any int64 shots, duplicates included, and
+the pair lists join events at any indices of the runs of two detectors.
 
 ``reference_run_csv`` is the earlier ``run --format csv`` writer, which built
 one label prefix per row and formatted each row with ``%s%.12g``.  It stays
@@ -19,6 +21,7 @@ and labels and whatever the labels hold.
 
 import json
 import re
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -28,12 +31,14 @@ from hypothesis import strategies as st
 
 from qesim import events, scenarios
 from qesim.cli import main
-from qesim.events import Coincidences, EventLog
+from qesim.events import Coincidences
 from qesim.measure import OutcomeDistribution
+from test_events_oracle import log_of_columns
 
 
-def columns(log, rows=slice(None)):
-    return zip(log.shot[rows].tolist(), log.time[rows].tolist(), log.label[rows].tolist())
+def columns(source, rows=slice(None)):
+    """(shot, time, label) of ``rows`` of a log or of a run."""
+    return zip(source.shot[rows].tolist(), source.time[rows].tolist(), source.label[rows].tolist())
 
 
 def reference_jsonl(log):
@@ -51,11 +56,11 @@ def reference_csv(log):
 
 
 def reference_pair_csv(pairs):
-    log = pairs.log
-    outcome = ["|".join(o) for _, o in log.labels]
+    outcome = ["|".join(o) for _, o in pairs.log.labels]
+    (run_a, a), (run_b, b) = pairs._sides
     rows = [
         f"{sa},{ta:.12g},{outcome[ka]},{sb},{tb:.12g},{outcome[kb]}\n"
-        for (sa, ta, ka), (sb, tb, kb) in zip(columns(log, pairs.a), columns(log, pairs.b))
+        for (sa, ta, ka), (sb, tb, kb) in zip(columns(run_a, a), columns(run_b, b))
     ]
     return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + "".join(rows)
 
@@ -71,6 +76,14 @@ def reference_run_csv(dist):
 def written(write, rows, block):
     with mock.patch.object(events, "BLOCK_ROWS", block):
         return "".join(events.blocks(write, rows))
+
+
+def every_pair(log):
+    """For each two detectors of ``log``, one of them twice or not, the pairs
+    of every event of the first with every event of the second."""
+    for det_a, det_b in product(log._runs, repeat=2):
+        a, b = np.indices((len(log._runs[det_a].time), len(log._runs[det_b].time))).reshape(2, -1)
+        yield Coincidences(log, det_a, a, det_b, b)
 
 
 BOUNDARY = [
@@ -101,7 +114,7 @@ def logs(draw):
     n = len(time)
     shot = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
     label = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
-    return EventLog(n, shot, time, label, labels)
+    return log_of_columns(n, shot, time, label, labels)
 
 
 @settings(max_examples=400, deadline=None)
@@ -115,10 +128,11 @@ def test_log_writers_match_one_string_writers(log, block):
 @given(log=logs().filter(len), block=BLOCK, data=st.data())
 def test_pair_writer_matches_one_string_writer(log, block, data):
     m = data.draw(st.integers(0, 20))
-    rows = st.lists(st.integers(0, len(log) - 1), min_size=m, max_size=m)
-    a = np.array(data.draw(rows), dtype=np.int64)
-    b = np.array(data.draw(rows), dtype=np.int64)
-    pairs = Coincidences(log, a, b)
+    dets = st.sampled_from([det for det, run in log._runs.items() if len(run.time)])
+    det_a, det_b = data.draw(dets), data.draw(dets)
+    a, b = (data.draw(st.lists(st.integers(0, len(log._runs[det].time) - 1), min_size=m, max_size=m))
+            for det in (det_a, det_b))
+    pairs = Coincidences(log, det_a, a, det_b, b)
     assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
 
 
@@ -137,11 +151,11 @@ EDGE_TIMES = [
 def test_edge_times_match_one_string_writers(case, block):
     time = [1e6, 2e6] + case + [3e6 + 1e9] * 5 + [1.5, 2.0, 3.0]
     labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
-    log = EventLog(len(time), range(len(time)), time, [k % 2 for k in range(len(time))], labels)
+    log = log_of_columns(len(time), range(len(time)), time, [k % 2 for k in range(len(time))], labels)
     assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
     assert written(log.to_csv, len(log), block) == reference_csv(log)
-    pairs = Coincidences(log, np.arange(len(log) - 1), np.arange(1, len(log)))
-    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+    for pairs in every_pair(log):
+        assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
 
 
 # shots where the int writer changes its digit count or its number of 8-byte
@@ -160,15 +174,15 @@ def test_word_boundary_shots_match_one_string_writers(block):
     shot = [s for b in BOUNDARY_SHOTS for s in (b, 3)]
     time = [t for b in BOUNDARY_SHOTS for t in (float(b), float(min(max(b, 1 - 2**53), 2**53 - 1)))]
     labels = [("D_s", ("s1",)), ("D_p", ("+", "h"))]
-    log = EventLog(len(shot), shot, time, [k % 2 for k in range(len(shot))], labels)
+    log = log_of_columns(len(shot), shot, time, [k % 2 for k in range(len(shot))], labels)
     assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
     assert written(log.to_csv, len(log), block) == reference_csv(log)
-    pairs = Coincidences(log, np.arange(len(log)), np.arange(len(log))[::-1].copy())
-    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+    for pairs in every_pair(log):
+        assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
 
 
 def test_empty_log_writes_block_zero():
-    log = EventLog(0, [], [], [], [("D", ("x",))])
+    log = log_of_columns(0, [], [], [], [("D", ("x",))])
     assert list(events.blocks(log.to_jsonl, len(log))) == [""]
     assert list(events.blocks(log.to_csv, len(log))) == ["shot,t,det,outcome\n"]
 
