@@ -9,8 +9,8 @@ Subcommands::
 
 TARGET is either a catalog scenario name, which stands for its golden
 ``.edl`` file, or a path to an ``.edl`` file.
-Exit codes: 0 success, 1 failed checks or domain errors (an invalid circuit,
-settings or file), 2 usage errors.
+Exit codes: 0 success, 1 failed checks, domain errors (an invalid circuit,
+settings or file) or a reader that closed stdout early, 2 usage errors.
 The seed (a non-negative integer) defaults to ``$QESIM_SEED``, then 0.
 All file outputs are byte-deterministic for fixed inputs and seed.
 """
@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -113,7 +113,12 @@ def _load_target(target: str) -> edl.Template:
 def _emit(pieces, out_path: str | None) -> None:
     """Write the text pieces in order, each as soon as it is made."""
     if out_path is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:  # stop quietly; what is left goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(CHECK_ERROR) from None
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as f:
             f.writelines(pieces)
@@ -209,9 +214,9 @@ def cmd_sweep(args) -> int:
             keys = list(product(*labels))
     # the outcome columns, sorted, as flat indices into each step's probs
     flat = sorted(range(len(keys)), key=keys.__getitem__)
-    header = [args.param] + ["P(" + "|".join(keys[i]) + ")" for i in flat]
+    header = ",".join([args.param] + ["P(" + "|".join(keys[i]) + ")" for i in flat]) + "\n"
     cells = np.column_stack([values, np.concatenate(probs)[:, flat]])
-    _emit([",".join(header) + "\n", _csv_rows(cells)], args.out)
+    _emit(chain([header], events.blocks(lambda lo, hi: _csv_rows(cells[lo:hi]), len(cells))), args.out)
     return 0
 
 

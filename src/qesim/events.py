@@ -27,9 +27,9 @@ as they write, so a log is never held twice.  The next ``n`` rows are among
 each run's next ``n`` events, so one stable sort of those merges them.  The
 writers, and that of ``Coincidences``, format a range of rows, so that
 ``blocks`` can write a log of any length ``BLOCK_ROWS`` rows at a time and
-never holds the whole text.  A block of text is one array of 0xFF-padded rows
-(uint64 words for JSON, bytes for CSV) of numbers from ``measure`` and
-per-label tables; one ``bytes.translate`` drops the padding.
+never holds the whole text.  A JSON block stacks rows of uint64 words; a CSV
+block is one row array that ``measure._rows`` fills with shots, ``%.12g`` time
+cells and per-label tables.  One ``bytes.translate`` drops the 0xFF padding.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, joint_distribution
-from .measure import _PAD, _byte_rows, _g12, _int_words, _lines, rng_for
+from .measure import _PAD, _byte_rows, _g12, _int_words, _lines, _rows, rng_for
 from .qstate import ValidationError
 from .screen import BIN_LABELS, Pattern, pattern_from_bin_probs
 
@@ -177,12 +177,12 @@ class EventLog:
         time[slow] = _byte_rows(texts, time.shape[1] * 8).view("<u8")
         keys = np.broadcast_to(np.frombuffer(_KEYS, "<u8"), (len(t), 2))
         tails = self._jsonl_tails[2 * label + whole]
-        return _lines(keys[:, :1], _int_words(shot), keys[:, 1:], time, tails)
+        return _lines(np.hstack([keys[:, :1], _int_words(shot), keys[:, 1:], time, tails]))
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of rows ``[lo, hi)``, after the header when ``lo == 0``."""
         rows = self._slice(lo, hi)
-        body = _lines(*_csv_cells(rows, self._csv_tails[rows.label]))
+        body = _lines(_rows(len(rows.time), *_csv_cells(rows, (self._csv_tails, rows.label))))
         return "shot,t,det,outcome\n" + body if lo == 0 else body
 
 
@@ -192,10 +192,10 @@ def _words(texts, size: int = 8) -> np.ndarray:
     return _byte_rows(texts, -(-max(map(len, texts), default=1) // size) * size).view(f"<u{size}")
 
 
-def _csv_cells(rows: _Run, tails: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Shots, a comma and ``%.12g`` times of ``rows``, then the byte rows ``tails``."""
-    comma = np.broadcast_to(np.uint8(ord(",")), (len(tails), 1))
-    return _int_words(rows.shot).view(np.uint8), comma, _g12(rows.time), tails
+def _csv_cells(rows: _Run, tails) -> tuple:
+    """The ``measure._rows`` parts of the shots, a comma and the times of ``rows``, then ``tails``."""
+    comma = np.broadcast_to(np.uint8(ord(",")), (len(rows.time), 1))
+    return _int_words(rows.shot), comma, _g12(rows.time), tails
 
 
 def blocks(write, rows: int):
@@ -320,8 +320,8 @@ class Coincidences:
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""
         a, b = (_part(run, index[lo:hi]) for run, index in self._sides)
-        body = _lines(*_csv_cells(a, self._outcomes[2 * a.label]),
-                      *_csv_cells(b, self._outcomes[2 * b.label + 1]))
+        body = _lines(_rows(len(a.time), *_csv_cells(a, (self._outcomes, 2 * a.label)),
+                            *_csv_cells(b, (self._outcomes, 2 * b.label + 1))))
         return "shot_a,t_a,outcome_a,shot_b,t_b,outcome_b\n" + body if lo == 0 else body
 
 

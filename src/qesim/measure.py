@@ -2,10 +2,10 @@
 package's seeded random generator, and the ``%.12g`` writer of its CSVs.
 
 The generator is numpy's PCG64 with explicit seed threading; its identity is
-part of the external contract so event logs are portable.  ``_csv_rows``
-writes the number cells of the ``run``, ``sweep`` and screen CSVs with the
-bytes of CPython's ``"%.12g" % x``, from numpy byte rows; ``_int_words``
-writes ``"%d" % n`` as rows of uint64 words, for the event writers.
+part of the external contract so event logs are portable.  ``_g12`` writes
+CPython's ``"%.12g" % x`` as four uint64 words a cell, 0xFF padding even inside
+it, and ``_int_words`` ``"%d" % n`` as words.  A CSV block is one row array:
+``_rows`` lays out its label and word parts, ``_csv_rows`` its number cells.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class OutcomeDistribution:
             return head
         pre, suf = self._csv_labels
         row = np.arange(lo, lo + p.size)
-        return head + _csv_rows(p[:, None], pre[row // len(suf)], suf[row % len(suf)])
+        return head + _csv_rows(p[:, None], (pre, row // len(suf)), (suf, row % len(suf)))
 
     @cached_property
     def _csv_labels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,106 +196,100 @@ def rng_for(seed: int) -> np.random.Generator:
 #: the padding byte of byte rows; it never occurs in UTF-8, so one
 #: ``bytes.translate`` drops it before ``decode``
 _PAD = b"\xff"
-#: bytes of one number cell: more than the 19 of ``-2.22507385851e-308``, the
-#: longest ``%.12g`` text of a float64
-_CELL = 22
-#: cells formatted by one ``_g12`` call, which bounds its temporary arrays
-_CHUNK = 2**14
+#: bytes of one number cell, four uint64 words: more than the 19 of
+#: ``-2.22507385851e-308``, the longest ``%.12g`` text of a float64
+_CELL = 32
+#: cells per ``_g12`` call, so that its 8-byte-a-cell temporaries stay under glibc's 128 KiB mmap threshold
+_CHUNK = 2**13
 #: 10**k for k = 0..22, every power of ten that a float64 holds exactly
 _POW10 = np.array([float(10**k) for k in range(23)])
-#: bytes 12..17 of the 20-byte source row of a number, between its 12
-#: digits and the two digits of its exponent
-_LITERALS = np.frombuffer(_PAD + b".0-e+", np.uint8)
 
 
 @cache
 def _tables() -> tuple[np.ndarray, ...]:
     """The tables of ``_g12`` and ``_int_words``, made on first call, not on import:
 
-    - the four ASCII digits of 0..9999, read as one little-endian uint32 each;
     - the trailing zero digits of 0..9999 written with four digits: a zero
       units digit counts 1, and so on while the next digit up is zero too;
-    - for each layout key, the source column of each byte of the cell.
-
-    The key is ``(form * 12 + digits - 1) * 2 + negative``.  ``form`` is
-    ``x + 4`` for the fixed-point layout of a decimal exponent ``x`` in
-    -4..11, 16 for the exponent layout of a negative and 17 of a positive
-    one, and ``digits`` counts the digits left when trailing zeros are
-    dropped.  Byte 0 of the cell is the sign, bytes 1..17 the digits and
-    point, bytes 18..21 the exponent.  Source columns 0..11 are the digits,
-    12..17 the padding, point, 0, minus, e and plus of ``_LITERALS``;
-    - for ``_int_words``: the four digits in the low and in the high half of
-      a uint64 word; 10**1..10**19; and for k = 0..9 the word whose first k
-      bytes (at most 8) are 0xFF, and the word that XORs byte k - 1 to ``-``."""
+    - by decimal exponent x in -11..12: the head words (the sign, then
+      ``0.000`` up to the digits when x is -4..-1) of a positive and of a
+      negative number, the tail word (``e±dd`` in the exponent form), and the
+      digit that a point follows: 1 in the exponent form, else x + 1, or 0
+      (none) when x < 0;
+    - by ``13 * kept + point``, for each digit word: 0xFF in its bytes before
+      the point (in all, with none), and the point and 0xFF after the kept digits;
+    - the four digits of 0..9999 in the low and in the high half of a uint64
+      word; 10**1..10**19; and for k = 0..9 the word whose first k bytes (at
+      most 8) are 0xFF, and the word that XORs byte k - 1 to ``-``."""
     digit = np.arange(10, dtype=np.uint8)
     digits4 = (np.stack(np.broadcast_arrays(*np.ix_(*[digit] * 4)), -1) + ord("0")).view("<u4")
     zero = (digit == 0).astype(np.uint8)
     zeros4 = zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))
-    form, digits, neg = (a[..., None] for a in np.ix_(np.arange(18), np.arange(1, 13), [0, 1]))
-    c = np.arange(_CELL)
-    x, fixed = form - 4, form < 16
-    point = np.where(fixed & (x >= 0), x + 1, 1)  # body byte of the decimal point
-    zeros = np.where(fixed & (x < 0), -x, 0)  # zeros before the digits: 2 in 0.0ddd
-    end = zeros + digits  # body digits that are kept, with those zeros
-    b = c - 1
-    t = np.where(b < point, b, b - 1)  # index of body byte b among the digits
-    col = np.where(t < zeros, 14, t - zeros)
-    col = np.where((b < point) | ((b > point) & (t < end) & (end > point)), col, 12)
-    col = np.where((b == point) & (end > point), 13, col)
-    col = np.where(c == 0, np.where(neg, 15, 12), col)
-    exponent = np.where((c == 19) & (form == 16), 15, c - 2)
-    col = np.where(c >= 18, np.where(fixed, 12, exponent), col)
+    exps = range(-11, 13)
+    heads = _byte_rows([s + b"0.000"[: 1 - x] * (-4 <= x < 0) for x in exps for s in (b"", b"-")], 8)
+    tails = _byte_rows([b"e%+03d" % x * (not -4 <= x <= 11) for x in exps], 8)
+    points = np.array([max(x + 1, 0) if -4 <= x <= 11 else 1 for x in exps], np.uint8)
+    kept, point = (a[:, None] for a in np.divmod(np.arange(13 * 13), 13))
+    j, at = np.arange(16), np.where(point == 0, 16, point)
+    ends = np.where(j == at, ord("."), np.where(j >= kept + (point > 0), 0xFF, 0))
+    lows, ends = (t.astype(np.uint8).view("<u8").T.copy() for t in ((j < at) * 0xFF, ends))
     k, j = np.ix_(np.arange(10), np.arange(8))
     pads, minus = (np.where(m, v, 0).astype(np.uint8).view("<u8").ravel()
                    for m, v in ((j < k, 0xFF), (j == k - 1, 0xFF ^ ord("-"))))
     words4 = digits4.ravel().astype("<u8") << np.array([[0], [32]], np.uint64)
     pow10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-    return digits4.ravel(), zeros4.ravel(), col.reshape(-1, _CELL), words4, pow10, pads, minus
+    return zeros4, heads.view("<u8"), tails.view("<u8"), points, lows, ends, words4, pow10, pads, minus
 
 
 def _g12(v: np.ndarray) -> np.ndarray:
-    """``"%.12g" % value`` for each float64 of the 1-D ``v``: a
-    ``(len(v), _CELL)`` uint8 array of ASCII rows padded with 0xFF.
+    """``"%.12g" % value`` for each float64 of the 1-D ``v``: a ``(len(v), 4)``
+    array of little-endian uint64 words of ASCII, padded with 0xFF.
 
     Each absolute value times an exact power of ten is rounded to an integer
-    of 12 digits, of decimal exponent ``x``; a table gives the digits and a
-    layout places them.  Zeros,
-    values whose scaled product ends in exactly .5, values that no power up
-    to 1e22 scales into [1e11, 1e12) and non-finite values are written by
-    ``%`` instead."""
-    digits4, zeros4, layouts = _tables()[:3]
+    of 12 digits.  Its cell is a head word, two words of its digits, with the
+    point shifted in (one byte carried from the first to the second) and 0xFF
+    after the last kept digit, and a tail word, each from a table, so padding
+    may lie inside the cell.  Zeros, values whose scaled product ends in
+    exactly .5, values that no power up to 1e22 scales into [1e11, 1e12) and
+    non-finite values are written by ``%`` instead."""
+    zeros4, heads, tails, points, lows, ends, words4 = _tables()[:7]
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-        fast = (e >= -11) & (e <= 11)
-        scaled = a * _POW10[np.where(fast, 11 - e, 0).astype(np.intp)]
+        k = (11 - np.floor(np.log10(a))).astype(np.intp)  # 11 - x; 0, inf, nan fail `fast` below
+        scaled = a * _POW10.take(k, mode="clip")
         whole = np.floor(scaled)
         frac = scaled - whole
+        n = whole.astype(np.int64)
     # the product is rounded once, and rounding is monotone: it keeps the
     # exact product's side of every integer and half-integer below 2**52,
     # and lands on a half-integer only for a tie or a near-tie, left to %
-    fast &= (whole >= 1e11) & (whole < 1e12) & (frac != 0.5)
-    n = np.where(fast, whole, 1e11).astype(np.int64) + (frac > 0.5)
+    fast = (k >= 0) & (k <= 22) & (whole >= 1e11) & (whole < 1e12) & (frac != 0.5)
+    n += frac > 0.5
     carry = n == 10**12  # rounded up to 1e12: one more digit before the point
     n[carry] = 10**11
-    x = np.where(fast, e, 0).astype(np.int64) + carry
+    row = 22 - k + carry  # x + 11; the rows of values left to % are clipped
     hi = n // 10**8
     lo = n - hi * 10**8
     mid = lo // 10**4
     lo -= mid * 10**4
-    zeros = np.where(lo != 0, zeros4[lo], np.where(mid != 0, 4 + zeros4[mid], 8 + zeros4[hi]))
-    form = np.where(x < -4, 16, np.where(x > 11, 17, x + 4))
-    src = np.empty((len(v), 20), np.uint8)
-    src[:, :12] = digits4[np.stack([hi, mid, lo], axis=1)].view(np.uint8)
-    src[:, 12:18] = _LITERALS
-    src[:, 18] = np.abs(x) // 10 + ord("0")
-    src[:, 19] = np.abs(x) % 10 + ord("0")
-    col = layouts[(form * 12 + 11 - zeros) * 2 + (v < 0)]
-    col += np.arange(0, src.size, 20)[:, None]
-    out = src.ravel()[col]
+    z = [zeros4.take(g, mode="clip") for g in (hi, mid, lo)]
+    zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
+    point = points.take(row, mode="clip")
+    kept = np.maximum(12 - zeros, point)  # the fixed form keeps every digit before its point
+    key = kept * 13 + point * (kept > point)
+    out = np.empty((len(v), 4), "<u8")
+    out[:, 0] = heads.take(2 * row + (v < 0), mode="clip")
+    first = words4[0].take(hi, mode="clip") | words4[1].take(mid, mode="clip")
+    below = first & lows[0].take(key)
+    above = first ^ below
+    out[:, 1] = below | (above << 8) | ends[0].take(key)
+    second = words4[0].take(lo, mode="clip")
+    below = second & lows[1].take(key)
+    out[:, 2] = below | ((second ^ below) << 8) | (above >> 56) | ends[1].take(key)
+    out[:, 3] = tails.take(row, mode="clip")
     slow = np.flatnonzero(~fast)
     if slow.size:
-        out[slow] = _byte_rows((b"%.12g" % value for value in v[slow].tolist()), _CELL)
+        out[slow] = _byte_rows((b"%.12g" % value for value in v[slow].tolist()), _CELL).view("<u8")
     return out
 
 
@@ -305,7 +299,7 @@ def _int_words(v: np.ndarray, words: int = 1) -> np.ndarray:
     hold every value, and at least ``words``.  The magnitude, a uint64 so that
     -2**63 has one, is cut into groups of eight and then four digits; the
     bytes before the first digit are 0xFF, the last of them ``-`` if negative."""
-    words4, pow10, pads, minus = _tables()[3:]
+    words4, pow10, pads, minus = _tables()[6:]
     neg = v < 0
     m = np.abs(v).view(np.uint64)  # np.abs(-2**63) wraps to -2**63, which is 2**63 as uint64
     digits = np.searchsorted(pow10, m, side="right") + 1
@@ -330,20 +324,36 @@ def _byte_rows(texts, width: int | None = None) -> np.ndarray:
     return np.frombuffer(rows, np.uint8).reshape(len(texts), width)
 
 
-def _lines(*fields: np.ndarray) -> str:
-    """The text of rows of words, or of bytes, side by side, without the padding."""
-    return np.hstack(fields).tobytes().translate(None, _PAD).decode()
+def _lines(rows: np.ndarray) -> str:
+    """The text of an array of rows of words, or of bytes, without the padding."""
+    return rows.tobytes().translate(None, _PAD).decode()
 
 
-def _csv_rows(cells: np.ndarray, *lead: np.ndarray) -> str:
-    """One line per row of the 2-D float array ``cells``: the row of each
-    byte-row array of ``lead``, then the row's cells as ``%.12g``, separated
-    by commas."""
+def _rows(n: int, *parts, width: int = 0) -> np.ndarray:
+    """``n`` rows of bytes: the rows of ``parts`` side by side, each copied as one
+    void item, then ``width`` bytes left unset.  A part is an array of ``n`` rows
+    of bytes or words, or a pair of such a table and each row's index in it."""
+    pairs = [part if isinstance(part, tuple) else (part, None) for part in parts]
+    ends = np.cumsum([0] + [t.shape[1] * t.itemsize for t, _ in pairs]).tolist()
+    rows = np.empty((n, ends[-1] + width), np.uint8)
+    for (table, index), lo, hi in zip(pairs, ends, ends[1:]):
+        out, table = (a.view(f"V{hi - lo}") for a in (rows[:, lo:hi], table))
+        if index is None:
+            out[...] = table
+        else:
+            np.take(table, index, axis=0, out=out, mode="clip")
+    return rows
+
+
+def _csv_rows(cells: np.ndarray, *lead) -> str:
+    """One line per row of the 2-D float array ``cells``: the ``_rows`` parts
+    ``lead``, then the row's cells as ``%.12g``, separated by commas."""
     n, m = cells.shape
-    body = np.empty((n, m, _CELL + 1), np.uint8)
+    rows = _rows(n, *lead, width=m * (_CELL + 1))
+    body = np.reshape(rows[:, rows.shape[1] - m * (_CELL + 1):], (n, m, _CELL + 1), copy=False)
     step = max(_CHUNK // m, 1)
     for lo in range(0, n, step):
-        body[lo : lo + step, :, :-1] = _g12(cells[lo : lo + step].ravel()).reshape(-1, m, _CELL)
+        body[lo : lo + step, :, :-1] = _g12(cells[lo : lo + step].ravel()).view(np.uint8).reshape(-1, m, _CELL)
     body[:, :, -1] = ord(",")
     body[:, -1, -1] = ord("\n")
-    return _lines(*lead, body.reshape(n, -1))
+    return _lines(rows)

@@ -17,6 +17,7 @@ from qesim import circuit, edl, elements as el, events, scenarios
 from qesim.cli import build_parser, main
 from qesim.measure import OutcomeDistribution
 from qesim.qstate import ValidationError
+from test_sample_pin import chain_edl
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qesim", "golden")
 
@@ -34,6 +35,21 @@ def test_python_m_qesim_runs_the_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "two_slit")
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("argv", ["sample walborn_delayed --setting p_pol=absent -n 100000",
+                                  "run chain16.edl --format csv", "sweep mz_two_bs --steps 100000"])
+def test_a_reader_that_leaves_early_ends_the_command_quietly(tmp_path, argv):
+    # each output is several blocks, each larger than a pipe holds, so the writer
+    # meets the closed pipe (a write that the closing cuts short raises nothing)
+    (tmp_path / "chain16.edl").write_text(chain_edl(16))
+    env = {**os.environ, "PYTHONPATH": str(Path(qesim.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-m", "qesim", *argv.split()], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 1
 
 
 class TestRun:

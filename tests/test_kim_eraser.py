@@ -10,7 +10,10 @@ is not.  The later choice picks sub-ensembles of D0's record; it does not
 change that record.
 
 The SHA-256 of a ``sample --pairs`` run pins the bytes of the pair CSV; it
-was recorded before the pair list named its events by run indices.
+was recorded before the pair list named its events by run indices.  That of
+``run --format csv`` with the eraser in pins the joint distribution's CSV; it
+was recorded from the writer that placed each byte of a number cell by a
+per-byte layout, before cells were laid out as words.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ IDLER = ("a", "b", "a3", "b4")
 #: the joint (D0, idler) distributions' total variation, eraser in against out
 JOINT_TV = 0.15592924527743213
 PAIRS_SHA256 = "a6e8c0bf0a002c47f5dcd934cc946a2cce7efef44f86b10c85732988f2264abe"
+RUN_SHA256 = "b7fafff0f5843bef1e9ec74b41a166bc635faf942589d95b910fc254490ef6a8"
 
 
 def visibility(d):
@@ -68,3 +72,8 @@ def test_pair_csv_is_pinned(capsys):
             "--pairs", "D0,Di", "--offset", "Di=1e9"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PAIRS_SHA256
+
+
+def test_run_csv_is_pinned(capsys):
+    assert main(["run", str(KIM), "--setting", "eraser=in", "--format", "csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RUN_SHA256

@@ -2,13 +2,14 @@
 CPython's ``"%.12g" % x``, and those CSVs against the writers it replaced.
 
 ``measure._g12`` scales most values by an exact power of ten to 12 integer
-digits and lays the digits out with numpy; zeros, values near a rounding tie,
-values that no power up to 1e22 scales and non-finite values go through
-``%``.  Every case here compares its bytes with ``%``: arbitrary float64 bit
+digits and lays the digits out as words with numpy; zeros, values near a
+rounding tie, values that no power up to 1e22 scales and non-finite values go
+through ``%``.  Every case here compares its bytes with ``%``: arbitrary float64 bit
 patterns, decimals of 12 and 13 significant digits ending in 5 (13 digits
 are ties of the rounding to 12), every power of ten from 1e-330 to 1e308
 with both neighbours, the bounds near 1e-4 and 1e12 where ``%g`` turns
-between its fixed and exponent forms, and signed zeros, subnormals,
+between its fixed and exponent forms, one value of each layout (exponent,
+count of significant digits and sign), and signed zeros, subnormals,
 infinities and nan.
 
 ``reference_sweep_csv`` and ``reference_pattern_csv`` are the earlier
@@ -85,6 +86,17 @@ def test_form_bounds(bound):
         ulps = [np.nextafter(ulps[0], 0)] + ulps + [np.nextafter(ulps[-1], np.inf)]
     steps = bound * (1 + 1e-13 * np.arange(-64, 65))
     assert_g12(np.concatenate([ulps, steps]))
+
+
+def test_every_layout():
+    # one value per decimal exponent x in -11..12, count of significant digits
+    # 1..12 and sign, and values that round up to 1e12 times a power of ten,
+    # so that x grows by one: together they reach every row of the writer's
+    # head, tail and point tables, which Hypothesis draws reach rarely
+    digits = "123456789123"
+    values = [float(f"{digits[:k]}e{x - k + 1}") for x in range(-11, 13) for k in range(1, 13)]
+    values += [float(f"9.9999999999996e{x}") for x in range(-12, 12)]
+    assert_g12(values + [-x for x in values])
 
 
 def test_zeros_subnormals_and_non_finite():
