@@ -113,8 +113,15 @@ def _load_target(target: str) -> edl.Template:
 def _emit(pieces, out_path: str | None) -> None:
     """Write the text pieces in order, each as soon as it is made."""
     if out_path is None:
+        # a write that a closing reader cuts short returns a short count from the
+        # bytes layer, which the text layer drops: write the rest again, which raises
+        out = getattr(sys.stdout, "buffer", sys.stdout)  # an io.StringIO has no bytes layer
         try:
-            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+            for piece in pieces:
+                data = piece if out is sys.stdout else piece.encode(sys.stdout.encoding, sys.stdout.errors)
+                while data:
+                    data = data[out.write(data):]
             sys.stdout.flush()
         except BrokenPipeError:  # stop quietly; what is left goes to devnull at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -27,9 +27,9 @@ as they write, so a log is never held twice.  The next ``n`` rows are among
 each run's next ``n`` events, so one stable sort of those merges them.  The
 writers, and that of ``Coincidences``, format a range of rows, so that
 ``blocks`` can write a log of any length ``BLOCK_ROWS`` rows at a time and
-never holds the whole text.  A JSON block stacks rows of uint64 words; a CSV
-block is one row array that ``measure._rows`` fills with shots, ``%.12g`` time
-cells and per-label tables.  One ``bytes.translate`` drops the 0xFF padding.
+never holds the whole text.  A JSON or CSV block is one row array that
+``measure._rows`` lays out from literal keys and commas, shots, times (CSV's
+as ``%.12g`` cells) and per-label tables; ``measure._lines`` gives its text.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, joint_distribution
-from .measure import _PAD, _byte_rows, _g12, _int_words, _lines, _rows, rng_for
+from .measure import _byte_rows, _g12, _int_words, _lines, _rows, rng_for
 from .qstate import ValidationError
 from .screen import BIN_LABELS, Pattern, pattern_from_bin_probs
 
@@ -57,8 +57,6 @@ BLOCK_ROWS = 2**14
 DRAW_CELLS = 2**14
 #: size below which a whole float's ``repr`` is its int and ``.0`` (1e16 has an exponent)
 JSON_WHOLE_BOUND = 2**53
-#: the literal words of a JSON line before the shot and before the time
-_KEYS = b'{"shot":' + b',"t":'.ljust(8, _PAD)
 
 
 @dataclass(frozen=True)
@@ -154,16 +152,16 @@ class EventLog:
 
     @cached_property
     def _jsonl_tails(self) -> np.ndarray:
-        """Each label's JSON line after the time, as words: row ``2 * k`` is
-        label ``k``'s, and row ``2 * k + 1`` the same after ``.0``."""
+        """Each label's JSON line after the time, as byte rows: row ``2 * k``
+        is label ``k``'s, and row ``2 * k + 1`` the same after ``.0``."""
         dumps = cache(json.dumps)
         tails = [f',"det":{dumps(det)},"outcome":[{",".join(map(dumps, outcome))}]}}\n'.encode()
                  for det, outcome in self.labels]
-        return _words(t for tail in tails for t in (tail, b".0" + tail))
+        return _byte_rows(t for tail in tails for t in (tail, b".0" + tail))
 
     @cached_property
     def _csv_tails(self) -> np.ndarray:
-        return _words((f",{det},{'|'.join(outcome)}\n".encode() for det, outcome in self.labels), 1)
+        return _byte_rows(f",{det},{'|'.join(outcome)}\n".encode() for det, outcome in self.labels)
 
     def to_jsonl(self, lo: int = 0, hi: int | None = None) -> str:
         """JSON lines of rows ``[lo, hi)``."""
@@ -173,11 +171,10 @@ class EventLog:
         whole = (ints == t) & (np.signbit(t) == (ints < 0))
         slow = np.flatnonzero(~whole)
         texts = [b"%r" % x for x in t[slow].tolist()]
-        time = _int_words(ints, -(-max(map(len, texts), default=0) // 8))
-        time[slow] = _byte_rows(texts, time.shape[1] * 8).view("<u8")
-        keys = np.broadcast_to(np.frombuffer(_KEYS, "<u8"), (len(t), 2))
-        tails = self._jsonl_tails[2 * label + whole]
-        return _lines(np.hstack([keys[:, :1], _int_words(shot), keys[:, 1:], time, tails]))
+        time = _int_words(ints, max(map(len, texts), default=0)).view(np.uint8)
+        time[slow] = _byte_rows(texts, time.shape[1])
+        tails = (self._jsonl_tails, 2 * label + whole)
+        return _lines(_rows(len(t), b'{"shot":', _int_words(shot), b',"t":', time, tails))
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of rows ``[lo, hi)``, after the header when ``lo == 0``."""
@@ -186,16 +183,9 @@ class EventLog:
         return "shot,t,det,outcome\n" + body if lo == 0 else body
 
 
-def _words(texts, size: int = 8) -> np.ndarray:
-    """Byte strings as 0xFF-padded rows of little-endian words of ``size`` bytes."""
-    texts = list(texts)
-    return _byte_rows(texts, -(-max(map(len, texts), default=1) // size) * size).view(f"<u{size}")
-
-
 def _csv_cells(rows: _Run, tails) -> tuple:
     """The ``measure._rows`` parts of the shots, a comma and the times of ``rows``, then ``tails``."""
-    comma = np.broadcast_to(np.uint8(ord(",")), (len(rows.time), 1))
-    return _int_words(rows.shot), comma, _g12(rows.time), tails
+    return _int_words(rows.shot), b",", _g12(rows.time), tails
 
 
 def blocks(write, rows: int):
@@ -315,7 +305,7 @@ class Coincidences:
     def _outcomes(self) -> np.ndarray:
         """Each label's outcome cell as bytes: row ``2 * k`` is label ``k``'s
         as side ``a``, and row ``2 * k + 1`` as side ``b``."""
-        return _words((f",{'|'.join(o)}{end}".encode() for _, o in self.log.labels for end in ",\n"), 1)
+        return _byte_rows(f",{'|'.join(o)}{end}".encode() for _, o in self.log.labels for end in ",\n")
 
     def to_csv(self, lo: int = 0, hi: int | None = None) -> str:
         """CSV of pairs ``[lo, hi)``, after the header when ``lo == 0``."""

@@ -4,8 +4,8 @@ package's seeded random generator, and the ``%.12g`` writer of its CSVs.
 The generator is numpy's PCG64 with explicit seed threading; its identity is
 part of the external contract so event logs are portable.  ``_g12`` writes
 CPython's ``"%.12g" % x`` as four uint64 words a cell, 0xFF padding even inside
-it, and ``_int_words`` ``"%d" % n`` as words.  A CSV block is one row array:
-``_rows`` lays out its label and word parts, ``_csv_rows`` its number cells.
+it, and ``_int_words`` ``"%d" % n`` as words.  Every CSV and JSONL block is one
+row array that ``_rows`` lays out from literals, per-row arrays and label tables.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ _PAD = b"\xff"
 #: bytes of one number cell, four uint64 words: more than the 19 of
 #: ``-2.22507385851e-308``, the longest ``%.12g`` text of a float64
 _CELL = 32
-#: cells per ``_g12`` call, so that its 8-byte-a-cell temporaries stay under glibc's 128 KiB mmap threshold
+#: cells that ``_g12`` formats at a time, so that its 8-byte-a-cell temporaries stay under glibc's 128 KiB mmap threshold
 _CHUNK = 2**13
 #: 10**k for k = 0..22, every power of ten that a float64 holds exactly
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -253,57 +253,59 @@ def _g12(v: np.ndarray) -> np.ndarray:
     exactly .5, values that no power up to 1e22 scales into [1e11, 1e12) and
     non-finite values are written by ``%`` instead."""
     zeros4, heads, tails, points, lows, ends, words4 = _tables()[:7]
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = (11 - np.floor(np.log10(a))).astype(np.intp)  # 11 - x; 0, inf, nan fail `fast` below
-        scaled = a * _POW10.take(k, mode="clip")
-        whole = np.floor(scaled)
-        frac = scaled - whole
-        n = whole.astype(np.int64)
-    # the product is rounded once, and rounding is monotone: it keeps the
-    # exact product's side of every integer and half-integer below 2**52,
-    # and lands on a half-integer only for a tie or a near-tie, left to %
-    fast = (k >= 0) & (k <= 22) & (whole >= 1e11) & (whole < 1e12) & (frac != 0.5)
-    n += frac > 0.5
-    carry = n == 10**12  # rounded up to 1e12: one more digit before the point
-    n[carry] = 10**11
-    row = 22 - k + carry  # x + 11; the rows of values left to % are clipped
-    hi = n // 10**8
-    lo = n - hi * 10**8
-    mid = lo // 10**4
-    lo -= mid * 10**4
-    z = [zeros4.take(g, mode="clip") for g in (hi, mid, lo)]
-    zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
-    point = points.take(row, mode="clip")
-    kept = np.maximum(12 - zeros, point)  # the fixed form keeps every digit before its point
-    key = kept * 13 + point * (kept > point)
     out = np.empty((len(v), 4), "<u8")
-    out[:, 0] = heads.take(2 * row + (v < 0), mode="clip")
-    first = words4[0].take(hi, mode="clip") | words4[1].take(mid, mode="clip")
-    below = first & lows[0].take(key)
-    above = first ^ below
-    out[:, 1] = below | (above << 8) | ends[0].take(key)
-    second = words4[0].take(lo, mode="clip")
-    below = second & lows[1].take(key)
-    out[:, 2] = below | ((second ^ below) << 8) | (above >> 56) | ends[1].take(key)
-    out[:, 3] = tails.take(row, mode="clip")
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        out[slow] = _byte_rows((b"%.12g" % value for value in v[slow].tolist()), _CELL).view("<u8")
+    for at in range(0, len(v), _CHUNK):
+        part, cells = v[at : at + _CHUNK], out[at : at + _CHUNK]
+        a = np.abs(part)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = (11 - np.floor(np.log10(a))).astype(np.intp)  # 11 - x; 0, inf, nan fail `fast` below
+            scaled = a * _POW10.take(k, mode="clip")
+            whole = np.floor(scaled)
+            frac = scaled - whole
+            n = whole.astype(np.int64)
+        # the product is rounded once, and rounding is monotone: it keeps the
+        # exact product's side of every integer and half-integer below 2**52,
+        # and lands on a half-integer only for a tie or a near-tie, left to %
+        fast = (k >= 0) & (k <= 22) & (whole >= 1e11) & (whole < 1e12) & (frac != 0.5)
+        n += frac > 0.5
+        carry = n == 10**12  # rounded up to 1e12: one more digit before the point
+        n[carry] = 10**11
+        row = 22 - k + carry  # x + 11; the rows of values left to % are clipped
+        hi = n // 10**8
+        lo = n - hi * 10**8
+        mid = lo // 10**4
+        lo -= mid * 10**4
+        z = [zeros4.take(g, mode="clip") for g in (hi, mid, lo)]
+        zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
+        point = points.take(row, mode="clip")
+        kept = np.maximum(12 - zeros, point)  # the fixed form keeps every digit before its point
+        key = kept * 13 + point * (kept > point)
+        cells[:, 0] = heads.take(2 * row + (part < 0), mode="clip")
+        first = words4[0].take(hi, mode="clip") | words4[1].take(mid, mode="clip")
+        below = first & lows[0].take(key)
+        above = first ^ below
+        cells[:, 1] = below | (above << 8) | ends[0].take(key)
+        second = words4[0].take(lo, mode="clip")
+        below = second & lows[1].take(key)
+        cells[:, 2] = below | ((second ^ below) << 8) | (above >> 56) | ends[1].take(key)
+        cells[:, 3] = tails.take(row, mode="clip")
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            cells[slow] = _byte_rows((b"%.12g" % value for value in part[slow].tolist()), _CELL).view("<u8")
     return out
 
 
-def _int_words(v: np.ndarray, words: int = 1) -> np.ndarray:
+def _int_words(v: np.ndarray, width: int = 0) -> np.ndarray:
     """``"%d" % value`` for each int64 of the 1-D ``v``, right-aligned after
     0xFF bytes in ``w`` little-endian uint64 words per row: the fewest that
-    hold every value, and at least ``words``.  The magnitude, a uint64 so that
-    -2**63 has one, is cut into groups of eight and then four digits; the
+    hold every value and at least ``width`` bytes.  The magnitude, a uint64 so
+    that -2**63 has one, is cut into groups of eight and then four digits; the
     bytes before the first digit are 0xFF, the last of them ``-`` if negative."""
     words4, pow10, pads, minus = _tables()[6:]
     neg = v < 0
     m = np.abs(v).view(np.uint64)  # np.abs(-2**63) wraps to -2**63, which is 2**63 as uint64
     digits = np.searchsorted(pow10, m, side="right") + 1
-    w = max(words, -(-int(np.max(digits + neg, initial=1)) // 8))
+    w = -(-max(width, int(np.max(digits + neg, initial=1))) // 8)
     out = np.empty((len(v), w), "<u8")
     for k in range(w - 1, -1, -1):
         eight = m - (m := m // 10**8) * 10**8  # // by a constant is much faster than divmod
@@ -319,7 +321,7 @@ def _byte_rows(texts, width: int | None = None) -> np.ndarray:
     """The byte strings ``texts`` as the rows of a uint8 array, each padded
     with 0xFF to ``width``, else to the longest."""
     texts = list(texts)
-    width = max(map(len, texts)) if width is None else width
+    width = max(map(len, texts), default=0) if width is None else width
     rows = b"".join(t.ljust(width, _PAD) for t in texts)
     return np.frombuffer(rows, np.uint8).reshape(len(texts), width)
 
@@ -329,13 +331,15 @@ def _lines(rows: np.ndarray) -> str:
     return rows.tobytes().translate(None, _PAD).decode()
 
 
-def _rows(n: int, *parts, width: int = 0) -> np.ndarray:
+def _rows(n: int, *parts) -> np.ndarray:
     """``n`` rows of bytes: the rows of ``parts`` side by side, each copied as one
-    void item, then ``width`` bytes left unset.  A part is an array of ``n`` rows
-    of bytes or words, or a pair of such a table and each row's index in it."""
+    void item.  A part is an array of ``n`` rows of bytes or words, a literal
+    that every row repeats (bytes, or an array of one row), or a pair of a
+    table of such rows and each row's index in it."""
+    parts = [_byte_rows([part]) if isinstance(part, bytes) else part for part in parts]
     pairs = [part if isinstance(part, tuple) else (part, None) for part in parts]
     ends = np.cumsum([0] + [t.shape[1] * t.itemsize for t, _ in pairs]).tolist()
-    rows = np.empty((n, ends[-1] + width), np.uint8)
+    rows = np.empty((n, ends[-1]), np.uint8)
     for (table, index), lo, hi in zip(pairs, ends, ends[1:]):
         out, table = (a.view(f"V{hi - lo}") for a in (rows[:, lo:hi], table))
         if index is None:
@@ -349,11 +353,8 @@ def _csv_rows(cells: np.ndarray, *lead) -> str:
     """One line per row of the 2-D float array ``cells``: the ``_rows`` parts
     ``lead``, then the row's cells as ``%.12g``, separated by commas."""
     n, m = cells.shape
-    rows = _rows(n, *lead, width=m * (_CELL + 1))
-    body = np.reshape(rows[:, rows.shape[1] - m * (_CELL + 1):], (n, m, _CELL + 1), copy=False)
-    step = max(_CHUNK // m, 1)
-    for lo in range(0, n, step):
-        body[lo : lo + step, :, :-1] = _g12(cells[lo : lo + step].ravel()).view(np.uint8).reshape(-1, m, _CELL)
-    body[:, :, -1] = ord(",")
-    body[:, -1, -1] = ord("\n")
-    return _lines(rows)
+    words = _g12(cells.ravel()).reshape(n, m, 4)
+    parts = []
+    for j in range(m):
+        parts += [words[:, j], b"," if j < m - 1 else b"\n"]
+    return _lines(_rows(n, *lead, *parts))

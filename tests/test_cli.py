@@ -38,11 +38,14 @@ def test_python_m_qesim_runs_the_cli(capsys):
 
 
 @pytest.mark.parametrize("argv", ["sample walborn_delayed --setting p_pol=absent -n 100000",
-                                  "run chain16.edl --format csv", "sweep mz_two_bs --steps 100000"])
+                                  "run chain16.edl --format csv", "run chain14.edl --format csv",
+                                  "sweep mz_two_bs --steps 100000"])
 def test_a_reader_that_leaves_early_ends_the_command_quietly(tmp_path, argv):
-    # each output is several blocks, each larger than a pipe holds, so the writer
-    # meets the closed pipe (a write that the closing cuts short raises nothing)
-    (tmp_path / "chain16.edl").write_text(chain_edl(16))
+    # each output has a block larger than a pipe holds, so the writer meets the
+    # closed pipe; the 14-dof chain is one block, whose one write the closing
+    # cuts short: the writer must write the rest again to see it
+    for dofs in (14, 16):
+        (tmp_path / f"chain{dofs}.edl").write_text(chain_edl(dofs))
     env = {**os.environ, "PYTHONPATH": str(Path(qesim.__file__).resolve().parent.parent)}
     proc = subprocess.Popen([sys.executable, "-m", "qesim", *argv.split()], cwd=tmp_path, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -52,8 +52,7 @@ PRIVATE_USES = {
     "circuit": {"elements._act", "elements._post_select", "qstate._axis", "qstate._one"},
     "elements": {"qstate._axis", "qstate._normalize_rows", "qstate._weight"},
     "cli": {"measure._csv_rows"},
-    "events": {"measure._PAD", "measure._byte_rows", "measure._g12", "measure._int_words", "measure._lines",
-               "measure._rows"},
+    "events": {"measure._byte_rows", "measure._g12", "measure._int_words", "measure._lines", "measure._rows"},
     "screen": {"measure._csv_rows", "qstate._axis", "qstate._one"},
 }
 

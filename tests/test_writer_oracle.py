@@ -5,10 +5,11 @@ replaced.
 earlier ``EventLog.to_jsonl``, ``EventLog.to_csv`` and ``Coincidences.to_csv``,
 which formatted every row with an f-string and joined all rows into one
 string.  They stay here as the definition of the bytes that ``events.blocks``
-over the block writers must give, whatever the block size and whatever the
-times: whole ns (which a block may write as ints), fractional, negative,
--0.0, subnormal, and sizes on both sides of the bounds below which a whole
-float is written with the digits of its int.  The logs are built from
+over the block writers must give, whatever the block size, whatever the
+number of cells ``measure._g12`` formats at a time, and whatever the times:
+whole ns (which a block may write as ints), fractional, negative, -0.0,
+subnormal, and sizes on both sides of the bounds below which a whole float is
+written with the digits of its int.  The logs are built from
 columns by ``log_of_columns``, with any int64 shots, duplicates included, and
 the pair lists join events at any indices of the runs of two detectors.
 
@@ -29,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesim import events, scenarios
+from qesim import events, measure, scenarios
 from qesim.cli import main
 from qesim.events import Coincidences
 from qesim.measure import OutcomeDistribution
 from test_events_oracle import log_of_columns
+from test_sample_pin import FILES
 
 
 def columns(source, rows=slice(None)):
@@ -73,8 +75,8 @@ def reference_run_csv(dist):
     return ",".join(dist.axes) + ",p\n" + body
 
 
-def written(write, rows, block):
-    with mock.patch.object(events, "BLOCK_ROWS", block):
+def written(write, rows, block, chunk=measure._CHUNK):
+    with mock.patch.object(events, "BLOCK_ROWS", block), mock.patch.object(measure, "_CHUNK", chunk):
         return "".join(events.blocks(write, rows))
 
 
@@ -105,6 +107,9 @@ NAME = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), min_siz
 LABELS = st.lists(st.tuples(NAME, st.lists(NAME, min_size=1, max_size=2).map(tuple)),
                   min_size=1, max_size=4)
 BLOCK = st.sampled_from([1, 2, 7, 2**14])
+#: cells that ``measure._g12`` formats at a time, so that a time column crosses
+#: a chunk edge inside a block
+CHUNK = st.sampled_from([1, 7, 2**13])
 
 
 @st.composite
@@ -118,22 +123,22 @@ def logs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(log=logs(), block=BLOCK)
-def test_log_writers_match_one_string_writers(log, block):
-    assert written(log.to_jsonl, len(log), block) == reference_jsonl(log)
-    assert written(log.to_csv, len(log), block) == reference_csv(log)
+@given(log=logs(), block=BLOCK, chunk=CHUNK)
+def test_log_writers_match_one_string_writers(log, block, chunk):
+    assert written(log.to_jsonl, len(log), block, chunk) == reference_jsonl(log)
+    assert written(log.to_csv, len(log), block, chunk) == reference_csv(log)
 
 
 @settings(max_examples=200, deadline=None)
-@given(log=logs().filter(len), block=BLOCK, data=st.data())
-def test_pair_writer_matches_one_string_writer(log, block, data):
+@given(log=logs().filter(len), block=BLOCK, chunk=CHUNK, data=st.data())
+def test_pair_writer_matches_one_string_writer(log, block, chunk, data):
     m = data.draw(st.integers(0, 20))
     dets = st.sampled_from([det for det, run in log._runs.items() if len(run.time)])
     det_a, det_b = data.draw(dets), data.draw(dets)
     a, b = (data.draw(st.lists(st.integers(0, len(log._runs[det].time) - 1), min_size=m, max_size=m))
             for det in (det_a, det_b))
     pairs = Coincidences(log, det_a, a, det_b, b)
-    assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+    assert written(pairs.to_csv, len(pairs), block, chunk) == reference_pair_csv(pairs)
 
 
 # each case next to whole times, so that only the case itself decides
@@ -195,6 +200,14 @@ def test_empty_log_writes_block_zero():
 def test_zero_shots_through_the_cli(capsys, flags, expected):
     argv = ["sample", "walborn_delayed", "-n", "0", "--setting", "p_pol=absent"] + flags
     assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flags, expected", [([], ""), (["--format", "csv"], "shot,t,det,outcome\n")])
+def test_an_all_blocked_sample_writes_block_zero(capsys, tmp_path, flags, expected):
+    # every shot is absorbed, so the log has no events and no labels
+    (tmp_path / "blocked.edl").write_text(FILES["blocked.edl"])
+    assert main(["sample", str(tmp_path / "blocked.edl"), "-n", "5"] + flags) == 0
     assert capsys.readouterr().out == expected
 
 
