@@ -18,18 +18,19 @@ a delayed eraser's pairs are recovered.
 ``generate_events`` draws the shots ``BLOCK_ROWS`` at a time and keeps each
 detector's events as one run: its surviving shots, their times and label
 indices, in shot order and so in time order.  ``coincidences`` pairs A's run
-block by block against B's compensated times, and ``conditioned_histogram``
-counts the pairs block by block; both read the runs, so nothing merges the
-detectors' events for them.  The time-ordered log, in (time, detector name,
-shot) order, is a view: ``EventLog.shot``, ``.time``, ``.label`` and
-``.events`` build it on first access, and the writers take it block by block
-as they write, so a log is never held twice.  The next ``n`` rows are among
-each run's next ``n`` events, so one stable sort of those merges them.  The
-writers, and that of ``Coincidences``, format a range of rows, so that
-``blocks`` can write a log of any length ``BLOCK_ROWS`` rows at a time and
-never holds the whole text.  A JSON or CSV block is one row array that
-``measure._rows`` lays out from literal keys and commas, shots, times (CSV's
-as ``%.12g`` cells) and per-label tables; ``measure._lines`` gives its text.
+block by block against B's compensated times, a block's candidates by one
+merge of sorted times, and ``conditioned_histogram`` counts the pairs block
+by block; both read the runs, so nothing merges the detectors' events for
+them.  The time-ordered log, in (time, detector name, shot) order, is a
+view: ``EventLog.shot``, ``.time``, ``.label`` and ``.events`` build it on
+first access, and the writers take it block by block as they write, so a
+log is never held twice.  The next ``n`` rows are among each run's next
+``n`` events, so one stable sort of those merges them.  The writers, and
+that of ``Coincidences``, format a range of rows, so that ``blocks`` can
+write a log of any length ``BLOCK_ROWS`` rows at a time and never holds the
+whole text.  A JSON or CSV block is one row array that ``measure._rows``
+lays out from literal keys and commas, shots, times (CSV's as ``%.12g``
+cells) and per-label tables; ``measure._lines`` gives its text.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ BLOCK_ROWS = 2**14
 DRAW_CELLS = 2**14
 #: size below which a whole float's ``repr`` is its int and ``.0`` (1e16 has an exponent)
 JSON_WHOLE_BOUND = 2**53
+#: the screen-bin labels, as a set for ``conditioned_histogram``'s check
+_BIN_LABELS = frozenset(BIN_LABELS)
 
 
 @dataclass(frozen=True)
@@ -206,10 +209,14 @@ def _drawer(cdf: np.ndarray):
     ``Generator.random``, from a table of cells built once.  ``u * DRAW_CELLS`` scales by a
     power of two, so the cell, its floor, is exact.  The CDF does not decrease (entries above
     1 before its final 1.0 compare as 1.0 does), so where count(cdf <= a cell's lower edge)
-    == count(cdf < its upper edge), that is the pick."""
+    == count(cdf < its upper edge), that is the pick.  Both counts come from where each CDF
+    entry falls among the edges: it is <= every edge from the first not below it, and < every
+    edge from the first above it (the counts' last slot holds entries above 1)."""
     edges = np.arange(DRAW_CELLS + 1) / DRAW_CELLS
-    lo = np.searchsorted(cdf, edges[:-1], side="right")
-    unsure = lo != np.searchsorted(cdf, edges[1:], side="left")
+    at_most, below = (np.cumsum(np.bincount(edges.searchsorted(cdf, side), minlength=DRAW_CELLS + 2))
+                      for side in ("left", "right"))
+    lo = at_most[:-2]
+    unsure = lo != below[1:-1]
 
     def draw(u: np.ndarray) -> np.ndarray:
         cell = (u * DRAW_CELLS).astype(np.intp)
@@ -331,6 +338,17 @@ def _greedy(ta: list[float], tb: list[float], window: float) -> tuple[list[int],
     return pa, pb
 
 
+def _ranks(run: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(run, keys, side="left")`` for sorted ``keys`` in the sorted ``run``,
+    by a merge.  The answers lie between those of the first and last key, so only that slice
+    of the run is merged: one stable sort (timsort, which merges two sorted runs in linear
+    time) with the keys first, so that a key sorts before run entries equal to it.  A key's
+    rank is then its place in that order less the keys before it."""
+    start, stop = run.searchsorted(keys[[0, -1]], "left")
+    order = np.argsort(np.concatenate([keys, run[start:stop]]), kind="stable")
+    return start + np.flatnonzero(order < len(keys)) - np.arange(len(keys))
+
+
 def coincidences(
     log: EventLog,
     det_a: str,
@@ -342,7 +360,8 @@ def coincidences(
 
     Each event is used at most once, so the two detectors must differ.
     ``offsets`` (ns, subtracted per detector before comparison) compensate
-    known delays, e.g. a delayed eraser arm.
+    known delays, e.g. a delayed eraser arm.  Both runs are in time order, so
+    each block's candidates are ranks that ``_ranks`` finds by a merge.
     """
     if not window >= 0:
         raise ValidationError("window must be >= 0")
@@ -363,7 +382,7 @@ def coincidences(
     for lo, hi in _spans(len(time_a)):
         ta = time_a[lo:hi] - off_a
         # each A event's first candidate: the earliest B event not before t - window
-        first = np.searchsorted(tb, ta - window, side="left")
+        first = _ranks(tb, ta - window)
         hit = first < len(tb)
         hit[hit] = np.abs(tb[first[hit]] - ta[hit]) <= window
         if (hit[:-1] & (first[1:] == first[:-1])).any() or edge == (first[0], True):
@@ -393,7 +412,7 @@ def conditioned_histogram(
     for lo, hi in _spans(len(pairs)):
         counts += np.bincount(run_a.label[a[lo:hi]][wanted[run_b.label[b[lo:hi]]]], minlength=len(labels))
     used = np.flatnonzero(counts).tolist()
-    if any(len(labels[k][1]) != 1 or labels[k][1][0] not in BIN_LABELS for k in used):
+    if any(len(labels[k][1]) != 1 or labels[k][1][0] not in _BIN_LABELS for k in used):
         raise ValidationError("screen events must carry a single bin label")
     if not used:
         raise ValidationError("no pairs satisfy the condition")

@@ -351,10 +351,11 @@ def _rows(n: int, *parts) -> np.ndarray:
 
 def _csv_rows(cells: np.ndarray, *lead) -> str:
     """One line per row of the 2-D float array ``cells``: the ``_rows`` parts
-    ``lead``, then the row's cells as ``%.12g``, separated by commas."""
+    ``lead``, then the row's cells as ``%.12g``, separated by commas.  A cell's
+    last byte is always padding, so each cell's comma, or the row's line end,
+    is written there, and all the cells are one part."""
     n, m = cells.shape
     words = _g12(cells.ravel()).reshape(n, m, 4)
-    parts = []
-    for j in range(m):
-        parts += [words[:, j], b"," if j < m - 1 else b"\n"]
-    return _lines(_rows(n, *lead, *parts))
+    last = words.view(np.uint8)[:, :, -1]
+    last[:, :-1], last[:, -1] = ord(","), ord("\n")
+    return _lines(_rows(n, *lead, words.reshape(n, 4 * m)))

@@ -13,6 +13,10 @@ written with the digits of its int.  The logs are built from
 columns by ``log_of_columns``, with any int64 shots, duplicates included, and
 the pair lists join events at any indices of the runs of two detectors.
 
+``reference_sweep_csv`` (from ``test_number_oracle``) defines the bytes of
+the ``sweep`` rows, and a table wider than 1000 columns, as a sweep of a
+12-dof circuit writes, must give them too, whatever the chunk size.
+
 ``reference_run_csv`` is the earlier ``run --format csv`` writer, which built
 one label prefix per row and formatted each row with ``%s%.12g``.  It stays
 here as the definition of the bytes of ``OutcomeDistribution.to_csv``, which
@@ -35,6 +39,7 @@ from qesim.cli import main
 from qesim.events import Coincidences
 from qesim.measure import OutcomeDistribution
 from test_events_oracle import log_of_columns
+from test_number_oracle import reference_sweep_csv
 from test_sample_pin import FILES
 
 
@@ -270,3 +275,13 @@ def test_run_csv_edge_labels_match_prefix_per_row_writer(axes, labels):
 def test_run_csv_of_all_blocked_has_only_the_header(labels):
     dist = OutcomeDistribution(("D_s", "D_c"), labels, np.zeros(tuple(map(len, labels))), 0.0)
     assert dist.to_csv() == reference_run_csv(dist) == "D_s,D_c,p\n"
+
+
+@pytest.mark.parametrize("chunk", [7, measure._CHUNK])
+def test_wide_sweep_rows_match_row_template(chunk):
+    # a sweep row of a 12-dof circuit: the parameter, then 4096 probabilities
+    rng = np.random.default_rng(12)
+    cells = rng.random((5, 4097)) * 10.0 ** rng.integers(-320, 300, (5, 4097))
+    cells[:, ::97] = np.array([0.0, -0.0, 1.0, 1e12, -2.2250738585072014e-308])[:, None]
+    with mock.patch.object(measure, "_CHUNK", chunk):
+        assert measure._csv_rows(cells) == reference_sweep_csv(cells)
