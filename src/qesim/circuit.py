@@ -1,16 +1,16 @@
-"""Executable experiments: sources, elements, choice points, and detectors.
+"""Executable experiments: a source, then elements, detectors and choice points.
 
-Evolution is pure and deterministic, and has one step: ``evolve_rows``
-takes a stack of sources through one ``elements.apply_op`` per active Apply
-stage, so many variants of one circuit (the steps of a PARAM sweep, or one
-circuit fed many sources) evolve at once, each row with the bytes it would
-have alone; ``evolve`` is its stack of one.  Filters post-select: each row
-is renormalized and its pass probability accumulates in its weight.
-Detection is ideal projective measurement in each detector's declared basis;
-a screen detector measures the far-field position distribution of a
-two-label path dof, and its bin axis goes after every dof axis.  ``_born``
-is the one Born step, over a stack: ``distribution_from_state`` (a stack of
-one), ``joint_probs`` and ``compare_marginals`` all call it.
+Evolution is pure and deterministic, and has one step: ``evolve_rows`` takes
+a stack of sources through one ``elements.apply_op`` per active element, so
+many variants of one circuit (the steps of a PARAM sweep, or one circuit fed
+many sources) evolve at once, each row with the bytes it would have alone;
+``evolve`` is its stack of one.  Filters post-select: each row is
+renormalized and its pass probability accumulates in its weight.  Detection
+is ideal projective measurement in each detector's declared basis; a screen
+detector measures the far-field position distribution of a two-label path
+dof, and its bin axis goes after every dof axis.  ``_born`` is the one Born
+step, over a stack: ``distribution_from_state`` (a stack of one),
+``joint_probs`` and ``compare_marginals`` all call it.
 ``compare_marginals`` instead keeps the absorbed branches, as a stack whose
 rows split in two at each filter and are post-selected by the rule
 ``apply_op`` uses, so the full-ensemble marginal of an untouched subsystem
@@ -79,16 +79,6 @@ class DetectorSpec:
         return tuple(d for d, _ in self.measured)
 
 
-@dataclass(frozen=True)
-class Apply:
-    op: el.ElementOp
-
-
-@dataclass(frozen=True)
-class Detect:
-    spec: DetectorSpec
-
-
 @dataclass(frozen=True, eq=False)
 class Choice:
     """A named point where one of several alternative stage lists is wired in."""
@@ -106,7 +96,7 @@ class Choice:
         )
 
 
-Stage = Apply | Detect | Choice
+Stage = el.ElementOp | DetectorSpec | Choice
 
 
 def _detector_names(stages) -> set[str]:
@@ -115,8 +105,8 @@ def _detector_names(stages) -> set[str]:
     set independently, so any alternative of one may meet any of another."""
     seen: set[str] = set()
     for s in stages:
-        if isinstance(s, Detect):
-            names = {s.spec.name}
+        if isinstance(s, DetectorSpec):
+            names = {s.name}
         elif isinstance(s, Choice):
             names = set().union(*map(_detector_names, s.alternatives.values()))
         else:
@@ -156,7 +146,7 @@ class Circuit:
 
     def detectors(self, settings: dict[str, str] | None = None) -> list[DetectorSpec]:
         """Detectors in stage order; with settings, only the active branch."""
-        return [s.spec for s in _walk(self.stages, settings) if isinstance(s, Detect)]
+        return [s for s in _walk(self.stages, settings) if isinstance(s, DetectorSpec)]
 
     def find_choice(self, name: str) -> Choice:
         for s in _walk(self.stages):
@@ -192,7 +182,7 @@ def validate_settings(c: Circuit, settings: dict[str, str]) -> None:
 
 
 def evolve(c: Circuit, settings: dict[str, str] | None = None) -> StateStack:
-    """Pre-measurement state after all active Apply stages (Detects are
+    """Pre-measurement state after all active elements (detectors are
     inert): ``evolve_rows``' stack of one row."""
     return evolve_rows(c, 1, {}, settings)
 
@@ -201,9 +191,9 @@ def evolve_rows(
     c: Circuit, n: int, stacks: dict, settings: dict[str, str] | None = None, sources: StateStack | None = None
 ) -> StateStack:
     """``n`` variants of ``c``: the stack of their sources after one
-    ``apply_op`` per active Apply stage, all rows held at once.
+    ``apply_op`` per active element, all rows held at once.
 
-    Row i is ``c`` with ``stacks[id(s)][i]`` as the matrix of each Apply ``s``
+    Row i is ``c`` with ``stacks[id(s)][i]`` as the matrix of each element ``s``
     whose id keys ``stacks`` (``edl.Template.rows`` builds them), and row i of
     ``sources`` (a stack over ``c.dofs``; ``c.source`` by default) as its source.
     """
@@ -211,8 +201,8 @@ def evolve_rows(
     validate_settings(c, settings)
     if any(len(m) != n for m in stacks.values()):
         raise ContractError(f"evolve_rows needs {n} matrices in each stack")
-    if stacks and not stacks.keys() <= {id(s) for s in _walk(c.stages) if isinstance(s, Apply)}:
-        raise ContractError("evolve_rows got matrices for a stage that is not an Apply of this circuit")
+    if stacks and not stacks.keys() <= {id(s) for s in _walk(c.stages) if isinstance(s, el.ElementOp)}:
+        raise ContractError("evolve_rows got matrices for a stage that is not an element of this circuit")
     if sources is None:
         sources = StateStack(c.dofs, c.source.tensor_view()[None].repeat(n, axis=0),
                              np.full(n, c.source.weight), np.zeros(n, dtype=bool))
@@ -220,8 +210,8 @@ def evolve_rows(
         raise ContractError(f"evolve_rows needs one source per row ({n}), each over the circuit's dofs")
     stack = sources
     for s in _walk(c.stages, settings):
-        if isinstance(s, Apply):
-            stack = el.apply_op(stack, s.op, stacks.get(id(s)))
+        if isinstance(s, el.ElementOp):
+            stack = el.apply_op(stack, s, stacks.get(id(s)))
     return stack
 
 
@@ -236,10 +226,10 @@ def _branches(c: Circuit, settings: dict[str, str]) -> StateStack:
     validate_settings(c, settings)
     t, weights = c.source.tensor_view()[None], np.array([c.source.weight])
     for s in _walk(c.stages, settings):
-        if isinstance(s, Apply) and s.op.kind == el.UNITARY:
-            t = el.apply_op(StateStack(c.dofs, t, weights, np.zeros(len(t), dtype=bool)), s.op).amps
-        elif isinstance(s, Apply):
-            passed = el._act(t, c.dofs, s.op)
+        if isinstance(s, el.ElementOp) and s.kind == el.UNITARY:
+            t = el.apply_op(StateStack(c.dofs, t, weights, np.zeros(len(t), dtype=bool)), s).amps
+        elif isinstance(s, el.ElementOp):
+            passed = el._act(t, c.dofs, s)
             flat = np.stack([passed, t - passed], axis=1).reshape(2 * len(t), c.source.dim)
             weights, blocked = el._post_select(flat, np.repeat(weights, 2))
             flat, weights = flat[~blocked], weights[~blocked]
@@ -367,7 +357,7 @@ def compare_marginals(
     choice = c.find_choice(choice_name)
     specs = c.detectors(None)
     common_screens = {s.name: s for s in specs if s.screen_of is not None}
-    choice_detnames = {s.spec.name for s in _walk((choice,)) if isinstance(s, Detect)}
+    choice_detnames = {s.name for s in _walk((choice,)) if isinstance(s, DetectorSpec)}
 
     subset_dofs: set[str] = set()
     probes: list[DetectorSpec] = []
@@ -392,7 +382,7 @@ def compare_marginals(
 
     for alt_stages in choice.alternatives.values():
         touched = {
-            d for s in _walk(alt_stages) if isinstance(s, Apply) for d in s.op.acts_on()
+            d for s in _walk(alt_stages) if isinstance(s, el.ElementOp) for d in s.acts_on()
         }
         overlap = touched & subset_dofs
         if overlap:

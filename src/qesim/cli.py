@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain, product
 
@@ -336,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("-n", "--shots", type=int, default=10000)
     sp.set_defaults(fn=cmd_sample)
+    # read -1e-3 as a number, not an option, as newer versions of argparse do
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile(r"-\.?\d")
     return p
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import elements as el
-from .circuit import Apply, Choice, Circuit, Detect, DetectorSpec
+from .circuit import Choice, Circuit, DetectorSpec
 from .qstate import Dof, StateVector, ValidationError
 
 ERROR = "error"
@@ -126,7 +126,7 @@ class Template:
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
     doc: Document | None = None
     params: dict[str, float] = field(default_factory=dict)  # as bound in ``circuit``
-    lazy: tuple[tuple[ElementStage, Apply], ...] = ()  # the stages naming a PARAM
+    lazy: tuple[tuple[ElementStage, el.ElementOp], ...] = ()  # the stages naming a PARAM
 
     @property
     def ok(self) -> bool:
@@ -135,9 +135,9 @@ class Template:
         )
 
     def rows(self, name: str, values) -> dict[int, np.ndarray]:
-        """For each Apply of ``circuit`` whose angle names PARAM ``name``, keyed
-        by its id, the stack of the matrices ``compile_document`` builds it with
-        at each of ``values`` (radians), to the bit: the rows of
+        """For each element of ``circuit`` whose angle names PARAM ``name``,
+        keyed by its id, the stack of the matrices ``compile_document`` builds
+        it with at each of ``values`` (radians), to the bit: the rows of
         ``circuit.evolve_rows`` and ``circuit.joint_probs``.  The first value a
         compile rejects raises what ``build_template`` of it raises."""
         if not self.ok:
@@ -147,13 +147,13 @@ class Template:
         values, dofs = np.array(values, dtype=float), {d.name: d for d in self.circuit.dofs}
         stacks, suspect = {}, ~np.isfinite(values)
         angles = np.where(suspect, 0.0, values)  # a compile rejects each value not finite, below
-        for s, a in self.lazy:
+        for s, op in self.lazy:
             kinds = ELEMENTS[s.keyword][1]
             if (ANGLE, name) in zip(kinds, s.args):
                 # the stage compiled: its dofs and labels resolve as written
                 args = [dofs[t] if k == DOF else angles if k == ANGLE else t for k, t in zip(kinds, s.args)]
-                stacks[id(a)] = STACKS[s.keyword](*args)
-                suspect |= el.rejected(a.op.kind, stacks[id(a)])
+                stacks[id(op)] = STACKS[s.keyword](*args)
+                suspect |= el.rejected(op.kind, stacks[id(op)])
         # a matrix ElementOp rejects, or an angle that is not finite
         for v in values[suspect] if stacks else ():
             build_template(self.doc, {**self.params, name: v})
@@ -506,7 +506,7 @@ class _Compiler:
         self.doc = doc
         self.diags: list[ParseDiagnostic] = []
         self.dofs: dict[str, Dof] = {}
-        self.lazy: list[tuple[ElementStage, Apply]] = []
+        self.lazy: list[tuple[ElementStage, el.ElementOp]] = []
         self.params = dict(doc.params)
         for name, value in (params or {}).items():
             if name not in self.params:
@@ -591,10 +591,9 @@ class _Compiler:
         for node in nodes:
             if isinstance(node, ElementStage):
                 op = self.build_element(node)
-                if op is not None:
-                    out.append(Apply(op))
-                    if not self.params.keys().isdisjoint(node.args):
-                        self.lazy.append((node, out[-1]))
+                if op is not None and not self.params.keys().isdisjoint(node.args):
+                    self.lazy.append((node, op))
+                out.append(op)
             elif isinstance(node, ChoiceNode):
                 alts = {
                     alt: tuple(self.build_stages(stages))
@@ -605,10 +604,8 @@ class _Compiler:
                 except ValidationError as e:
                     self.error(node.line, str(e))
             elif isinstance(node, DetectNode):
-                spec = self.build_detector(node)
-                if spec is not None:
-                    out.append(Detect(spec))
-        return out
+                out.append(self.build_detector(node))
+        return [s for s in out if s is not None]
 
     def build_detector(self, node: DetectNode) -> DetectorSpec | None:
         if node.screen_of is not None:

@@ -21,10 +21,9 @@ indices, in shot order and so in time order.  ``coincidences`` pairs A's run
 block by block against B's compensated times, a block's candidates by one
 merge of sorted times, and ``conditioned_histogram`` counts the pairs block
 by block; both read the runs, so nothing merges the detectors' events for
-them.  The time-ordered log, in (time, detector name, shot) order, is a
-view: ``EventLog.shot``, ``.time``, ``.label`` and ``.events`` build it on
-first access, and the writers take it block by block as they write, so a
-log is never held twice.  The next ``n`` rows are among each run's next
+them.  The writers merge the runs into the time-ordered log, in (time,
+detector name, place in the run) order, a range at a time as they write, so
+a log is never held twice.  The next ``n`` rows are among each run's next
 ``n`` events, so one stable sort of those merges them.  The writers, and
 that of ``Coincidences``, format a range of rows, so that ``blocks`` can
 write a log of any length ``BLOCK_ROWS`` rows at a time and never holds the
@@ -87,25 +86,25 @@ class EventLog:
 
     ``labels`` holds each (detector name, outcome) pair once.  ``runs`` maps
     each detector's name, in name order, to its events: their shots, times
-    (ns) and indices into ``labels``, in time order.  Pairing and counting read
-    the runs.  The log's rows are their merge in (time, detector name, place
-    in the run) order: the ``shot``, ``time`` and ``label`` columns build it on
-    first access, and writers that go through the rows in order from row 0
-    merge it a range at a time.
+    (ns) and indices into ``labels`` of its own outcomes, in time order.
+    Pairing and counting read the runs; the writers merge them a range at a
+    time into the log's rows, in (time, detector name, place in the run) order.
     """
 
     def __init__(self, shots: int, labels, runs: dict[str, _Run]):
         self.shots = shots
         self.labels: tuple[tuple[str, tuple[str, ...]], ...] = tuple(labels)
         self._runs = runs
-
-    shot = property(lambda self: self._columns.shot)
-    time = property(lambda self: self._columns.time)
-    label = property(lambda self: self._columns.label)
-
-    @cached_property
-    def _columns(self) -> _Run:
-        return self._merge([0] * len(self._runs), len(self))[0]
+        self._cursor = (0, [0] * len(runs))  # rows merged so far, and the events each run gave
+        for det, (shot, time, label) in runs.items():
+            own = np.array([d == det for d, _ in self.labels], bool)
+            if not len(shot) == len(time) == len(label):
+                raise ValidationError(f"the shot, time and label columns of {det!r} differ in length")
+            lo, hi = (label.min(), label.max()) if len(label) else (0, -1)
+            if not (0 <= lo and hi < len(own) and (own[lo:hi + 1].all() or own[label].all())):
+                raise ValidationError(f"detector {det!r} has an event whose label is not one of its own")
+            if not (time[1:] >= time[:-1]).all():
+                raise ValidationError(f"the events of {det!r} are not in time order")
 
     def _merge(self, taken: list[int], n: int) -> tuple[_Run, np.ndarray]:
         """The ``n`` rows that follow the first ``taken[k]`` events of each run
@@ -116,6 +115,8 @@ class EventLog:
         that, and a stable sort on time of those, each run's in its order and the
         runs in name order, leaves them in (time, name, place in the run) order."""
         runs = list(self._runs.values())
+        if not n:
+            return _Run(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int32)), np.zeros(len(runs), int)
         m = -(-n // len(runs))
         if sum(min(m, len(run.time) - t) for run, t in zip(runs, taken)) < n:
             m = n
@@ -130,25 +131,21 @@ class EventLog:
         return rows, np.diff([np.count_nonzero(order < end) for end in ends], prepend=0)
 
     def _slice(self, lo: int, hi: int | None) -> _Run:
-        """Rows ``[lo, hi)``.  Until the columns are built, calls that go through
-        the rows in order from row 0 merge each range as it is asked for, so
-        that writing a log never holds it twice."""
+        """Rows ``[lo, hi)``, merged on from the row the last call ended at, or
+        from row 0 when ``lo`` lies before it, so that writing a log in order
+        merges each range once and never holds the log twice."""
         lo, hi, _ = slice(lo, hi).indices(len(self))
-        hi = max(lo, hi)
-        at, taken = self.__dict__.get("_cursor", (0, [0] * len(self._runs)))
-        if "_columns" in self.__dict__ or lo != at:
-            return _part(self._columns, slice(lo, hi))
-        rows, counts = self._merge(taken, hi - lo)
-        self._cursor = (hi, [t + c for t, c in zip(taken, counts.tolist())])
-        return rows
+        at, taken = self._cursor if lo >= self._cursor[0] else (0, [0] * len(self._runs))
+        rows, counts = self._merge(taken, max(lo, hi) - at)
+        self._cursor = (at + len(rows.time), [t + c for t, c in zip(taken, counts.tolist())])
+        return _part(rows, slice(lo - at, None))
 
     @cached_property
     def events(self) -> tuple[DetectionEvent, ...]:
-        labels = self.labels
-        return tuple(
-            DetectionEvent(s, t, *labels[k])
-            for s, t, k in zip(self.shot.tolist(), self.time.tolist(), self.label.tolist())
-        )
+        """Every row as a ``DetectionEvent``, for tools that count events."""
+        rows = self._merge([0] * len(self._runs), len(self))[0]
+        columns = zip(rows.shot.tolist(), rows.time.tolist(), rows.label.tolist())
+        return tuple(DetectionEvent(s, t, *self.labels[k]) for s, t, k in columns)
 
     def __len__(self) -> int:
         return sum(len(run.time) for run in self._runs.values())

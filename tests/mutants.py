@@ -69,6 +69,38 @@ MUTANTS = (
         ("tests/test_number_oracle.py::test_sweep_rows_match_row_template",
          "tests/test_writer_oracle.py::test_log_writers_match_one_string_writers"),
     ),
+    Mutant(
+        "merge_sort_unstable",  # rows of equal time no longer in name order, then run order
+        "src/qesim/events.py",
+        'order = np.argsort(block.time, kind="stable")[:n]',
+        'order = np.argsort(block.time, kind="quicksort")[:n]',
+        ("tests/test_events_oracle.py::test_rows_at_the_horizon_wait_for_an_earlier_name",
+         "tests/test_sample_pin.py::test_sample_output_pinned"),
+    ),
+    Mutant(
+        "merge_without_fallback",  # too few candidates once some runs run out
+        "src/qesim/events.py",
+        "        if sum(min(m, len(run.time) - t) for run, t in zip(runs, taken)) < n:\n"
+        "            m = n\n",
+        "",
+        ("tests/test_writer_oracle.py::test_log_writers_match_one_string_writers",
+         "tests/test_sample_pin.py::test_million_shots_pinned"),
+    ),
+    Mutant(
+        "runs_in_reverse_name_order",  # ties between detectors merged with the later name first
+        "src/qesim/events.py",
+        "dict(sorted(runs.items()))",
+        "dict(sorted(runs.items(), reverse=True))",
+        ("tests/test_events_oracle.py::test_rows_at_the_horizon_wait_for_an_earlier_name",
+         "tests/test_events_oracle.py::test_generate_events_matches_reference"),
+    ),
+    Mutant(
+        "slice_stale_cursor",  # a range before the cursor merges from row 0 with the cursor's counts
+        "src/qesim/events.py",
+        "else (0, [0] * len(self._runs))",
+        "else (0, self._cursor[1])",
+        ("tests/test_writer_oracle.py::test_ranges_out_of_order_match_the_whole_text",),
+    ),
 )
 
 

@@ -6,11 +6,9 @@ import pytest
 from qesim import circuit, elements as el, qstate
 from qesim import scenarios
 from qesim.circuit import (
-    Apply,
     Choice,
     Circuit,
     ContractError,
-    Detect,
     DetectorSpec,
     compare_marginals,
     distribution_from_state,
@@ -35,10 +33,10 @@ def mz(phi=0.0):
         (ARM,),
         basis_state((ARM,), ("t",)),
         (
-            Apply(el.beam_splitter(ARM, "t", "r")),
-            Apply(el.phase_shifter(ARM, "t", phi)),
-            Apply(el.beam_splitter(ARM, "t", "r")),
-            Detect(DetectorSpec("arms", measured=(("arm", "path"),))),
+            el.beam_splitter(ARM, "t", "r"),
+            el.phase_shifter(ARM, "t", phi),
+            el.beam_splitter(ARM, "t", "r"),
+            DetectorSpec("arms", measured=(("arm", "path"),)),
         ),
     )
 
@@ -48,19 +46,19 @@ def masked_loop():
         (POL, ARM),
         StateVector.from_amplitudes((POL, ARM), {("v", "t"): 1, ("h", "t"): 1}),
         (
-            Apply(el.analyzer(POL, ARM)),
+            el.analyzer(POL, ARM),
             Choice(
                 "mask",
                 {
                     "open": (),
-                    "closed": (Apply(el.blocker(ARM, "r")),),
+                    "closed": (el.blocker(ARM, "r"),),
                     "both": (
-                        Apply(el.blocker(ARM, "r")),
-                        Apply(el.blocker(ARM, "t")),
+                        el.blocker(ARM, "r"),
+                        el.blocker(ARM, "t"),
                     ),
                 },
             ),
-            Detect(DetectorSpec("D", measured=(("pol", "path"), ("arm", "path")))),
+            DetectorSpec("D", measured=(("pol", "path"), ("arm", "path"))),
         ),
     )
 
@@ -75,7 +73,7 @@ class TestValidation:
             Circuit(
                 (ARM,),
                 basis_state((ARM,), ("t",)),
-                (Detect(DetectorSpec("D", measured=(("ghost", "path"),))),),
+                (DetectorSpec("D", measured=(("ghost", "path"),)),),
             )
 
     def test_detector_spec_exclusive_modes(self):
@@ -150,9 +148,9 @@ class TestJointDistribution:
             (slit, POL),
             StateVector.from_amplitudes((slit, POL), {("s1", "v"): 1, ("s1", "h"): 1}),
             (
-                Apply(el.splitter(slit)),
-                Detect(DetectorSpec("wall", screen_of="slit")),
-                Detect(DetectorSpec("P", measured=(("pol", "pm45"),))),
+                el.splitter(slit),
+                DetectorSpec("wall", screen_of="slit"),
+                DetectorSpec("P", measured=(("pol", "pm45"),)),
             ),
         )
         d = joint_distribution(c)
@@ -193,12 +191,12 @@ class TestCompareMarginals:
             (slit,),
             basis_state((slit,), ("s1",)),
             (
-                Apply(el.splitter(slit)),
+                el.splitter(slit),
                 Choice(
                     "screen",
                     {
-                        "in": (Detect(DetectorSpec("wall", screen_of="slit")),),
-                        "out": (Detect(DetectorSpec("c", measured=(("slit", "path"),))),),
+                        "in": (DetectorSpec("wall", screen_of="slit"),),
+                        "out": (DetectorSpec("c", measured=(("slit", "path"),)),),
                     },
                 ),
             ),
@@ -210,14 +208,14 @@ class TestCompareMarginals:
         # deeply it is nested, and the error names the choice it belongs to;
         # so does a counter of the choice
         slit = Dof("slit", ("s1", "s2"))
-        wall = Detect(DetectorSpec("wall", screen_of="slit"))
-        count = Detect(DetectorSpec("c", measured=(("slit", "path"),)))
+        wall = DetectorSpec("wall", screen_of="slit")
+        count = DetectorSpec("c", measured=(("slit", "path"),))
 
         def circuit(alt_a):
             return Circuit(
                 (slit,),
                 basis_state((slit,), ("s1",)),
-                (Apply(el.splitter(slit)), Choice("outer", {"a": alt_a, "b": (count,)})),
+                (el.splitter(slit), Choice("outer", {"a": alt_a, "b": (count,)})),
             )
 
         direct = circuit((wall,))

@@ -37,6 +37,15 @@ def test_python_m_qesim_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+def test_negative_numbers_in_exponent_form_are_values():
+    # older versions of argparse read -1e-3 as an option, and --start lacks its value
+    env = {**os.environ, "PYTHONPATH": str(Path(qesim.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "qesim", "sweep", "mz_two_bs", "--steps", "2",
+                           "--start", "-1e-3", "--stop", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:2] == ["phi,P(r),P(t)", "-0.001,0.99999975,2.49999979167e-07"]
+
+
 @pytest.mark.parametrize("argv", ["sample walborn_delayed --setting p_pol=absent -n 100000",
                                   "run chain16.edl --format csv", "run chain14.edl --format csv",
                                   "sweep mz_two_bs --steps 100000"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qesim import circuit, edl, elements as el
 from qesim.circuit import (
-    Apply,
     Choice,
     Circuit,
     evolve,
@@ -262,8 +261,8 @@ class TestParamsAndDelays:
         circuit = edl.build_template(doc, {"phi": 1.2345}).circuit
         arm = circuit.dofs[0]
         want = el.phase_shifter(arm, "t", 1.2345).matrix
-        assert (circuit.stages[1].op.matrix == want).all()
-        default = edl.build_template(doc).circuit.stages[1].op.matrix
+        assert (circuit.stages[1].matrix == want).all()
+        default = edl.build_template(doc).circuit.stages[1].matrix
         assert (default == el.phase_shifter(arm, "t", 0.0).matrix).all()
 
     def test_undeclared_param_rejected(self):
@@ -334,11 +333,11 @@ def assert_same_stages(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert type(x) is type(y)
-        if isinstance(x, Apply):
-            assert (x.op.kind, x.op.target_dofs, x.op.condition, x.op.name) == \
-                (y.op.kind, y.op.target_dofs, y.op.condition, y.op.name)
-            assert np.array_equal(x.op.matrix, y.op.matrix)
-            assert x.op.matrix.tobytes() == y.op.matrix.tobytes()
+        if isinstance(x, el.ElementOp):
+            assert (x.kind, x.target_dofs, x.condition, x.name) == \
+                (y.kind, y.target_dofs, y.condition, y.name)
+            assert np.array_equal(x.matrix, y.matrix)
+            assert x.matrix.tobytes() == y.matrix.tobytes()
         elif isinstance(x, Choice):
             assert x.name == y.name and list(x.alternatives) == list(y.alternatives)
             for alt in x.alternatives:
@@ -619,14 +618,14 @@ class TestRows:
             evolve_rows(c, 3, {0: np.zeros((2, 2, 2))}, {"mask": "open"})
 
     def test_rows_of_another_circuit_are_rejected(self):
-        # a circuit compiled again has a new Apply for its phase stage, which
+        # a circuit compiled again has a new ElementOp for its phase stage, which
         # would evolve every row with its own matrix if the rows' key were ignored
         template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
         rows = template.rows("phi", [0.0, math.pi])
         for c in (bound(template, "phi", 1.0), edl.compile_text(golden_text("mz_two_bs")).circuit):
-            with pytest.raises(circuit.ContractError, match="not an Apply of this circuit"):
+            with pytest.raises(circuit.ContractError, match="not an element of this circuit"):
                 evolve_rows(c, 2, rows)
-            with pytest.raises(circuit.ContractError, match="not an Apply of this circuit"):
+            with pytest.raises(circuit.ContractError, match="not an element of this circuit"):
                 list(joint_probs(c, 2, rows))
         ((_, _, p, _, _),) = joint_probs(template.circuit, 2, rows)
         assert np.allclose(p, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
@@ -645,17 +644,17 @@ class TestRows:
         # NORM_TOL, so one state is renormalized; each row must be renormalized alike
         arm = Dof("arm", ("t", "r"))
         near = el.ElementOp(el.UNITARY, ("arm",), np.diag([1 + 4.9e-13] * 2))
-        shift = Apply(el.phase_shifter(arm, "r", 0.0))
+        shift = el.phase_shifter(arm, "r", 0.0)
         c = Circuit(
             (arm,),
             StateVector.from_amplitudes((arm,), {("t",): 0.6, ("r",): 0.8}),
-            (Apply(near), Apply(near), Apply(near), shift),
+            (near, near, near, shift),
         )
         values = [0.1, 1.0, 2.5]
         ops = [el.phase_shifter(arm, "r", v) for v in values]
         stack = evolve_rows(c, len(values), {id(shift): np.stack([op.matrix for op in ops])})
         for i, op in enumerate(ops):
-            state = reference_evolve(replace(c, stages=c.stages[:3] + (Apply(op),)))
+            state = reference_evolve(replace(c, stages=c.stages[:3] + (op,)))
             assert stack.amps[i].tobytes() == state.amps.tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -673,12 +672,12 @@ class TestRows:
 
     def test_rows_bind_one_param_and_raise_bind_errors(self):
         template = edl.build_template(edl.parse(golden_text("mz_two_bs")).document)
-        (shift,) = (s for s in template.circuit.stages if isinstance(s, Apply) and s.op.name == "phase")
+        (shift,) = (s for s in template.circuit.stages if isinstance(s, el.ElementOp) and s.name == "phase")
         stacks = template.rows("phi", [0.5, 1.5])
         assert list(stacks) == [id(shift)] and stacks[id(shift)].shape == (2, 2, 2)
         for v, m in zip([0.5, 1.5], stacks[id(shift)]):
-            (shifted,) = (s for s in bound(template, "phi", v).stages if isinstance(s, Apply) and s.op.name == "phase")
-            assert m.tobytes() == shifted.op.matrix.tobytes()
+            (shifted,) = (s for s in bound(template, "phi", v).stages if isinstance(s, el.ElementOp) and s.name == "phase")
+            assert m.tobytes() == shifted.matrix.tobytes()
         with pytest.raises(ValidationError) as exc:
             template.rows("theta", [1.0])
         assert str(exc.value) == (

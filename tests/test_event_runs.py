@@ -1,10 +1,10 @@
 """A generated log keeps each detector's events as one run, and its
-time-ordered columns are a view.
+time-ordered rows are merged only as the writers take them.
 
 The same events given as columns to ``log_of_columns``, in time order or in
 any other row order, must give the same runs, and pair, write and count
-exactly as the generated log does; and pairing, counting and streamed writing
-must never build the generated log's columns.
+exactly as the generated log does; pairing and counting must never merge the
+runs, and writing in order must merge each row once.
 """
 
 from unittest import mock
@@ -18,7 +18,7 @@ from qesim import events, scenarios
 from qesim.events import EventLog, coincidences, conditioned_histogram
 from qesim.qstate import ValidationError
 from test_edl import all_settings
-from test_events_oracle import THREE_DETECTORS, log_of_columns, pair_shots
+from test_events_oracle import THREE_DETECTORS, log_of_columns, pair_shots, time_ordered
 
 PERIOD = events.PERIOD_NS
 
@@ -78,12 +78,12 @@ def test_runs_pair_write_and_count_as_their_columns(case, shots, seed, block, wi
         generated = events.generate_events(circuit, chosen, shots, seed, delays)
         streamed = events.generate_events(circuit, chosen, shots, seed, delays)
         jsonl = written(streamed.to_jsonl, len(streamed))
-        rebuilt = log_of_columns(generated.shots, generated.shot, generated.time, generated.label,
-                                 generated.labels)
+        rows = time_ordered(generated)
+        rebuilt = log_of_columns(generated.shots, *rows, generated.labels)
         order = np.array(data.draw(st.permutations(range(len(rebuilt)))), dtype=np.intp)
-        permuted = log_of_columns(rebuilt.shots, rebuilt.shot[order], rebuilt.time[order],
-                                  rebuilt.label[order], rebuilt.labels)
-        assert "_columns" not in vars(streamed)
+        permuted = log_of_columns(rebuilt.shots, rows.shot[order], rows.time[order],
+                                  rows.label[order], rebuilt.labels)
+        assert streamed._cursor == (len(streamed), [len(run.time) for run in streamed._runs.values()])
         assert jsonl == written(rebuilt.to_jsonl, len(rebuilt))
 
         outcomes = [o for det, o in generated.labels if det == det_b]
@@ -112,10 +112,13 @@ def test_pairing_counting_and_writing_build_no_columns(monkeypatch):
         conditioned_histogram(pairs, "+")
         written(pairs.to_csv, len(pairs))
     assert len(pairs) == 3000
-    assert "_columns" not in vars(log)
-    # the writers merge as they go, block by block, and hold no columns either
-    assert written(log.to_csv, len(log)).count("\n") == 6001
-    assert "_columns" not in vars(log)
+    # the writers merge as they go, block by block, each range from the last one's end
+    asked = []
+    real = EventLog._merge
+    monkeypatch.setattr(EventLog, "_merge", lambda log, taken, n: asked.append((list(taken), n)) or real(log, taken, n))
+    with mock.patch.object(events, "BLOCK_ROWS", 1000):
+        assert written(log.to_csv, len(log)).count("\n") == 6001
+    assert [n for _, n in asked] == [1000] * 6 and asked[0][0] == [0, 0] and sum(asked[-1][0]) == 5000
 
 
 @pytest.mark.parametrize("delays", [{}, {"D_p": 1e9}, {"D_s": PERIOD}, {"D_p": -2.5 * PERIOD}])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qesim import scenarios
-from qesim.events import Coincidences, EventLog, _Run, coincidences, conditioned_histogram, generate_events
+from qesim.events import Coincidences, EventLog, _Run, blocks, coincidences, conditioned_histogram, generate_events
 from qesim.qstate import ValidationError
 from qesim.screen import fringe_visibility
 from test_events_oracle import pair_shots
@@ -160,6 +160,39 @@ class TestLogsOfRuns:
     def test_an_empty_pair_list_of_an_empty_log_is_accepted(self):
         log = EventLog(0, TWO_LABELS, {"D": run([], [], []), "E": run([], [], [])})
         assert len(Coincidences(log, "D", [], "E", [])) == 0
+
+    # label 1 is E's; the others lie outside the table, where a writer would clip or wrap them
+    @pytest.mark.parametrize("label", [1, 2, 5, -1], ids=repr)
+    def test_a_label_not_of_the_run_is_rejected(self, label):
+        with pytest.raises(ValidationError, match="'D' has an event whose label is not one of its own"):
+            EventLog(2, TWO_LABELS, {"D": run([0, 1], [1.0, 2.0], [0, label]), "E": run([0], [3.0], [1])})
+
+    @pytest.mark.parametrize("columns", [([0, 1], [1.0], [0]), ([0], [1.0, 2.0], [0]), ([0], [1.0], [0, 0])])
+    def test_columns_of_unequal_length_are_rejected(self, columns):
+        with pytest.raises(ValidationError, match="columns of 'D' differ in length"):
+            EventLog(2, TWO_LABELS, {"D": _Run(*map(np.array, columns)), "E": run([], [], [])})
+
+    @pytest.mark.parametrize("time", [[2.0, 1.0], [1.0, np.nan]], ids=repr)
+    def test_times_out_of_order_are_rejected(self, time):
+        with pytest.raises(ValidationError, match="events of 'E' are not in time order"):
+            EventLog(2, TWO_LABELS, {"D": run([0], [1.0], [0]), "E": run([0, 1], time, [1, 1])})
+
+    def test_a_detector_s_labels_need_not_be_one_span_of_the_table(self):
+        labels = [("D", ("x",)), ("E", ("y",)), ("D", ("z",))]
+        log = EventLog(2, labels, {"D": run([0, 1], [1.0, 4.0], [2, 0]), "E": run([0], [2.0], [1])})
+        assert log.to_csv() == "shot,t,det,outcome\n0,1,D,z\n0,2,E,y\n1,4,D,x\n"
+        with pytest.raises(ValidationError, match="'D' has an event whose label is not one of its own"):
+            EventLog(2, labels, {"D": run([0, 1], [1.0, 4.0], [2, 1]), "E": run([0], [2.0], [1])})
+
+    def test_equal_times_are_in_order(self):
+        log = EventLog(2, TWO_LABELS, {"D": run([1, 0], [5.0, 5.0], [0, 0]), "E": run([], [], [])})
+        assert log.to_csv() == "shot,t,det,outcome\n1,5,D,x\n0,5,D,x\n"
+
+    def test_a_log_of_no_detectors_writes_only_its_header(self):
+        log = EventLog(3, (), {})
+        assert len(log) == 0 and log.events == ()
+        assert "".join(blocks(log.to_jsonl, len(log))) == ""
+        assert "".join(blocks(log.to_csv, len(log))) == "shot,t,det,outcome\n"
 
 
 @pytest.mark.parametrize("delay", [np.inf, -np.inf, np.nan], ids=repr)

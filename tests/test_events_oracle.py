@@ -8,9 +8,10 @@ detector per shot, so a pair is named by the shots of its two events
 (``pair_shots``).  ``reference_histogram`` also rejects a counted ``a`` outcome
 that is no screen bin, where the earlier loop counted nothing for it and
 reported an all-zero histogram.  ``reference_generate_events`` is the generator that searched
-the whole CDF for every shot, and ``time_ordered`` orders a log's rows by a
-lexsort on (time, detector name, shot); ``events.generate_events`` must give
-the same rows, to the bit.
+the whole CDF for every shot, and ``time_ordered`` reads a log's rows from
+its runs by a lexsort on (time, detector name, place in the run);
+``events.generate_events`` must give the same rows, to the bit, and its log
+must merge its runs into them.
 
 ``log_of_columns`` is the earlier column constructor of ``EventLog``: it
 splits shot, time and label columns, in any row order, into one run per
@@ -59,12 +60,19 @@ def log_of_columns(shots, shot, time, label, labels):
 
 
 def time_ordered(log):
-    """The rows that a generated log's merge must give: its runs' events by
-    one lexsort on (time, detector name, shot)."""
+    """The rows that a log's merge must give: its runs' events by one lexsort
+    on (time, detector name, place in the run).  Not (time, name, shot): a
+    log built from columns may repeat a shot, or not follow shot order."""
     runs = [log._runs[name] for name in sorted(log._runs)]
     shot, time, label = (np.concatenate(column) for column in zip(*runs))
     rank = np.repeat(np.arange(len(runs)), [len(run.time) for run in runs])
-    return _Run(*(column[np.lexsort((shot, rank, time))] for column in (shot, time, label)))
+    place = np.concatenate([np.arange(len(run.time)) for run in runs])
+    return _Run(*(column[np.lexsort((place, rank, time))] for column in (shot, time, label)))
+
+
+def merged(log):
+    """The log's own merge of its runs: every row, as its writers take them."""
+    return log._slice(0, None)
 
 
 def pair_shots(pairs):
@@ -157,8 +165,9 @@ def logs(draw):
     )
     if draw(st.booleans()):
         # the same events as columns in another row order, which the log must not keep
-        order = draw(st.permutations(range(len(log.shot))))
-        log = log_of_columns(log.shots, log.shot[order], log.time[order], log.label[order], log.labels)
+        rows = time_ordered(log)
+        order = draw(st.permutations(range(len(rows.shot))))
+        log = log_of_columns(log.shots, rows.shot[order], rows.time[order], rows.label[order], log.labels)
     return log
 
 
@@ -287,13 +296,13 @@ def test_generate_events_matches_reference(target, shots, seed, data):
     circuit, chosen = target
     active = [spec.name for spec in circuit.detectors(chosen)]
     delays = data.draw(st.dictionaries(st.sampled_from(active), NS))
-    got = events.generate_events(circuit, chosen, shots, seed, delays)
+    log = events.generate_events(circuit, chosen, shots, seed, delays)
     want = reference_generate_events(circuit, chosen, shots, seed, delays)
-    rows = time_ordered(want)
+    got, rows = merged(log), time_ordered(want)
     assert np.array_equal(got.shot, rows.shot)
     assert np.array_equal(got.time, rows.time)
     assert np.array_equal(got.label, rows.label)
-    assert got.labels == want.labels
+    assert log.labels == want.labels
 
 
 CELLS = events.DRAW_CELLS
@@ -384,9 +393,8 @@ def test_rows_at_the_horizon_wait_for_an_earlier_name(block, delays):
     # D_p's row of the next shot, which must come first: D_p sorts before D_s;
     # the third is walborn_delayed's, whose D_p rows come 1000 shots late
     with mock.patch.object(events, "BLOCK_ROWS", block):
-        got = events.generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
-    want = reference_generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays)
-    rows = time_ordered(want)
+        got = merged(events.generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays))
+    rows = time_ordered(reference_generate_events(WALBORN, {"p_pol": "absent"}, 40, 9, delays))
     assert np.array_equal(got.time, rows.time)
     assert np.array_equal(got.shot, rows.shot)
     assert np.array_equal(got.label, rows.label)

@@ -18,10 +18,9 @@ from qesim.cli import main
 from qesim.measure import marginal
 from test_edl import all_settings
 
-#: the time-ordered column view and the event objects built from it, which
-#: only tests and the benchmark's hooks read
+#: the event objects, which only tests and the benchmark's hooks read
 NEVER_ENTERED = frozenset({
-    "EventLog.shot", "EventLog.time", "EventLog.label", "EventLog._columns", "EventLog.events",
+    "EventLog.events",
     "DetectionEvent.__init__", "DetectionEvent.__repr__", "DetectionEvent.__eq__",
     "DetectionEvent.__hash__", "DetectionEvent.__setattr__", "DetectionEvent.__delattr__",
 })
@@ -72,7 +71,7 @@ def sample_runs():
                 yield pairs + offsets + ["--given", "|".join(max(outcomes, key=outcomes.get))]
 
 
-def test_sample_reaches_all_but_the_column_view(capsys):
+def test_sample_reaches_all_but_the_event_objects(capsys):
     runs = list(sample_runs())
     entered = set()
 

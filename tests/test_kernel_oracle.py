@@ -6,7 +6,7 @@ element transforming one column block) and the single-state
 ``qstate.rebase`` (``moveaxis`` plus ``tensordot``).  ``reference_apply_op``
 and ``reference_evolve`` are the earlier single-state ``elements.apply_op``,
 which raised ``AllBlockedError`` when a filter absorbed everything, and
-``circuit.evolve``, one such step per Apply stage, which returned a state
+``circuit.evolve``, one such step per element, which returned a state
 (``None`` here where it returned ``AllBlocked``).  They stay here as the
 definition of what the shared contraction and the stacked steps compute, bit
 for bit: ``elements._act`` on a stack of one state, ``elements.apply_op``
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import elements as el
-from qesim.circuit import Apply, _walk, validate_settings
+from qesim.circuit import _walk, validate_settings
 from qesim.qstate import BasisChange, Dof, StateStack, StateVector, ValidationError, _axis, rebase
 
 
@@ -83,15 +83,15 @@ def reference_apply_op(state, op):
 
 
 def reference_evolve(c, settings=None):
-    """``reference_apply_op`` on one state per active Apply stage; None once
+    """``reference_apply_op`` on one state per active element; None once
     a filter absorbs everything."""
     settings = settings or {}
     validate_settings(c, settings)
     state = c.source
     for s in _walk(c.stages, settings):
-        if isinstance(s, Apply):
+        if isinstance(s, el.ElementOp):
             try:
-                state = reference_apply_op(state, s.op)
+                state = reference_apply_op(state, s)
             except AllBlockedError:
                 return None
     return state

@@ -21,11 +21,9 @@ from hypothesis import strategies as st
 
 from qesim import elements as el
 from qesim.circuit import (
-    Apply,
     Choice,
     Circuit,
     ContractError,
-    Detect,
     DetectorSpec,
     _branches,
     _walk,
@@ -41,16 +39,16 @@ SLIT = Dof("slit", ("s1", "s2"))
 POL = Dof("pol", ("h", "v"))
 ARM = Dof("arm", ("t", "r"))
 DOFS = (SLIT, POL, ARM)
-WALL = Detect(DetectorSpec("wall", screen_of="slit"))
+WALL = DetectorSpec("wall", screen_of="slit")
 
 
 def reference_branched_evolve(c, settings):
     validate_settings(c, settings)
     branches = [c.source]
     for s in _walk(c.stages, settings):
-        if not isinstance(s, Apply):
+        if not isinstance(s, el.ElementOp):
             continue
-        op = s.op
+        op = s
         nxt = []
         for st_ in branches:
             if op.kind == el.UNITARY:
@@ -72,7 +70,7 @@ def reference_compare_marginals(c, axis_subset, choice_name, base_settings=None)
     choice = c.find_choice(choice_name)
     specs = c.detectors(None)
     common_screens = {s.name: s for s in specs if s.screen_of is not None}
-    choice_detnames = {s.spec.name for s in _walk((choice,)) if isinstance(s, Detect)}
+    choice_detnames = {s.name for s in _walk((choice,)) if isinstance(s, DetectorSpec)}
 
     subset_dofs = set()
     probes = []
@@ -97,7 +95,7 @@ def reference_compare_marginals(c, axis_subset, choice_name, base_settings=None)
 
     for alt_stages in choice.alternatives.values():
         touched = {
-            d for s in _walk(alt_stages) if isinstance(s, Apply) for d in s.op.acts_on()
+            d for s in _walk(alt_stages) if isinstance(s, el.ElementOp) for d in s.acts_on()
         }
         overlap = touched & subset_dofs
         if overlap:
@@ -177,7 +175,7 @@ def elements(draw, names):
 def stage_lists(draw, names, max_size=3):
     if not names:
         return ()
-    return tuple(Apply(op) for op in draw(st.lists(elements(names), max_size=max_size)))
+    return tuple(op for op in draw(st.lists(elements(names), max_size=max_size)))
 
 
 @st.composite
@@ -245,9 +243,9 @@ def test_all_blocked_alternative_matches_reference(case):
 
 def test_all_blocked_alternative_raises():
     c = Circuit(DOFS, StateVector.from_amplitudes(DOFS, {("s1", "h", "t"): 1.0}), (
-        Apply(el.splitter(SLIT)),
-        Apply(el.beam_splitter(ARM, "t", "r")),
-        Choice("c", {"open": (), "masked": (Apply(el.blocker(ARM, "r")),)}),
+        el.splitter(SLIT),
+        el.beam_splitter(ARM, "t", "r"),
+        Choice("c", {"open": (), "masked": (el.blocker(ARM, "r"),)}),
         WALL,
     ))
     value = compare_marginals(c, ["wall"], "c")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesim import scenarios
-from qesim.circuit import Circuit, Detect, DetectorSpec, distribution_from_state, joint_distribution
+from qesim.circuit import Circuit, DetectorSpec, distribution_from_state, joint_distribution
 from qesim.events import generate_events
 from qesim.measure import (
     ConditioningError,
@@ -41,9 +41,9 @@ def born(s, measured):
 def sampled_counts(s, measured, shots, seed):
     """Outcome counts of ``shots`` sampled events of one detector measuring
     ``measured`` on a circuit whose source is ``s``."""
-    c = Circuit(s.dofs, s, (Detect(DetectorSpec("D", measured=tuple(measured))),))
+    c = Circuit(s.dofs, s, (DetectorSpec("D", measured=tuple(measured)),))
     log = generate_events(c, shots=shots, seed=seed)
-    return {log.labels[k][1]: n for k, n in Counter(log.label.tolist()).items()}
+    return {log.labels[k][1]: n for k, n in Counter(log._runs["D"].label.tolist()).items()}
 
 
 ALL = [("a", "path"), ("b", "path")]

@@ -198,7 +198,7 @@ def test_array_holders_compare_by_identity():
     # (a CHOICE's alternatives), would raise instead of answering
     circuit = scenarios.build("mz_two_bs").circuit
     walborn = scenarios.build("walborn").circuit
-    op = circuit.stages[0].op
+    op = circuit.stages[0]
     state = evolve(circuit, {})
     stack = evolve_rows(circuit, 2, {}, {})
     change = BasisChange("a", np.eye(2), ("x", "y"))
@@ -206,7 +206,7 @@ def test_array_holders_compare_by_identity():
         (state, evolve(circuit, {})),
         (stack, evolve_rows(circuit, 2, {}, {})),
         (change, BasisChange("a", np.eye(2), ("x", "y"))),
-        (op, scenarios.build("mz_two_bs").circuit.stages[0].op),
+        (op, scenarios.build("mz_two_bs").circuit.stages[0]),
         (circuit, scenarios.build("mz_two_bs").circuit),
         (walborn, scenarios.build("walborn").circuit),
         (walborn.find_choice("p_pol"), scenarios.build("walborn").circuit.find_choice("p_pol")),

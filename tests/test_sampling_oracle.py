@@ -35,7 +35,7 @@ from qesim import cli, events, scenarios
 from qesim.circuit import evolve, joint_distribution
 from qesim.screen import fringe_visibility, pattern_from_bin_probs
 from test_edl import all_settings
-from test_events_oracle import pair_shots
+from test_events_oracle import pair_shots, time_ordered
 
 SHOTS = 200_000
 FAMILY_ALPHA = 1e-6
@@ -116,8 +116,9 @@ def sampled(index: int):
     circuit = scenarios.build(name).circuit
     dist = joint_distribution(circuit, settings)
     log = events.generate_events(circuit, settings, SHOTS, seed=7000 + index)
-    absorbed = SHOTS - len(np.unique(log.shot))
-    by_label = np.bincount(log.label, minlength=len(log.labels))
+    rows = time_ordered(log)
+    absorbed = SHOTS - len(np.unique(rows.shot))
+    by_label = np.bincount(rows.label, minlength=len(log.labels))
     detectors = {}
     for spec in circuit.detectors(settings):
         axes = [dist.axes.index(a) for a in spec.axis_names()]
@@ -153,8 +154,9 @@ def test_event_times_are_the_shot_clock_plus_the_delay(index):
     given = {spec.name: (-1) ** k * (1234.5678 + 3e8 * k) for k, spec in enumerate(specs)}
     for delays, want in ((None, {s.name: s.time_offset for s in specs}), (given, given)):
         log = events.generate_events(circuit, settings, 3000, seed=11, delays=delays)
-        delay = np.array([want[det] for det, _ in log.labels])[log.label]
-        assert np.array_equal(log.time, log.shot * events.PERIOD_NS + delay)
+        rows = time_ordered(log)
+        delay = np.array([want[det] for det, _ in log.labels])[rows.label]
+        assert np.array_equal(rows.time, rows.shot * events.PERIOD_NS + delay)
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[case_id(c) for c in CASES])
@@ -201,7 +203,8 @@ def brute_force_pairs(log, offsets: dict[str, float]) -> list[tuple[int, int]]:
     dict keyed by shot and takes the one whose compensated time lies within
     ``PAIR_WINDOW`` of its compensated time."""
     a_events, b_by_shot = [], {}
-    for shot, t, k in zip(log.shot.tolist(), log.time.tolist(), log.label.tolist()):
+    rows = time_ordered(log)
+    for shot, t, k in zip(rows.shot.tolist(), rows.time.tolist(), rows.label.tolist()):
         det = log.labels[k][0]
         t -= offsets.get(det, 0.0)
         if det == "D_s":

@@ -11,7 +11,8 @@ whole ns (which a block may write as ints), fractional, negative, -0.0,
 subnormal, and sizes on both sides of the bounds below which a whole float is
 written with the digits of its int.  The logs are built from
 columns by ``log_of_columns``, with any int64 shots, duplicates included, and
-the pair lists join events at any indices of the runs of two detectors.
+the pair lists join events at any indices of the runs of two detectors.  The
+references read a log's rows from its runs by ``time_ordered``.
 
 ``reference_sweep_csv`` (from ``test_number_oracle``) defines the bytes of
 the ``sweep`` rows, and a table wider than 1000 columns, as a sweep of a
@@ -38,14 +39,14 @@ from qesim import events, measure, scenarios
 from qesim.cli import main
 from qesim.events import Coincidences
 from qesim.measure import OutcomeDistribution
-from test_events_oracle import log_of_columns
+from test_events_oracle import log_of_columns, time_ordered
 from test_number_oracle import reference_sweep_csv
 from test_sample_pin import FILES
 
 
-def columns(source, rows=slice(None)):
-    """(shot, time, label) of ``rows`` of a log or of a run."""
-    return zip(source.shot[rows].tolist(), source.time[rows].tolist(), source.label[rows].tolist())
+def columns(run, rows=slice(None)):
+    """(shot, time, label) of ``rows`` of a run."""
+    return zip(run.shot[rows].tolist(), run.time[rows].tolist(), run.label[rows].tolist())
 
 
 def reference_jsonl(log):
@@ -54,12 +55,12 @@ def reference_jsonl(log):
         f'{json.dumps(list(outcome), separators=(",", ":"))}}}\n'
         for det, outcome in log.labels
     ]
-    return "".join([f'{{"shot":{s},"t":{t!r}{tail[k]}' for s, t, k in columns(log)])
+    return "".join([f'{{"shot":{s},"t":{t!r}{tail[k]}' for s, t, k in columns(time_ordered(log))])
 
 
 def reference_csv(log):
     tail = [f",{det},{'|'.join(outcome)}\n" for det, outcome in log.labels]
-    return "shot,t,det,outcome\n" + "".join([f"{s},{t:.12g}{tail[k]}" for s, t, k in columns(log)])
+    return "shot,t,det,outcome\n" + "".join([f"{s},{t:.12g}{tail[k]}" for s, t, k in columns(time_ordered(log))])
 
 
 def reference_pair_csv(pairs):
@@ -189,6 +190,24 @@ def test_word_boundary_shots_match_one_string_writers(block):
     assert written(log.to_csv, len(log), block) == reference_csv(log)
     for pairs in every_pair(log):
         assert written(pairs.to_csv, len(pairs), block) == reference_pair_csv(pairs)
+
+
+@pytest.mark.parametrize("writer, header", [("to_jsonl", 0), ("to_csv", 1)])
+def test_ranges_out_of_order_match_the_whole_text(writer, header):
+    # each range merges on from where the last one ended, or from row 0 when
+    # it starts before that: ahead past a gap, back before the end of the last
+    # range, then ahead again to the end; D_p's rows come 3 shots late, so
+    # each range holds rows of both runs in another order than their shots'
+    def log():
+        return events.generate_events(scenarios.build("walborn_delayed").circuit, {"p_pol": "absent"},
+                                      shots=40, seed=2, delays={"D_p": 3 * events.PERIOD_NS})
+
+    whole = getattr(log(), writer)().splitlines(keepends=True)
+    assert len(whole) == header + 80
+    write = getattr(log(), writer)
+    for lo, hi in [(0, 5), (12, 20), (3, 9), (9, 10), (30, None)]:
+        text = write(lo, hi)
+        assert text == "".join(whole[:header] * (lo == 0) + whole[header + lo:header + (hi or 80)])
 
 
 def test_empty_log_writes_block_zero():
