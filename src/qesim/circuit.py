@@ -140,6 +140,9 @@ class Circuit:
             if spec.screen_of is not None and spec.name in names - {spec.screen_of}:
                 raise ValidationError(f"screen {spec.name!r} is named like another dof")
         _detector_names(self.stages)
+        names = self.choice_names()
+        if twice := [n for n in names if names.count(n) > 1]:
+            raise ValidationError(f"choice name {twice[0]!r} is used twice")
 
     def choice_names(self) -> list[str]:
         return [s.name for s in _walk(self.stages) if isinstance(s, Choice)]
@@ -253,7 +256,7 @@ def _born(stack: StateStack, detectors):
         for dn, basis in spec.measured:  # a screen measures none
             change = el.basis_change(basis, stack.dofs[_axis(stack.dofs, dn)])
             if change is not None:
-                stack = rebase(stack, change)
+                stack = rebase(stack, dn, *change)
     t = stack.amps
     held = [d.name for d in stack.dofs]  # what each axis of t after axis 0 holds: a dof or a screen
     labels_of = {d.name: d.labels for d in stack.dofs}

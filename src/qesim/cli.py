@@ -12,7 +12,8 @@ TARGET is either a catalog scenario name, which stands for its golden
 Exit codes: 0 success, 1 failed checks, domain errors (an invalid circuit,
 settings or file) or a reader that closed stdout early, 2 usage errors.
 The seed (a non-negative integer) defaults to ``$QESIM_SEED``, then 0.
-All file outputs are byte-deterministic for fixed inputs and seed.
+Outputs have fixed bytes for fixed inputs and seed under one CPU's kernels;
+under another's, probabilities can move in the last bits (tests/kernels.py).
 """
 
 from __future__ import annotations

@@ -507,6 +507,7 @@ class _Compiler:
         self.diags: list[ParseDiagnostic] = []
         self.dofs: dict[str, Dof] = {}
         self.lazy: list[tuple[ElementStage, el.ElementOp]] = []
+        self.choices: set[str] = set()
         self.params = dict(doc.params)
         for name, value in (params or {}).items():
             if name not in self.params:
@@ -595,6 +596,9 @@ class _Compiler:
                     self.lazy.append((node, op))
                 out.append(op)
             elif isinstance(node, ChoiceNode):
+                if node.name in self.choices:
+                    self.error(node.line, f"choice name {node.name!r} is used twice")
+                self.choices.add(node.name)
                 alts = {
                     alt: tuple(self.build_stages(stages))
                     for alt, stages in node.alternatives

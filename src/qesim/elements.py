@@ -22,7 +22,6 @@ import numpy as np
 
 from .qstate import (
     NORM_TOL,
-    BasisChange,
     Dof,
     StateStack,
     ValidationError,
@@ -317,19 +316,18 @@ def splitter(path_dof: Dof) -> ElementOp:
 BASIS_NAMES = ("path", "comp", "computational", "pm45", "diag", "circular")
 
 
-def basis_change(name: str, dof: Dof) -> Optional[BasisChange]:
-    """Resolve a named detector basis to a BasisChange (None = computational)."""
+def basis_change(name: str, dof: Dof) -> Optional[tuple[np.ndarray, tuple[str, ...]]]:
+    """Resolve a named detector basis of ``dof`` to the matrix and labels
+    ``qstate.rebase`` takes (None = computational)."""
+    if name not in BASIS_NAMES:
+        raise ValidationError(f"unknown basis name {name!r}")
     if name in ("path", "comp", "computational"):
         return None
-    if name in ("pm45", "diag"):
-        if dof.dim != 2:
-            raise ValidationError(f"basis {name!r} needs a 2-dim dof")
-        s = 1 / math.sqrt(2)
-        return BasisChange(dof.name, np.array([[s, s], [s, -s]]), ("+", "-"))
+    if dof.dim != 2:
+        raise ValidationError(f"basis {name!r} needs a 2-dim dof")
     if name == "circular":
-        if dof.dim != 2:
-            raise ValidationError("basis 'circular' needs a 2-dim dof")
         l_row = np.conj(_CIRCULAR_L)
         r_row = np.conj(_CIRCULAR_R)
-        return BasisChange(dof.name, np.array([l_row, r_row]), ("L", "R"))
-    raise ValidationError(f"unknown basis name {name!r}")
+        return np.array([l_row, r_row]), ("L", "R")
+    s = 1 / math.sqrt(2)
+    return np.array([[s, s], [s, -s]]), ("+", "-")

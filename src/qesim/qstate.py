@@ -53,26 +53,6 @@ class Dof:
             ) from None
 
 
-@dataclass(frozen=True, eq=False)
-class BasisChange:
-    """A unitary relabeling of one dof's basis."""
-
-    dof: str
-    matrix: np.ndarray  # rows: new labels, columns: old labels
-    new_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "new_labels", tuple(self.new_labels))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("basis-change matrix must be square")
-        if len(self.new_labels) != m.shape[0]:
-            raise ValidationError("label count must match matrix dimension")
-        if not is_unitary(m):
-            raise ValidationError("basis-change matrix is not unitary")
-
-
 def is_unitary(m: np.ndarray):
     """Whether every entry of M^dag M - I is below ``NORM_TOL``; over a stack
     of matrices (the last two axes), one bool per matrix."""
@@ -98,13 +78,13 @@ class StateVector:
         names = [d.name for d in dofs]
         if len(set(names)) != len(names):
             raise CompositionError(f"duplicate dof names in {names}")
-        a = np.asarray(self.amps, dtype=complex).reshape(-1)
+        a = np.array(self.amps, dtype=complex).reshape(1, -1)
         n = self.dim
         if a.size != n:
             raise ValidationError(f"expected {n} amplitudes, got {a.size}")
-        a = _unit(a).copy()
+        _normalize_rows(a, np.zeros(1, dtype=bool))
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        object.__setattr__(self, "amps", a[0])
         object.__setattr__(self, "weight", float(_weight(self.weight)))
 
     @staticmethod
@@ -167,15 +147,6 @@ def _one(stack: StateStack) -> StateStack:
     return stack
 
 
-def _unit(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, or ``a`` over its norm when that is off 1 by more than
-    NORM_TOL; ValidationError when it is NaN or off by more than 1e-9."""
-    norm = np.linalg.norm(a)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValidationError(f"amplitudes not normalized (norm={norm})")
-    return a / norm if abs(norm - 1.0) > NORM_TOL else a
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The norm of each row of ``x`` (axis 0 counts them), to the bit of
     ``np.linalg.norm``: both dot the row's strided real and imaginary views
@@ -185,8 +156,8 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(flat: np.ndarray, blocked) -> None:
-    """Check and renormalize each unblocked row of ``flat`` in place, with the
-    bytes and the error ``_unit`` gives the row."""
+    """Check each unblocked row of ``flat``: ValidationError if its norm is NaN
+    or off 1 by more than 1e-9; divided in place by it if off by more than NORM_TOL."""
     norms = row_norms(flat)
     dev = np.abs(norms - 1.0)
     dev[blocked] = 0.0
@@ -239,25 +210,27 @@ def contract(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     return out.transpose(sorted(range(t.ndim), key=perm.__getitem__))
 
 
-def rebase(stack: StateStack, change: BasisChange) -> StateStack:
-    """Express every state of the stack in a new basis for one dof."""
-    ax = _axis(stack.dofs, change.dof)
-    old = stack.dofs[ax]
-    if change.matrix.shape[0] != old.dim:
+def rebase(stack: StateStack, dof: str, matrix, labels) -> StateStack:
+    """Express every state of the stack in a new basis for one dof: row j of
+    the unitary ``matrix`` is new label ``labels[j]`` over the old labels."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError("basis-change matrix must be square")
+    if len(labels) != m.shape[0]:
+        raise ValidationError("label count must match matrix dimension")
+    if not is_unitary(m):
+        raise ValidationError("basis-change matrix is not unitary")
+    ax = _axis(stack.dofs, dof)
+    if m.shape[0] != stack.dofs[ax].dim:
         raise ValidationError(
-            f"basis change dimension {change.matrix.shape[0]} != dof dim {old.dim}"
+            f"basis change dimension {m.shape[0]} != dof dim {stack.dofs[ax].dim}"
         )
     dofs = list(stack.dofs)
-    dofs[ax] = Dof(old.name, change.new_labels)
+    dofs[ax] = Dof(dof, labels)
     # the reshape copies contract's transposed view; return the rows it fixed
-    flat = contract(stack.amps, change.matrix[None], (ax + 1,)).reshape(len(stack.amps), stack.dim)
+    flat = contract(stack.amps, m[None], (ax + 1,)).reshape(len(stack.amps), stack.dim)
     _normalize_rows(flat, stack.blocked)
     return StateStack(tuple(dofs), flat.reshape(stack.amps.shape), stack.weights, stack.blocked)
-
-
-def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """``phase_deviations`` of two amplitude arrays of one shape, as stacks of one."""
-    return float(phase_deviations(a[None], b[None])[0])
 
 
 def phase_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

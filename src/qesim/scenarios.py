@@ -40,11 +40,9 @@ from .circuit import (
 )
 from .measure import OutcomeDistribution, conditional, marginal, rng_for, worst
 from .qstate import (
-    BasisChange,
     StateStack,
     StateVector,
     ValidationError,
-    global_phase_deviation,
     phase_deviations,
     rebase,
     row_norms,
@@ -280,10 +278,10 @@ def _post_slit(s: _Shared, pm: bool) -> StateStack:
     _, spol, ppol = circ.dofs
     if not pm:
         st = _unblocked(evolve(replace(circ, stages=circ.stages[:3])))
-        return rebase(st, el.basis_change("circular", spol))
+        return rebase(st, spol.name, *el.basis_change("circular", spol))
     lr_to_pm = np.conj(np.array([[(1 - 1j) / 2, (1 + 1j) / 2], [(1 + 1j) / 2, (1 - 1j) / 2]]))
-    st = rebase(s(_post_slit, False), BasisChange("spol", lr_to_pm, ("+", "-")))
-    return rebase(st, el.basis_change("pm45", ppol))
+    st = rebase(s(_post_slit, False), spol.name, lr_to_pm, ("+", "-"))
+    return rebase(st, ppol.name, *el.basis_change("pm45", ppol))
 
 
 def _p_conditioned(s: _Shared) -> tuple[Pattern, tuple[Pattern, ...], tuple[float, ...]]:
@@ -362,9 +360,9 @@ _CATALOG: dict[str, tuple[tuple[str, float, Callable[[_Shared], float]], ...]] =
         ("phi0_detector_prob_1", 1e-12, lambda s: _prob_gap(s, {"t": 1.0})),
     ),
     "analyzer_loop": (
-        ("identity_on_45", 1e-10, lambda s: global_phase_deviation(
-            s(_state, {"mask": "open"}).amps[0], s.circuit.source.tensor_view()
-        )),
+        ("identity_on_45", 1e-10, lambda s: float(phase_deviations(
+            s(_state, {"mask": "open"}).amps, s.circuit.source.tensor_view()[None]
+        )[0])),
         ("identity_on_random", 1e-10, _analyzer_random_dev),
         ("blocked_lower_gives_v", 1e-10, _blocked_lower_dev),
     ),

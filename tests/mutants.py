@@ -101,6 +101,36 @@ MUTANTS = (
         "else (0, self._cursor[1])",
         ("tests/test_writer_oracle.py::test_ranges_out_of_order_match_the_whole_text",),
     ),
+    Mutant(
+        "rebase_transposed",  # the basis change contracted with its transpose
+        "src/qesim/qstate.py",
+        "contract(stack.amps, m[None], (ax + 1,))",
+        "contract(stack.amps, m.T[None], (ax + 1,))",
+        ("tests/test_kernel_oracle.py::test_rebase_matches_tensordot_reference",),
+    ),
+    Mutant(
+        "rebase_without_unitary_check",
+        "src/qesim/qstate.py",
+        "    if not is_unitary(m):\n"
+        "        raise ValidationError(\"basis-change matrix is not unitary\")\n",
+        "",
+        ("tests/test_qstate.py::test_rebase_rejects_an_invalid_basis_change",),
+    ),
+    Mutant(
+        "state_vector_not_normalized",  # a source kept as given, off 1 or not
+        "src/qesim/qstate.py",
+        "        _normalize_rows(a, np.zeros(1, dtype=bool))\n",
+        "",
+        ("tests/test_circuit.py::test_state_vector_checks_and_renormalizes_as_unit_does",),
+    ),
+    Mutant(
+        "choice_name_repeats",  # one setting switches every choice of that name
+        "src/qesim/circuit.py",
+        "        if twice := [n for n in names if names.count(n) > 1]:\n"
+        "            raise ValidationError(f\"choice name {twice[0]!r} is used twice\")\n",
+        "",
+        ("tests/test_circuit.py::test_a_repeated_choice_name_is_rejected",),
+    ),
 )
 
 

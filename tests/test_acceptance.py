@@ -15,7 +15,7 @@ import numpy as np
 
 from qesim import edl, elements as el, events, scenarios
 from qesim.circuit import compare_marginals, evolve, joint_distribution
-from qesim.qstate import global_phase_deviation, is_unitary
+from qesim.qstate import is_unitary, phase_deviations
 from qesim.screen import fringe_visibility
 from test_events_oracle import pair_shots
 
@@ -196,7 +196,7 @@ def test_criterion_9_infrastructure(capsys):
             if not sa.blocked[0]:
                 rt_dev = max(
                     rt_dev,
-                    global_phase_deviation(sa.amps[0], sb.amps[0]),
+                    float(phase_deviations(sa.amps, sb.amps)[0]),
                     abs(sa.weights[0] - sb.weights[0]),
                 )
     rt_ok = rt_dev <= 1e-12

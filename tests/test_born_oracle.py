@@ -36,7 +36,7 @@ def reference_distribution(state, detectors):
             for dn, basis in spec.measured:
                 change = el.basis_change(basis, dof(state, dn))
                 if change is not None:
-                    state = reference_rebase(state, change)
+                    state = reference_rebase(state, dn, *change)
 
     t = state.tensor_view()
     dof_axis = {d.name: i for i, d in enumerate(state.dofs)}

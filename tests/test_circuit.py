@@ -18,7 +18,17 @@ from qesim.circuit import (
     validate_settings,
 )
 from qesim.measure import marginal
-from qesim.qstate import NORM_TOL, Dof, StateVector, ValidationError, _unit
+from qesim.qstate import NORM_TOL, Dof, StateVector, ValidationError
+
+
+def reference_unit(a):
+    """The earlier ``qstate._unit``: ``a`` itself, or ``a`` over its norm when
+    that is off 1 by more than NORM_TOL; ValidationError when it is NaN or off
+    by more than 1e-9."""
+    norm = np.linalg.norm(a)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValidationError(f"amplitudes not normalized (norm={norm})")
+    return a / norm if abs(norm - 1.0) > NORM_TOL else a
 
 ARM = Dof("arm", ("t", "r"))
 POL = Dof("pol", ("v", "h"))
@@ -93,6 +103,35 @@ class TestValidation:
     def test_unknown_alternative_rejected(self):
         with pytest.raises(ValidationError):
             validate_settings(masked_loop(), {"mask": "ajar"})
+
+
+def two_choices(first, second, nested=False):
+    """One choice splits p, a later one puts a beam splitter on q (inside the
+    first choice's alternative ``two`` when ``nested``); both have the
+    alternatives ``one`` and ``two``."""
+    p, q = Dof("p", ("a", "b")), Dof("q", ("t", "r"))
+    later = Choice(second, {"one": (el.beam_splitter(q, "t", "r"),), "two": ()})
+    stages = (Choice(first, {"one": (el.splitter(p),), "two": (later,) if nested else ()}),)
+    stages += () if nested else (later,)
+    return Circuit((p, q), basis_state((p, q), ("a", "t")), stages + (DetectorSpec("D", measured=(("q", "path"),)),))
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_repeated_choice_name_is_rejected(nested):
+    # one setting would switch both choices, and the structure check of
+    # compare_marginals would read only the first
+    with pytest.raises(ValidationError, match="^choice name 'c' is used twice$"):
+        two_choices("c", "c", nested)
+    assert two_choices("c", "d", nested).choice_names() == ["c", "d"]
+
+
+def test_compare_marginals_checks_every_choice_that_acts():
+    # with one name for both, the q marginal would move by 0.5 under "c"
+    # while the check read only the first choice, which acts on p
+    c = two_choices("c", "d")
+    assert compare_marginals(c, ["q"], "c", {"d": "one"}) < 1e-15
+    with pytest.raises(ContractError, match=r"^choice 'd' acts on subset dofs \['q'\]$"):
+        compare_marginals(c, ["q"], "d", {"c": "one"})
 
 
 class TestEvolve:
@@ -251,7 +290,7 @@ def edge_bases(k: int) -> list[np.ndarray]:
 
 
 #: norms off 1 by less than NORM_TOL, around NORM_TOL to a few ulps, and
-#: between NORM_TOL and the 1e-9 at which ``_unit`` raises
+#: between NORM_TOL and the 1e-9 at which ``reference_unit`` raises
 EDGE_NORMS = [1 + 0.4e-12, 1 - 0.4e-12, 1 + 5e-10, 1 - 5e-10] + [
     x + j * 2.0**-52 * sign
     for x, sign in ((1 + NORM_TOL, 1), (1 - NORM_TOL, -1))
@@ -261,7 +300,7 @@ EDGE_NORMS = [1 + 0.4e-12, 1 - 0.4e-12, 1 + 5e-10, 1 - 5e-10] + [
 
 class TestNormalizeRows:
     """``_normalize_rows`` checks every row in one pass and leaves each row
-    with the bytes, and the error, ``_unit`` gives it."""
+    with the bytes, and the error, ``reference_unit`` gives it."""
 
     @pytest.mark.parametrize("k", [2, 3, 9, 2**11, 2**13])
     def test_rows_get_the_bytes_of_unit(self, k):
@@ -270,13 +309,13 @@ class TestNormalizeRows:
         blocked = [False] * len(rows) + [True] * 2
         qstate._normalize_rows(flat, blocked)
         for row, got in zip(rows, flat):
-            assert got.tobytes() == _unit(row.copy()).tobytes()
+            assert got.tobytes() == reference_unit(row.copy()).tobytes()
         assert not flat[len(rows):].any()
 
     def test_the_boundary_rows_exist(self):
         # the edge norms straddle NORM_TOL: some rows are renormalized, some kept
         rows = [scaled(b, x) for b in edge_bases(9) for x in EDGE_NORMS]
-        kept = sum(_unit(r) is r for r in rows)
+        kept = sum(reference_unit(r) is r for r in rows)
         assert 0 < kept < len(rows)
 
     @pytest.mark.parametrize("k", [2, 2**13])
@@ -284,8 +323,26 @@ class TestNormalizeRows:
         for base in edge_bases(k):
             row = scaled(base, 1 + 2e-9)
             with pytest.raises(ValidationError) as want:
-                _unit(row.copy())
+                reference_unit(row.copy())
             flat = np.array([scaled(base, 1.0), row, scaled(base, 1 - 2e-9)])
             with pytest.raises(ValidationError) as got:
                 qstate._normalize_rows(flat, [False, False, False])
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_state_vector_checks_and_renormalizes_as_unit_does(k):
+    # a copy of its input: kept when within NORM_TOL, else divided by its norm
+    dof = Dof("d", tuple(f"l{j}" for j in range(k)))
+    for base in edge_bases(k):
+        for x in EDGE_NORMS:
+            row = scaled(base, x)
+            got = StateVector((dof,), row).amps
+            assert got.tobytes() == reference_unit(row.copy()).tobytes()
+            assert got is not row and not got.flags.writeable
+        for x in (1 + 2e-9, 1 - 2e-9, math.nan):
+            with pytest.raises(ValidationError) as want:
+                reference_unit(scaled(base, x))
+            with pytest.raises(ValidationError) as got:
+                StateVector((dof,), scaled(base, x))
             assert str(got.value) == str(want.value)

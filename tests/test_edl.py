@@ -19,7 +19,7 @@ from qesim.circuit import (
     joint_distribution,
     joint_probs,
 )
-from qesim.qstate import Dof, StateStack, StateVector, ValidationError, global_phase_deviation
+from qesim.qstate import Dof, StateStack, StateVector, ValidationError, phase_deviations
 from test_kernel_oracle import reference_evolve
 
 GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(edl.__file__), "golden", "*.edl")))
@@ -296,6 +296,16 @@ class TestParamsAndDelays:
     @pytest.mark.parametrize("delay", ["delay=", "delay=x", "delay=1e999", "delay=nan"])
     def test_bad_delay_rejected(self, delay):
         assert not edl.parse(MINIMAL.replace("basis=path", f"basis=path {delay}")).ok
+
+    def test_repeated_choice_name_is_reported_at_the_second_choice(self):
+        # one setting would switch both; the second is found in _walk order,
+        # where a choice comes before the stages of its alternatives
+        one = "CHOICE c : one {\n    STAGE s : bs arm t r\n} | two {\n}\n"
+        res = edl.compile_text(TWO_DOFS + one + one.replace("bs arm t r", "pol pol 45") + "DETECT D : arm basis=path\n")
+        assert [str(d) for d in res.diagnostics] == ["9:1: error: choice name 'c' is used twice"]
+        nested = "CHOICE c : one {\n    " + one.replace("\n", "\n    ").rstrip() + "\n} | two {\n}\n"
+        res = edl.compile_text(TWO_DOFS + nested + "DETECT D : arm basis=path\n")
+        assert [str(d) for d in res.diagnostics] == ["6:1: error: choice name 'c' is used twice"]
 
     def test_detector_name_may_repeat_across_alternatives(self):
         text = golden_text("wheeler").replace("DETECT counters", "DETECT wall")
@@ -707,7 +717,7 @@ class TestFormatter:
             for s in settings_sets:
                 sa, sb = evolve(a, dict(s)), evolve(b, dict(s))
                 assert not sa.blocked.any() and not sb.blocked.any()
-                assert global_phase_deviation(sa.amps[0], sb.amps[0]) < 1e-12
+                assert phase_deviations(sa.amps, sb.amps)[0] < 1e-12
                 assert abs(sa.weights[0] - sb.weights[0]) < 1e-12
 
     def test_canonical_complex_rendering(self):

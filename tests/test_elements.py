@@ -238,17 +238,17 @@ class TestQwpConventions:
 class TestBasisChange:
     def test_named_bases_resolve(self):
         assert el.basis_change("path", ARM) is None
-        pm = el.basis_change("pm45", POL)
-        assert pm.new_labels == ("+", "-")
-        lr = el.basis_change("circular", POL)
-        assert lr.new_labels == ("L", "R")
+        _, pm_labels = el.basis_change("pm45", POL)
+        assert pm_labels == ("+", "-")
+        _, lr_labels = el.basis_change("circular", POL)
+        assert lr_labels == ("L", "R")
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValidationError):
             el.basis_change("elliptic", POL)
 
     def test_circular_rows_match_conventions(self):
-        lr = el.basis_change("circular", POL)
+        lr, _ = el.basis_change("circular", POL)
         # <L|x> amplitude for |x> = (1, 0)
-        assert abs(lr.matrix[0, 0] - 1 / math.sqrt(2)) < 1e-12
-        assert abs(lr.matrix[0, 1] + 1j / math.sqrt(2)) < 1e-12
+        assert abs(lr[0, 0] - 1 / math.sqrt(2)) < 1e-12
+        assert abs(lr[0, 1] + 1j / math.sqrt(2)) < 1e-12

@@ -99,7 +99,8 @@ class TestOutcomeDistribution:
 
     def test_renormalized(self):
         d = OutcomeDistribution(("a",), (("a0",),), [0.25], 0.25)
-        assert abs(d.renormalized().prob(("a0",)) - 1.0) < 1e-15
+        one = OutcomeDistribution(("a",), (("a0",),), [1.0], 1.0)
+        assert abs(total_variation(d, one)) < 1e-15
 
 
 class TestBorn:
@@ -184,6 +185,14 @@ class TestTotalVariation:
         a = OutcomeDistribution(("x",), (("0", "1"),), [0.3, 0.3], 0.6)
         b = OutcomeDistribution(("x",), (("0", "1"),), [0.5, 0.5], 1.0)
         assert total_variation(a, b) < 1e-15
+
+    @pytest.mark.parametrize("mass", [0.0, 0.5e-15])
+    def test_an_empty_side_cannot_be_renormalized(self, mass):
+        empty = OutcomeDistribution(("x",), (("0", "1"),), [mass, 0.0], mass)
+        full = OutcomeDistribution(("x",), (("0", "1"),), [0.5, 0.5], 1.0)
+        for a, b in ((empty, full), (full, empty)):
+            with pytest.raises(ConditioningError, match="^cannot renormalize an empty distribution$"):
+                total_variation(a, b)
 
 
 class TestSampling:

@@ -1,6 +1,6 @@
 """Row-wise array forms against the per-row code they replaced.
 
-``reference_phase_deviation`` is the earlier scalar ``global_phase_deviation``;
+``reference_phase_deviation`` is the earlier scalar global-phase deviation;
 ``reference_weight`` and ``reference_post_select`` are the earlier
 ``qstate._weight`` and ``elements._post_select``, which took one ``np.vdot``
 and one ``_weight`` per row; ``reference_loop_runs`` is the earlier
@@ -30,7 +30,6 @@ from qesim.qstate import (
     ValidationError,
     _normalize_rows,
     _weight,
-    global_phase_deviation,
     phase_deviations,
 )
 
@@ -93,7 +92,7 @@ def same_bytes(got, want):
 def assert_rows_match(a, b):
     want = np.array([reference_phase_deviation(x, y) for x, y in zip(a, b)])
     assert same_bytes(phase_deviations(a, b), want)
-    assert [global_phase_deviation(x, y) for x, y in zip(a, b)] == want.tolist()
+    assert [float(phase_deviations(x[None], y[None])[0]) for x, y in zip(a, b)] == want.tolist()
 
 
 class TestPhaseDeviations:
